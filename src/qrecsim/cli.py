@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ColdStartError, ProjectionEmptyError, QrecsimError
+from .errors import ColdStartError, MatrixError, ProjectionEmptyError, QrecsimError
 from .experiment import ExperimentConfig, run_experiment, write_report, write_user_csv
 from .qproject import ProjectionParams, threshold_project
 from .qsim import sve
@@ -39,6 +39,8 @@ def _parse_vector(spec: str, store: MatrixStore) -> np.ndarray:
         return store.row_dense(int(spec[4:]))
     if spec.startswith("basis:"):
         j = int(spec[6:])
+        if not 0 <= j < store.n:
+            raise MatrixError(f"basis index {j} outside [0, {store.n})")
         vec = np.zeros(store.n)
         vec[j] = 1.0
         return vec
@@ -114,6 +116,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    if args.count < 1:
+        raise MatrixError(f"--count must be >= 1, got {args.count}")
     store = MatrixStore.load(args.store)
     if args.sigma is not None:
         sigma = args.sigma

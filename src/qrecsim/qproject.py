@@ -29,6 +29,11 @@ from .qsim import (
 from .store import MatrixStore
 
 DEFAULT_KAPPA = 1.0 / 3.0
+# Success probabilities at or below this count as zero. An overlap that is
+# zero in exact arithmetic (an input orthogonal to the kept span, as on a
+# disconnected instance) comes out near 1e-32 after rounding, and a budget of
+# ceil((ln n + 7) / beta_sq) would then never run out.
+BETA_SQ_FLOOR = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,10 @@ class ProjectionOutcome:
 
 def default_max_iterations(n: int, beta_sq: float) -> int:
     """Retry budget ceil((ln n + 7) / beta_sq); a bare ceil(ln n + 7) when
-    the success probability is zero (the run can only end in an error)."""
+    the success probability is at most BETA_SQ_FLOOR (the run can then only
+    end in an error, barring a draw below that floor)."""
     base = np.log(n) + 7.0
-    if beta_sq <= 0.0:
+    if beta_sq <= BETA_SQ_FLOOR:
         return int(np.ceil(base))
     return int(np.ceil(base / beta_sq))
 

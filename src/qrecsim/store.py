@@ -10,11 +10,20 @@ the trees themselves only ever see squared weights.
 Updates recompute each ancestor as the exact sum of its two children rather
 than propagating deltas, so the stored floats depend only on the final set of
 leaf values, never on arrival order.
+
+Bulk construction (``MatrixStore.from_dense`` and ``deserialize``) builds each
+level in numpy from the one below, as left child + right child with an absent
+child counting as 0.0. Those are the same IEEE additions on the same operands
+that one insert per cell performs, so a bulk-built store is bit-identical to
+one filled insert by insert: same levels, signs and serialized bytes. After a
+bulk build ``node_touches`` counts the tree nodes written, one per stored
+node, rather than the per-insert path cost.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -25,7 +34,10 @@ _MAGIC = b"QRST"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQQ")
 _ROW_COUNT = struct.Struct("<Q")
-_LEAF_RECORD = struct.Struct("<Qdb")
+# One leaf record, u64 column, f64 squared weight, i8 sign: packed, 17 bytes.
+_LEAF_DTYPE = np.dtype([("column", "<u8"), ("weight", "<f8"), ("sign", "i1")])
+# Bulk builds and dense reads go this many rows at a time to bound scratch memory.
+_BLOCK_ROWS = 64
 
 
 def _leaf_depth(count: int) -> int:
@@ -113,8 +125,50 @@ class RowTree:
                 prefix = 2 * prefix + 1
         return prefix
 
-    def populated(self) -> list[int]:
-        return sorted(self.levels[self.depth])
+
+def _fill_levels(
+    trees: list[RowTree],
+    owner: np.ndarray,
+    keys: np.ndarray,
+    weights: np.ndarray,
+    signs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fill empty trees of one depth from their leaves, a whole level at a time.
+
+    Leaf k belongs to ``trees[owner[k]]`` at column ``keys[k]``; the pairs
+    (owner, key) are sorted, distinct and not empty. Each parent is left child + right
+    child with an absent child as 0.0, exactly as ``RowTree.update`` sums it.
+    Returns the owners that hold a leaf, their root weights, and the number
+    of nodes written.
+    """
+    depth = trees[0].depth
+    written = 0
+    for t in range(depth, -1, -1):
+        if t < depth:
+            parent = keys >> 1
+            first = np.ones(keys.size, dtype=bool)
+            first[1:] = (owner[1:] != owner[:-1]) | (parent[1:] != parent[:-1])
+            slot = np.cumsum(first) - 1
+            right = (keys & 1) == 1
+            left_w = np.zeros(int(slot[-1]) + 1)
+            right_w = np.zeros_like(left_w)
+            left_w[slot[~right]] = weights[~right]
+            right_w[slot[right]] = weights[right]
+            weights = left_w + right_w
+            owner, keys = owner[first], parent[first]
+        bounds = np.searchsorted(owner, np.arange(len(trees) + 1)).tolist()
+        key_list, weight_list = keys.tolist(), weights.tolist()
+        sign_list = signs.tolist() if t == depth else None
+        for k, tree in enumerate(trees):
+            lo, hi = bounds[k], bounds[k + 1]
+            if lo == hi:
+                continue
+            tree_keys = key_list[lo:hi]
+            tree.levels[t] = dict(zip(tree_keys, weight_list[lo:hi]))
+            if sign_list is not None:
+                tree.signs = dict(zip(tree_keys, sign_list[lo:hi]))
+        written += keys.size
+    return owner, weights, written
 
 
 class MatrixStore:
@@ -194,14 +248,39 @@ class MatrixStore:
 
     def row_dense(self, i: int) -> np.ndarray:
         self._check_row(i)
-        tree = self.rows[i]
-        out = np.zeros(self.n)
-        for j in tree.populated():
-            out[j] = tree.amplitude(j)
-        return out
+        return self._dense(range(i, i + 1))[0]
 
     def to_dense(self) -> np.ndarray:
-        return np.stack([self.row_dense(i) for i in range(self.m)])
+        return self._dense(range(self.m))
+
+    def _dense(self, rows: range) -> np.ndarray:
+        """Signed entries sign_j * sqrt(weight_j) of a run of rows, gathered
+        a block of rows at a time to bound scratch memory."""
+        out = np.zeros((len(rows), self.n))
+        for first in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[first : first + _BLOCK_ROWS]
+            counts, cols, weights, signs = self._leaves(block)
+            at = first + np.repeat(np.arange(len(block)), counts)
+            out[at, cols] = signs * np.sqrt(weights)
+        return out
+
+    def _leaves(self, rows: range) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row leaf counts, then column, weight and sign of every populated
+        cell of ``rows``, ordered by row and then column."""
+        trees = [self.rows[i] for i in rows]
+        cols = [sorted(tree.levels[tree.depth]) for tree in trees]
+        counts = [len(c) for c in cols]
+        total = sum(counts)
+        weights = chain.from_iterable(
+            map(tree.levels[tree.depth].__getitem__, c) for tree, c in zip(trees, cols)
+        )
+        signs = chain.from_iterable(map(tree.signs.__getitem__, c) for tree, c in zip(trees, cols))
+        return (
+            counts,
+            np.fromiter(chain.from_iterable(cols), dtype=np.uint64, count=total),
+            np.fromiter(weights, dtype=np.float64, count=total),
+            np.fromiter(signs, dtype=np.int8, count=total),
+        )
 
     # -- sampling --------------------------------------------------------
 
@@ -228,16 +307,62 @@ class MatrixStore:
 
     @classmethod
     def from_dense(cls, a) -> "MatrixStore":
-        """Store holding every nonzero cell of a dense matrix."""
+        """Store holding every nonzero cell of a dense matrix.
+
+        Built level by level in bulk (see the module docstring): the result is
+        bit-identical to inserting each nonzero cell, and ``node_touches``
+        counts the nodes written.
+        """
         arr = np.asarray(a, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise MatrixError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise MatrixError("matrix entries must be finite")
         store = cls(arr.shape[0], arr.shape[1])
-        for i, j in zip(*np.nonzero(arr)):
-            store.insert(int(i), int(j), float(arr[i, j]))
+
+        def blocks():
+            for first in range(0, store.m, _BLOCK_ROWS):
+                block = arr[first : first + _BLOCK_ROWS]
+                rows, cols = np.nonzero(block)
+                values = block[rows, cols]
+                yield rows, cols, values * values, np.sign(values).astype(np.int8)
+
+        store._bulk_build(blocks())
         return store
+
+    def _bulk_build(self, blocks: Iterable[tuple[np.ndarray, ...]]) -> None:
+        """Fill an empty store from its leaves, one block of rows at a time.
+
+        Block b covers rows from b * _BLOCK_ROWS on and holds (row within the
+        block, column, weight, sign) arrays, sorted by row and column and free
+        of duplicates. A row enters the norm tree when it has at least one
+        leaf, as it does after its first insert.
+        """
+        filled, roots = [], []
+        written = entries = 0
+        for block, (rows, cols, weights, signs) in enumerate(blocks):
+            if rows.size == 0:
+                continue
+            first_row = block * _BLOCK_ROWS
+            owner, root, count = _fill_levels(
+                self.rows[first_row : first_row + _BLOCK_ROWS], rows, cols, weights, signs
+            )
+            filled.append(owner + first_row)
+            roots.append(root)
+            written += count
+            entries += rows.size
+        if filled:
+            populated = np.concatenate(filled)
+            _, _, count = _fill_levels(
+                [self.norm_tree],
+                np.zeros(populated.size, dtype=np.intp),
+                populated,
+                np.concatenate(roots),
+                np.ones(populated.size, dtype=np.int8),
+            )
+            written += count
+        self._entry_count = entries
+        self.node_touches = written
 
     # -- serialization ---------------------------------------------------
 
@@ -250,17 +375,30 @@ class MatrixStore:
         Internal nodes are recomputed on load, which reproduces them exactly
         because every stored sum is a pure function of the leaf values.
         """
+        counts, cols, weights, signs = self._leaves(range(self.m))
+        records = np.empty(cols.size, dtype=_LEAF_DTYPE)
+        records["column"], records["weight"], records["sign"] = cols, weights, signs
+        body = memoryview(records.tobytes())
         parts = [_HEADER.pack(_MAGIC, _VERSION, self.m, self.n, self._entry_count)]
-        for tree in self.rows:
-            cols = tree.populated()
-            parts.append(_ROW_COUNT.pack(len(cols)))
-            leaves = tree.levels[tree.depth]
-            for j in cols:
-                parts.append(_LEAF_RECORD.pack(j, leaves[j], tree.sign(j)))
+        offset = 0
+        for count in counts:
+            end = offset + count * _LEAF_DTYPE.itemsize
+            parts += (_ROW_COUNT.pack(count), body[offset:end])
+            offset = end
         return b"".join(parts)
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "MatrixStore":
+        """Load a ``serialize`` blob; any malformed byte raises StoreFormatError.
+
+        Rejected, at the offset of the first bad record: a column outside
+        [0, n), a weight that is negative or not finite, a sign outside
+        {-1, 0, 1}, and a column not above the one before it in its row
+        (duplicate or out of order). Truncation, trailing bytes and an entry
+        count that disagrees with the header are rejected too. The trees are
+        bulk-built as in ``from_dense``, bit-identical to inserting each
+        record, and ``node_touches`` counts the nodes written.
+        """
         if len(blob) < _HEADER.size:
             raise StoreFormatError("truncated header", offset=len(blob))
         magic, version, m, n, count = _HEADER.unpack_from(blob, 0)
@@ -270,35 +408,63 @@ class MatrixStore:
             raise StoreFormatError(f"unsupported version {version}", offset=4)
         if m < 1 or n < 1:
             raise StoreFormatError(f"invalid shape {m}x{n}", offset=8)
-        store = cls(m, n)
+        # Walk the row headers first; records that precede a truncation are
+        # still checked, so the earliest fault in the blob is the one reported.
+        starts, counts, segments = [], [], []
+        truncated = None
         offset = _HEADER.size
+        view = memoryview(blob)
         for i in range(m):
             if offset + _ROW_COUNT.size > len(blob):
-                raise StoreFormatError(f"truncated row header for row {i}", offset=offset)
+                truncated = StoreFormatError(f"truncated row header for row {i}", offset=offset)
+                break
             (row_count,) = _ROW_COUNT.unpack_from(blob, offset)
             offset += _ROW_COUNT.size
-            for _ in range(row_count):
-                if offset + _LEAF_RECORD.size > len(blob):
-                    raise StoreFormatError(f"truncated leaf record in row {i}", offset=offset)
-                j, weight, sign = _LEAF_RECORD.unpack_from(blob, offset)
-                if j >= n:
-                    raise StoreFormatError(f"column {j} out of range in row {i}", offset=offset)
-                if not np.isfinite(weight) or weight < 0.0:
-                    raise StoreFormatError(f"invalid weight {weight} in row {i}", offset=offset)
-                store.rows[i].update(j, weight, sign)
-                store._entry_count += 1
-                offset += _LEAF_RECORD.size
-            if row_count:
-                store.norm_tree.update(i, store.rows[i].root, 1)
+            whole = min(row_count, (len(blob) - offset) // _LEAF_DTYPE.itemsize)
+            starts.append(offset)
+            counts.append(whole)
+            segments.append(view[offset : offset + whole * _LEAF_DTYPE.itemsize])
+            offset += whole * _LEAF_DTYPE.itemsize
+            if whole < row_count:
+                truncated = StoreFormatError(f"truncated leaf record in row {i}", offset=offset)
+                break
+        records = np.frombuffer(b"".join(segments), dtype=_LEAF_DTYPE)
+        rows = np.repeat(np.arange(len(counts)), counts)
+        cols, weights, signs = records["column"], records["weight"], records["sign"]
+        unordered = np.zeros(rows.size, dtype=bool)
+        unordered[1:] = (rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])
+        checks = (
+            (cols >= n, "column {col} out of range in row {row}"),
+            (~np.isfinite(weights) | (weights < 0.0), "invalid weight {weight} in row {row}"),
+            ((signs < -1) | (signs > 1), "invalid sign {sign} in row {row}"),
+            (unordered, "column {col} duplicated or out of order in row {row}"),
+        )
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():
+            k = int(np.argmax(bad))
+            row = int(rows[k])
+            message = next(text for mask, text in checks if mask[k]).format(
+                col=int(cols[k]), weight=float(weights[k]), sign=int(signs[k]), row=row
+            )
+            raise StoreFormatError(
+                message,
+                offset=starts[row] + (k - sum(counts[:row])) * _LEAF_DTYPE.itemsize,
+            )
+        if truncated is not None:
+            raise truncated
         if offset != len(blob):
             raise StoreFormatError("trailing bytes after last row", offset=offset)
-        if store._entry_count != count:
+        if rows.size != count:
             raise StoreFormatError(
-                f"entry count mismatch: header says {count}, found {store._entry_count}",
+                f"entry count mismatch: header says {count}, found {rows.size}",
                 offset=_HEADER.size - 8,
             )
-        store.node_touches = 0
-        store.last_insert_touches = 0
+        store = cls(m, n)
+        edges = np.searchsorted(rows, range(0, m + _BLOCK_ROWS, _BLOCK_ROWS)).tolist()
+        store._bulk_build(
+            (rows[lo:hi] - first, cols[lo:hi], weights[lo:hi], signs[lo:hi])
+            for first, lo, hi in zip(range(0, m, _BLOCK_ROWS), edges, edges[1:])
+        )
         return store
 
     def save(self, path) -> None:

@@ -220,6 +220,14 @@ class TestCliSve:
         assert main(["sve", str(gap_store), "--vector", "0,0", "--eps", "0.1"]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    def test_basis_index_past_last_column(self, gap_store, capsys):
+        assert main(["sve", str(gap_store), "--vector", "basis:9", "--eps", "0.1"]) == EXIT_ERROR
+        assert "error: basis index 9 outside [0, 2)" in capsys.readouterr().err
+
+    def test_negative_basis_index(self, gap_store, capsys):
+        assert main(["sve", str(gap_store), "--vector", "basis:-1", "--eps", "0.1"]) == EXIT_ERROR
+        assert "error: basis index -1 outside [0, 2)" in capsys.readouterr().err
+
 
 class TestCliProject:
     def test_gap_projection(self, gap_store, capsys):
@@ -286,6 +294,13 @@ class TestCliRecommend:
     def test_missing_threshold_arguments(self, wide_store, capsys):
         assert main(["recommend", str(wide_store), "--user", "0"]) == EXIT_ERROR
         assert "--sigma" in capsys.readouterr().err
+
+    def test_zero_count_rejected(self, wide_store, capsys):
+        code = main(
+            ["recommend", str(wide_store), "--user", "0", "--sigma", "1e-9", "--count", "0"]
+        )
+        assert code == EXIT_ERROR
+        assert "error: --count must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestCliExperiment:

@@ -6,6 +6,7 @@ import pytest
 from qrecsim.errors import MatrixError, ProjectionEmptyError
 from qrecsim.linalg import band_indices, pseudo_project_row, svd, threshold_indices
 from qrecsim.qproject import (
+    BETA_SQ_FLOOR,
     ProjectionParams,
     default_max_iterations,
     estimated_spectrum,
@@ -33,6 +34,23 @@ def random_matrix(seed: int, m: int = 6, n: int = 6) -> np.ndarray:
     return a
 
 
+def disconnected_instance() -> tuple[np.ndarray, ProjectionParams, int]:
+    """Two decoupled 3x3 blocks with rows and columns shuffled, a threshold
+    that keeps exactly the strong block, and a user from the weak block.
+
+    That user's overlap with the kept span is zero in exact arithmetic but
+    rounds to about 1e-32 on both paths.
+    """
+    rng = np.random.default_rng(4)
+    a = np.zeros((6, 6))
+    a[:3, :3] = 3.0 * rng.normal(size=(3, 3))
+    a[3:, 3:] = 0.3 * rng.normal(size=(3, 3))
+    rows, cols = rng.permutation(6), rng.permutation(6)
+    a = a[rows][:, cols]
+    sigma = 0.9 * float(np.linalg.svd(a, compute_uv=False)[2])
+    return a, ProjectionParams(sigma=sigma), int(np.flatnonzero(rows >= 3)[0])
+
+
 class TestParams:
     def test_cut_and_precision(self):
         p = ProjectionParams(sigma=2.0, kappa=1.0 / 3.0)
@@ -56,6 +74,9 @@ class TestParams:
     def test_retry_budget(self):
         assert default_max_iterations(2, 0.3) == int(np.ceil((np.log(2) + 7.0) / 0.3))
         assert default_max_iterations(100, 0.0) == int(np.ceil(np.log(100) + 7.0))
+        # Rounding residue of a vanishing overlap takes the bare budget too.
+        assert default_max_iterations(100, 1e-32) == int(np.ceil(np.log(100) + 7.0))
+        assert default_max_iterations(100, BETA_SQ_FLOOR) == int(np.ceil(np.log(100) + 7.0))
 
     def test_expected_iterations(self):
         assert expected_iterations(0.3) == pytest.approx(10.0 / 3.0, rel=1e-15)
@@ -161,6 +182,14 @@ class TestExactPath:
         err = info.value
         assert err.beta_sq == pytest.approx(0.0, abs=1e-12)
         assert err.iterations == default_max_iterations(2, 0.0)
+
+    def test_vanishing_overlap_fails_fast(self):
+        a, params, user = disconnected_instance()
+        beta_sq = success_probability(svd(a), a[user], params)
+        assert 0.0 < beta_sq <= BETA_SQ_FLOOR
+        with pytest.raises(ProjectionEmptyError) as info:
+            threshold_project(a, a[user], params, np.random.default_rng(8))
+        assert info.value.iterations == default_max_iterations(6, 0.0)
 
     def test_max_iterations_override(self):
         f = svd(GAP)
@@ -287,3 +316,16 @@ class TestCircuitPath:
                 np.random.default_rng(6),
                 path="circuit",
             )
+
+    def test_circuit_vanishing_overlap_fails_fast(self):
+        a, params, user = disconnected_instance()
+        with pytest.raises(ProjectionEmptyError) as info:
+            threshold_project(
+                WalkOperator.from_dense(a),
+                a[user],
+                params,
+                np.random.default_rng(9),
+                path="circuit",
+            )
+        assert 0.0 < info.value.beta_sq <= BETA_SQ_FLOOR
+        assert info.value.iterations == default_max_iterations(6, 0.0)

@@ -1,5 +1,8 @@
 """Sampling-tree store: weights, updates, sampling, serialization."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +248,19 @@ class TestSerialization:
         for t in range(store.norm_tree.depth + 1):
             assert back.norm_tree.levels[t] == store.norm_tree.levels[t]
 
+    def test_golden_blob_digest(self):
+        # Pins the blob format and every stored float bit for bit.
+        a = np.random.default_rng(2016).normal(size=(64, 48))
+        a[np.abs(a) < 0.5] = 0.0
+        a[11] = 0.0  # one empty row
+        assert a[40, 3] == 0.0
+        store = MatrixStore.from_dense(a)
+        store.insert(40, 3, 0.0)  # explicit zero cell
+        blob = store.serialize()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "5ac136223c68de53c212850c0c3611f34c7e28a2f8cdacbdd956b0425271b563"
+        )
+
     def test_file_round_trip(self, tmp_path):
         store = self.make_store()
         path = tmp_path / "store.bin"
@@ -275,6 +291,56 @@ class TestSerialization:
         blob = self.make_store().serialize()
         with pytest.raises(StoreFormatError):
             MatrixStore.deserialize(blob + b"\x00")
+
+    @staticmethod
+    def blob(rows, n=4, count=None) -> bytes:
+        """Hand-built blob: rows of (column, weight, sign) records."""
+        total = sum(len(r) for r in rows) if count is None else count
+        parts = [struct.pack("<4sIQQQ", b"QRST", 1, len(rows), n, total)]
+        for records in rows:
+            parts.append(struct.pack("<Q", len(records)))
+            parts += [struct.pack("<Qdb", *rec) for rec in records]
+        return b"".join(parts)
+
+    # Row 0 starts at byte 32 with its count; its records sit at 40, 57, ...
+    @pytest.mark.parametrize(
+        "rows, message, offset",
+        [
+            ([[(0, 1.0, 1), (4, 1.0, 1)]], "column 4 out of range in row 0", 57),
+            ([[(0, -1.0, 1)]], "invalid weight -1.0 in row 0", 40),
+            ([[(0, float("nan"), 1)]], "invalid weight nan in row 0", 40),
+            ([[(0, 4.0, 5)]], "invalid sign 5 in row 0", 40),
+            ([[(0, 4.0, -2)]], "invalid sign -2 in row 0", 40),
+            ([[(1, 1.0, 1), (1, 4.0, -1)]], "column 1 duplicated or out of order in row 0", 57),
+            ([[(2, 1.0, 1), (0, 4.0, 1)]], "column 0 duplicated or out of order in row 0", 57),
+            (
+                [[(3, 1.0, 1)], [(0, 1.0, 1), (0, 1.0, 1)]],
+                "column 0 duplicated or out of order in row 1",
+                82,
+            ),
+        ],
+    )
+    def test_bad_record_reports_first_offset(self, rows, message, offset):
+        with pytest.raises(StoreFormatError) as err:
+            MatrixStore.deserialize(self.blob(rows))
+        assert message in str(err.value)
+        assert err.value.offset == offset
+
+    def test_bad_record_before_truncation_wins(self):
+        blob = self.blob([[(0, 4.0, 5), (1, 1.0, 1)]])
+        with pytest.raises(StoreFormatError) as err:
+            MatrixStore.deserialize(blob[:-3])
+        assert "invalid sign 5" in str(err.value)
+        with pytest.raises(StoreFormatError) as err:
+            MatrixStore.deserialize(self.blob([[(0, 4.0, 1), (1, 1.0, 1)]])[:-3])
+        assert "truncated leaf record in row 0" in str(err.value)
+        assert err.value.offset == 57
+
+    def test_entry_count_mismatch(self):
+        with pytest.raises(StoreFormatError) as err:
+            MatrixStore.deserialize(self.blob([[(0, 1.0, 1)]], count=2))
+        assert "header says 2, found 1" in str(err.value)
+        assert err.value.offset == 24
 
 
 class TestTriplets:
@@ -336,3 +402,47 @@ def test_internal_sums_match_leaf_scan_property(entries):
     # Norm-tree leaves must eagerly equal the row roots.
     for i in range(store.m):
         assert store.norm_tree.leaf_weight(i) == store.rows[i].root
+
+
+def tree_bits(tree: RowTree) -> tuple:
+    """Every level and sign of a tree, with floats as exact hex strings."""
+    levels = tuple(sorted((k, v.hex()) for k, v in level.items()) for level in tree.levels)
+    return tree.size, tree.depth, levels, sorted(tree.signs.items())
+
+
+def assert_same_store(got: MatrixStore, want: MatrixStore) -> None:
+    assert (got.m, got.n, got.entry_count) == (want.m, want.n, want.entry_count)
+    for g, w in zip(got.rows, want.rows):
+        assert tree_bits(g) == tree_bits(w)
+    assert tree_bits(got.norm_tree) == tree_bits(want.norm_tree)
+
+
+@st.composite
+def sparse_matrices(draw):
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 9))
+    cell = st.one_of(
+        st.just(0.0),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    a = np.array(draw(st.lists(cell, min_size=m * n, max_size=m * n))).reshape(m, n)
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        a[i] = 0.0
+    return a
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_matrices(), st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3))
+def test_bulk_build_matches_inserts_property(a, zeros):
+    reference = MatrixStore(*a.shape)
+    for i, j in zip(*np.nonzero(a)):
+        reference.insert(int(i), int(j), float(a[i, j]))
+    bulk = MatrixStore.from_dense(a)
+    assert_same_store(bulk, reference)
+    assert np.array_equal(bulk.to_dense(), reference.to_dense())
+    assert bulk.serialize() == reference.serialize()
+    for i, j in zeros:
+        reference.insert(i % a.shape[0], j % a.shape[1], 0.0)
+    back = MatrixStore.deserialize(reference.serialize())
+    assert_same_store(back, reference)
+    assert back.serialize() == reference.serialize()
