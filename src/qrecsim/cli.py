@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import ColdStartError, MatrixError, ProjectionEmptyError, QrecsimError
 from .experiment import ExperimentConfig, run_experiment, write_report, write_user_csv
-from .qproject import ProjectionParams, threshold_project
+from .qproject import DEFAULT_KAPPA, ProjectionParams, threshold_project
 from .qsim import sve
 from .recsys import RecommendContext, recommendation_sigma
 from .rng import default_seed, stream
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("store", help="path to a serialized store")
     p.add_argument("--vector", required=True, help="row:<i>, basis:<j>, uniform, @file, or floats")
     p.add_argument("--sigma", type=float, required=True, help="singular value threshold")
-    p.add_argument("--kappa", type=float, default=1.0 / 3.0, help="band width (default 1/3)")
+    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA, help="band width (default 1/3)")
     p.add_argument("--path", choices=("exact", "circuit"), default="exact")
     p.add_argument("--max-iterations", type=int, default=None)
     p.add_argument("--samples", type=int, default=0, help="measure this many indices")
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None, help="relative truncation error")
     p.add_argument("--k", type=int, default=None, help="target rank")
     p.add_argument("--p", type=float, default=1.0, help="subsampling probability used")
-    p.add_argument("--kappa", type=float, default=1.0 / 3.0)
+    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     p.add_argument("--count", type=int, default=1, help="number of recommendations")
     _add_seed(p)
     p.set_defaults(func=cmd_recommend)

@@ -16,12 +16,13 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import BoundVacuousError, MatrixError, ProjectionEmptyError
 from .linalg import svd
-from .qproject import ProjectionParams, kept_mask
+from .qproject import DEFAULT_KAPPA, ProjectionParams
 from .recsys import (
     RecommendContext,
     bad_sample_bound,
@@ -54,12 +55,34 @@ class ExperimentConfig:
     delta: float = 0.1
     zeta: float = 0.1
     xi: float = 0.1
-    kappa: float = 1.0 / 3.0
+    kappa: float = DEFAULT_KAPPA
     users: int = 50
     recs_per_user: int = 40
 
+    def __post_init__(self):
+        for name, low in (("m", 1), ("n", 1), ("k", 1), ("seed", 0), ("users", 0),
+                          ("recs_per_user", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise MatrixError(f"config {name} must be an integer >= {low}, got {value!r}")
+        fraction = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+        reals = {
+            "noise": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+            "p": (lambda v: 0.0 < v <= 1.0, "in (0, 1] or null"),
+            "gamma": (lambda v: 0.0 < v < np.inf, "finite and > 0"),
+            "delta": fraction, "zeta": fraction, "xi": fraction, "kappa": fraction,
+        }
+        for name, (ok, allowed) in reals.items():
+            value = getattr(self, name)
+            if name == "p" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Real) or not ok(value):
+                raise MatrixError(f"config {name} must be a number {allowed}, got {value!r}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise MatrixError(f"config must be a JSON object, got {type(raw).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -96,7 +119,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     params = ProjectionParams(sigma=sigma, kappa=config.kappa)
 
     ctx = RecommendContext(store, params)
-    kept = kept_mask(ctx.f, params)
+    kept = ctx.kept
     kept_rank = int(np.sum(kept))
     surrogate = ctx.f.reconstruct(np.flatnonzero(kept))
     realized_err = float(np.linalg.norm(truth - surrogate) / fro_truth)
@@ -106,13 +129,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     report_flags: list[str] = [sub_params.status]
 
     # Sandwich check on the realized kept set (hard invariant).
-    sandwich_ok = True
-    for i in range(ctx.f.shape[1]):
-        s_i = ctx.f.singular_value(i)
-        if s_i >= sigma and not kept[i]:
-            sandwich_ok = False
-        if s_i < (1.0 - config.kappa) * sigma and kept[i]:
-            sandwich_ok = False
+    sigmas = np.zeros(ctx.f.shape[1])
+    sigmas[: ctx.f.rank] = ctx.f.sigma
+    misses = ((sigmas >= sigma) & ~kept) | ((sigmas < (1.0 - config.kappa) * sigma) & kept)
+    sandwich_ok = not misses.any()
 
     rows: list[dict] = []
     bad = 0

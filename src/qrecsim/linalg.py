@@ -47,6 +47,15 @@ def as_vector(x, size: int | None = None) -> np.ndarray:
     return arr
 
 
+def unit_vector(x, size: int) -> np.ndarray:
+    """x / ||x|| for a valid length-``size`` vector; the zero vector is rejected."""
+    vec = as_vector(x, size=size)
+    norm = np.linalg.norm(vec)
+    if norm <= 0.0:
+        raise MatrixError("cannot normalize the zero vector")
+    return vec / norm
+
+
 @dataclass(frozen=True)
 class SvdFactorization:
     """Full SVD of an m x n matrix with the rank made explicit.

@@ -7,6 +7,12 @@ kept singular directions; failure repeats the attempt. With estimation
 precision (kappa/2) sigma / ||A||_F the kept set always contains every
 direction with sigma_i >= sigma and never one below (1 - kappa) sigma, so
 each run realizes some member of the admissible projector family.
+
+On the exact path the estimates round the true phases, so the kept set is a
+function of the factorization alone, computed once by ``kept_mask``; an input
+only adds its overlaps. Exact-path callers share ``kept_state`` and the retry
+loop ``attempts_until_success``; the circuit path resamples the kept set on
+every attempt and keeps its own loop.
 """
 
 from __future__ import annotations
@@ -16,17 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MatrixError, ProjectionEmptyError
-from .linalg import SvdFactorization, as_vector, svd
+from .linalg import SvdFactorization, unit_vector
 from .qsim import (
     PhaseGrid,
     WalkOperator,
     boost_rounds,
     eigenphases,
+    factorization_of,
     median_bin,
     qpe_bin_probabilities,
     sample_phase_bins,
+    walk_of,
 )
-from .store import MatrixStore
 
 DEFAULT_KAPPA = 1.0 / 3.0
 # Success probabilities at or below this count as zero. An overlap that is
@@ -110,8 +117,7 @@ def estimated_spectrum(f: SvdFactorization, params: ProjectionParams) -> np.ndar
     if params.sigma > fro:
         raise MatrixError(f"threshold {params.sigma} exceeds ||A||_F = {fro}")
     grid = PhaseGrid.for_sigma_precision(params.precision(fro))
-    thetas = eigenphases(f)
-    return np.array([grid.sigma_of(grid.bin_of(t), fro) for t in thetas])
+    return grid.sigma_of(grid.bin_of(eigenphases(f)), fro)
 
 
 def kept_mask(f: SvdFactorization, params: ProjectionParams) -> np.ndarray:
@@ -122,17 +128,41 @@ def kept_mask(f: SvdFactorization, params: ProjectionParams) -> np.ndarray:
     return estimated_spectrum(f, params) >= params.cut
 
 
+def kept_state(
+    f: SvdFactorization, alpha: np.ndarray, kept: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(beta^2, unit survivor state); the state is zero when beta^2 is 0."""
+    beta_sq = float(np.sum(alpha[kept] ** 2))
+    if beta_sq <= 0.0:
+        return beta_sq, np.zeros(f.shape[1])
+    state = f.v[:, kept] @ alpha[kept]
+    state /= np.linalg.norm(state)
+    return beta_sq, state
+
+
+def attempts_until_success(
+    beta_sq: float, n: int, params: ProjectionParams, rng: np.random.Generator
+) -> int:
+    """Attempts, one ``rng.random()`` each, up to the first success; raises
+    ProjectionEmptyError when the budget runs out."""
+    limit = params.max_iterations or default_max_iterations(n, beta_sq)
+    for attempt in range(1, limit + 1):
+        if rng.random() < beta_sq:
+            return attempt
+    raise ProjectionEmptyError(
+        f"projection empty: no surviving component after {limit} repetitions",
+        beta_sq=beta_sq,
+        iterations=limit,
+    )
+
+
 def exact_kept_components(
     f: SvdFactorization, x, params: ProjectionParams
 ) -> tuple[list[ProjectionComponent], np.ndarray, np.ndarray]:
     """Deterministic component fates plus (alpha, kept mask) working arrays."""
-    vec = as_vector(x, size=f.shape[1])
-    norm = np.linalg.norm(vec)
-    if norm <= 0.0:
-        raise MatrixError("cannot project the zero vector")
+    alpha = f.v.T @ unit_vector(x, f.shape[1])
+    kept = kept_mask(f, params)
     estimates = estimated_spectrum(f, params)
-    kept = estimates >= params.cut
-    alpha = f.v.T @ (vec / norm)
     comps = [
         ProjectionComponent(
             index=i,
@@ -148,8 +178,7 @@ def exact_kept_components(
 
 def success_probability(f: SvdFactorization, x, params: ProjectionParams) -> float:
     """beta^2: squared overlap of the input with the kept subspace."""
-    _, alpha, kept = exact_kept_components(f, x, params)
-    return float(np.sum(alpha[kept] ** 2))
+    return kept_state(f, f.v.T @ unit_vector(x, f.shape[1]), kept_mask(f, params))[0]
 
 
 def threshold_project(
@@ -166,44 +195,23 @@ def threshold_project(
     allowed repetition measures the flag.
     """
     if path == "exact":
-        f = source if isinstance(source, SvdFactorization) else svd(_dense_of(source))
-        return _project_exact(f, x, params, rng)
+        return _project_exact(factorization_of(source), x, params, rng)
     if path == "circuit":
-        if isinstance(source, WalkOperator):
-            wop = source
-        elif isinstance(source, MatrixStore):
-            wop = WalkOperator.from_store(source)
-        else:
-            wop = WalkOperator.from_dense(_dense_of(source))
-        return _project_circuit(wop, x, params, rng)
+        return _project_circuit(walk_of(source), x, params, rng)
     raise MatrixError(f"unknown execution path {path!r}")
-
-
-def _dense_of(source) -> np.ndarray:
-    return source.to_dense() if isinstance(source, MatrixStore) else np.asarray(source, dtype=np.float64)
 
 
 def _project_exact(
     f: SvdFactorization, x, params: ProjectionParams, rng: np.random.Generator
 ) -> ProjectionOutcome:
     comps, alpha, kept = exact_kept_components(f, x, params)
-    beta_sq = float(np.sum(alpha[kept] ** 2))
-    limit = params.max_iterations or default_max_iterations(f.shape[1], beta_sq)
-    for attempt in range(1, limit + 1):
-        if rng.random() < beta_sq:
-            state = f.v[:, kept] @ alpha[kept]
-            state /= np.linalg.norm(state)
-            return ProjectionOutcome(
-                state=state,
-                iterations=attempt,
-                beta_sq=beta_sq,
-                components=tuple(comps),
-                path="exact",
-            )
-    raise ProjectionEmptyError(
-        f"projection empty: no surviving component after {limit} repetitions",
+    beta_sq, state = kept_state(f, alpha, kept)
+    return ProjectionOutcome(
+        state=state,
+        iterations=attempts_until_success(beta_sq, f.shape[1], params, rng),
         beta_sq=beta_sq,
-        iterations=limit,
+        components=tuple(comps),
+        path="exact",
     )
 
 
@@ -212,13 +220,9 @@ def _project_circuit(
 ) -> ProjectionOutcome:
     if params.sigma > wop.fro:
         raise MatrixError(f"threshold {params.sigma} exceeds ||A||_F = {wop.fro}")
-    vec = as_vector(x, size=wop.n)
-    norm = np.linalg.norm(vec)
-    if norm <= 0.0:
-        raise MatrixError("cannot project the zero vector")
+    s = wop.apply_Q(unit_vector(x, wop.n)).reshape(-1)
     grid = PhaseGrid.for_sigma_precision(params.precision(wop.fro))
     rounds = boost_rounds(wop.m, wop.n)
-    s = wop.apply_Q(vec / norm).reshape(-1)
     groups = wop.phase_groups()
     weights = np.array([g.overlap_sq(s) for g in groups])
     sigmas = np.array([np.cos(g.theta / 2.0) * wop.fro for g in groups])

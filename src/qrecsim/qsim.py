@@ -27,13 +27,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyRowError, MatrixError, RegisterCapError
-from .linalg import SvdFactorization, as_vector, svd
+from .linalg import SvdFactorization, svd, unit_vector
 from .store import MatrixStore, RowTree
 
 # Hard ceiling on simulated amplitudes (phase register times joint index).
 REGISTER_CAP = 1 << 22
 # Ceiling on the joint dimension when W must be formed densely.
 MATERIALIZE_CAP = 1 << 11
+
+# Finest estimation grid. Bin indices are int64, and a bin of 2 pi / 2^62 is
+# already far below the float64 resolution of the phases it rounds, so a
+# finer requested precision gets this grid.
+MAX_GRID_BITS = 62
 
 AMP_TOL = 1e-10
 # Overlaps below this are treated as absent when reporting components.
@@ -273,16 +278,21 @@ def eigenphases(f: SvdFactorization) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Uniform grid of 2^bits phase bins over [0, 2 pi)."""
+    """Uniform grid of 2^bits phase bins over [0, 2 pi).
+
+    ``bin_of``, ``theta_of`` and ``sigma_of`` take a scalar to a Python
+    scalar and an array to an array, elementwise, with the same rounding.
+    """
 
     bits: int
 
     @classmethod
     def for_theta_precision(cls, eps_theta: float) -> "PhaseGrid":
-        """Enough bits to resolve phases to eps_theta, plus two guard bits."""
+        """Enough bits to resolve phases to eps_theta, plus two guard bits
+        (at most MAX_GRID_BITS)."""
         if not np.isfinite(eps_theta) or not 0.0 < eps_theta < 2.0 * np.pi:
             raise MatrixError(f"theta precision must be in (0, 2 pi), got {eps_theta}")
-        return cls(int(np.ceil(np.log2(2.0 * np.pi / eps_theta))) + 2)
+        return cls(min(int(np.ceil(np.log2(2.0 * np.pi / eps_theta))) + 2, MAX_GRID_BITS))
 
     @classmethod
     def for_sigma_precision(cls, eps: float) -> "PhaseGrid":
@@ -297,16 +307,22 @@ class PhaseGrid:
     def width(self) -> float:
         return 2.0 * np.pi / self.size
 
-    def bin_of(self, theta: float) -> int:
-        return int(np.round(theta / self.width)) % self.size
+    def bin_of(self, theta):
+        """Nearest bin of a phase."""
+        return _scalar(np.round(np.asarray(theta) / self.width).astype(np.int64) % self.size)
 
-    def theta_of(self, b: int) -> float:
+    def theta_of(self, b):
         """Folded phase magnitude in [0, pi] represented by bin b."""
-        angle = (b % self.size) * self.width
-        return float(abs(angle - 2.0 * np.pi)) if angle > np.pi else float(angle)
+        angle = (np.asarray(b) % self.size) * self.width
+        return _scalar(np.where(angle > np.pi, np.abs(angle - 2.0 * np.pi), angle))
 
-    def sigma_of(self, b: int, fro: float) -> float:
-        return float(np.cos(self.theta_of(b) / 2.0) * fro)
+    def sigma_of(self, b, fro: float):
+        return _scalar(np.cos(self.theta_of(b) / 2.0) * fro)
+
+
+def _scalar(x):
+    """A Python scalar for a 0-d result; arrays pass through."""
+    return x.item() if np.ndim(x) == 0 else x
 
 
 def boost_rounds(m: int, n: int) -> int:
@@ -341,8 +357,7 @@ def sample_phase_bins(
 
 def median_bin(bins: np.ndarray, grid: PhaseGrid) -> int:
     """Bin whose folded phase is the median of the realized folded phases."""
-    folded = np.array([grid.theta_of(int(b)) for b in bins])
-    order = np.argsort(folded, kind="stable")
+    order = np.argsort(grid.theta_of(bins), kind="stable")
     return int(bins[order[len(order) // 2]])
 
 
@@ -505,27 +520,24 @@ def sve_exact(f: SvdFactorization, x, eps: float, grid: PhaseGrid | None = None)
     """
     grid = grid or PhaseGrid.for_sigma_precision(eps)
     fro = f.frobenius_norm()
-    vec = as_vector(x, size=f.shape[1])
-    norm = np.linalg.norm(vec)
-    if norm <= 0.0:
-        raise MatrixError("cannot run estimation on the zero vector")
-    alpha = f.v.T @ (vec / norm)
+    alpha = f.v.T @ unit_vector(x, f.shape[1])
     thetas = eigenphases(f)
-    comps = []
-    for i in range(f.shape[1]):
-        b = grid.bin_of(thetas[i])
-        comps.append(
-            SveComponent(
-                index=i,
-                amplitude=float(abs(alpha[i])),
-                sigma=f.singular_value(i),
-                theta=float(thetas[i]),
-                bin=b,
-                theta_est=grid.theta_of(b),
-                sigma_est=grid.sigma_of(b, fro),
-            )
+    bins = grid.bin_of(thetas)
+    theta_est = grid.theta_of(bins)
+    sigma_est = grid.sigma_of(bins, fro)
+    comps = tuple(
+        SveComponent(
+            index=i,
+            amplitude=float(abs(alpha[i])),
+            sigma=f.singular_value(i),
+            theta=float(thetas[i]),
+            bin=int(bins[i]),
+            theta_est=float(theta_est[i]),
+            sigma_est=float(sigma_est[i]),
         )
-    return SveOutput(components=tuple(comps), grid=grid, fro=fro, path="exact")
+        for i in range(f.shape[1])
+    )
+    return SveOutput(components=comps, grid=grid, fro=fro, path="exact")
 
 
 def sve_circuit(
@@ -547,11 +559,7 @@ def sve_circuit(
     _check_register(wop.m * wop.n, grid)
     if rounds is None:
         rounds = boost_rounds(wop.m, wop.n)
-    vec = as_vector(x, size=wop.n)
-    norm = np.linalg.norm(vec)
-    if norm <= 0.0:
-        raise MatrixError("cannot run estimation on the zero vector")
-    s = wop.apply_Q(vec / norm).reshape(-1)
+    s = wop.apply_Q(unit_vector(x, wop.n)).reshape(-1)
     comps = []
     for gid, group in enumerate(wop.phase_groups()):
         amp_sq = group.overlap_sq(s)
@@ -574,6 +582,28 @@ def sve_circuit(
     return SveOutput(components=tuple(comps), grid=grid, fro=wop.fro, path="circuit")
 
 
+def factorization_of(source) -> SvdFactorization:
+    """Exact-path SVD of a MatrixStore, WalkOperator or dense matrix; an
+    SvdFactorization is returned as is."""
+    if isinstance(source, SvdFactorization):
+        return source
+    if isinstance(source, MatrixStore):
+        return svd(source.to_dense())
+    if isinstance(source, WalkOperator):
+        return svd(source.row_states * (source.a_tilde * source.fro)[:, None])
+    return svd(source)
+
+
+def walk_of(source) -> WalkOperator:
+    """Circuit-path walk of a MatrixStore or dense matrix; a WalkOperator is
+    returned as is."""
+    if isinstance(source, WalkOperator):
+        return source
+    if isinstance(source, MatrixStore):
+        return WalkOperator.from_store(source)
+    return WalkOperator.from_dense(source)
+
+
 def sve(
     source,
     x,
@@ -589,24 +619,9 @@ def sve(
     deterministic oracle; the circuit path needs an rng.
     """
     if path == "exact":
-        if isinstance(source, SvdFactorization):
-            f = source
-        elif isinstance(source, MatrixStore):
-            f = svd(source.to_dense())
-        elif isinstance(source, WalkOperator):
-            f = svd(source.row_states * (wop_norms := source.a_tilde * source.fro)[:, None])
-            del wop_norms
-        else:
-            f = svd(source)
-        return sve_exact(f, x, eps)
+        return sve_exact(factorization_of(source), x, eps)
     if path == "circuit":
         if rng is None:
             raise MatrixError("circuit path requires an rng")
-        if isinstance(source, WalkOperator):
-            wop = source
-        elif isinstance(source, MatrixStore):
-            wop = WalkOperator.from_store(source)
-        else:
-            wop = WalkOperator.from_dense(source)
-        return sve_circuit(wop, x, eps, rng, rounds=rounds)
+        return sve_circuit(walk_of(source), x, eps, rng, rounds=rounds)
     raise MatrixError(f"unknown execution path {path!r}")

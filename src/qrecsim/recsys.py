@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundVacuousError, ColdStartError, MatrixError, ProjectionEmptyError
-from .linalg import SvdFactorization, as_matrix, svd
-from .qproject import (
-    ProjectionOutcome,
-    ProjectionParams,
-    default_max_iterations,
-    exact_kept_components,
-)
+from .errors import BoundVacuousError, ColdStartError, MatrixError
+from .linalg import SvdFactorization, as_matrix, svd, unit_vector
+from .qproject import ProjectionParams, attempts_until_success, kept_mask, kept_state
 from .store import MatrixStore
 
 
@@ -188,10 +183,10 @@ class RecommendOutcome:
 class RecommendContext:
     """Projection data for repeated recommendations against one store.
 
-    Factorizes the stored matrix once and caches each user's component
-    overlaps, kept set, and post-projection distribution; individual calls
-    then only consume randomness (retry draws and the final measurement).
-    Exact-path semantics: the kept set is the deterministic grid rounding.
+    Factorizes the stored matrix and computes the exact kept set once per
+    context (it depends on the matrix alone), then computes each user's
+    overlaps and post-projection distribution once per user; individual
+    calls only consume randomness (retry draws and the final measurement).
     """
 
     def __init__(self, source, params: ProjectionParams):
@@ -201,9 +196,7 @@ class RecommendContext:
             self.dense = as_matrix(source)
         self.params = params
         self.f: SvdFactorization = svd(self.dense)
-        fro = self.f.frobenius_norm()
-        if params.sigma > fro:
-            raise MatrixError(f"threshold {params.sigma} exceeds ||A||_F = {fro}")
+        self.kept = kept_mask(self.f, params)
         self._users: dict[int, tuple[np.ndarray, float, np.ndarray, list[int]]] = {}
 
     def user_state(self, i: int) -> tuple[np.ndarray, float, np.ndarray, list[int]]:
@@ -215,36 +208,22 @@ class RecommendContext:
         row = self.dense[i]
         if not row.any():
             raise ColdStartError(f"cold-start user: user {i} has no stored entries")
-        comps, alpha, kept = exact_kept_components(self.f, row, self.params)
-        beta_sq = float(np.sum(alpha[kept] ** 2))
-        if beta_sq > 0.0:
-            state = self.f.v[:, kept] @ alpha[kept]
-            state /= np.linalg.norm(state)
-        else:
-            state = np.zeros(self.dense.shape[1])
-        self._users[i] = (state**2, beta_sq, state, [c.index for c in comps if c.kept])
+        alpha = self.f.v.T @ unit_vector(row, self.dense.shape[1])
+        beta_sq, state = kept_state(self.f, alpha, self.kept)
+        self._users[i] = (state**2, beta_sq, state, np.flatnonzero(self.kept).tolist())
         return self._users[i]
 
     def recommend(self, i: int, rng: np.random.Generator) -> RecommendOutcome:
         """Project user i's stored row, then measure a product index."""
         probs, beta_sq, _, _ = self.user_state(i)
-        limit = self.params.max_iterations or default_max_iterations(
-            self.dense.shape[1], beta_sq
-        )
-        for attempt in range(1, limit + 1):
-            if rng.random() < beta_sq:
-                product = int(rng.choice(self.dense.shape[1], p=probs))
-                return RecommendOutcome(
-                    user=i,
-                    product=product,
-                    iterations=attempt,
-                    beta_sq=beta_sq,
-                    w_stat=float(np.inf) if beta_sq <= 0.0 else 1.0 / beta_sq,
-                )
-        raise ProjectionEmptyError(
-            f"projection empty: user {i} kept no component after {limit} repetitions",
+        n = self.dense.shape[1]
+        attempt = attempts_until_success(beta_sq, n, self.params, rng)
+        return RecommendOutcome(
+            user=i,
+            product=int(rng.choice(n, p=probs)),
+            iterations=attempt,
             beta_sq=beta_sq,
-            iterations=limit,
+            w_stat=1.0 / beta_sq,
         )
 
 
@@ -270,8 +249,3 @@ def recommendation_sigma(eps: float, p: float, k: int, norm_f_hat: float) -> flo
     if not np.isfinite(norm_f_hat) or norm_f_hat <= 0.0:
         raise MatrixError(f"norm must be finite and > 0, got {norm_f_hat}")
     return float(np.sqrt(eps * eps * p / (2.0 * k)) * norm_f_hat)
-
-
-def projection_outcome_to_row(outcome: ProjectionOutcome, row_norm: float) -> np.ndarray:
-    """Scale a unit projection outcome back to row magnitude."""
-    return outcome.state * row_norm

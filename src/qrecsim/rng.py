@@ -42,7 +42,3 @@ def stream(master_seed: int, *names: str) -> np.random.Generator:
     keys = [_name_key(n) for n in names]
     return np.random.default_rng(np.random.SeedSequence([master_seed, *keys]))
 
-
-def spawn(master_seed: int, name: str, count: int) -> list[np.random.Generator]:
-    """``count`` indexed child streams under one name (one per trial)."""
-    return [stream(master_seed, name, str(i)) for i in range(count)]

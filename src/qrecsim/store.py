@@ -38,6 +38,11 @@ _ROW_COUNT = struct.Struct("<Q")
 _LEAF_DTYPE = np.dtype([("column", "<u8"), ("weight", "<f8"), ("sign", "i1")])
 # Bulk builds and dense reads go this many rows at a time to bound scratch memory.
 _BLOCK_ROWS = 64
+# Largest row or column count ``ingest_triplets`` accepts, inferred or given.
+# A store allocates its row trees up front (about 1.3 KB per row at this
+# width) and every consumer densifies it to m x n float64 (2 GiB at the cap),
+# so one mistyped index would otherwise exhaust memory for a single entry.
+MAX_INGEST_DIM = 1 << 14
 
 
 def _leaf_depth(count: int) -> int:
@@ -508,14 +513,14 @@ def parse_triplets(lines: Iterable[str]) -> Iterator[tuple[int, int, float]]:
 def ingest_triplets(lines: Iterable[str], m: int | None = None, n: int | None = None) -> MatrixStore:
     """Build a store from triplet lines, inferring the shape when absent."""
     triplets = list(parse_triplets(lines))
-    if m is None:
-        if not triplets:
-            raise StoreFormatError("cannot infer shape from an empty triplet stream")
-        m = max(t[0] for t in triplets) + 1
-    if n is None:
-        if not triplets:
-            raise StoreFormatError("cannot infer shape from an empty triplet stream")
-        n = max(t[1] for t in triplets) + 1
+    if (m is None or n is None) and not triplets:
+        raise StoreFormatError("cannot infer shape from an empty triplet stream")
+    m = max(t[0] for t in triplets) + 1 if m is None else m
+    n = max(t[1] for t in triplets) + 1 if n is None else n
+    if m > MAX_INGEST_DIM or n > MAX_INGEST_DIM:
+        raise StoreFormatError(
+            f"shape {m}x{n} exceeds the ingest limit of {MAX_INGEST_DIM} rows or columns"
+        )
     store = MatrixStore(m, n)
     for i, j, value in triplets:
         if i >= store.m or j >= store.n:

@@ -10,14 +10,13 @@ sigma = sqrt(mu/k) * ||Ahat||_F used to denoise the subsample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MatrixError
 from .linalg import as_matrix
-
-DEFAULT_KAPPA = 1.0 / 3.0
+from .qproject import DEFAULT_KAPPA
 
 
 def subsample(a, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -90,22 +89,14 @@ class SubsampleParams:
 class ThresholdParams:
     """Spectral threshold settings derived from (k, eps, p).
 
-    ``sigma`` stays None until the subsample exists, because the threshold
-    scales with ||Ahat||_F; call ``with_sigma`` once that norm is known.
+    The threshold itself scales with ||Ahat||_F, so it is set once the
+    subsample exists (``recsys.recommendation_sigma``).
     """
 
     k: int
     eps: float
     mu: float
     kappa: float = DEFAULT_KAPPA
-    sigma: float | None = None
-
-    def sigma_for(self, norm_f_hat: float) -> float:
-        _check_positive(norm_f_hat=norm_f_hat)
-        return float(np.sqrt(self.mu / self.k) * norm_f_hat)
-
-    def with_sigma(self, norm_f_hat: float) -> "ThresholdParams":
-        return replace(self, sigma=self.sigma_for(norm_f_hat))
 
 
 def derive_params(

@@ -1,10 +1,14 @@
 """End-to-end experiment runs, report serialization, and the CLI."""
 
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrecsim.cli import (
     EXIT_COLD_START,
@@ -23,7 +27,7 @@ from qrecsim.experiment import (
 )
 from qrecsim.errors import MatrixError
 from qrecsim.rng import DEFAULT_SEED
-from qrecsim.store import MatrixStore
+from qrecsim.store import MAX_INGEST_DIM, MatrixStore
 
 SMALL = dict(
     m=24, n=24, k=2, noise=0.02, p=0.8, users=6, recs_per_user=10, delta=0.8, seed=77
@@ -175,6 +179,28 @@ class TestCliIngest:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["ingest", str(tmp_path / "nope.txt")]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, flags",
+        [
+            ("10000000000,0,1.0", []),
+            ("0,10000000000,1.0", []),
+            (f"{MAX_INGEST_DIM},0,1.0", []),
+            ("0,0,1.0", ["--rows", str(MAX_INGEST_DIM + 1)]),
+            ("0,0,1.0", ["--cols", "1000000000"]),
+        ],
+    )
+    def test_shape_beyond_limit_rejected(self, tmp_path, capsys, line, flags):
+        triplets = tmp_path / "huge.txt"
+        triplets.write_text(line + "\n", encoding="utf-8")
+        assert main(["ingest", str(triplets), *flags]) == EXIT_ERROR
+        assert "exceeds the ingest limit" in capsys.readouterr().err
+
+    def test_shape_at_limit_accepted(self, tmp_path, capsys):
+        triplets = tmp_path / "edge.txt"
+        triplets.write_text(f"{MAX_INGEST_DIM - 1},0,1.0\n", encoding="utf-8")
+        assert main(["ingest", str(triplets)]) == EXIT_OK
+        assert f"rows={MAX_INGEST_DIM} cols=1 entries=1" in capsys.readouterr().out
 
 
 class TestCliSve:
@@ -335,6 +361,29 @@ class TestCliExperiment:
         assert main(["experiment", str(cfg)]) == EXIT_ERROR
         assert "mystery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"m": "8"}, "m"),
+            ({"recs_per_user": 1.5}, "recs_per_user"),
+            ({"users": -3}, "users"),
+            ({"k": 0}, "k"),
+            ({"seed": -1}, "seed"),
+            ({"noise": True}, "noise"),
+            ({"p": float("nan")}, "p"),
+            ({"kappa": 1.0}, "kappa"),
+            ([8, 8], "JSON object"),
+        ],
+    )
+    def test_invalid_config_value(self, tmp_path, capsys, raw, field):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        assert main(["experiment", str(cfg), "--out", str(report_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and field in err
+        assert not report_path.exists()
+
 
 class TestCliMisc:
     def test_version_flag(self, capsys):
@@ -347,3 +396,83 @@ class TestCliMisc:
         code = main(["sve", str(tmp_path / "none.qrst"), "--vector", "uniform",
                      "--eps", "0.1"])
         assert code == EXIT_ERROR
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A 4 x 3 store (diag(3, 1, 0.5) over an empty row), its triplets, and a tiny config."""
+    root = tmp_path_factory.mktemp("fuzz")
+    matrix = np.vstack([np.diag([3.0, 1.0, 0.5]), np.zeros((1, 3))])
+    MatrixStore.from_dense(matrix).save(root / "s.qrst")
+    write_triplets(root / "t.txt", matrix)
+    (root / "c.json").write_text(
+        json.dumps({"m": 8, "n": 8, "k": 1, "users": 2, "recs_per_user": 2}), encoding="utf-8"
+    )
+    return root
+
+
+def cli_argvs(root):
+    paths = [str(root / name) for name in ("s.qrst", "t.txt", "c.json", "none")]
+    values = {
+        "--vector": ["row:0", "row:3", "row:9", "basis:1", "basis:3", "uniform", "1,2,3",
+                     "1,2", "x", f"@{root / 't.txt'}", f"@{root / 'none'}"],
+        "--eps": ["0.1", "0.5", "1e-300", "2", "0", "nan", "x"],
+        # No tiny thresholds: the circuit projection sizes its phase grid from
+        # sigma without the register cap, so one would ask for 2^bits-entry
+        # arrays (an open defect, not a traceback).
+        "--sigma": ["0.5", "2", "1e300", "0", "-1", "nan", "inf", "x"],
+        "--kappa": ["0.3", "0.9", "0", "1", "nan"],
+        "--path": ["exact", "circuit", "other"],
+        "--max-iterations": ["0", "1", "5", "-2"],
+        "--samples": ["0", "3", "-1"],
+        "--seed": ["0", "7", "-1", "x"],
+        "--user": ["0", "2", "3", "5", "-1"],
+        "--count": ["1", "3", "0", "-1"],
+        "--k": ["1", "2", "0"],
+        "--p": ["1", "0.5", "0", "2"],
+        "--rows": ["2", "4", "0", "100000"],
+        "--cols": ["2", "3", "0", "100000"],
+        "--out": [str(root / "out.bin"), str(root), str(root / "none" / "x")],
+        "--csv": [str(root / "out.csv"), str(root)],
+    }
+    # Required flags first, then a few of the command's own options, then
+    # at most one stray word, so most calls get past argparse.
+    commands = {
+        "ingest": ([], ["--out", "--rows", "--cols"]),
+        "sve": (["--vector", "--eps"], ["--path", "--out", "--seed"]),
+        "project": (["--vector", "--sigma"],
+                    ["--kappa", "--path", "--max-iterations", "--samples", "--seed"]),
+        "recommend": (["--user"], ["--sigma", "--eps", "--k", "--p", "--kappa", "--count",
+                                   "--seed"]),
+        "experiment": (["--out"], ["--csv", "--seed"]),
+    }
+
+    def pairs(flags):
+        return st.tuples(*[st.sampled_from(values[f]).map(lambda v, f=f: [f, v]) for f in flags])
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from(sorted(commands)))
+        required, optional = commands[command]
+        chosen = required + draw(st.lists(st.sampled_from(optional), max_size=4))
+        words = [command, draw(st.sampled_from(paths))]
+        for pair in draw(pairs(chosen)):
+            words += pair
+        if command == "project" and draw(st.booleans()):
+            words.append("--state")
+        stray = draw(st.lists(st.sampled_from(["x", "--state", "--eps", *paths]), max_size=1))
+        return words + stray
+
+    return argv()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_no_argv_ends_in_a_traceback_property(fuzz_files, data):
+    argv = data.draw(cli_argvs(fuzz_files))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage error
+            code = ("usage", exc.code)
+    assert code in (0, 1, 3, 4, 5, ("usage", 2)), argv

@@ -6,6 +6,7 @@ import pytest
 from qrecsim.errors import EmptyRowError, MatrixError, RegisterCapError
 from qrecsim.linalg import svd
 from qrecsim.qsim import (
+    MAX_GRID_BITS,
     PhaseGrid,
     QuantumState,
     WalkOperator,
@@ -253,6 +254,30 @@ class TestPhaseGrid:
     def test_invalid_precision(self):
         with pytest.raises(MatrixError):
             PhaseGrid.for_theta_precision(0.0)
+
+    @pytest.mark.parametrize("bits", [3, 7, 12, 19, 40, MAX_GRID_BITS])
+    def test_array_rounding_matches_scalar_loop(self, bits):
+        # Reference: the per-phase Python-integer rounding, one phase at a time.
+        grid = PhaseGrid(bits)
+        rng = np.random.default_rng(bits)
+        edges = (np.arange(min(grid.size // 2, 4096) + 1) + 0.5) * grid.width
+        thetas = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 4000), edges, [0.0, np.pi]])
+        bins = grid.bin_of(thetas)
+        theta_est = grid.theta_of(bins)
+        sigma_est = grid.sigma_of(bins, 2.5)
+        for i, theta in enumerate(thetas.tolist()):
+            b = int(np.round(theta / grid.width)) % grid.size
+            angle = b * grid.width
+            folded = float(abs(angle - 2.0 * np.pi)) if angle > np.pi else float(angle)
+            assert (int(bins[i]), float(theta_est[i])) == (b, folded)
+            assert float(sigma_est[i]) == float(np.cos(folded / 2.0) * 2.5)
+            assert (grid.bin_of(theta), grid.theta_of(b)) == (b, folded)
+        assert type(grid.bin_of(1.0)) is int and type(grid.sigma_of(3, 1.0)) is float
+
+    def test_finest_grid_is_capped(self):
+        grid = PhaseGrid.for_sigma_precision(1e-300)
+        assert grid.bits == MAX_GRID_BITS
+        assert grid.bin_of(np.pi) == grid.size // 2
 
     def test_boost_rounds(self):
         assert boost_rounds(8, 8) == 13

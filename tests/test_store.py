@@ -446,3 +446,47 @@ def test_bulk_build_matches_inserts_property(a, zeros):
     back = MatrixStore.deserialize(reference.serialize())
     assert_same_store(back, reference)
     assert back.serialize() == reference.serialize()
+
+
+def assert_loads_exactly_or_rejects(blob: bytes) -> None:
+    try:
+        store = MatrixStore.deserialize(blob)
+    except StoreFormatError:
+        return
+    assert store.serialize() == blob
+
+
+# A 3 x 4 store with an empty row, mixed signs and an explicit zero cell.
+FUZZ_SEED_BLOB = MatrixStore.from_dense(
+    np.array([[0.0, -1.5, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.25, 0.0, -3.0, 7.0]])
+).serialize()
+
+
+@st.composite
+def mutated_blobs(draw):
+    blob = bytearray(FUZZ_SEED_BLOB)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(blob)))
+        kind = draw(st.sampled_from(["overwrite", "truncate", "insert", "delete"]))
+        chunk = draw(st.binary(min_size=1, max_size=9))
+        if kind == "overwrite":
+            blob[at : at + len(chunk)] = chunk
+        elif kind == "truncate":
+            del blob[at:]
+        elif kind == "insert":
+            blob[at:at] = chunk
+        else:
+            del blob[at : at + len(chunk)]
+    return bytes(blob)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.binary(max_size=120), st.binary(max_size=120).map(lambda b: b"QRST" + b)))
+def test_arbitrary_bytes_load_exactly_or_are_rejected_property(blob):
+    assert_loads_exactly_or_rejects(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_blobs())
+def test_mutated_blob_loads_exactly_or_is_rejected_property(blob):
+    assert_loads_exactly_or_rejects(blob)

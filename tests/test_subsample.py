@@ -5,7 +5,6 @@ import pytest
 
 from qrecsim.errors import MatrixError
 from qrecsim.subsample import (
-    ThresholdParams,
     bound_threshold_error,
     bound_threshold_family_error,
     derive_params,
@@ -135,11 +134,6 @@ class TestDerivations:
         assert sub.p == 1.0
         assert not sub.precondition_ok
         assert sub.status == "extrapolated"
-
-    def test_threshold_sigma(self):
-        thr = ThresholdParams(k=4, eps=0.2, mu=0.08)
-        got = thr.with_sigma(10.0)
-        assert got.sigma == pytest.approx(np.sqrt(0.08 / 4) * 10.0, rel=1e-12)
 
     def test_derive_params_validation(self):
         a = np.ones((3, 3))
