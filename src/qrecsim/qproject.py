@@ -9,10 +9,11 @@ direction with sigma_i >= sigma and never one below (1 - kappa) sigma, so
 each run realizes some member of the admissible projector family.
 
 On the exact path the estimates round the true phases, so the kept set is a
-function of the factorization alone, computed once by ``kept_mask``; an input
-only adds its overlaps. Exact-path callers share ``kept_state`` and the retry
-loop ``attempts_until_success``; the circuit path resamples the kept set on
-every attempt and keeps its own loop.
+function of the factorization alone (``kept_mask``); an input only adds its
+overlaps. Exact-path callers share ``kept_state`` and the retry loop
+``attempts_until_success``. The circuit path draws its estimates through
+qsim's circuit-SVE kernel, ``CircuitSve``, which also enforces the register
+cap; it keeps a separate loop only because each attempt resamples the kept set.
 """
 
 from __future__ import annotations
@@ -23,17 +24,7 @@ import numpy as np
 
 from .errors import MatrixError, ProjectionEmptyError
 from .linalg import SvdFactorization, unit_vector
-from .qsim import (
-    PhaseGrid,
-    WalkOperator,
-    boost_rounds,
-    eigenphases,
-    factorization_of,
-    median_bin,
-    qpe_bin_probabilities,
-    sample_phase_bins,
-    walk_of,
-)
+from .qsim import CircuitSve, PhaseGrid, WalkOperator, eigenphases, factorization_of, walk_of
 
 DEFAULT_KAPPA = 1.0 / 3.0
 # Success probabilities at or below this count as zero. An overlap that is
@@ -161,8 +152,8 @@ def exact_kept_components(
 ) -> tuple[list[ProjectionComponent], np.ndarray, np.ndarray]:
     """Deterministic component fates plus (alpha, kept mask) working arrays."""
     alpha = f.v.T @ unit_vector(x, f.shape[1])
-    kept = kept_mask(f, params)
     estimates = estimated_spectrum(f, params)
+    kept = estimates >= params.cut
     comps = [
         ProjectionComponent(
             index=i,
@@ -220,46 +211,24 @@ def _project_circuit(
 ) -> ProjectionOutcome:
     if params.sigma > wop.fro:
         raise MatrixError(f"threshold {params.sigma} exceeds ||A||_F = {wop.fro}")
-    s = wop.apply_Q(unit_vector(x, wop.n)).reshape(-1)
-    grid = PhaseGrid.for_sigma_precision(params.precision(wop.fro))
-    rounds = boost_rounds(wop.m, wop.n)
-    groups = wop.phase_groups()
-    weights = np.array([g.overlap_sq(s) for g in groups])
-    sigmas = np.array([np.cos(g.theta / 2.0) * wop.fro for g in groups])
-    probs = [
-        qpe_bin_probabilities(g.theta, grid) if weights[i] > 1e-24 else None
-        for i, g in enumerate(groups)
-    ]
+    est = CircuitSve(wop, x, PhaseGrid.for_sigma_precision(params.precision(wop.fro)))
     # A rough retry budget from the deterministic kept set keeps the loop
     # finite; realized kept sets vary only inside the band.
-    beta_guess = float(np.sum(weights[sigmas >= params.cut]))
+    beta_guess = float(np.sum(est.weights[est.sigmas >= params.cut]))
     limit = params.max_iterations or default_max_iterations(wop.n, beta_guess)
     for attempt in range(1, limit + 1):
-        comps = []
-        kept_mask = []
-        for gid, group in enumerate(groups):
-            if probs[gid] is None:
-                kept_mask.append(False)
-                continue
-            bins = sample_phase_bins(group.theta, grid, rounds, rng, probs=probs[gid])
-            est = grid.sigma_of(median_bin(bins, grid), wop.fro)
-            keep = est >= params.cut
-            kept_mask.append(keep)
-            comps.append(
-                ProjectionComponent(
-                    index=gid,
-                    amplitude=float(np.sqrt(weights[gid])),
-                    sigma=float(sigmas[gid]),
-                    sigma_est=est,
-                    kept=keep,
-                )
+        comps = tuple(
+            ProjectionComponent(
+                c.index, c.amplitude, c.sigma, c.sigma_est, kept=c.sigma_est >= params.cut
             )
-        beta_sq = float(np.sum(weights[np.array(kept_mask)]))
+            for c in est.round(rng)
+        )
+        kept = [c.index for c in comps if c.kept]
+        beta_sq = float(np.sum(est.weights[kept]))
         if rng.random() < beta_sq:
-            surviving = np.zeros_like(s)
-            for gid, group in enumerate(groups):
-                if kept_mask[gid]:
-                    surviving += group.project(s)
+            surviving = sum(
+                (est.groups[gid].project(est.state) for gid in kept), np.zeros_like(est.state)
+            )
             out = wop.apply_Qt(surviving.reshape(wop.m, wop.n))
             out_norm = np.linalg.norm(out)
             if out_norm <= 0.0:
@@ -268,7 +237,7 @@ def _project_circuit(
                 state=out / out_norm,
                 iterations=attempt,
                 beta_sq=beta_sq,
-                components=tuple(comps),
+                components=comps,
                 path="circuit",
             )
     raise ProjectionEmptyError(

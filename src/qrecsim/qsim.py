@@ -43,6 +43,8 @@ MAX_GRID_BITS = 62
 AMP_TOL = 1e-10
 # Overlaps below this are treated as absent when reporting components.
 COMPONENT_TOL = 1e-12
+# Eigenphases of W closer than this fall into one phase group.
+PHASE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -449,7 +451,7 @@ class PhaseGroup:
         return self.basis @ (self.basis.T @ s_flat)
 
 
-def _phase_groups(w: np.ndarray, tol: float = 1e-8) -> list[PhaseGroup]:
+def _phase_groups(w: np.ndarray) -> list[PhaseGroup]:
     """Split a real orthogonal matrix into folded-phase invariant subspaces.
 
     W commutes with its symmetrization (W + W^T) / 2, whose eigenvalues are
@@ -465,7 +467,7 @@ def _phase_groups(w: np.ndarray, tol: float = 1e-8) -> list[PhaseGroup]:
     start = 0
     while start < len(order):
         stop = start + 1
-        while stop < len(order) and thetas[order[stop]] - thetas[order[start]] < tol:
+        while stop < len(order) and thetas[order[stop]] - thetas[order[start]] < PHASE_TOL:
             stop += 1
         idx = order[start:stop]
         theta = float(np.mean(thetas[idx]))
@@ -512,13 +514,13 @@ class SveOutput:
         return max(errs, default=0.0)
 
 
-def sve_exact(f: SvdFactorization, x, eps: float, grid: PhaseGrid | None = None) -> SveOutput:
+def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
     """Deterministic estimation: every true phase rounds to its nearest bin.
 
     Guarantees |sigma_est - sigma_i| <= eps ||A||_F for every component
     (the grid keeps phase error below a quarter bin of slack).
     """
-    grid = grid or PhaseGrid.for_sigma_precision(eps)
+    grid = PhaseGrid.for_sigma_precision(eps)
     fro = f.frobenius_norm()
     alpha = f.v.T @ unit_vector(x, f.shape[1])
     thetas = eigenphases(f)
@@ -540,46 +542,60 @@ def sve_exact(f: SvdFactorization, x, eps: float, grid: PhaseGrid | None = None)
     return SveOutput(components=comps, grid=grid, fro=fro, path="exact")
 
 
-def sve_circuit(
-    wop: WalkOperator,
-    x,
-    eps: float,
-    rng: np.random.Generator,
-    rounds: int | None = None,
-    grid: PhaseGrid | None = None,
-) -> SveOutput:
+class CircuitSve:
+    """Circuit estimation of one input, split into per-input work and rounds.
+
+    Construction does the per-input work once: the register check, |Q x>,
+    the weight and true singular value of every phase group, and the
+    single-round outcome distribution of each group that carries weight.
+    ``round`` is one boosted estimation: boost_rounds(m, n) draws per
+    carrying group, in group order, each read off at its median bin.
+    """
+
+    def __init__(self, wop: WalkOperator, x, grid: PhaseGrid):
+        _check_register(wop.m * wop.n, grid)
+        self.wop, self.grid = wop, grid
+        self.state = wop.apply_Q(unit_vector(x, wop.n)).reshape(-1)
+        self.groups = wop.phase_groups()
+        self.weights = np.array([g.overlap_sq(self.state) for g in self.groups])
+        self.sigmas = np.array([np.cos(g.theta / 2.0) * wop.fro for g in self.groups])
+        self.kernels = {
+            gid: qpe_bin_probabilities(g.theta, grid)
+            for gid, g in enumerate(self.groups)
+            if self.weights[gid] >= COMPONENT_TOL**2
+        }
+
+    def round(self, rng: np.random.Generator) -> list[SveComponent]:
+        rounds = boost_rounds(self.wop.m, self.wop.n)
+        comps = []
+        for gid, probs in self.kernels.items():
+            theta = self.groups[gid].theta
+            b = median_bin(sample_phase_bins(theta, self.grid, rounds, rng, probs), self.grid)
+            theta_est = self.grid.theta_of(b)
+            comps.append(
+                SveComponent(
+                    index=gid,
+                    amplitude=float(np.sqrt(self.weights[gid])),
+                    sigma=float(self.sigmas[gid]),
+                    theta=theta,
+                    bin=b,
+                    theta_est=theta_est,
+                    sigma_est=float(np.cos(theta_est / 2.0) * self.wop.fro),
+                )
+            )
+        return comps
+
+
+def sve_circuit(wop: WalkOperator, x, eps: float, rng: np.random.Generator) -> SveOutput:
     """Sampled estimation through the walk's rotation planes.
 
     Prepares |Q x>, splits it across the folded phase groups of W, and for
-    each group draws ``rounds`` single-round phase-register outcomes, keeping
-    the median. Estimates are reported per group; group amplitudes follow
-    the projection of the input.
+    each group draws 2 ceil(log2 mn) + 1 single-round phase-register
+    outcomes, keeping the median. Estimates are reported per group; group
+    amplitudes follow the projection of the input.
     """
-    grid = grid or PhaseGrid.for_sigma_precision(eps)
-    _check_register(wop.m * wop.n, grid)
-    if rounds is None:
-        rounds = boost_rounds(wop.m, wop.n)
-    s = wop.apply_Q(unit_vector(x, wop.n)).reshape(-1)
-    comps = []
-    for gid, group in enumerate(wop.phase_groups()):
-        amp_sq = group.overlap_sq(s)
-        if amp_sq < COMPONENT_TOL**2:
-            continue
-        probs = qpe_bin_probabilities(group.theta, grid)
-        bins = sample_phase_bins(group.theta, grid, rounds, rng, probs=probs)
-        b = median_bin(bins, grid)
-        comps.append(
-            SveComponent(
-                index=gid,
-                amplitude=float(np.sqrt(amp_sq)),
-                sigma=float(np.cos(group.theta / 2.0) * wop.fro),
-                theta=group.theta,
-                bin=b,
-                theta_est=grid.theta_of(b),
-                sigma_est=grid.sigma_of(b, wop.fro),
-            )
-        )
-    return SveOutput(components=tuple(comps), grid=grid, fro=wop.fro, path="circuit")
+    est = CircuitSve(wop, x, PhaseGrid.for_sigma_precision(eps))
+    return SveOutput(components=tuple(est.round(rng)), grid=est.grid, fro=wop.fro, path="circuit")
 
 
 def factorization_of(source) -> SvdFactorization:
@@ -610,7 +626,6 @@ def sve(
     eps: float,
     path: str = "exact",
     rng: np.random.Generator | None = None,
-    rounds: int | None = None,
 ) -> SveOutput:
     """Estimate singular values carried by the components of x.
 
@@ -623,5 +638,5 @@ def sve(
     if path == "circuit":
         if rng is None:
             raise MatrixError("circuit path requires an rng")
-        return sve_circuit(walk_of(source), x, eps, rng, rounds=rounds)
+        return sve_circuit(walk_of(source), x, eps, rng)
     raise MatrixError(f"unknown execution path {path!r}")

@@ -279,6 +279,12 @@ class TestCliProject:
         assert code == EXIT_PROJECTION_EMPTY
         assert "projection empty" in capsys.readouterr().err
 
+    def test_circuit_register_cap_is_input_error(self, gap_store, capsys):
+        code = main(["project", str(gap_store), "--vector", "uniform", "--sigma", "1e-9",
+                     "--path", "circuit"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: register of ")
+
     def test_bad_sigma_is_input_error(self, gap_store, capsys):
         code = main(["project", str(gap_store), "--vector", "basis:0", "--sigma", "9.0"])
         assert code == EXIT_ERROR
@@ -417,10 +423,7 @@ def cli_argvs(root):
         "--vector": ["row:0", "row:3", "row:9", "basis:1", "basis:3", "uniform", "1,2,3",
                      "1,2", "x", f"@{root / 't.txt'}", f"@{root / 'none'}"],
         "--eps": ["0.1", "0.5", "1e-300", "2", "0", "nan", "x"],
-        # No tiny thresholds: the circuit projection sizes its phase grid from
-        # sigma without the register cap, so one would ask for 2^bits-entry
-        # arrays (an open defect, not a traceback).
-        "--sigma": ["0.5", "2", "1e300", "0", "-1", "nan", "inf", "x"],
+        "--sigma": ["0.5", "2", "1e300", "1e-9", "1e-300", "0", "-1", "nan", "inf", "x"],
         "--kappa": ["0.3", "0.9", "0", "1", "nan"],
         "--path": ["exact", "circuit", "other"],
         "--max-iterations": ["0", "1", "5", "-2"],

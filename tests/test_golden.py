@@ -1,4 +1,4 @@
-"""Golden outputs of the seeded exact pipeline.
+"""Golden outputs of the seeded exact and circuit pipelines.
 
 Same-seed-twice checks cannot see a change that alters the random draws the
 same way on both runs; these pin the draws themselves. Each value was
@@ -12,6 +12,7 @@ import numpy as np
 from qrecsim.cli import EXIT_OK, main
 from qrecsim.experiment import ExperimentConfig, report_to_json, run_experiment
 from qrecsim.qproject import ProjectionParams, threshold_project
+from qrecsim.qsim import WalkOperator, sve_circuit
 from qrecsim.rng import stream
 
 # A planted 12 x 10 preference matrix (three user types, 15% flips).
@@ -24,6 +25,15 @@ PLANTED = np.array(
      )],
     dtype=np.float64,
 )
+
+# A 4 x 4 matrix with singular values 4.83, 3.05, 1.95 and 0.17; the circuit
+# threshold sqrt(3.05 * 1.95) sits in the middle of the gap between the second
+# and third.
+SMALL = np.array(
+    [[4.0, 1.0, 0.0, 0.5], [1.0, 3.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0], [0.5, 0.0, 1.0, 1.0]]
+)
+SMALL_X = np.cos(np.arange(4.0)) + 0.3
+SMALL_SIGMA = 2.4396600205789
 
 
 def test_experiment_report_digest():
@@ -60,4 +70,28 @@ def test_exact_threshold_project_outcome():
     assert out.kept_indices() == [0, 1]
     assert hashlib.sha256(out.state.tobytes()).hexdigest() == (
         "79acbcc376893640a037b8dbfa04274aabe337a40deb5dbcce47b19750a99502"
+    )
+
+
+def test_circuit_sve_draws():
+    out = sve_circuit(WalkOperator.from_dense(SMALL), SMALL_X, 0.05, stream(5, "golden", "sve"))
+    assert out.grid.bits == 8
+    assert [(c.index, c.bin, c.sigma_est.hex()) for c in out.components] == [
+        (3, 53, "0x1.33b75e73f5b5cp+2"),
+        (4, 85, "0x1.8564cd342d511p+1"),
+        (5, 101, "0x1.f722766ea7a58p+0"),
+        (6, 126, "0x1.2fa64ad7c2432p-3"),
+    ]
+
+
+def test_circuit_threshold_project_outcome():
+    out = threshold_project(
+        SMALL, SMALL_X, ProjectionParams(sigma=SMALL_SIGMA), stream(5, "golden", "circuit"),
+        path="circuit",
+    )
+    assert out.iterations == 2
+    assert out.beta_sq.hex() == "0x1.6c3756f6094d7p-1"
+    assert out.kept_indices() == [3, 4]
+    assert hashlib.sha256(out.state.tobytes()).hexdigest() == (
+        "48cd2027fb1d94296cbdb32f615685fc29667b89f92d9b109840dfb02566ee17"
     )

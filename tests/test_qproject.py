@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qrecsim.errors import MatrixError, ProjectionEmptyError
+from qrecsim.errors import MatrixError, ProjectionEmptyError, RegisterCapError
 from qrecsim.linalg import band_indices, pseudo_project_row, svd, threshold_indices
 from qrecsim.qproject import (
     BETA_SQ_FLOOR,
@@ -303,6 +303,18 @@ class TestCircuitPath:
         with pytest.raises(MatrixError):
             threshold_project(
                 wop, GAP_X, ProjectionParams(sigma=4.0), np.random.default_rng(0), path="circuit"
+            )
+
+    @pytest.mark.parametrize("sigma", [1e-9, 1e-300])
+    def test_circuit_register_cap(self, sigma):
+        # Grids of 38 and 62 bits: the cap must fire before any 2^bits array.
+        with pytest.raises(RegisterCapError):
+            threshold_project(
+                WalkOperator.from_dense(GAP),
+                GAP_X,
+                ProjectionParams(sigma=sigma),
+                np.random.default_rng(0),
+                path="circuit",
             )
 
     def test_circuit_orthogonal_input_exhausts(self):
