@@ -12,28 +12,13 @@ from .errors import (
     RegisterCapError,
     StoreFormatError,
 )
-from .linalg import (
-    SvdFactorization,
-    project_threshold,
-    project_threshold_family,
-    pseudo_project_row,
-    svd,
-    truncate_top_k,
-)
-from .qproject import (
-    ProjectionOutcome,
-    ProjectionParams,
-    expected_iterations,
-    success_probability,
-    threshold_project,
-)
+from .linalg import SvdFactorization, svd
+from .qproject import ProjectionOutcome, ProjectionParams, threshold_project
 from .qsim import (
     PhaseGrid,
-    QuantumState,
     SveOutput,
     WalkOperator,
     eigenphases,
-    phase_estimation,
     prepare_vector_state,
     sve,
 )
@@ -42,17 +27,14 @@ from .recsys import (
     bad_sample_bound,
     generate_T,
     quantum_typical_user_bound,
-    recommend,
     typical_set,
     typical_user_bound,
-    w_statistic,
 )
 from .rng import default_seed, stream
 from .store import MatrixStore, RowTree, ingest_triplets, parse_triplets
 from .subsample import (
     SubsampleParams,
     ThresholdParams,
-    bound_threshold_error,
     bound_threshold_family_error,
     derive_params,
     subsample,
@@ -69,7 +51,6 @@ __all__ = [
     "ProjectionOutcome",
     "ProjectionParams",
     "QrecsimError",
-    "QuantumState",
     "RecommendContext",
     "RegisterCapError",
     "RowTree",
@@ -80,29 +61,19 @@ __all__ = [
     "ThresholdParams",
     "WalkOperator",
     "bad_sample_bound",
-    "bound_threshold_error",
     "bound_threshold_family_error",
     "default_seed",
     "derive_params",
     "eigenphases",
-    "expected_iterations",
     "generate_T",
     "ingest_triplets",
     "parse_triplets",
-    "phase_estimation",
     "prepare_vector_state",
-    "project_threshold",
-    "project_threshold_family",
-    "pseudo_project_row",
     "quantum_typical_user_bound",
-    "recommend",
     "stream",
-    "success_probability",
     "sve",
     "svd",
     "threshold_project",
-    "truncate_top_k",
     "typical_set",
     "typical_user_bound",
-    "w_statistic",
 ]

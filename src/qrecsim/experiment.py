@@ -150,7 +150,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
             count = int(np.sum(chosen == user))
             stats = {"user": int(user), "typical": True, "recs": 0, "bad": 0}
             try:
-                probs, beta_sq, _, _ = ctx.user_state(int(user))
+                _, beta_sq, _ = ctx.user_state(int(user))
             except MatrixError:
                 continue
             stats["beta_sq"] = beta_sq

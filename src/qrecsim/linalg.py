@@ -1,8 +1,8 @@
-"""Dense singular value decomposition and spectral projections.
+"""Dense singular value decomposition and input validation.
 
-Everything downstream (walk operators, threshold projection, reconstruction
-bounds) is defined in terms of one factorization A = sum_i sigma_i u_i v_i^T,
-so this module owns the conventions: singular values are sorted descending
+The exact path (phases, threshold projection, the experiment's kept-set
+surrogate) works from one factorization A = sum_i sigma_i u_i v_i^T, so
+this module owns the conventions: singular values are sorted descending
 and strictly positive up to the numerical rank, while the stored U and V are
 complete orthonormal bases (the columns beyond the rank span the null
 spaces, which the phase simulator needs).
@@ -108,83 +108,3 @@ def svd(a) -> SvdFactorization:
     else:
         rank = 0
     return SvdFactorization(u=u, sigma=s[:rank].copy(), v=vt.T, shape=arr.shape)
-
-
-def truncate_top_k(f: SvdFactorization, k: int) -> np.ndarray:
-    """Best rank-k approximation A_k (all of A when k >= rank)."""
-    if k < 0:
-        raise MatrixError(f"rank k must be >= 0, got {k}")
-    return f.reconstruct(range(min(k, f.rank)))
-
-
-def threshold_indices(f: SvdFactorization, sigma: float) -> list[int]:
-    """Indices with sigma_i >= sigma (ties at the threshold are kept)."""
-    if not np.isfinite(sigma) or sigma < 0:
-        raise MatrixError(f"threshold must be finite and >= 0, got {sigma}")
-    if sigma == 0.0:
-        return list(range(f.rank))
-    return [i for i in range(f.rank) if f.sigma[i] >= sigma]
-
-
-def band_indices(f: SvdFactorization, sigma: float, kappa: float) -> list[int]:
-    """Indices in the admissible band (1-kappa)*sigma <= sigma_i < sigma."""
-    _check_kappa(kappa)
-    lo = (1.0 - kappa) * sigma
-    return [i for i in range(f.rank) if lo <= f.sigma[i] < sigma]
-
-
-def _check_kappa(kappa: float) -> None:
-    if not np.isfinite(kappa) or not (0.0 < kappa < 1.0):
-        raise MatrixError(f"kappa must lie in (0, 1), got {kappa}")
-
-
-def _kept_indices(
-    f: SvdFactorization, sigma: float, kappa: float, band_selector: Sequence[int]
-) -> list[int]:
-    band = set(band_indices(f, sigma, kappa))
-    selected = [int(i) for i in band_selector]
-    outside = sorted(set(selected) - band)
-    if outside:
-        raise MatrixError(
-            f"band selector indices {outside} fall outside "
-            f"[{(1.0 - kappa) * sigma:.6g}, {sigma:.6g})"
-        )
-    kept = sorted(set(threshold_indices(f, sigma)) | set(selected))
-    return kept
-
-
-def project_threshold(f: SvdFactorization, sigma: float) -> np.ndarray:
-    """A_{>=sigma}: keep exactly the singular directions with sigma_i >= sigma."""
-    return f.reconstruct(threshold_indices(f, sigma))
-
-
-def project_threshold_family(
-    f: SvdFactorization, sigma: float, kappa: float, band_selector: Sequence[int] = ()
-) -> np.ndarray:
-    """One member of the family A_{>=sigma,kappa}.
-
-    Keeps every direction with sigma_i >= sigma plus the chosen subset of the
-    band [(1-kappa)*sigma, sigma). A selector index outside the band is an
-    input error.
-    """
-    return f.reconstruct(_kept_indices(f, sigma, kappa, band_selector))
-
-
-def pseudo_project_row(
-    f: SvdFactorization,
-    x,
-    sigma: float,
-    kappa: float,
-    band_selector: Sequence[int] = (),
-) -> np.ndarray:
-    """Orthogonal projection of a row vector onto span{v_i : i kept}.
-
-    This is A_{>=sigma,kappa}^+ A_{>=sigma,kappa} applied to x, the classical
-    shadow of the quantum threshold projection. Idempotent within 1e-10.
-    """
-    vec = as_vector(x, size=f.shape[1])
-    kept = _kept_indices(f, sigma, kappa, band_selector)
-    if not kept:
-        return np.zeros_like(vec)
-    basis = f.v[:, kept]
-    return basis @ (basis.T @ vec)

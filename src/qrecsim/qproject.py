@@ -95,13 +95,6 @@ def default_max_iterations(n: int, beta_sq: float) -> int:
     return int(np.ceil(base / beta_sq))
 
 
-def expected_iterations(beta_sq: float) -> float:
-    """Mean geometric waiting time 1 / beta_sq."""
-    if not np.isfinite(beta_sq) or not 0.0 < beta_sq <= 1.0:
-        raise MatrixError(f"success probability must be in (0, 1], got {beta_sq}")
-    return 1.0 / beta_sq
-
-
 def estimated_spectrum(f: SvdFactorization, params: ProjectionParams) -> np.ndarray:
     """Grid-rounded estimate for every right basis direction (deterministic)."""
     fro = f.frobenius_norm()
@@ -165,11 +158,6 @@ def exact_kept_components(
         for i in range(f.shape[1])
     ]
     return comps, alpha, kept
-
-
-def success_probability(f: SvdFactorization, x, params: ProjectionParams) -> float:
-    """beta^2: squared overlap of the input with the kept subspace."""
-    return kept_state(f, f.v.T @ unit_vector(x, f.shape[1]), kept_mask(f, params))[0]
 
 
 def threshold_project(

@@ -22,7 +22,6 @@ block diagonal across planes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,40 +39,10 @@ MATERIALIZE_CAP = 1 << 11
 # finer requested precision gets this grid.
 MAX_GRID_BITS = 62
 
-AMP_TOL = 1e-10
 # Overlaps below this are treated as absent when reporting components.
 COMPONENT_TOL = 1e-12
 # Eigenphases of W closer than this fall into one phase group.
 PHASE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    """Amplitude vector over a register with named factor dimensions."""
-
-    vec: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if int(np.prod(self.dims)) != self.vec.shape[0]:
-            raise MatrixError(f"dims {self.dims} do not match vector length {self.vec.shape[0]}")
-        norm = np.linalg.norm(self.vec)
-        if abs(norm - 1.0) > AMP_TOL:
-            raise MatrixError(f"state norm {norm} deviates from 1 beyond {AMP_TOL}")
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.vec) ** 2
-
-    def measure(self, rng: np.random.Generator) -> tuple[int, ...]:
-        flat = int(rng.choice(self.vec.shape[0], p=self.probabilities()))
-        return np.unravel_index(flat, self.dims)
-
-    def measure_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Flat outcome indices of ``count`` independent measurements."""
-        return rng.choice(self.vec.shape[0], size=count, p=self.probabilities())
-
-    def fidelity(self, other: "QuantumState") -> float:
-        return float(np.abs(np.vdot(self.vec, other.vec)))
 
 
 def prepare_vector_state(tree: RowTree) -> np.ndarray:
@@ -117,9 +86,9 @@ class WalkOperator:
 
     States are (m, n) arrays over the joint index space. ``row_states`` holds
     the unit row vectors |A_i> (all-zero for empty rows) and ``a_tilde`` the
-    unit vector of row norms, so P maps y to y_i |i>|A_i> and Q maps x to
-    A~_i x_j. Empty rows are outside P's domain: applying P to amplitude on
-    such a row is an error.
+    unit vector of row norms. Q maps x to A~_i x_j (``apply_Q``, with adjoint
+    ``apply_Qt``); ``matrices`` gives P and Q densely, ``materialize_W`` the
+    walk (2 P P^T - I)(2 Q Q^T - I), and ``phase_groups`` its rotation planes.
     """
 
     def __init__(self, row_states: np.ndarray, a_tilde: np.ndarray, fro: float):
@@ -150,75 +119,11 @@ class WalkOperator:
         rows = np.divide(arr, norms[:, None], out=np.zeros_like(arr), where=norms[:, None] > 0)
         return cls(rows, norms / fro, fro)
 
-    # -- isometries and reflections (projector algebra) --------------------
-
-    def apply_P(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y)
-        empty = np.linalg.norm(self.row_states, axis=1) == 0.0
-        if np.any(np.abs(y[empty]) > AMP_TOL):
-            raise MatrixError("amplitude on empty row: P is undefined there")
-        return y[:, None] * self.row_states
-
-    def apply_Pt(self, s: np.ndarray) -> np.ndarray:
-        return np.sum(self.row_states * s, axis=1)
-
     def apply_Q(self, x: np.ndarray) -> np.ndarray:
         return np.outer(self.a_tilde, np.asarray(x))
 
     def apply_Qt(self, s: np.ndarray) -> np.ndarray:
         return self.a_tilde @ s
-
-    def apply_U(self, s: np.ndarray) -> np.ndarray:
-        """Reflection 2 P P^T - I about the span of the row states."""
-        y = self.apply_Pt(s)
-        return 2.0 * y[:, None] * self.row_states - s
-
-    def apply_V(self, s: np.ndarray) -> np.ndarray:
-        """Reflection 2 Q Q^T - I about the span of the norm-weighted columns."""
-        x = self.apply_Qt(s)
-        return 2.0 * np.outer(self.a_tilde, x) - s
-
-    def apply_W(self, s: np.ndarray) -> np.ndarray:
-        return self.apply_U(self.apply_V(s))
-
-    def apply_W_inverse(self, s: np.ndarray) -> np.ndarray:
-        return self.apply_V(self.apply_U(s))
-
-    # -- reflections via explicit basis completion --------------------------
-
-    @cached_property
-    def _row_householders(self) -> list[np.ndarray | None]:
-        mats: list[np.ndarray | None] = []
-        for r in self.row_states:
-            mats.append(None if np.linalg.norm(r) == 0.0 else _householder_to(r))
-        return mats
-
-    @cached_property
-    def _norm_householder(self) -> np.ndarray:
-        return _householder_to(self.a_tilde)
-
-    def apply_U_completed(self, s: np.ndarray) -> np.ndarray:
-        """U as (basis change) (reflection about |j>=0) (basis change back).
-
-        Per row, a unitary sending e_0 to |A_i> conjugates the reflection
-        that fixes column 0 and negates the rest. Rows with no entries get an
-        identity basis change, so results there differ from the projector
-        route; agreement is only claimed for matrices without empty rows.
-        """
-        out = np.empty_like(s)
-        for i, h in enumerate(self._row_householders):
-            row = s[i] if h is None else h @ s[i]
-            row = np.concatenate(([row[0]], -row[1:]))
-            out[i] = row if h is None else h @ row
-        return out
-
-    def apply_V_completed(self, s: np.ndarray) -> np.ndarray:
-        h = self._norm_householder
-        cols = h @ s
-        cols = np.vstack((cols[:1], -cols[1:]))
-        return h @ cols
-
-    # -- dense forms --------------------------------------------------------
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense P (mn x m) and Q (mn x n); empty rows give zero columns."""
@@ -246,18 +151,6 @@ class WalkOperator:
         if self._groups is None:
             self._groups = _phase_groups(self.materialize_W())
         return self._groups
-
-
-def _householder_to(target: np.ndarray) -> np.ndarray:
-    """Symmetric orthogonal matrix sending e_0 to the given unit vector."""
-    dim = target.shape[0]
-    w = target.copy()
-    w[0] -= 1.0
-    norm = np.linalg.norm(w)
-    if norm < 1e-14:
-        return np.eye(dim)
-    w /= norm
-    return np.eye(dim) - 2.0 * np.outer(w, w)
 
 
 def eigenphases(f: SvdFactorization) -> np.ndarray:
@@ -357,13 +250,12 @@ def sample_phase_bins(
     return rng.choice(grid.size, size=rounds, p=probs)
 
 
-def median_bin(bins: np.ndarray, grid: PhaseGrid) -> int:
-    """Bin whose folded phase is the median of the realized folded phases."""
-    order = np.argsort(grid.theta_of(bins), kind="stable")
-    return int(bins[order[len(order) // 2]])
-
-
-# -- circuit building blocks -------------------------------------------------
+def median_bin(bins: np.ndarray, grid: PhaseGrid) -> tuple[int, float]:
+    """Bin whose folded phase is the median of the realized folded phases,
+    with that phase."""
+    thetas = grid.theta_of(bins)
+    k = np.argsort(thetas, kind="stable")[len(thetas) // 2]
+    return int(bins[k]), float(thetas[k])
 
 
 def _check_register(mn: int, grid: PhaseGrid) -> None:
@@ -372,56 +264,6 @@ def _check_register(mn: int, grid: PhaseGrid) -> None:
         raise RegisterCapError(
             f"register of {total} amplitudes exceeds the cap {REGISTER_CAP}"
         )
-
-
-def qpe_joint_state(wop: WalkOperator, s: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """One full phase-estimation round as a (2^bits, m, n) amplitude array.
-
-    Hadamards put the phase register in uniform superposition, controlled
-    walk powers build W^a s in branch a, and the inverse Fourier transform
-    concentrates each eigencomponent near its phase bin.
-    """
-    _check_register(wop.m * wop.n, grid)
-    n = grid.size
-    stack = np.empty((n, wop.m, wop.n), dtype=np.complex128)
-    current = np.asarray(s, dtype=np.complex128)
-    for a in range(n):
-        stack[a] = current
-        if a + 1 < n:
-            current = wop.apply_W(current)
-    return np.fft.fft(stack, axis=0) / n
-
-
-def phase_estimation(wop: WalkOperator, state: QuantumState, eps_theta: float) -> QuantumState:
-    """Attach and populate an estimate register: |s> -> sum_b |b>|psi_b>."""
-    grid = PhaseGrid.for_theta_precision(eps_theta)
-    s = state.vec.reshape(wop.m, wop.n)
-    joint = qpe_joint_state(wop, s, grid)
-    return QuantumState(joint.reshape(-1), (grid.size, wop.m, wop.n))
-
-
-def uncompute_residual_mass(wop: WalkOperator, s: np.ndarray, grid: PhaseGrid) -> float:
-    """Ancilla weight left outside |0...0> after copy-and-uncompute.
-
-    Runs one estimation round, copies the realized bin to an output register,
-    and inverts the round. For inputs that are not eigenstates the inversion
-    cannot fully disentangle the phase register; the leftover mass equals
-    1 - sum_b ||(1/N) sum_a e^{2 pi i a b / N} W^{-a} psi_b||^2, which this
-    returns so tests can quantify the approximation instead of ignoring it.
-    """
-    joint = qpe_joint_state(wop, s, grid)
-    n = grid.size
-    clean = 0.0
-    for b in range(n):
-        psi = joint[b]
-        acc = np.zeros_like(psi)
-        phases = np.exp(2j * np.pi * b * np.arange(n) / n)
-        for a in range(n):
-            acc += phases[a] * psi
-            if a + 1 < n:
-                psi = wop.apply_W_inverse(psi)
-        clean += float(np.linalg.norm(acc / n) ** 2)
-    return max(0.0, 1.0 - clean)
 
 
 # -- rotation-plane decomposition --------------------------------------------
@@ -570,8 +412,9 @@ class CircuitSve:
         comps = []
         for gid, probs in self.kernels.items():
             theta = self.groups[gid].theta
-            b = median_bin(sample_phase_bins(theta, self.grid, rounds, rng, probs), self.grid)
-            theta_est = self.grid.theta_of(b)
+            b, theta_est = median_bin(
+                sample_phase_bins(theta, self.grid, rounds, rng, probs), self.grid
+            )
             comps.append(
                 SveComponent(
                     index=gid,

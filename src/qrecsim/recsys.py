@@ -108,11 +108,6 @@ def w_statistic_bound(
     return float((1.0 + eps) ** 2 / (xi * (1.0 - delta - zeta) * margin**2))
 
 
-def calibration_ratio(eps: float, gamma: float, delta: float, zeta: float) -> float:
-    """typical_user_bound / bad_sample_bound: the price of conditioning."""
-    return typical_user_bound(eps, gamma, delta, zeta) / bad_sample_bound(eps)
-
-
 def _check_eps(eps: float) -> None:
     if not np.isfinite(eps) or not 0.0 < eps < 1.0:
         raise MatrixError(f"eps must be in (0, 1), got {eps}")
@@ -126,7 +121,7 @@ def _check_fractions(**values: float) -> None:
         raise MatrixError("delta + zeta must be < 1")
 
 
-# -- typical users and bad mass ----------------------------------------------
+# -- typical users -----------------------------------------------------------
 
 
 def typical_set(t, gamma: float) -> np.ndarray:
@@ -141,29 +136,6 @@ def typical_set(t, gamma: float) -> np.ndarray:
     row_sq = np.sum(arr * arr, axis=1)
     avg = np.sum(row_sq) / arr.shape[0]
     return (row_sq >= avg / (1.0 + gamma)) & (row_sq <= avg * (1.0 + gamma))
-
-
-def bad_mass(surrogate, truth) -> float:
-    """Fraction of the surrogate's squared mass on cells where truth is 0."""
-    sur = as_matrix(surrogate)
-    tru = as_matrix(truth)
-    if sur.shape != tru.shape:
-        raise MatrixError(f"shape mismatch {sur.shape} vs {tru.shape}")
-    total = float(np.sum(sur * sur))
-    if total <= 0.0:
-        raise MatrixError("surrogate has zero mass")
-    return float(np.sum((sur * sur)[tru == 0.0]) / total)
-
-
-def w_statistic(row, projected_row) -> float:
-    """Per-user overhead ||row||^2 / ||projected row||^2 (inf if wiped out)."""
-    r = np.asarray(row, dtype=np.float64)
-    p = np.asarray(projected_row, dtype=np.float64)
-    top = float(r @ r)
-    bottom = float(p @ p)
-    if top <= 0.0:
-        raise ColdStartError("cold-start user: zero stored row")
-    return float(np.inf) if bottom <= 0.0 else top / bottom
 
 
 # -- recommendation -----------------------------------------------------------
@@ -197,10 +169,10 @@ class RecommendContext:
         self.params = params
         self.f: SvdFactorization = svd(self.dense)
         self.kept = kept_mask(self.f, params)
-        self._users: dict[int, tuple[np.ndarray, float, np.ndarray, list[int]]] = {}
+        self._users: dict[int, tuple[np.ndarray, float, np.ndarray]] = {}
 
-    def user_state(self, i: int) -> tuple[np.ndarray, float, np.ndarray, list[int]]:
-        """(probabilities, beta_sq, projected unit row, kept indices) for user i."""
+    def user_state(self, i: int) -> tuple[np.ndarray, float, np.ndarray]:
+        """(probabilities, beta_sq, projected unit row) for user i."""
         if i in self._users:
             return self._users[i]
         if not 0 <= i < self.dense.shape[0]:
@@ -210,12 +182,12 @@ class RecommendContext:
             raise ColdStartError(f"cold-start user: user {i} has no stored entries")
         alpha = self.f.v.T @ unit_vector(row, self.dense.shape[1])
         beta_sq, state = kept_state(self.f, alpha, self.kept)
-        self._users[i] = (state**2, beta_sq, state, np.flatnonzero(self.kept).tolist())
+        self._users[i] = (state**2, beta_sq, state)
         return self._users[i]
 
     def recommend(self, i: int, rng: np.random.Generator) -> RecommendOutcome:
         """Project user i's stored row, then measure a product index."""
-        probs, beta_sq, _, _ = self.user_state(i)
+        probs, beta_sq, _ = self.user_state(i)
         n = self.dense.shape[1]
         attempt = attempts_until_success(beta_sq, n, self.params, rng)
         return RecommendOutcome(
@@ -225,18 +197,6 @@ class RecommendContext:
             beta_sq=beta_sq,
             w_stat=1.0 / beta_sq,
         )
-
-
-def recommend(
-    source,
-    user: int,
-    params: ProjectionParams,
-    rng: np.random.Generator,
-    context: RecommendContext | None = None,
-) -> RecommendOutcome:
-    """One recommendation for ``user`` from a store or dense matrix."""
-    ctx = context or RecommendContext(source, params)
-    return ctx.recommend(user, rng)
 
 
 def recommendation_sigma(eps: float, p: float, k: int, norm_f_hat: float) -> float:

@@ -138,24 +138,6 @@ def derive_params(
     return sub, thr
 
 
-def bound_threshold_error(
-    err_k: float, eta: float, k: int, mu: float, p: float, norm_f: float
-) -> float:
-    """Bound on ||A - Ahat_{>=sigma}||_F at sigma = sqrt(mu/k) ||Ahat||_F.
-
-    err_k is ||A - A_k||_F. The bound is
-    err_k + (3 sqrt(eta) k^(1/4) mu^(-1/4) + sqrt(mu/p)) ||A||_F.
-    Zero eta and mu are allowed (their terms vanish), so the degenerate
-    no-perturbation call returns err_k alone.
-    """
-    _check_positive(k=k, p=p, norm_f=norm_f)
-    _check_nonnegative(err_k=err_k, eta=eta, mu=mu)
-    if eta > 0.0 and mu == 0.0:
-        raise MatrixError("mu must be > 0 when eta is")
-    spread = 0.0 if eta == 0.0 else 3.0 * np.sqrt(eta) * k**0.25 / mu**0.25
-    return float(err_k + (spread + np.sqrt(mu / p)) * norm_f)
-
-
 def bound_threshold_family_error(
     err_k: float, eta: float, k: int, mu: float, p: float, kappa: float, norm_f: float
 ) -> float:

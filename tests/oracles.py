@@ -1,12 +1,26 @@
 """Independent reference implementations used only to check the package.
 
-Nothing here may call into qrecsim's numerics: the value of these oracles is
-that they reach the same quantities by different algorithms.
+Oracles may read qrecsim data (walk arrays, ``SvdFactorization`` fields,
+``PhaseGrid``, caps, error types), but never call the package function they
+are compared against: their value is that they reach the same quantities by
+different algorithms. Beyond that data, the spectral projections build on
+``SvdFactorization.reconstruct``, ``calibration_ratio`` on the package's two
+bounds, and several oracles on its input checks. None of this is package API.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
+
 import numpy as np
+
+from qrecsim.errors import ColdStartError, MatrixError
+from qrecsim.linalg import SvdFactorization, as_matrix, as_vector
+from qrecsim.qsim import PhaseGrid, WalkOperator, _check_register
+from qrecsim.recsys import bad_sample_bound, typical_user_bound
+from qrecsim.subsample import _check_nonnegative, _check_positive
 
 
 def jacobi_eigenvalues(sym: np.ndarray, sweeps: int = 100, tol: float = 1e-13) -> np.ndarray:
@@ -92,3 +106,299 @@ def dft_phase_distribution(theta: float, bits: int) -> np.ndarray:
         amps[b] = acc / n
     probs = np.abs(amps) ** 2
     return probs / probs.sum()
+
+
+# -- states and the walk's projector algebra -----------------------------------
+
+AMP_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class QuantumState:
+    """Amplitude vector over a register with named factor dimensions."""
+
+    vec: np.ndarray
+    dims: tuple[int, ...]
+
+    def __post_init__(self):
+        if int(np.prod(self.dims)) != self.vec.shape[0]:
+            raise MatrixError(f"dims {self.dims} do not match vector length {self.vec.shape[0]}")
+        norm = np.linalg.norm(self.vec)
+        if abs(norm - 1.0) > AMP_TOL:
+            raise MatrixError(f"state norm {norm} deviates from 1 beyond {AMP_TOL}")
+
+    def probabilities(self) -> np.ndarray:
+        return np.abs(self.vec) ** 2
+
+    def measure(self, rng: np.random.Generator) -> tuple[int, ...]:
+        flat = int(rng.choice(self.vec.shape[0], p=self.probabilities()))
+        return np.unravel_index(flat, self.dims)
+
+    def measure_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Flat outcome indices of ``count`` independent measurements."""
+        return rng.choice(self.vec.shape[0], size=count, p=self.probabilities())
+
+    def fidelity(self, other: "QuantumState") -> float:
+        return float(np.abs(np.vdot(self.vec, other.vec)))
+
+
+class OracleWalk(WalkOperator):
+    """The walk's reflections applied matrix-free, two ways.
+
+    P maps y to y_i |i>|A_i>; empty rows are outside its domain, so applying
+    P to amplitude on such a row is an error. U and V follow from the
+    projectors; ``apply_U_completed`` and ``apply_V_completed`` reach the
+    same reflections through explicit Householder basis completions.
+    """
+
+    def apply_P(self, y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y)
+        empty = np.linalg.norm(self.row_states, axis=1) == 0.0
+        if np.any(np.abs(y[empty]) > AMP_TOL):
+            raise MatrixError("amplitude on empty row: P is undefined there")
+        return y[:, None] * self.row_states
+
+    def apply_Pt(self, s: np.ndarray) -> np.ndarray:
+        return np.sum(self.row_states * s, axis=1)
+
+    def apply_U(self, s: np.ndarray) -> np.ndarray:
+        """Reflection 2 P P^T - I about the span of the row states."""
+        y = self.apply_Pt(s)
+        return 2.0 * y[:, None] * self.row_states - s
+
+    def apply_V(self, s: np.ndarray) -> np.ndarray:
+        """Reflection 2 Q Q^T - I about the span of the norm-weighted columns."""
+        x = self.apply_Qt(s)
+        return 2.0 * np.outer(self.a_tilde, x) - s
+
+    def apply_W(self, s: np.ndarray) -> np.ndarray:
+        return self.apply_U(self.apply_V(s))
+
+    def apply_W_inverse(self, s: np.ndarray) -> np.ndarray:
+        return self.apply_V(self.apply_U(s))
+
+    @cached_property
+    def _row_householders(self) -> list[np.ndarray | None]:
+        mats: list[np.ndarray | None] = []
+        for r in self.row_states:
+            mats.append(None if np.linalg.norm(r) == 0.0 else _householder_to(r))
+        return mats
+
+    @cached_property
+    def _norm_householder(self) -> np.ndarray:
+        return _householder_to(self.a_tilde)
+
+    def apply_U_completed(self, s: np.ndarray) -> np.ndarray:
+        """U as (basis change) (reflection about |j>=0) (basis change back).
+
+        Per row, a unitary sending e_0 to |A_i> conjugates the reflection
+        that fixes column 0 and negates the rest. Rows with no entries get an
+        identity basis change, so results there differ from the projector
+        route; agreement is only claimed for matrices without empty rows.
+        """
+        out = np.empty_like(s)
+        for i, h in enumerate(self._row_householders):
+            row = s[i] if h is None else h @ s[i]
+            row = np.concatenate(([row[0]], -row[1:]))
+            out[i] = row if h is None else h @ row
+        return out
+
+    def apply_V_completed(self, s: np.ndarray) -> np.ndarray:
+        h = self._norm_householder
+        cols = h @ s
+        cols = np.vstack((cols[:1], -cols[1:]))
+        return h @ cols
+
+
+def _householder_to(target: np.ndarray) -> np.ndarray:
+    """Symmetric orthogonal matrix sending e_0 to the given unit vector."""
+    dim = target.shape[0]
+    w = target.copy()
+    w[0] -= 1.0
+    norm = np.linalg.norm(w)
+    if norm < 1e-14:
+        return np.eye(dim)
+    w /= norm
+    return np.eye(dim) - 2.0 * np.outer(w, w)
+
+
+def qpe_joint_state(wop: OracleWalk, s: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """One full phase-estimation round as a (2^bits, m, n) amplitude array.
+
+    Hadamards put the phase register in uniform superposition, controlled
+    walk powers build W^a s in branch a, and the inverse Fourier transform
+    concentrates each eigencomponent near its phase bin. Raises
+    RegisterCapError over the package's register cap.
+    """
+    _check_register(wop.m * wop.n, grid)
+    n = grid.size
+    stack = np.empty((n, wop.m, wop.n), dtype=np.complex128)
+    current = np.asarray(s, dtype=np.complex128)
+    for a in range(n):
+        stack[a] = current
+        if a + 1 < n:
+            current = wop.apply_W(current)
+    return np.fft.fft(stack, axis=0) / n
+
+
+def uncompute_residual_mass(wop: OracleWalk, s: np.ndarray, grid: PhaseGrid) -> float:
+    """Ancilla weight left outside |0...0> after copy-and-uncompute.
+
+    Runs one estimation round, copies the realized bin to an output register,
+    and inverts the round. For inputs that are not eigenstates the inversion
+    cannot fully disentangle the phase register; the leftover mass equals
+    1 - sum_b ||(1/N) sum_a e^{2 pi i a b / N} W^{-a} psi_b||^2, which this
+    returns so tests can quantify the approximation instead of ignoring it.
+    """
+    joint = qpe_joint_state(wop, s, grid)
+    n = grid.size
+    clean = 0.0
+    for b in range(n):
+        psi = joint[b]
+        acc = np.zeros_like(psi)
+        phases = np.exp(2j * np.pi * b * np.arange(n) / n)
+        for a in range(n):
+            acc += phases[a] * psi
+            if a + 1 < n:
+                psi = wop.apply_W_inverse(psi)
+        clean += float(np.linalg.norm(acc / n) ** 2)
+    return max(0.0, 1.0 - clean)
+
+
+# -- spectral projections of a factorization -----------------------------------
+
+
+def truncate_top_k(f: SvdFactorization, k: int) -> np.ndarray:
+    """Best rank-k approximation A_k (all of A when k >= rank)."""
+    if k < 0:
+        raise MatrixError(f"rank k must be >= 0, got {k}")
+    return f.reconstruct(range(min(k, f.rank)))
+
+
+def threshold_indices(f: SvdFactorization, sigma: float) -> list[int]:
+    """Indices with sigma_i >= sigma (ties at the threshold are kept)."""
+    if not np.isfinite(sigma) or sigma < 0:
+        raise MatrixError(f"threshold must be finite and >= 0, got {sigma}")
+    if sigma == 0.0:
+        return list(range(f.rank))
+    return [i for i in range(f.rank) if f.sigma[i] >= sigma]
+
+
+def band_indices(f: SvdFactorization, sigma: float, kappa: float) -> list[int]:
+    """Indices in the admissible band (1-kappa)*sigma <= sigma_i < sigma."""
+    _check_kappa(kappa)
+    lo = (1.0 - kappa) * sigma
+    return [i for i in range(f.rank) if lo <= f.sigma[i] < sigma]
+
+
+def _check_kappa(kappa: float) -> None:
+    if not np.isfinite(kappa) or not (0.0 < kappa < 1.0):
+        raise MatrixError(f"kappa must lie in (0, 1), got {kappa}")
+
+
+def _kept_indices(
+    f: SvdFactorization, sigma: float, kappa: float, band_selector: Sequence[int]
+) -> list[int]:
+    band = set(band_indices(f, sigma, kappa))
+    selected = [int(i) for i in band_selector]
+    outside = sorted(set(selected) - band)
+    if outside:
+        raise MatrixError(
+            f"band selector indices {outside} fall outside "
+            f"[{(1.0 - kappa) * sigma:.6g}, {sigma:.6g})"
+        )
+    kept = sorted(set(threshold_indices(f, sigma)) | set(selected))
+    return kept
+
+
+def project_threshold(f: SvdFactorization, sigma: float) -> np.ndarray:
+    """A_{>=sigma}: keep exactly the singular directions with sigma_i >= sigma."""
+    return f.reconstruct(threshold_indices(f, sigma))
+
+
+def project_threshold_family(
+    f: SvdFactorization, sigma: float, kappa: float, band_selector: Sequence[int] = ()
+) -> np.ndarray:
+    """One member of the family A_{>=sigma,kappa}.
+
+    Keeps every direction with sigma_i >= sigma plus the chosen subset of the
+    band [(1-kappa)*sigma, sigma). A selector index outside the band is an
+    input error.
+    """
+    return f.reconstruct(_kept_indices(f, sigma, kappa, band_selector))
+
+
+def pseudo_project_row(
+    f: SvdFactorization,
+    x,
+    sigma: float,
+    kappa: float,
+    band_selector: Sequence[int] = (),
+) -> np.ndarray:
+    """Orthogonal projection of a row vector onto span{v_i : i kept}.
+
+    This is A_{>=sigma,kappa}^+ A_{>=sigma,kappa} applied to x, the classical
+    shadow of the quantum threshold projection. Idempotent within 1e-10.
+    """
+    vec = as_vector(x, size=f.shape[1])
+    kept = _kept_indices(f, sigma, kappa, band_selector)
+    if not kept:
+        return np.zeros_like(vec)
+    basis = f.v[:, kept]
+    return basis @ (basis.T @ vec)
+
+
+# -- recommendation-quality statistics and bounds ------------------------------
+
+
+def bad_mass(surrogate, truth) -> float:
+    """Fraction of the surrogate's squared mass on cells where truth is 0."""
+    sur = as_matrix(surrogate)
+    tru = as_matrix(truth)
+    if sur.shape != tru.shape:
+        raise MatrixError(f"shape mismatch {sur.shape} vs {tru.shape}")
+    total = float(np.sum(sur * sur))
+    if total <= 0.0:
+        raise MatrixError("surrogate has zero mass")
+    return float(np.sum((sur * sur)[tru == 0.0]) / total)
+
+
+def w_statistic(row, projected_row) -> float:
+    """Per-user overhead ||row||^2 / ||projected row||^2 (inf if wiped out)."""
+    r = np.asarray(row, dtype=np.float64)
+    p = np.asarray(projected_row, dtype=np.float64)
+    top = float(r @ r)
+    bottom = float(p @ p)
+    if top <= 0.0:
+        raise ColdStartError("cold-start user: zero stored row")
+    return float(np.inf) if bottom <= 0.0 else top / bottom
+
+
+def calibration_ratio(eps: float, gamma: float, delta: float, zeta: float) -> float:
+    """typical_user_bound / bad_sample_bound: the price of conditioning."""
+    return typical_user_bound(eps, gamma, delta, zeta) / bad_sample_bound(eps)
+
+
+def bound_threshold_error(
+    err_k: float, eta: float, k: int, mu: float, p: float, norm_f: float
+) -> float:
+    """Bound on ||A - Ahat_{>=sigma}||_F at sigma = sqrt(mu/k) ||Ahat||_F.
+
+    err_k is ||A - A_k||_F. The bound is
+    err_k + (3 sqrt(eta) k^(1/4) mu^(-1/4) + sqrt(mu/p)) ||A||_F.
+    Zero eta and mu are allowed (their terms vanish), so the degenerate
+    no-perturbation call returns err_k alone.
+    """
+    _check_positive(k=k, p=p, norm_f=norm_f)
+    _check_nonnegative(err_k=err_k, eta=eta, mu=mu)
+    if eta > 0.0 and mu == 0.0:
+        raise MatrixError("mu must be > 0 when eta is")
+    spread = 0.0 if eta == 0.0 else 3.0 * np.sqrt(eta) * k**0.25 / mu**0.25
+    return float(err_k + (spread + np.sqrt(mu / p)) * norm_f)
+
+
+def expected_iterations(beta_sq: float) -> float:
+    """Mean geometric waiting time 1 / beta_sq."""
+    if not np.isfinite(beta_sq) or not 0.0 < beta_sq <= 1.0:
+        raise MatrixError(f"success probability must be in (0, 1], got {beta_sq}")
+    return 1.0 / beta_sq

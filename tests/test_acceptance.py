@@ -12,14 +12,12 @@ from scipy import stats
 
 from qrecsim.errors import ProjectionEmptyError
 from qrecsim.experiment import ExperimentConfig, run_experiment
-from qrecsim.linalg import band_indices, pseudo_project_row, svd, threshold_indices, truncate_top_k
+from qrecsim.linalg import svd
 from qrecsim.qproject import ProjectionParams, kept_mask, threshold_project
-from qrecsim.qsim import WalkOperator, QuantumState, prepare_vector_state, sve_circuit, sve_exact
+from qrecsim.qsim import WalkOperator, prepare_vector_state, sve_circuit, sve_exact
 from qrecsim.recsys import (
     RecommendContext,
-    bad_mass,
     bad_sample_bound,
-    calibration_ratio,
     generate_T,
     recommendation_sigma,
     typical_set,
@@ -27,6 +25,16 @@ from qrecsim.recsys import (
 from qrecsim.rng import DEFAULT_SEED, stream
 from qrecsim.store import MatrixStore, RowTree
 from qrecsim.subsample import subsample
+
+from oracles import (
+    QuantumState,
+    bad_mass,
+    band_indices,
+    calibration_ratio,
+    pseudo_project_row,
+    threshold_indices,
+    truncate_top_k,
+)
 
 MASTER = DEFAULT_SEED
 
@@ -237,7 +245,7 @@ def test_criterion_5b_projected_state_distribution():
     t0 = time.perf_counter()
     problems = []
     _, _, ctx, user = _planted_context()
-    probs, beta_sq, state, _ = ctx.user_state(user)
+    probs, beta_sq, state = ctx.user_state(user)
     rng = stream(MASTER, "acceptance", "chi-state")
     outcomes = QuantumState(state, (64,)).measure_many(rng, 100_000)
     counts = np.bincount(outcomes, minlength=64)

@@ -11,16 +11,19 @@ from qrecsim.linalg import (
     RECONSTRUCT_TOL,
     SvdFactorization,
     as_matrix,
+    svd,
+)
+
+from oracles import (
     band_indices,
+    jacobi_eigenvalues,
+    power_iteration_top_sigma,
     project_threshold,
     project_threshold_family,
     pseudo_project_row,
-    svd,
     threshold_indices,
     truncate_top_k,
 )
-
-from oracles import jacobi_eigenvalues, power_iteration_top_sigma
 
 
 def random_matrix(seed: int, m: int = 6, n: int = 5) -> np.ndarray:

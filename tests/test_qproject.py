@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 from qrecsim.errors import MatrixError, ProjectionEmptyError, RegisterCapError
-from qrecsim.linalg import band_indices, pseudo_project_row, svd, threshold_indices
+from qrecsim.linalg import svd, unit_vector
 from qrecsim.qproject import (
     BETA_SQ_FLOOR,
     ProjectionParams,
     default_max_iterations,
     estimated_spectrum,
     exact_kept_components,
-    expected_iterations,
     kept_mask,
-    success_probability,
+    kept_state,
     threshold_project,
 )
 from qrecsim.qsim import WalkOperator
 from qrecsim.store import MatrixStore
+
+from oracles import band_indices, expected_iterations, pseudo_project_row, threshold_indices
 
 # diag(3, 1) with sigma = 2, kappa = 1/3: the top direction clears the
 # threshold, the other sits below the band, and x gives beta^2 = 0.3 exactly.
@@ -103,9 +104,9 @@ class TestKeptSet:
             estimated_spectrum(svd(GAP), ProjectionParams(sigma=4.0))
 
     def test_success_probability_exact_value(self):
-        assert success_probability(svd(GAP), GAP_X, GAP_PARAMS) == pytest.approx(
-            0.3, abs=1e-12
-        )
+        f = svd(GAP)
+        beta_sq = kept_state(f, f.v.T @ unit_vector(GAP_X, 2), kept_mask(f, GAP_PARAMS))[0]
+        assert beta_sq == pytest.approx(0.3, abs=1e-12)
 
     def test_sandwich_on_random_matrices(self):
         # Kept set always contains {sigma_i >= sigma} and never reaches
@@ -185,7 +186,8 @@ class TestExactPath:
 
     def test_vanishing_overlap_fails_fast(self):
         a, params, user = disconnected_instance()
-        beta_sq = success_probability(svd(a), a[user], params)
+        f = svd(a)
+        beta_sq = kept_state(f, f.v.T @ unit_vector(a[user], 6), kept_mask(f, params))[0]
         assert 0.0 < beta_sq <= BETA_SQ_FLOOR
         with pytest.raises(ProjectionEmptyError) as info:
             threshold_project(a, a[user], params, np.random.default_rng(8))

@@ -8,24 +8,26 @@ from qrecsim.linalg import svd
 from qrecsim.qsim import (
     MAX_GRID_BITS,
     PhaseGrid,
-    QuantumState,
     WalkOperator,
     boost_rounds,
     eigenphases,
     median_bin,
-    phase_estimation,
     prepare_vector_state,
     qpe_bin_probabilities,
-    qpe_joint_state,
     sample_phase_bins,
     sve,
     sve_circuit,
     sve_exact,
-    uncompute_residual_mass,
 )
 from qrecsim.store import MatrixStore, RowTree
 
-from oracles import dft_phase_distribution
+from oracles import (
+    OracleWalk,
+    QuantumState,
+    dft_phase_distribution,
+    qpe_joint_state,
+    uncompute_residual_mass,
+)
 
 EXAMPLE_ROW = [0.4, 0.4, 0.8, 0.2]
 
@@ -110,13 +112,13 @@ class TestWalkOperator:
         assert np.max(np.abs(p.T @ q - a / np.linalg.norm(a))) <= 1e-10
 
     def test_row_example_three_four(self):
-        w = WalkOperator.from_dense(np.array([[3.0, 4.0]]))
+        w = OracleWalk.from_dense(np.array([[3.0, 4.0]]))
         out = w.apply_P(np.array([1.0]))
         assert np.allclose(out, [[0.6, 0.8]], atol=1e-14)
 
     def test_apply_matches_dense(self):
         a = random_full_matrix(4, 3, 4)
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         p, q = w.matrices()
         rng = np.random.default_rng(0)
         s = rng.normal(size=(3, 4))
@@ -128,7 +130,7 @@ class TestWalkOperator:
         assert np.max(np.abs(w.apply_W(s).reshape(-1) - w_dense)) <= 1e-10
 
     def test_reflections_are_involutions(self):
-        w = WalkOperator.from_dense(random_full_matrix(5, 4, 4))
+        w = OracleWalk.from_dense(random_full_matrix(5, 4, 4))
         rng = np.random.default_rng(1)
         s = rng.normal(size=(4, 4))
         assert np.max(np.abs(w.apply_U(w.apply_U(s)) - s)) <= 1e-10
@@ -136,7 +138,7 @@ class TestWalkOperator:
         assert np.max(np.abs(w.apply_W_inverse(w.apply_W(s)) - s)) <= 1e-10
 
     def test_walk_preserves_norm(self):
-        w = WalkOperator.from_dense(random_full_matrix(6, 4, 5))
+        w = OracleWalk.from_dense(random_full_matrix(6, 4, 5))
         s = np.random.default_rng(2).normal(size=(4, 5))
         assert np.linalg.norm(w.apply_W(s)) == pytest.approx(np.linalg.norm(s), rel=1e-12)
 
@@ -145,7 +147,7 @@ class TestWalkOperator:
         # projector algebra within 1e-10 on arbitrary states.
         for seed in range(5):
             a = random_full_matrix(seed + 10, 4, 5)
-            w = WalkOperator.from_dense(a)
+            w = OracleWalk.from_dense(a)
             s = np.random.default_rng(seed).normal(size=(4, 5))
             assert np.max(np.abs(w.apply_U_completed(s) - w.apply_U(s))) <= 1e-10
             assert np.max(np.abs(w.apply_V_completed(s) - w.apply_V(s))) <= 1e-10
@@ -153,7 +155,7 @@ class TestWalkOperator:
             assert np.max(np.abs(via_completed - w.apply_W(s))) <= 1e-10
 
     def test_amplitude_on_empty_row_rejected(self):
-        w = WalkOperator.from_dense(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        w = OracleWalk.from_dense(np.array([[1.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(MatrixError):
             w.apply_P(np.array([0.0, 1.0]))
         # Q is fine: the empty row simply carries no weight.
@@ -194,14 +196,14 @@ class TestEigenphases:
         f = svd(a)
         assert f.rank == 1
         v_null = f.v[:, 1]
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         s = w.apply_Q(v_null)
         assert np.max(np.abs(w.apply_W(s) + s)) <= 1e-10
         assert eigenphases(f)[1] == pytest.approx(np.pi, abs=1e-12)
 
     def test_complement_is_fixed(self):
         a = random_full_matrix(8, 3, 3)
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         p, q = w.matrices()
         joint = np.hstack([p, q])
         basis, _ = np.linalg.qr(joint)
@@ -215,7 +217,7 @@ class TestEigenphases:
         # On span{P u_i, Q v_i} the walk acts as a rotation by theta_i.
         a = random_full_matrix(9, 4, 4)
         f = svd(a)
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         thetas = eigenphases(f)
         for i in range(f.rank):
             pu = w.apply_P(f.u[:, i]).reshape(-1)
@@ -310,7 +312,7 @@ class TestPhaseEstimation:
         # A real plane vector splits evenly across the +theta and -theta
         # complex eigenvectors, so the marginal is the symmetrized kernel.
         a = random_full_matrix(11, 3, 3)
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         grid = PhaseGrid(6)
         group = max(w.phase_groups(), key=lambda g: g.theta * (g.theta < np.pi))
         s = group.basis[:, 0].reshape(3, 3)
@@ -322,7 +324,7 @@ class TestPhaseEstimation:
 
     def test_circuit_theta_zero_lands_on_bin_zero(self):
         a = random_full_matrix(8, 3, 3)
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         p, q = w.matrices()
         basis, _ = np.linalg.qr(np.hstack([p, q]))
         s = np.random.default_rng(4).normal(size=9)
@@ -334,25 +336,25 @@ class TestPhaseEstimation:
 
     def test_phase_estimation_wrapper_shapes_and_norm(self):
         a = random_full_matrix(12, 2, 2)
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         x = np.array([0.6, 0.8])
-        state = QuantumState(w.apply_Q(x).reshape(-1), (2, 2))
-        joint = phase_estimation(w, state, 0.2)
         grid = PhaseGrid.for_theta_precision(0.2)
-        assert joint.dims == (grid.size, 2, 2)
-        assert np.linalg.norm(joint.vec) == pytest.approx(1.0, abs=1e-12)
+        joint = qpe_joint_state(w, w.apply_Q(x), grid)
+        assert joint.shape == (grid.size, 2, 2)
+        assert np.linalg.norm(joint) == pytest.approx(1.0, abs=1e-12)
 
     def test_register_cap_enforced(self):
         a = random_full_matrix(13, 8, 8)
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         with pytest.raises(RegisterCapError):
             qpe_joint_state(w, np.zeros((8, 8)), PhaseGrid(17))
 
     def test_median_bin_folds_across_zero(self):
         grid = PhaseGrid(6)
         bins = np.array([0, 63, 1, 63, 2])
-        b = median_bin(bins, grid)
+        b, theta = median_bin(bins, grid)
         assert grid.theta_of(b) == pytest.approx(grid.width, abs=1e-12)
+        assert theta == grid.theta_of(b)
 
     def test_boosted_estimates_concentrate(self):
         grid = PhaseGrid(8)
@@ -361,7 +363,7 @@ class TestPhaseEstimation:
         hits = 0
         for _ in range(200):
             bins = sample_phase_bins(theta, grid, 13, rng)
-            b = median_bin(bins, grid)
+            b, _ = median_bin(bins, grid)
             dist = min((b - grid.bin_of(theta)) % grid.size,
                        (grid.bin_of(theta) - b) % grid.size)
             hits += dist <= 1
@@ -371,7 +373,7 @@ class TestPhaseEstimation:
         # Construct a walk with an exactly representable phase: diagonal
         # matrix with sigma/fro = cos(pi/4) gives theta = pi/2 = bin N/4.
         a = np.diag([1.0, 1.0])
-        w = WalkOperator.from_dense(a)  # sigma/fro = 1/sqrt(2), theta = pi/2
+        w = OracleWalk.from_dense(a)  # sigma/fro = 1/sqrt(2), theta = pi/2
         grid = PhaseGrid(4)
         group = min(w.phase_groups(), key=lambda g: abs(g.theta - np.pi / 2.0))
         assert group.theta == pytest.approx(np.pi / 2.0, abs=1e-10)
@@ -381,7 +383,7 @@ class TestPhaseEstimation:
     def test_uncompute_residual_matches_kernel_identity(self):
         # For an eigenplane state the leftover mass is 1 - sum_b |c_b|^4.
         a = random_full_matrix(14, 2, 3)
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         grid = PhaseGrid(5)
         group = max(w.phase_groups(), key=lambda g: g.dim * (0 < g.theta < np.pi))
         s = group.basis[:, 0].reshape(2, 3)
@@ -467,7 +469,7 @@ class TestSve:
         # rotation plane of |P u_1> carries theta_1.
         a = random_full_matrix(52, 4, 4)
         f = svd(a)
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         s = w.apply_P(f.u[:, 0]).reshape(-1)
         theta_1 = eigenphases(f)[0]
         best = max(w.phase_groups(), key=lambda g: g.overlap_sq(s))

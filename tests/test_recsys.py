@@ -9,18 +9,16 @@ from qrecsim.linalg import svd
 from qrecsim.qproject import ProjectionParams
 from qrecsim.recsys import (
     RecommendContext,
-    bad_mass,
     bad_sample_bound,
-    calibration_ratio,
     generate_T,
     quantum_typical_user_bound,
-    recommend,
     recommendation_sigma,
     typical_set,
     typical_user_bound,
-    w_statistic,
     w_statistic_bound,
 )
+
+from oracles import bad_mass, calibration_ratio, w_statistic
 
 
 class TestGenerateT:
@@ -198,7 +196,7 @@ class TestRecommendContext:
         rng = np.random.default_rng(21)
         t = generate_T(8, 8, 2, 0.2, np.random.default_rng(20))
         ctx = RecommendContext(t, ProjectionParams(sigma=1e-9))
-        probs, beta_sq, state, kept = ctx.user_state(0)
+        probs, beta_sq, state = ctx.user_state(0)
         row = t[0]
         want = row**2 / np.sum(row**2)
         assert beta_sq == pytest.approx(1.0, abs=1e-12)
@@ -222,7 +220,7 @@ class TestRecommendContext:
     def test_outcome_bookkeeping_and_w(self):
         t, params = self.planted(seed=17)
         ctx = RecommendContext(t, params)
-        probs, beta_sq, state, kept = ctx.user_state(3)
+        probs, beta_sq, state = ctx.user_state(3)
         rng = np.random.default_rng(3)
         outs = [ctx.recommend(3, rng) for _ in range(600)]
         assert all(o.user == 3 for o in outs)
@@ -239,14 +237,14 @@ class TestRecommendContext:
     def test_recommend_wrapper_and_context_reuse(self):
         t, params = self.planted(seed=23)
         ctx = RecommendContext(t, params)
-        a = recommend(t, 5, params, np.random.default_rng(9))
-        b = recommend(t, 5, params, np.random.default_rng(9), context=ctx)
+        a = RecommendContext(t, params).recommend(5, np.random.default_rng(9))
+        b = ctx.recommend(5, np.random.default_rng(9))
         assert (a.user, a.product, a.iterations) == (b.user, b.product, b.iterations)
 
     def test_sampled_distribution_matches_projected_state(self):
         t, params = self.planted(seed=29, m=24, n=12)
         ctx = RecommendContext(t, params)
-        probs, _, _, _ = ctx.user_state(1)
+        probs, _, _ = ctx.user_state(1)
         rng = np.random.default_rng(31)
         draws = np.array([ctx.recommend(1, rng).product for _ in range(6000)])
         counts = np.bincount(draws, minlength=12)

@@ -5,7 +5,6 @@ import pytest
 
 from qrecsim.errors import MatrixError
 from qrecsim.subsample import (
-    bound_threshold_error,
     bound_threshold_family_error,
     derive_params,
     entry_bound,
@@ -15,6 +14,8 @@ from qrecsim.subsample import (
     sampling_probability,
     subsample,
 )
+
+from oracles import bound_threshold_error
 
 
 class TestSubsample:
