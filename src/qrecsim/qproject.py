@@ -214,10 +214,7 @@ def _project_circuit(
         kept = [c.index for c in comps if c.kept]
         beta_sq = float(np.sum(est.weights[kept]))
         if rng.random() < beta_sq:
-            surviving = sum(
-                (est.groups[gid].project(est.state) for gid in kept), np.zeros_like(est.state)
-            )
-            out = wop.apply_Qt(surviving.reshape(wop.m, wop.n))
+            out = est.survivor(kept)
             out_norm = np.linalg.norm(out)
             if out_norm <= 0.0:
                 continue

@@ -1,27 +1,30 @@
 """State-vector simulation of singular value estimation.
 
-The simulator works on the joint row/column index space of an m x n matrix.
-Two reflections U (about the span of the row states |i>|A_i>) and V (about
-the span of the |A~>|j> states) compose into a walk W = U V whose rotation
-planes encode the singular values: the plane containing the right singular
-vector v_i rotates by theta_i with cos(theta_i / 2) = sigma_i / ||A||_F,
-vectors orthogonal to the column space sit at theta = pi, and the orthogonal
+Two reflections U (about the span of the row states |i>|A_i>, the columns of
+P) and V (about the span of the |A~>|j> states, the columns of Q) compose
+into a walk W = U V on the joint row/column index space of an m x n matrix.
+Its rotation planes encode the singular values: the plane containing
+|Q v_i> rotates by theta_i with cos(theta_i / 2) = sigma_i / ||A||_F, vectors
+orthogonal to the column space sit at theta = pi, and the orthogonal
 complement of both spans is fixed (theta = 0). Estimating eigenphases of W
 on |Q x> therefore estimates singular values in units of ||A||_F.
 
 Two execution paths expose the same interface. The exact path diagonalizes
 the matrix classically and rounds each true phase to the estimation grid; it
-is deterministic and serves as the oracle. The circuit path materializes W,
-splits states into its rotation planes, and samples phase-register outcomes
-from the exact single-round kernel with median boosting, reproducing the
-statistics of the quantum procedure without 2^t-fold register blowup per
-boosting round (the rounds are iid per plane because the joint state is
-block diagonal across planes).
+is deterministic and serves as the oracle. The circuit path decomposes W
+inside span[P Q], where |Q x> lies, on (m + n)-dimensional coefficient
+vectors (y, x) of states P y + Q x, so no vector of length mn is formed. It
+splits the input across the folded phase groups there and samples
+phase-register outcomes from the exact single-round kernel with median
+boosting, reproducing the statistics of the quantum procedure without
+2^t-fold register blowup per boosting round (the rounds are iid per group
+because the joint state is block diagonal across groups). The register the
+procedure would need, mn * 2^t amplitudes, is still capped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +34,6 @@ from .store import MatrixStore, RowTree
 
 # Hard ceiling on simulated amplitudes (phase register times joint index).
 REGISTER_CAP = 1 << 22
-# Ceiling on the joint dimension when W must be formed densely.
-MATERIALIZE_CAP = 1 << 11
 
 # Finest estimation grid. Bin indices are int64, and a bin of 2 pi / 2^62 is
 # already far below the float64 resolution of the phases it rounds, so a
@@ -43,6 +44,12 @@ MAX_GRID_BITS = 62
 COMPONENT_TOL = 1e-12
 # Eigenphases of W closer than this fall into one phase group.
 PHASE_TOL = 1e-8
+# Gram eigenvalues of span[P Q] at or below this are dropped from its basis.
+# A direction's Gram eigenvalue is its squared length as a joint-space state,
+# which bounds the share of |Q x>'s weight it can hold; above the cutoff, the
+# basis vector's error is G's rounding (~1e-16) divided by the eigenvalue.
+# Exact zeros (empty rows, P u = Q v for a rank-one A) land far below it.
+GRAM_TOL = 1e-10
 
 
 def prepare_vector_state(tree: RowTree) -> np.ndarray:
@@ -82,13 +89,14 @@ def prepare_vector_state(tree: RowTree) -> np.ndarray:
 
 
 class WalkOperator:
-    """The pair of reflections defining the walk for one stored matrix.
+    """The walk W = (2 P P^T - I)(2 Q Q^T - I) for one stored matrix.
 
-    States are (m, n) arrays over the joint index space. ``row_states`` holds
-    the unit row vectors |A_i> (all-zero for empty rows) and ``a_tilde`` the
-    unit vector of row norms. Q maps x to A~_i x_j (``apply_Q``, with adjoint
-    ``apply_Qt``); ``matrices`` gives P and Q densely, ``materialize_W`` the
-    walk (2 P P^T - I)(2 Q Q^T - I), and ``phase_groups`` its rotation planes.
+    P maps y to sum_i y_i |i>|A_i> and Q maps x to |A~> x, where
+    ``row_states`` holds the unit rows |A_i> (all-zero for empty rows) and
+    ``a_tilde`` the unit vector of row norms; ``a_scaled`` is P^T Q =
+    A / ||A||_F. ``phase_groups`` gives W's rotation planes inside
+    span[P Q] as coefficient vectors (y, x) of states P y + Q x; W is the
+    identity on the rest of the joint space.
     """
 
     def __init__(self, row_states: np.ndarray, a_tilde: np.ndarray, fro: float):
@@ -96,6 +104,7 @@ class WalkOperator:
         self.a_tilde = a_tilde
         self.fro = float(fro)
         self.m, self.n = row_states.shape
+        self.a_scaled = row_states * a_tilde[:, None]
         self._groups: list[PhaseGroup] | None = None
 
     @classmethod
@@ -119,37 +128,10 @@ class WalkOperator:
         rows = np.divide(arr, norms[:, None], out=np.zeros_like(arr), where=norms[:, None] > 0)
         return cls(rows, norms / fro, fro)
 
-    def apply_Q(self, x: np.ndarray) -> np.ndarray:
-        return np.outer(self.a_tilde, np.asarray(x))
-
-    def apply_Qt(self, s: np.ndarray) -> np.ndarray:
-        return self.a_tilde @ s
-
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense P (mn x m) and Q (mn x n); empty rows give zero columns."""
-        mn = self.m * self.n
-        p = np.zeros((mn, self.m))
-        for i in range(self.m):
-            p[i * self.n : (i + 1) * self.n, i] = self.row_states[i]
-        q = np.zeros((mn, self.n))
-        for j in range(self.n):
-            q[j :: self.n, j] = self.a_tilde
-        return p, q
-
-    def materialize_W(self) -> np.ndarray:
-        mn = self.m * self.n
-        if mn > MATERIALIZE_CAP:
-            raise RegisterCapError(
-                f"joint dimension {mn} exceeds the dense-walk cap {MATERIALIZE_CAP}"
-            )
-        p, q = self.matrices()
-        u = 2.0 * (p @ p.T) - np.eye(mn)
-        v = 2.0 * (q @ q.T) - np.eye(mn)
-        return u @ v
-
     def phase_groups(self) -> list["PhaseGroup"]:
         if self._groups is None:
-            self._groups = _phase_groups(self.materialize_W())
+            filled = np.any(self.row_states != 0.0, axis=1).astype(np.float64)
+            self._groups = _phase_groups(self.a_scaled, filled)
         return self._groups
 
 
@@ -242,20 +224,13 @@ def qpe_bin_probabilities(theta: float, grid: PhaseGrid) -> np.ndarray:
     return probs / probs.sum()
 
 
-def sample_phase_bins(
-    theta: float, grid: PhaseGrid, rounds: int, rng: np.random.Generator, probs=None
-) -> np.ndarray:
-    if probs is None:
-        probs = qpe_bin_probabilities(theta, grid)
-    return rng.choice(grid.size, size=rounds, p=probs)
-
-
-def median_bin(bins: np.ndarray, grid: PhaseGrid) -> tuple[int, float]:
+def median_bin(bins: np.ndarray, grid: PhaseGrid):
     """Bin whose folded phase is the median of the realized folded phases,
-    with that phase."""
+    with that phase; for a 2-D array, one (bin, phase) per row, as arrays."""
     thetas = grid.theta_of(bins)
-    k = np.argsort(thetas, kind="stable")[len(thetas) // 2]
-    return int(bins[k]), float(thetas[k])
+    k = np.argsort(thetas, axis=-1, kind="stable")[..., bins.shape[-1] // 2, None]
+    picked = np.take_along_axis(bins, k, axis=-1)[..., 0]
+    return _scalar(picked), _scalar(np.take_along_axis(thetas, k, axis=-1)[..., 0])
 
 
 def _check_register(mn: int, grid: PhaseGrid) -> None:
@@ -273,51 +248,72 @@ def _check_register(mn: int, grid: PhaseGrid) -> None:
 class PhaseGroup:
     """All rotation planes of W sharing one folded phase.
 
-    ``basis`` is a real orthonormal basis of the invariant subspace, so
-    projections of real states stay real. Conjugate eigenvector pairs are
-    folded into one group: their estimate registers evolve identically, and
-    treating them separately would split physically inseparable components.
+    ``coef`` holds coefficient vectors (y, x), one column each, whose states
+    P y + Q x form a real orthonormal basis of the group's invariant
+    subspace, so projections of real states stay real. Conjugate eigenvector
+    pairs are folded into one group: their estimate registers evolve
+    identically, and treating them separately would split physically
+    inseparable components.
     """
 
     theta: float
-    basis: np.ndarray
+    coef: np.ndarray
+    _cdfs: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.coef.shape[1]
 
-    def overlap_sq(self, s_flat: np.ndarray) -> float:
-        return float(np.linalg.norm(self.basis.T @ s_flat) ** 2)
+    def cdf(self, grid: PhaseGrid) -> np.ndarray:
+        """Cumulative single-round outcome distribution on a grid, built once
+        per grid and normalized the way ``Generator.choice`` normalizes p."""
+        cdf = self._cdfs.get(grid)
+        if cdf is None:
+            cdf = qpe_bin_probabilities(self.theta, grid).cumsum()
+            cdf /= cdf[-1]
+            self._cdfs[grid] = cdf
+        return cdf
 
-    def project(self, s_flat: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ s_flat)
 
+def _phase_groups(a_scaled: np.ndarray, filled: np.ndarray) -> list[PhaseGroup]:
+    """Split W inside span[P Q] into folded-phase invariant subspaces.
 
-def _phase_groups(w: np.ndarray) -> list[PhaseGroup]:
-    """Split a real orthogonal matrix into folded-phase invariant subspaces.
-
-    W commutes with its symmetrization (W + W^T) / 2, whose eigenvalues are
-    cos(theta) and whose eigenspaces are exactly the folded rotation planes.
-    eigh yields an orthonormal real basis even for the high-multiplicity
-    fixed and negated spaces, where a plain eigendecomposition of W can
-    return a numerically dependent set.
+    With A~ = P^T Q and D = P^T P (``filled``, the 0/1 diagonal of non-empty
+    rows), states P y + Q x have the Gram matrix G = [[D, A~], [A~^T, I]],
+    and W maps the coefficients (y, x) by M = [[4 A~ A~^T - I, 2 A~],
+    [-2 A~^T, -I]]. C = V_G Lambda^{-1/2} over the Gram eigenvalues above
+    GRAM_TOL is an orthonormal basis of the span, C^T G M C is W in that
+    basis, and the eigenvalues of its symmetrization are cos(theta) on the
+    folded rotation planes; eigh yields an orthonormal real basis even for
+    the high-multiplicity negated space. The groups span the retained rank
+    of G; theta = 0 is implicit on the rest of the joint space.
     """
+    m, n = a_scaled.shape
+    gram = np.block([[np.diag(filled), a_scaled], [a_scaled.T, np.eye(n)]])
+    walk = np.block(
+        [
+            [4.0 * (a_scaled @ a_scaled.T) - np.eye(m), 2.0 * a_scaled],
+            [-2.0 * a_scaled.T, -np.eye(n)],
+        ]
+    )
+    lam, vecs = np.linalg.eigh(gram)
+    keep = lam > GRAM_TOL
+    basis = vecs[:, keep] / np.sqrt(lam[keep])
+    w = basis.T @ (gram @ walk) @ basis
     sym_vals, sym_vecs = np.linalg.eigh((w + w.T) / 2.0)
     thetas = np.arccos(np.clip(sym_vals, -1.0, 1.0))
     order = np.argsort(thetas, kind="stable")
+    thetas = thetas[order]
+    coef = basis @ sym_vecs[:, order]
     groups: list[PhaseGroup] = []
     start = 0
-    while start < len(order):
+    while start < len(thetas):
         stop = start + 1
-        while stop < len(order) and thetas[order[stop]] - thetas[order[start]] < PHASE_TOL:
+        while stop < len(thetas) and thetas[stop] - thetas[start] < PHASE_TOL:
             stop += 1
-        idx = order[start:stop]
-        theta = float(np.mean(thetas[idx]))
-        groups.append(PhaseGroup(theta=theta, basis=sym_vecs[:, idx]))
+        theta = float(np.mean(thetas[start:stop]))
+        groups.append(PhaseGroup(theta=theta, coef=coef[:, start:stop]))
         start = stop
-    total = sum(g.dim for g in groups)
-    if total != w.shape[0]:
-        raise MatrixError(f"phase groups span {total} of {w.shape[0]} dimensions")
     return groups
 
 
@@ -387,46 +383,51 @@ def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
 class CircuitSve:
     """Circuit estimation of one input, split into per-input work and rounds.
 
-    Construction does the per-input work once: the register check, |Q x>,
-    the weight and true singular value of every phase group, and the
-    single-round outcome distribution of each group that carries weight.
+    Construction does the per-input work once: the register check, the
+    coordinates of |Q x> in every phase group (from G [0; x] = [A~ x; x]),
+    the group weights and true singular values, and the cumulative kernel
+    of each group that carries weight (cached on the group per grid).
     ``round`` is one boosted estimation: boost_rounds(m, n) draws per
-    carrying group, in group order, each read off at its median bin.
+    carrying group, in group order, each read off at its median bin. The
+    draws come from one ``rng.random`` call and inverse-CDF lookups, the
+    same bits as one ``rng.choice(p=kernel)`` per group in turn.
     """
 
     def __init__(self, wop: WalkOperator, x, grid: PhaseGrid):
         _check_register(wop.m * wop.n, grid)
         self.wop, self.grid = wop, grid
-        self.state = wop.apply_Q(unit_vector(x, wop.n)).reshape(-1)
+        x = unit_vector(x, wop.n)
+        gram_qx = np.concatenate([wop.a_scaled @ x, x])
         self.groups = wop.phase_groups()
-        self.weights = np.array([g.overlap_sq(self.state) for g in self.groups])
+        self.coords = [g.coef.T @ gram_qx for g in self.groups]
+        self.weights = np.array([float(c @ c) for c in self.coords])
         self.sigmas = np.array([np.cos(g.theta / 2.0) * wop.fro for g in self.groups])
-        self.kernels = {
-            gid: qpe_bin_probabilities(g.theta, grid)
-            for gid, g in enumerate(self.groups)
-            if self.weights[gid] >= COMPONENT_TOL**2
-        }
+        self.carrying = np.flatnonzero(self.weights >= COMPONENT_TOL**2)
+        self.cdfs = [self.groups[gid].cdf(grid) for gid in self.carrying]
 
     def round(self, rng: np.random.Generator) -> list[SveComponent]:
-        rounds = boost_rounds(self.wop.m, self.wop.n)
-        comps = []
-        for gid, probs in self.kernels.items():
-            theta = self.groups[gid].theta
-            b, theta_est = median_bin(
-                sample_phase_bins(theta, self.grid, rounds, rng, probs), self.grid
+        draws = rng.random((len(self.carrying), boost_rounds(self.wop.m, self.wop.n)))
+        bins = np.array([cdf.searchsorted(u, side="right") for cdf, u in zip(self.cdfs, draws)])
+        picked, theta_est = median_bin(bins, self.grid)
+        return [
+            SveComponent(
+                index=int(gid),
+                amplitude=float(np.sqrt(self.weights[gid])),
+                sigma=float(self.sigmas[gid]),
+                theta=self.groups[gid].theta,
+                bin=int(picked[k]),
+                theta_est=float(theta_est[k]),
+                sigma_est=float(np.cos(float(theta_est[k]) / 2.0) * self.wop.fro),
             )
-            comps.append(
-                SveComponent(
-                    index=gid,
-                    amplitude=float(np.sqrt(self.weights[gid])),
-                    sigma=float(self.sigmas[gid]),
-                    theta=theta,
-                    bin=b,
-                    theta_est=theta_est,
-                    sigma_est=float(np.cos(theta_est / 2.0) * self.wop.fro),
-                )
-            )
-        return comps
+            for k, gid in enumerate(self.carrying)
+        ]
+
+    def survivor(self, gids) -> np.ndarray:
+        """Q^T of the input's projection onto the given groups: A~^T y + x
+        for the projection's coefficients (y, x)."""
+        m = self.wop.m
+        coef = sum((self.groups[g].coef @ self.coords[g] for g in gids), np.zeros(m + self.wop.n))
+        return self.wop.a_scaled.T @ coef[:m] + coef[m:]
 
 
 def sve_circuit(wop: WalkOperator, x, eps: float, rng: np.random.Generator) -> SveOutput:

@@ -16,9 +16,17 @@ from typing import Sequence
 
 import numpy as np
 
-from qrecsim.errors import ColdStartError, MatrixError
+from qrecsim.errors import ColdStartError, MatrixError, RegisterCapError
 from qrecsim.linalg import SvdFactorization, as_matrix, as_vector
-from qrecsim.qsim import PhaseGrid, WalkOperator, _check_register
+from qrecsim.qsim import (
+    COMPONENT_TOL,
+    PHASE_TOL,
+    PhaseGrid,
+    WalkOperator,
+    _check_register,
+    boost_rounds,
+    qpe_bin_probabilities,
+)
 from qrecsim.recsys import bad_sample_bound, typical_user_bound
 from qrecsim.subsample import _check_nonnegative, _check_positive
 
@@ -142,14 +150,54 @@ class QuantumState:
         return float(np.abs(np.vdot(self.vec, other.vec)))
 
 
-class OracleWalk(WalkOperator):
-    """The walk's reflections applied matrix-free, two ways.
+# Ceiling on the joint dimension when W is formed densely.
+MATERIALIZE_CAP = 1 << 11
 
-    P maps y to y_i |i>|A_i>; empty rows are outside its domain, so applying
-    P to amplitude on such a row is an error. U and V follow from the
-    projectors; ``apply_U_completed`` and ``apply_V_completed`` reach the
-    same reflections through explicit Householder basis completions.
+
+class OracleWalk(WalkOperator):
+    """The walk's reflections applied matrix-free two ways, and densely.
+
+    Q maps x to A~_i x_j (``apply_Q``, with adjoint ``apply_Qt``). P maps y
+    to y_i |i>|A_i>; empty rows are outside its domain, so applying P to
+    amplitude on such a row is an error. U and V follow from the projectors;
+    ``apply_U_completed`` and ``apply_V_completed`` reach the same
+    reflections through explicit Householder basis completions.
+    ``matrices`` gives P and Q densely, ``materialize_W`` the mn x mn walk,
+    and ``dense_phase_groups`` its rotation planes over the whole joint
+    space, the reference for the package's span decomposition.
     """
+
+    def apply_Q(self, x: np.ndarray) -> np.ndarray:
+        return np.outer(self.a_tilde, np.asarray(x))
+
+    def apply_Qt(self, s: np.ndarray) -> np.ndarray:
+        return self.a_tilde @ s
+
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense P (mn x m) and Q (mn x n); empty rows give zero columns."""
+        mn = self.m * self.n
+        p = np.zeros((mn, self.m))
+        for i in range(self.m):
+            p[i * self.n : (i + 1) * self.n, i] = self.row_states[i]
+        q = np.zeros((mn, self.n))
+        for j in range(self.n):
+            q[j :: self.n, j] = self.a_tilde
+        return p, q
+
+    def materialize_W(self) -> np.ndarray:
+        mn = self.m * self.n
+        if mn > MATERIALIZE_CAP:
+            raise RegisterCapError(
+                f"joint dimension {mn} exceeds the dense-walk cap {MATERIALIZE_CAP}"
+            )
+        p, q = self.matrices()
+        u = 2.0 * (p @ p.T) - np.eye(mn)
+        v = 2.0 * (q @ q.T) - np.eye(mn)
+        return u @ v
+
+    @cached_property
+    def dense_phase_groups(self) -> list["DenseGroup"]:
+        return dense_groups(self.materialize_W())
 
     def apply_P(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y)
@@ -220,6 +268,72 @@ def _householder_to(target: np.ndarray) -> np.ndarray:
         return np.eye(dim)
     w /= norm
     return np.eye(dim) - 2.0 * np.outer(w, w)
+
+
+@dataclass
+class DenseGroup:
+    """Folded-phase invariant subspace of W with a joint-space basis: the
+    columns of ``basis`` are orthonormal length-mn states."""
+
+    theta: float
+    basis: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+    def overlap_sq(self, s_flat: np.ndarray) -> float:
+        return float(np.linalg.norm(self.basis.T @ s_flat) ** 2)
+
+
+def dense_groups(w: np.ndarray) -> list[DenseGroup]:
+    """Split a real orthogonal matrix into folded-phase invariant subspaces.
+
+    W commutes with its symmetrization (W + W^T) / 2, whose eigenvalues are
+    cos(theta) and whose eigenspaces are exactly the folded rotation planes.
+    eigh yields an orthonormal real basis even for the high-multiplicity
+    fixed and negated spaces, where a plain eigendecomposition of W can
+    return a numerically dependent set. The groups span every dimension.
+    """
+    sym_vals, sym_vecs = np.linalg.eigh((w + w.T) / 2.0)
+    thetas = np.arccos(np.clip(sym_vals, -1.0, 1.0))
+    order = np.argsort(thetas, kind="stable")
+    groups: list[DenseGroup] = []
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and thetas[order[stop]] - thetas[order[start]] < PHASE_TOL:
+            stop += 1
+        idx = order[start:stop]
+        groups.append(DenseGroup(theta=float(np.mean(thetas[idx])), basis=sym_vecs[:, idx]))
+        start = stop
+    total = sum(g.dim for g in groups)
+    if total != w.shape[0]:
+        raise MatrixError(f"phase groups span {total} of {w.shape[0]} dimensions")
+    return groups
+
+
+def sample_phase_bins(
+    theta: float, grid: PhaseGrid, rounds: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One group's single-round outcomes, drawn by ``rng.choice`` on the kernel."""
+    return rng.choice(grid.size, size=rounds, p=qpe_bin_probabilities(theta, grid))
+
+
+def sequential_round(
+    thetas, weights, m: int, n: int, grid: PhaseGrid, rng: np.random.Generator
+) -> list[tuple[int, int, float]]:
+    """(group, median bin, its folded phase) for each group carrying weight,
+    drawing each group's rounds in turn with ``sample_phase_bins`` and
+    taking the stable median of the folded phases."""
+    out = []
+    for gid, (theta, weight) in enumerate(zip(thetas, weights)):
+        if weight >= COMPONENT_TOL**2:
+            bins = sample_phase_bins(theta, grid, boost_rounds(m, n), rng)
+            folded = grid.theta_of(bins)
+            k = np.argsort(folded, kind="stable")[len(bins) // 2]
+            out.append((gid, int(bins[k]), float(folded[k])))
+    return out
 
 
 def qpe_joint_state(wop: OracleWalk, s: np.ndarray, grid: PhaseGrid) -> np.ndarray:

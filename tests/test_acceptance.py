@@ -27,6 +27,7 @@ from qrecsim.store import MatrixStore, RowTree
 from qrecsim.subsample import subsample
 
 from oracles import (
+    OracleWalk,
     QuantumState,
     bad_mass,
     band_indices,
@@ -113,7 +114,7 @@ def test_criterion_2_walk_correspondence():
         m = int(rng.integers(2, 17))
         n = int(rng.integers(2, 17))
         a = _full_rows(rng, m, n)
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         p, q = w.matrices()
         fro = np.linalg.norm(a)
         factor_err = float(np.max(np.abs(p.T @ q - a / fro)))

@@ -77,10 +77,10 @@ def test_circuit_sve_draws():
     out = sve_circuit(WalkOperator.from_dense(SMALL), SMALL_X, 0.05, stream(5, "golden", "sve"))
     assert out.grid.bits == 8
     assert [(c.index, c.bin, c.sigma_est.hex()) for c in out.components] == [
-        (3, 53, "0x1.33b75e73f5b5cp+2"),
-        (4, 85, "0x1.8564cd342d511p+1"),
-        (5, 101, "0x1.f722766ea7a58p+0"),
-        (6, 126, "0x1.2fa64ad7c2432p-3"),
+        (0, 53, "0x1.33b75e73f5b5cp+2"),
+        (1, 85, "0x1.8564cd342d511p+1"),
+        (2, 101, "0x1.f722766ea7a58p+0"),
+        (3, 126, "0x1.2fa64ad7c2432p-3"),
     ]
 
 
@@ -90,8 +90,8 @@ def test_circuit_threshold_project_outcome():
         path="circuit",
     )
     assert out.iterations == 2
-    assert out.beta_sq.hex() == "0x1.6c3756f6094d7p-1"
-    assert out.kept_indices() == [3, 4]
+    assert out.beta_sq.hex() == "0x1.6c3756f6094cep-1"
+    assert out.kept_indices() == [0, 1]
     assert hashlib.sha256(out.state.tobytes()).hexdigest() == (
-        "48cd2027fb1d94296cbdb32f615685fc29667b89f92d9b109840dfb02566ee17"
+        "87b177e7347676b3bebb93fdcbba366f35dd292e70250efcb6a4ff273977061b"
     )

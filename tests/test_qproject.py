@@ -15,7 +15,7 @@ from qrecsim.qproject import (
     kept_state,
     threshold_project,
 )
-from qrecsim.qsim import WalkOperator
+from qrecsim.qsim import REGISTER_CAP, PhaseGrid, WalkOperator, sve_circuit
 from qrecsim.store import MatrixStore
 
 from oracles import band_indices, expected_iterations, pseudo_project_row, threshold_indices
@@ -244,7 +244,36 @@ class TestExactPath:
             threshold_project(GAP, GAP_X, GAP_PARAMS, np.random.default_rng(0), path="fast")
 
 
+def planted_instance(seed: int, m: int, n: int, types: int = 4) -> np.ndarray:
+    """Binary preferences of a few user types with 5% flips, half observed."""
+    rng = np.random.default_rng(seed)
+    liked = rng.integers(0, 2, size=(types, n))[rng.integers(0, types, size=m)]
+    liked = np.where(rng.random((m, n)) < 0.05, 1 - liked, liked)
+    return np.where((rng.random((m, n)) < 0.5) & (liked == 1), 2.0, 0.0)
+
+
 class TestCircuitPath:
+    def test_planted_64_by_64(self):
+        a = planted_instance(64, 64, 64)
+        wop = WalkOperator.from_dense(a)
+        params = ProjectionParams(sigma=0.2 * wop.fro)
+        grid = PhaseGrid.for_sigma_precision(params.precision(wop.fro))
+        assert grid.bits == 9 and wop.m * wop.n * grid.size <= REGISTER_CAP
+        rng = np.random.default_rng(64)
+        floor = (1.0 - params.kappa) * params.sigma
+        misses = 0
+        for row in np.flatnonzero(a.any(axis=1)):
+            est = sve_circuit(wop, a[row], params.precision(wop.fro), rng)
+            assert est.grid == grid
+            assert sum(c.amplitude**2 for c in est.components) == pytest.approx(1.0, abs=1e-12)
+            out = threshold_project(wop, a[row], params, rng, path="circuit")
+            assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-12)
+            misses += sum(
+                (c.kept and c.sigma < floor) or (c.sigma >= params.sigma and not c.kept)
+                for c in out.components
+            )
+        assert misses == 0
+
     def test_gap_instance_matches_exact(self):
         wop = WalkOperator.from_dense(GAP)
         rng = np.random.default_rng(11)

@@ -1,12 +1,18 @@
 """Walk operator mechanics, phase estimation, and singular value estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import qrecsim.qsim as qsim
 from qrecsim.errors import EmptyRowError, MatrixError, RegisterCapError
-from qrecsim.linalg import svd
+from qrecsim.linalg import svd, unit_vector
+from qrecsim.qproject import ProjectionParams
 from qrecsim.qsim import (
+    COMPONENT_TOL,
     MAX_GRID_BITS,
+    CircuitSve,
     PhaseGrid,
     WalkOperator,
     boost_rounds,
@@ -14,7 +20,6 @@ from qrecsim.qsim import (
     median_bin,
     prepare_vector_state,
     qpe_bin_probabilities,
-    sample_phase_bins,
     sve,
     sve_circuit,
     sve_exact,
@@ -26,6 +31,8 @@ from oracles import (
     QuantumState,
     dft_phase_distribution,
     qpe_joint_state,
+    sample_phase_bins,
+    sequential_round,
     uncompute_residual_mass,
 )
 
@@ -100,14 +107,14 @@ class TestWalkOperator:
         assert ws.fro == pytest.approx(wd.fro, rel=1e-14)
 
     def test_p_q_isometries(self):
-        w = WalkOperator.from_dense(random_full_matrix(2, 4, 5))
+        w = OracleWalk.from_dense(random_full_matrix(2, 4, 5))
         p, q = w.matrices()
         assert np.max(np.abs(p.T @ p - np.eye(4))) <= 1e-10
         assert np.max(np.abs(q.T @ q - np.eye(5))) <= 1e-10
 
     def test_pt_q_factors_the_matrix(self):
         a = random_full_matrix(3, 5, 4)
-        w = WalkOperator.from_dense(a)
+        w = OracleWalk.from_dense(a)
         p, q = w.matrices()
         assert np.max(np.abs(p.T @ q - a / np.linalg.norm(a))) <= 1e-10
 
@@ -314,7 +321,7 @@ class TestPhaseEstimation:
         a = random_full_matrix(11, 3, 3)
         w = OracleWalk.from_dense(a)
         grid = PhaseGrid(6)
-        group = max(w.phase_groups(), key=lambda g: g.theta * (g.theta < np.pi))
+        group = max(w.dense_phase_groups, key=lambda g: g.theta * (g.theta < np.pi))
         s = group.basis[:, 0].reshape(3, 3)
         joint = qpe_joint_state(w, s, grid)
         marginal = np.sum(np.abs(joint) ** 2, axis=(1, 2))
@@ -375,7 +382,7 @@ class TestPhaseEstimation:
         a = np.diag([1.0, 1.0])
         w = OracleWalk.from_dense(a)  # sigma/fro = 1/sqrt(2), theta = pi/2
         grid = PhaseGrid(4)
-        group = min(w.phase_groups(), key=lambda g: abs(g.theta - np.pi / 2.0))
+        group = min(w.dense_phase_groups, key=lambda g: abs(g.theta - np.pi / 2.0))
         assert group.theta == pytest.approx(np.pi / 2.0, abs=1e-10)
         s = group.basis[:, 0].reshape(2, 2)
         assert uncompute_residual_mass(w, s, grid) <= 1e-10
@@ -385,7 +392,7 @@ class TestPhaseEstimation:
         a = random_full_matrix(14, 2, 3)
         w = OracleWalk.from_dense(a)
         grid = PhaseGrid(5)
-        group = max(w.phase_groups(), key=lambda g: g.dim * (0 < g.theta < np.pi))
+        group = max(w.dense_phase_groups, key=lambda g: g.dim * (0 < g.theta < np.pi))
         s = group.basis[:, 0].reshape(2, 3)
         got = uncompute_residual_mass(w, s, grid)
         probs = qpe_bin_probabilities(group.theta, grid)
@@ -472,9 +479,152 @@ class TestSve:
         w = OracleWalk.from_dense(a)
         s = w.apply_P(f.u[:, 0]).reshape(-1)
         theta_1 = eigenphases(f)[0]
-        best = max(w.phase_groups(), key=lambda g: g.overlap_sq(s))
+        best = max(w.dense_phase_groups, key=lambda g: g.overlap_sq(s))
         assert best.theta == pytest.approx(theta_1, abs=1e-8)
         assert best.overlap_sq(s) >= 0.5
+
+
+def span_test_matrices() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(808)
+    u, v = rng.normal(size=7), rng.normal(size=5)
+    with_empty = rng.normal(size=(6, 5))
+    with_empty[[1, 4]] = 0.0
+    dup = rng.normal(size=(4, 3))
+    dup = np.hstack([dup, dup[:, :1]])
+    return {
+        "random-6x9": rng.normal(size=(6, 9)),
+        "random-9x4": rng.normal(size=(9, 4)),
+        "random-32x32": rng.normal(size=(32, 32)),
+        "empty-rows": with_empty,
+        "duplicate-rows-and-columns": np.vstack([dup, dup[:2], np.zeros((1, 4))]),
+        "rank-1": np.outer(u, v),
+        "rank-1-plus-noise": np.outer(u, v) + 1e-7 * rng.normal(size=(7, 5)),
+        "one-row": rng.normal(size=(1, 6)),
+        "one-column": rng.normal(size=(6, 1)),
+    }
+
+
+def phase_buckets(*theta_lists, tol=1e-6) -> list[float]:
+    """Left edges of clusters of phases that lie within tol of a neighbour."""
+    merged = np.sort(np.concatenate([np.asarray(t, dtype=np.float64) for t in theta_lists]))
+    return [merged[0]] + [b for a, b in zip(merged[:-1], merged[1:]) if b - a >= tol]
+
+
+def bucket_of(theta: float, edges: list[float]) -> int:
+    return int(np.searchsorted(edges, theta, side="right")) - 1
+
+
+class TestSpanDecomposition:
+    """The coefficient-space decomposition against the dense mn x mn walk."""
+
+    @pytest.mark.parametrize("name", sorted(span_test_matrices()))
+    def test_matches_dense_walk(self, name):
+        a = span_test_matrices()[name]
+        m, n = a.shape
+        w = OracleWalk.from_dense(a)
+        f = svd(a)
+        coef_groups, dense_groups = w.phase_groups(), w.dense_phase_groups
+        x = unit_vector(np.cos(np.arange(n) + 0.5), n)
+        qx = w.apply_Q(x).reshape(-1)
+        grid = PhaseGrid(10)
+        est = CircuitSve(w, x, grid)
+        dense_w = np.array([g.overlap_sq(qx) for g in dense_groups])
+        coef_t = np.array([g.theta for g in coef_groups])
+        dense_t = np.array([g.theta for g in dense_groups])
+
+        # Phases away from 0 and pi: coefficient, dense and analytic agree.
+        true_t = 2.0 * np.arccos(np.clip(f.sigma / f.frobenius_norm(), 0.0, 1.0))
+
+        def away(thetas):
+            return thetas[(thetas > 1e-3) & (thetas < np.pi - 1e-3)]
+
+        for theta in away(coef_t):
+            assert np.min(np.abs(dense_t - theta)) <= 1e-10, (name, theta)
+            assert np.min(np.abs(true_t - theta)) <= 1e-10, (name, theta)
+        for theta in away(dense_t):
+            assert np.min(np.abs(coef_t - theta)) <= 1e-10, (name, theta)
+
+        # Group weights of |Q x>, summed per cluster of phases.
+        assert np.sum(est.weights) == pytest.approx(1.0, abs=1e-12)
+        assert sum(g.dim for g in coef_groups) <= m + n
+        edges = phase_buckets(coef_t, dense_t)
+        coef_b = np.zeros(len(edges))
+        dense_b = np.zeros(len(edges))
+        np.add.at(coef_b, [bucket_of(t, edges) for t in coef_t], est.weights)
+        np.add.at(dense_b, [bucket_of(t, edges) for t in dense_t], dense_w)
+        assert np.max(np.abs(coef_b - dense_b)) <= 1e-12, name
+
+        # Kept sets by phase: carrying groups whose rounded estimate clears
+        # the cut of a threshold inside the spectrum.
+        top = f.sigma[: f.rank]
+        sigma = float(np.sqrt(top[0] * top[-1])) if f.rank > 1 else top[0] / 2.0
+        params = ProjectionParams(sigma=sigma)
+
+        def kept(thetas, weights):
+            ests = grid.sigma_of(grid.bin_of(np.asarray(thetas)), f.frobenius_norm())
+            carry = np.asarray(weights) >= COMPONENT_TOL**2
+            return np.flatnonzero(carry & (np.asarray(ests) >= params.cut))
+
+        coef_kept = kept(coef_t, est.weights)
+        dense_kept = kept(dense_t, dense_w)
+        assert {bucket_of(coef_t[g], edges) for g in coef_kept} == {
+            bucket_of(dense_t[g], edges) for g in dense_kept
+        }, name
+        # The survivors map back to the same item-space vector.
+        dense_survivor = w.apply_Qt(
+            sum(dense_groups[g].basis @ (dense_groups[g].basis.T @ qx) for g in dense_kept)
+            .reshape(m, n)
+        )
+        assert np.max(np.abs(est.survivor(coef_kept) - dense_survivor)) <= 1e-10, name
+
+    def test_phase_groups_allocate_nothing_of_size_mn(self):
+        # At 64 x 64 the dense walk alone would be 128 MiB; the span
+        # decomposition works on (m + n)-sized matrices.
+        a = random_full_matrix(60, 64, 64)
+        w = WalkOperator.from_dense(a)
+        tracemalloc.start()
+        try:
+            groups = w.phase_groups()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * (w.m + w.n) ** 2 * 8
+        assert sum(g.dim for g in groups) == w.m + w.n
+
+
+class TestCircuitDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_round_matches_sequential_choice(self, seed):
+        a = random_full_matrix(seed + 70, 5, 7)
+        x = np.random.default_rng(seed).normal(size=7)
+        w = WalkOperator.from_dense(a)
+        grid = PhaseGrid(6 + seed)
+        est = CircuitSve(w, x, grid)
+        thetas = [g.theta for g in est.groups]
+        batched, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = [(c.index, c.bin, c.theta_est) for c in est.round(batched)]
+            want = sequential_round(thetas, est.weights, w.m, w.n, grid, sequential)
+            assert got == want
+        assert batched.random() == sequential.random()
+
+    def test_kernels_built_once_per_walk_and_grid(self, monkeypatch):
+        built = []
+        kernel = qsim.qpe_bin_probabilities
+        def counting(theta, grid):
+            built.append(theta)
+            return kernel(theta, grid)
+
+        monkeypatch.setattr(qsim, "qpe_bin_probabilities", counting)
+        w = WalkOperator.from_dense(random_full_matrix(80, 4, 6))
+        x = np.ones(6)
+        first = CircuitSve(w, x, PhaseGrid(7))
+        assert len(built) == len(first.carrying) > 0
+        built.clear()
+        CircuitSve(w, x, PhaseGrid(7))
+        assert built == []
+        CircuitSve(w, x, PhaseGrid(8))
+        assert len(built) == len(first.carrying)
 
 
 class TestQuantumState:
