@@ -32,7 +32,8 @@ from .errors import EmptyRowError, MatrixError, RegisterCapError
 from .linalg import SvdFactorization, svd, unit_vector
 from .store import MatrixStore, RowTree
 
-# Hard ceiling on simulated amplitudes (phase register times joint index).
+# Hard ceiling on simulated amplitudes (phase register times joint index). The
+# span decomposition's dense (m + n) x (m + n) matrices are held to it too.
 REGISTER_CAP = 1 << 22
 
 # Finest estimation grid. Bin indices are int64, and a bin of 2 pi / 2^62 is
@@ -50,6 +51,11 @@ PHASE_TOL = 1e-8
 # basis vector's error is G's rounding (~1e-16) divided by the eigenvalue.
 # Exact zeros (empty rows, P u = Q v for a rank-one A) land far below it.
 GRAM_TOL = 1e-10
+# Largest entry of |w^T w - I| accepted for the walk w in the span basis. W is
+# orthogonal, so a larger drift means the basis lost orthonormality (a Gram
+# eigenvalue just above GRAM_TOL) and the phases read off w are unreliable.
+# Well-conditioned spans stay near 1e-14.
+BASIS_TOL = 1e-10
 
 
 def prepare_vector_state(tree: RowTree) -> np.ndarray:
@@ -287,8 +293,15 @@ def _phase_groups(a_scaled: np.ndarray, filled: np.ndarray) -> list[PhaseGroup]:
     folded rotation planes; eigh yields an orthonormal real basis even for
     the high-multiplicity negated space. The groups span the retained rank
     of G; theta = 0 is implicit on the rest of the joint space.
+
+    Raises RegisterCapError when (m + n)^2 exceeds REGISTER_CAP, before any
+    allocation, and MatrixError when w is not orthogonal within BASIS_TOL.
     """
     m, n = a_scaled.shape
+    if (m + n) ** 2 > REGISTER_CAP:
+        raise RegisterCapError(
+            f"span decomposition of {(m + n) ** 2} entries exceeds the cap {REGISTER_CAP}"
+        )
     gram = np.block([[np.diag(filled), a_scaled], [a_scaled.T, np.eye(n)]])
     walk = np.block(
         [
@@ -300,6 +313,11 @@ def _phase_groups(a_scaled: np.ndarray, filled: np.ndarray) -> list[PhaseGroup]:
     keep = lam > GRAM_TOL
     basis = vecs[:, keep] / np.sqrt(lam[keep])
     w = basis.T @ (gram @ walk) @ basis
+    drift = float(np.max(np.abs(w.T @ w - np.eye(len(w)))))
+    if drift > BASIS_TOL:
+        raise MatrixError(
+            f"walk is not orthogonal in the span basis (|w^T w - I| reaches {drift:.3g})"
+        )
     sym_vals, sym_vecs = np.linalg.eigh((w + w.T) / 2.0)
     thetas = np.arccos(np.clip(sym_vals, -1.0, 1.0))
     order = np.argsort(thetas, kind="stable")

@@ -242,6 +242,16 @@ class TestCliSve:
         assert main(args) == EXIT_OK
         assert capsys.readouterr().out == first
 
+    def test_circuit_span_cap_is_input_error(self, tmp_path, capsys):
+        # 2047 x 2 passes the register cap on a 5-bit grid, but the span
+        # decomposition would need (2047 + 2)^2 > 2^22 entries per matrix.
+        store_path = tmp_path / "skinny.qrst"
+        MatrixStore.from_dense(np.vstack([np.eye(2), np.zeros((2045, 2))])).save(store_path)
+        code = main(["sve", str(store_path), "--vector", "uniform", "--eps", "0.5",
+                     "--path", "circuit"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: span decomposition of ")
+
     def test_zero_vector_rejected(self, gap_store, capsys):
         assert main(["sve", str(gap_store), "--vector", "0,0", "--eps", "0.1"]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from qrecsim.qproject import ProjectionParams
 from qrecsim.qsim import (
     COMPONENT_TOL,
     MAX_GRID_BITS,
+    REGISTER_CAP,
     CircuitSve,
     PhaseGrid,
     WalkOperator,
@@ -501,7 +502,29 @@ def span_test_matrices() -> dict[str, np.ndarray]:
         "rank-1-plus-noise": np.outer(u, v) + 1e-7 * rng.normal(size=(7, 5)),
         "one-row": rng.normal(size=(1, 6)),
         "one-column": rng.normal(size=(6, 1)),
+        "rank-1-plus-1e-4-noise": near_rank_one(0, 8, 6, 1e-4),
+        "rank-1-plus-3e-5-noise": near_rank_one(0, 8, 6, 3e-5),
     }
+
+
+def near_rank_one(seed: int, m: int, n: int, noise: float) -> np.ndarray:
+    r = np.random.default_rng(seed)
+    return np.outer(r.normal(size=m), r.normal(size=n)) + noise * r.normal(size=(m, n))
+
+
+# 1 - sigma_1 / ||A||_F ~ 5e-9 and ~4e-10: the kept Gram direction P u_1 - Q v_1
+# has an eigenvalue that small, so the span basis is off by ~1e-16 over it and
+# the theta_1 plane splits into two groups (phases 1.93e-4 and 4.25e-4 where the
+# dense walk has 1.93e-4 for both; 0 and 5.78e-5 for a true 5.78e-5). The
+# orthogonality check rejects both bases.
+_NEAR_RANK_ONE = pytest.mark.xfail(
+    raises=MatrixError, strict=True,
+    reason="span basis is ill-conditioned near rank one; needs a rank-revealing basis",
+)
+SPAN_KNOWN_FAILURES = {
+    "rank-1-plus-1e-4-noise": _NEAR_RANK_ONE,
+    "rank-1-plus-3e-5-noise": _NEAR_RANK_ONE,
+}
 
 
 def phase_buckets(*theta_lists, tol=1e-6) -> list[float]:
@@ -517,7 +540,13 @@ def bucket_of(theta: float, edges: list[float]) -> int:
 class TestSpanDecomposition:
     """The coefficient-space decomposition against the dense mn x mn walk."""
 
-    @pytest.mark.parametrize("name", sorted(span_test_matrices()))
+    @pytest.mark.parametrize(
+        "name",
+        [
+            pytest.param(name, marks=SPAN_KNOWN_FAILURES.get(name, ()))
+            for name in sorted(span_test_matrices())
+        ],
+    )
     def test_matches_dense_walk(self, name):
         a = span_test_matrices()[name]
         m, n = a.shape
@@ -543,6 +572,16 @@ class TestSpanDecomposition:
             assert np.min(np.abs(true_t - theta)) <= 1e-10, (name, theta)
         for theta in away(dense_t):
             assert np.min(np.abs(coef_t - theta)) <= 1e-10, (name, theta)
+
+        # Phases near 0 (sigma near ||A||_F): arccos of cos(theta) ~ 1
+        # resolves them only to ~sqrt(machine epsilon) = 1.5e-8.
+        def near_zero(thetas):
+            return thetas[(thetas > 1e-7) & (thetas <= 1e-3)]
+
+        for theta in near_zero(coef_t):
+            assert np.min(np.abs(true_t - theta)) <= 1e-7, (name, theta)
+        for theta in near_zero(true_t):
+            assert np.min(np.abs(coef_t - theta)) <= 1e-7, (name, theta)
 
         # Group weights of |Q x>, summed per cluster of phases.
         assert np.sum(est.weights) == pytest.approx(1.0, abs=1e-12)
@@ -590,6 +629,22 @@ class TestSpanDecomposition:
             tracemalloc.stop()
         assert peak <= 40 * (w.m + w.n) ** 2 * 8
         assert sum(g.dim for g in groups) == w.m + w.n
+
+    def test_span_cap_raises_before_allocating(self):
+        # 2047 x 2 on a 5-bit grid keeps mn * 2^t far under REGISTER_CAP, but
+        # (m + n)^2 = 2049^2 is over it.
+        a = np.zeros((2047, 2))
+        a[:2] = np.eye(2)
+        w = WalkOperator.from_dense(a)
+        assert w.m * w.n * PhaseGrid(5).size <= REGISTER_CAP < (w.m + w.n) ** 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(RegisterCapError, match="span decomposition"):
+                sve_circuit(w, np.ones(2), 0.5, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (w.m + w.n) ** 2
 
 
 class TestCircuitDraws:
