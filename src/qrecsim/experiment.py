@@ -99,7 +99,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     """Execute one run; returns (report, per-user rows for CSV export)."""
     seed = config.seed
     truth = generate_T(config.m, config.n, config.k, config.noise, stream(seed, "preference"))
-    f_truth = svd(truth)
+    f_truth = svd(truth, vectors=False)
     fro_truth = f_truth.frobenius_norm()
     tail_sq = float(np.sum(f_truth.sigma[config.k :] ** 2))
     eps_k = float(np.sqrt(tail_sq) / fro_truth)
@@ -121,7 +121,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     ctx = RecommendContext(store, params)
     kept = ctx.kept
     kept_rank = int(np.sum(kept))
-    surrogate = ctx.f.reconstruct(np.flatnonzero(kept))
+    # The kept-set reconstruction U_k S_k V_k^T, as (A V_k) V_k^T without U.
+    surrogate = (ctx.dense @ ctx.v_kept) @ ctx.v_kept.T
     realized_err = float(np.linalg.norm(truth - surrogate) / fro_truth)
 
     mask = typical_set(ctx.dense, config.gamma)

@@ -3,9 +3,15 @@
 The exact path (phases, threshold projection, the experiment's kept-set
 surrogate) works from one factorization A = sum_i sigma_i u_i v_i^T, so
 this module owns the conventions: singular values are sorted descending
-and strictly positive up to the numerical rank, while the stored U and V are
-complete orthonormal bases (the columns beyond the rank span the null
+and strictly positive up to the numerical rank, while a stored U or V is a
+complete orthonormal basis (the columns beyond the rank span the null
 spaces, which the phase simulator needs).
+
+``svd(a)`` is the full LAPACK factorization and the oracle. Callers that
+read less ask for less: ``vectors=False`` gives the singular values alone,
+and ``floor=f`` gives sigma and V without U, from the eigendecomposition of
+A^T A when f is far enough above that route's rounding (``GRAM_FLOOR``);
+singular values below f are then only certified to lie below it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,12 @@ from .errors import MatrixError
 ORTHO_TOL = 1e-10
 # Reconstruction tolerance, relative to the Frobenius norm of the input.
 RECONSTRUCT_TOL = 1e-8
+# The A^T A route runs only when floor^2 > GRAM_FLOOR * max(m, n) * eps *
+# ||A||_F^2. Forming and diagonalizing A^T A moves each eigenvalue by about
+# max(m, n) * eps * ||A||_F^2, so a singular value at the floor comes out
+# within 1 / (2 GRAM_FLOOR) = 5e-9 relative, and less above it. At n = 1024
+# this admits floors from about 4.8e-3 ||A||_F up.
+GRAM_FLOOR = 1e8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -58,16 +70,18 @@ def unit_vector(x, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdFactorization:
-    """Full SVD of an m x n matrix with the rank made explicit.
+    """SVD of an m x n matrix with the rank made explicit.
 
-    ``u`` is m x m and ``v`` is n x n, both orthonormal; ``sigma`` holds only
-    the ``rank`` strictly positive singular values, descending. Column i of
-    ``v`` for i >= rank spans the kernel of A (singular value zero).
+    ``u`` is m x m and ``v`` is n x n, both orthonormal, or None when the
+    caller did not ask for them; ``sigma`` holds only the ``rank`` strictly
+    positive singular values, descending. Column i of ``v`` for i >= rank
+    spans the kernel of A (singular value zero). From ``svd(a, floor=f)``,
+    values below f are rough: each is certified to lie below f, not resolved.
     """
 
-    u: np.ndarray
+    u: np.ndarray | None
     sigma: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None
     shape: tuple[int, int] = field(default=(0, 0))
 
     @property
@@ -85,6 +99,8 @@ class SvdFactorization:
 
     def reconstruct(self, indices: Sequence[int] | None = None) -> np.ndarray:
         """Sum of sigma_i u_i v_i^T over ``indices`` (default: all of them)."""
+        if self.u is None or self.v is None:
+            raise MatrixError("reconstruction needs a factorization with U and V")
         idx = np.arange(self.rank) if indices is None else np.asarray(indices, dtype=int)
         if idx.size == 0:
             return np.zeros(self.shape)
@@ -93,18 +109,29 @@ class SvdFactorization:
         return (self.u[:, idx] * self.sigma[idx]) @ self.v[:, idx].T
 
 
-def svd(a) -> SvdFactorization:
+def svd(a, vectors: bool = True, floor: float | None = None) -> SvdFactorization:
     """Factor A = U diag(sigma) V^T with a numerical-rank cutoff.
 
     Deterministic for identical input bits. Trailing singular values below
     max(m, n) * eps * sigma_1 are treated as zero and dropped from ``sigma``
-    (their basis vectors remain in U and V).
+    (their basis vectors remain in U and V). With ``vectors=False`` only
+    sigma is computed (``floor`` is then ignored). With a ``floor`` clearing
+    the GRAM_FLOOR rule, sigma and a complete C-contiguous V come from eigh
+    of A^T A and U is None; otherwise the full factorization runs.
     """
     arr = as_matrix(a)
-    u, s, vt = np.linalg.svd(arr, full_matrices=True)
-    if s.size and s[0] > 0.0:
-        cutoff = max(arr.shape) * np.finfo(np.float64).eps * s[0]
-        rank = int(np.sum(s > cutoff))
+    tol = max(arr.shape) * np.finfo(np.float64).eps
+    u = v = None
+    if not vectors:
+        s = np.linalg.svd(arr, compute_uv=False)
+    elif floor is not None and floor**2 > GRAM_FLOOR * tol * float(np.vdot(arr, arr)):
+        lam, vecs = np.linalg.eigh(arr.T @ arr)
+        lam = lam[::-1]
+        # Eigenvalues inside eigh's rounding of A^T A are zero singular values.
+        s = np.sqrt(np.where(lam > tol * lam[0], lam, 0.0))
+        v = np.ascontiguousarray(vecs[:, ::-1])
     else:
-        rank = 0
-    return SvdFactorization(u=u, sigma=s[:rank].copy(), v=vt.T, shape=arr.shape)
+        u, s, vt = np.linalg.svd(arr, full_matrices=True)
+        v = vt.T
+    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0
+    return SvdFactorization(u=u, sigma=s[:rank].copy(), v=v, shape=arr.shape)

@@ -59,6 +59,10 @@ class ProjectionParams:
         """Estimation precision (relative to fro) that keeps the band tight."""
         return (self.kappa / 2.0) * self.sigma / fro
 
+    def retry_limit(self, n: int, beta_sq: float) -> int:
+        """max_iterations when set, else ``default_max_iterations(n, beta_sq)``."""
+        return self.max_iterations or default_max_iterations(n, beta_sq)
+
 
 @dataclass(frozen=True)
 class ProjectionComponent:
@@ -112,24 +116,20 @@ def kept_mask(f: SvdFactorization, params: ProjectionParams) -> np.ndarray:
     return estimated_spectrum(f, params) >= params.cut
 
 
-def kept_state(
-    f: SvdFactorization, alpha: np.ndarray, kept: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """(beta^2, unit survivor state); the state is zero when beta^2 is 0."""
-    beta_sq = float(np.sum(alpha[kept] ** 2))
+def kept_state(v_kept: np.ndarray, alpha_kept: np.ndarray) -> tuple[float, np.ndarray]:
+    """(beta^2, unit survivor state) from the kept right singular vectors and
+    the input's overlaps with them; the state is zero when beta^2 is 0."""
+    beta_sq = float(np.sum(alpha_kept**2))
     if beta_sq <= 0.0:
-        return beta_sq, np.zeros(f.shape[1])
-    state = f.v[:, kept] @ alpha[kept]
+        return beta_sq, np.zeros(v_kept.shape[0])
+    state = v_kept @ alpha_kept
     state /= np.linalg.norm(state)
     return beta_sq, state
 
 
-def attempts_until_success(
-    beta_sq: float, n: int, params: ProjectionParams, rng: np.random.Generator
-) -> int:
+def attempts_until_success(beta_sq: float, limit: int, rng: np.random.Generator) -> int:
     """Attempts, one ``rng.random()`` each, up to the first success; raises
-    ProjectionEmptyError when the budget runs out."""
-    limit = params.max_iterations or default_max_iterations(n, beta_sq)
+    ProjectionEmptyError when ``limit`` attempts all fail."""
     for attempt in range(1, limit + 1):
         if rng.random() < beta_sq:
             return attempt
@@ -184,10 +184,11 @@ def _project_exact(
     f: SvdFactorization, x, params: ProjectionParams, rng: np.random.Generator
 ) -> ProjectionOutcome:
     comps, alpha, kept = exact_kept_components(f, x, params)
-    beta_sq, state = kept_state(f, alpha, kept)
+    beta_sq, state = kept_state(f.v[:, kept], alpha[kept])
+    limit = params.retry_limit(f.shape[1], beta_sq)
     return ProjectionOutcome(
         state=state,
-        iterations=attempts_until_success(beta_sq, f.shape[1], params, rng),
+        iterations=attempts_until_success(beta_sq, limit, rng),
         beta_sq=beta_sq,
         components=tuple(comps),
         path="exact",
@@ -203,7 +204,7 @@ def _project_circuit(
     # A rough retry budget from the deterministic kept set keeps the loop
     # finite; realized kept sets vary only inside the band.
     beta_guess = float(np.sum(est.weights[est.sigmas >= params.cut]))
-    limit = params.max_iterations or default_max_iterations(wop.n, beta_guess)
+    limit = params.retry_limit(wop.n, beta_guess)
     for attempt in range(1, limit + 1):
         comps = tuple(
             ProjectionComponent(

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import EmptyRowError, MatrixError, RegisterCapError
 from .linalg import SvdFactorization, svd, unit_vector
+from .rng import choice_cdf
 from .store import MatrixStore, RowTree
 
 # Hard ceiling on simulated amplitudes (phase register times joint index). The
@@ -43,8 +44,11 @@ MAX_GRID_BITS = 62
 
 # Overlaps below this are treated as absent when reporting components.
 COMPONENT_TOL = 1e-12
-# Eigenphases of W closer than this fall into one phase group.
-PHASE_TOL = 1e-8
+# Eigenphases of W whose cosines differ by less than this fall into one
+# phase group. eigh resolves cos(theta) to about 1e-15 absolute at the sizes
+# the span cap admits; arccos turns that into ~1e-15 in theta mid-range but
+# ~1e-8 near 0 and pi, so grouping compares cosines, not phases.
+COS_TOL = 1e-12
 # Gram eigenvalues of span[P Q] at or below this are dropped from its basis.
 # A direction's Gram eigenvalue is its squared length as a joint-space state,
 # which bounds the share of |Q x>'s weight it can hold; above the cutoff, the
@@ -272,12 +276,10 @@ class PhaseGroup:
 
     def cdf(self, grid: PhaseGrid) -> np.ndarray:
         """Cumulative single-round outcome distribution on a grid, built once
-        per grid and normalized the way ``Generator.choice`` normalizes p."""
+        per grid by ``choice_cdf``."""
         cdf = self._cdfs.get(grid)
         if cdf is None:
-            cdf = qpe_bin_probabilities(self.theta, grid).cumsum()
-            cdf /= cdf[-1]
-            self._cdfs[grid] = cdf
+            cdf = self._cdfs[grid] = choice_cdf(qpe_bin_probabilities(self.theta, grid))
         return cdf
 
 
@@ -321,13 +323,13 @@ def _phase_groups(a_scaled: np.ndarray, filled: np.ndarray) -> list[PhaseGroup]:
     sym_vals, sym_vecs = np.linalg.eigh((w + w.T) / 2.0)
     thetas = np.arccos(np.clip(sym_vals, -1.0, 1.0))
     order = np.argsort(thetas, kind="stable")
-    thetas = thetas[order]
+    thetas, cosines = thetas[order], sym_vals[order]
     coef = basis @ sym_vecs[:, order]
     groups: list[PhaseGroup] = []
     start = 0
     while start < len(thetas):
         stop = start + 1
-        while stop < len(thetas) and thetas[stop] - thetas[start] < PHASE_TOL:
+        while stop < len(thetas) and cosines[start] - cosines[stop] < COS_TOL:
             stop += 1
         theta = float(np.mean(thetas[start:stop]))
         groups.append(PhaseGroup(theta=theta, coef=coef[:, start:stop]))

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import BoundVacuousError, ColdStartError, MatrixError
 from .linalg import SvdFactorization, as_matrix, svd, unit_vector
 from .qproject import ProjectionParams, attempts_until_success, kept_mask, kept_state
+from .rng import choice_cdf
 from .store import MatrixStore
 
 
@@ -156,9 +157,13 @@ class RecommendContext:
     """Projection data for repeated recommendations against one store.
 
     Factorizes the stored matrix and computes the exact kept set once per
-    context (it depends on the matrix alone), then computes each user's
-    overlaps and post-projection distribution once per user; individual
-    calls only consume randomness (retry draws and the final measurement).
+    context (it depends on the matrix alone). The factorization resolves
+    singular values down to (1 - kappa) sigma, the lowest one the kept set
+    can depend on, and keeps V's kept columns, ``v_kept``. Each user's
+    overlaps and post-projection distribution are computed once, and so are
+    the retry budget and inverse CDF of the user's first recommendation;
+    individual calls only consume randomness (retry draws and the final
+    measurement).
     """
 
     def __init__(self, source, params: ProjectionParams):
@@ -167,9 +172,11 @@ class RecommendContext:
         else:
             self.dense = as_matrix(source)
         self.params = params
-        self.f: SvdFactorization = svd(self.dense)
+        self.f: SvdFactorization = svd(self.dense, floor=(1.0 - params.kappa) * params.sigma)
         self.kept = kept_mask(self.f, params)
+        self.v_kept = np.ascontiguousarray(self.f.v[:, self.kept])
         self._users: dict[int, tuple[np.ndarray, float, np.ndarray]] = {}
+        self._draws: dict[int, tuple[int, np.ndarray | None]] = {}
 
     def user_state(self, i: int) -> tuple[np.ndarray, float, np.ndarray]:
         """(probabilities, beta_sq, projected unit row) for user i."""
@@ -180,19 +187,27 @@ class RecommendContext:
         row = self.dense[i]
         if not row.any():
             raise ColdStartError(f"cold-start user: user {i} has no stored entries")
-        alpha = self.f.v.T @ unit_vector(row, self.dense.shape[1])
-        beta_sq, state = kept_state(self.f, alpha, self.kept)
+        alpha = self.v_kept.T @ unit_vector(row, self.dense.shape[1])
+        beta_sq, state = kept_state(self.v_kept, alpha)
         self._users[i] = (state**2, beta_sq, state)
         return self._users[i]
 
     def recommend(self, i: int, rng: np.random.Generator) -> RecommendOutcome:
-        """Project user i's stored row, then measure a product index."""
+        """Project user i's stored row, then measure a product index.
+
+        Draws the same bits as a retry loop followed by ``rng.choice(n,
+        p=probabilities)``.
+        """
         probs, beta_sq, _ = self.user_state(i)
-        n = self.dense.shape[1]
-        attempt = attempts_until_success(beta_sq, n, self.params, rng)
+        if i not in self._draws:
+            # A zero beta_sq exhausts every budget, so its CDF is never read.
+            cdf = choice_cdf(probs) if beta_sq > 0.0 else None
+            self._draws[i] = (self.params.retry_limit(self.dense.shape[1], beta_sq), cdf)
+        limit, cdf = self._draws[i]
+        attempt = attempts_until_success(beta_sq, limit, rng)
         return RecommendOutcome(
             user=i,
-            product=int(rng.choice(n, p=probs)),
+            product=int(cdf.searchsorted(rng.random(), side="right")),
             iterations=attempt,
             beta_sq=beta_sq,
             w_stat=1.0 / beta_sq,

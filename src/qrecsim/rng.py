@@ -13,6 +13,8 @@ import os
 
 import numpy as np
 
+from .errors import MatrixError
+
 SEED_ENV_VAR = "QRECSIM_SEED"
 DEFAULT_SEED = 20160321
 
@@ -42,3 +44,18 @@ def stream(master_seed: int, *names: str) -> np.random.Generator:
     keys = [_name_key(n) for n in names]
     return np.random.default_rng(np.random.SeedSequence([master_seed, *keys]))
 
+
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """Inverse-CDF table for repeated draws from the distribution p.
+
+    Checks p as ``Generator.choice`` does (no negative entry, sum within
+    sqrt(eps) of 1) and normalizes its cumulative sum the same way, so
+    ``cdf.searchsorted(rng.random(), side="right")`` draws the index that
+    ``rng.choice(len(p), p=p)`` would, bit for bit.
+    """
+    atol = np.sqrt(np.finfo(np.float64).eps)
+    if np.any(p < 0.0) or not abs(float(np.sum(p)) - 1.0) <= atol:
+        raise MatrixError("probabilities must be non-negative and sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf

@@ -20,7 +20,7 @@ from qrecsim.errors import ColdStartError, MatrixError, RegisterCapError
 from qrecsim.linalg import SvdFactorization, as_matrix, as_vector
 from qrecsim.qsim import (
     COMPONENT_TOL,
-    PHASE_TOL,
+    COS_TOL,
     PhaseGrid,
     WalkOperator,
     _check_register,
@@ -302,7 +302,7 @@ def dense_groups(w: np.ndarray) -> list[DenseGroup]:
     start = 0
     while start < len(order):
         stop = start + 1
-        while stop < len(order) and thetas[order[stop]] - thetas[order[start]] < PHASE_TOL:
+        while stop < len(order) and sym_vals[order[start]] - sym_vals[order[stop]] < COS_TOL:
             stop += 1
         idx = order[start:stop]
         groups.append(DenseGroup(theta=float(np.mean(thetas[idx])), basis=sym_vecs[:, idx]))

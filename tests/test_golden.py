@@ -40,7 +40,7 @@ def test_experiment_report_digest():
     report, _ = run_experiment(ExperimentConfig(m=64, n=64, seed=20161))
     del report["created"]
     digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
-    assert digest == "1fc1b4b130f81c8338c237dc2cc1dbde1d10811d728d4fc65887865e10665330"
+    assert digest == "5da98a59c46bb05b81794c8022b2c0c8e91ed4fb25f63393c35ff6e802dcd982"
 
 
 def test_cli_recommend_products(tmp_path, capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrecsim import recsys
 from qrecsim.errors import MatrixError
+from qrecsim.experiment import ExperimentConfig, run_experiment
 from qrecsim.linalg import (
     ORTHO_TOL,
     RECONSTRUCT_TOL,
@@ -13,6 +15,10 @@ from qrecsim.linalg import (
     as_matrix,
     svd,
 )
+from qrecsim.qproject import DEFAULT_KAPPA, ProjectionParams, kept_mask
+from qrecsim.recsys import RecommendContext, generate_T, recommendation_sigma
+
+import test_acceptance as acceptance
 
 from oracles import (
     band_indices,
@@ -234,3 +240,142 @@ def test_factorization_shape_mismatch_guard():
     f = SvdFactorization(u=np.eye(2), sigma=np.array([1.0]), v=np.eye(3), shape=(2, 3))
     with pytest.raises(MatrixError):
         f.reconstruct([1])
+
+
+# -- reduced factorizations ----------------------------------------------------
+
+
+def assert_floor_matches_oracle(a: np.ndarray, sigma: float) -> SvdFactorization:
+    """svd(a, floor=(1 - kappa) sigma) against full gesdd: the same kept set,
+    sigma above the floor within 1e-12 relative, the kept-space projector
+    within 1e-10, and beta^2 of every non-empty row within 1e-12."""
+    params = ProjectionParams(sigma=sigma)
+    floor = (1.0 - params.kappa) * sigma
+    got, want = svd(a, floor=floor), svd(a)
+    kept = kept_mask(got, params)
+    assert np.array_equal(kept, kept_mask(want, params))
+    above = int(np.sum(want.sigma > floor))
+    assert got.sigma[:above] == pytest.approx(want.sigma[:above], rel=1e-12, abs=0.0)
+    v_got, v_want = got.v[:, kept], want.v[:, kept]
+    assert np.max(np.abs(v_got @ v_got.T - v_want @ v_want.T), initial=0.0) <= 1e-10
+    rows = a[np.any(a != 0.0, axis=1)]
+    rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+    beta_got = np.sum((rows @ v_got) ** 2, axis=1)
+    beta_want = np.sum((rows @ v_want) ** 2, axis=1)
+    assert np.max(np.abs(beta_got - beta_want), initial=0.0) <= 1e-12
+    return got
+
+
+def recorded_thresholds(monkeypatch, run) -> list[tuple[np.ndarray, float | None]]:
+    """Call ``run()`` and return (matrix, sigma) for every ``svd`` call made
+    by the acceptance suite or a RecommendContext, with the threshold of the
+    ``kept_mask`` call that followed it (None when none did)."""
+    seen: list[list] = []
+    for module in (acceptance, recsys):
+        def factor(a, *args, _svd=module.svd, **kwargs):
+            seen.append([np.array(a, dtype=np.float64), None])
+            return _svd(a, *args, **kwargs)
+
+        def mask(f, params, _mask=module.kept_mask):
+            seen[-1][1] = params.sigma
+            return _mask(f, params)
+
+        monkeypatch.setattr(module, "svd", factor)
+        monkeypatch.setattr(module, "kept_mask", mask)
+    run()
+    monkeypatch.undo()
+    return [(a, sigma) for a, sigma in seen]
+
+
+def bench_experiment_seed(seed: int) -> int:
+    """The experiment seed perfbench derives from a benchmark seed."""
+    return int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
+
+
+class TestReducedSvd:
+    def test_values_only_matches_oracle(self):
+        for seed, (m, n) in enumerate([(7, 5), (5, 7), (64, 64), (40, 90)]):
+            a = random_matrix(seed, m, n)
+            got, want = svd(a, vectors=False), svd(a)
+            assert got.u is None and got.v is None
+            assert got.rank == want.rank
+            assert got.sigma == pytest.approx(want.sigma, rel=1e-14, abs=0.0)
+
+    def test_noise_free_truth_takes_the_exact_reconstruction_path(self):
+        report, _ = run_experiment(
+            ExperimentConfig(m=48, n=40, k=3, noise=0.0, users=4, recs_per_user=2, seed=5)
+        )
+        assert report["instance"]["eps_k"] == 1e-9
+
+    def test_criterion_4_instances(self, monkeypatch):
+        seen = recorded_thresholds(
+            monkeypatch, acceptance.test_criterion_4_projection_sandwich_and_retries
+        )
+        assert len(seen) == 500
+        for a, sigma in seen:
+            assert_floor_matches_oracle(a, sigma)
+
+    def test_criterion_6_instances(self, monkeypatch):
+        seen = recorded_thresholds(
+            monkeypatch, acceptance.test_criterion_6_planted_recommendation_quality
+        )
+        # 150 planted truths (no threshold of their own: give them the
+        # recommendation threshold at p = 1) and the 256 x 256 run's context.
+        assert len(seen) == 151 and seen[-1][1] is not None
+        for a, sigma in seen:
+            if sigma is None:
+                f = svd(a)
+                eps_k = np.sqrt(np.sum(f.sigma[4:] ** 2)) / f.frobenius_norm()
+                sigma = recommendation_sigma(eps_k, 1.0, 4, f.frobenius_norm())
+            assert_floor_matches_oracle(a, sigma)
+
+    @pytest.mark.parametrize("size, seed", [(256, 801), (256, 802), (256, 803), (1024, 801)])
+    def test_benchmark_experiment_contexts(self, monkeypatch, size, seed):
+        config = ExperimentConfig(m=size, n=size, seed=bench_experiment_seed(seed))
+        [(a, sigma)] = recorded_thresholds(monkeypatch, lambda: run_experiment(config))
+        # The experiment's floor sits near 0.05 ||That||_F: far above the
+        # Gram route's rounding, so the context never forms U.
+        assert 0.02 < (1.0 - DEFAULT_KAPPA) * sigma / np.linalg.norm(a) < 0.1
+        assert assert_floor_matches_oracle(a, sigma).u is None
+
+    def test_stream_context_takes_the_gram_branch(self):
+        # The benchmark's stream threshold is at least 0.05 ||A||_F.
+        a = generate_T(256, 256, 4, 0.05, np.random.default_rng(3))
+        ctx = RecommendContext(a, ProjectionParams(sigma=0.05 * np.linalg.norm(a)))
+        assert ctx.f.u is None
+        assert ctx.v_kept.flags["C_CONTIGUOUS"]
+
+    def test_tiny_threshold_context_takes_gesdd(self):
+        t = generate_T(8, 8, 2, 0.2, np.random.default_rng(20))
+        ctx = RecommendContext(t, ProjectionParams(sigma=1e-9))
+        assert ctx.f.u is not None
+        assert np.array_equal(ctx.f.sigma, svd(t).sigma)
+
+    def test_planted_spectrum_below_the_gram_resolution(self):
+        # At threshold 2e-8 the floor is ~1.3e-8, where A^T A's rounding
+        # (~1e-15) swamps the 3e-8 direction's eigenvalue 9e-16.
+        rng = np.random.default_rng(12)
+        u, _ = np.linalg.qr(rng.normal(size=(8, 6)))
+        v, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        a = (u * [1.0, 0.5, 1e-6, 3e-8, 1e-9, 0.0]) @ v.T
+        ctx = RecommendContext(a, ProjectionParams(sigma=2e-8))
+        assert ctx.f.u is not None
+        assert ctx.kept.tolist() == [True, True, True, True, False, False]
+        assert_floor_matches_oracle(a, 2e-8)
+
+    def test_reduced_factorizations_do_not_reconstruct(self):
+        a = random_matrix(4, 30, 20)
+        for f in (svd(a, vectors=False), svd(a, floor=0.5 * np.linalg.norm(a))):
+            assert f.u is None
+            with pytest.raises(MatrixError, match="needs a factorization with U and V"):
+                f.reconstruct()
+
+    @pytest.mark.parametrize("m, n", [(30, 20), (20, 30)])
+    def test_gram_branch_v_is_complete_and_contiguous(self, m, n):
+        a = random_matrix(9, m, n)
+        f = svd(a, floor=0.2 * np.linalg.norm(a))
+        assert f.v.flags["C_CONTIGUOUS"]
+        assert np.max(np.abs(f.v.T @ f.v - np.eye(n))) <= ORTHO_TOL
+        assert f.frobenius_norm() == pytest.approx(np.linalg.norm(a), rel=1e-14)
+        # The n - m null eigenvalues of a wide A^T A are rounding, not rank.
+        assert f.rank == svd(a).rank == min(m, n)

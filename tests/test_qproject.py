@@ -105,7 +105,8 @@ class TestKeptSet:
 
     def test_success_probability_exact_value(self):
         f = svd(GAP)
-        beta_sq = kept_state(f, f.v.T @ unit_vector(GAP_X, 2), kept_mask(f, GAP_PARAMS))[0]
+        v_kept = f.v[:, kept_mask(f, GAP_PARAMS)]
+        beta_sq = kept_state(v_kept, v_kept.T @ unit_vector(GAP_X, 2))[0]
         assert beta_sq == pytest.approx(0.3, abs=1e-12)
 
     def test_sandwich_on_random_matrices(self):
@@ -187,7 +188,8 @@ class TestExactPath:
     def test_vanishing_overlap_fails_fast(self):
         a, params, user = disconnected_instance()
         f = svd(a)
-        beta_sq = kept_state(f, f.v.T @ unit_vector(a[user], 6), kept_mask(f, params))[0]
+        v_kept = f.v[:, kept_mask(f, params)]
+        beta_sq = kept_state(v_kept, v_kept.T @ unit_vector(a[user], 6))[0]
         assert 0.0 < beta_sq <= BETA_SQ_FLOOR
         with pytest.raises(ProjectionEmptyError) as info:
             threshold_project(a, a[user], params, np.random.default_rng(8))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qrecsim import recsys
 from qrecsim.errors import BoundVacuousError, ColdStartError, MatrixError
 from qrecsim.linalg import svd
 from qrecsim.qproject import ProjectionParams
@@ -17,6 +18,7 @@ from qrecsim.recsys import (
     typical_user_bound,
     w_statistic_bound,
 )
+from qrecsim.rng import choice_cdf
 
 from oracles import bad_mass, calibration_ratio, w_statistic
 
@@ -255,3 +257,52 @@ class TestRecommendContext:
         )
         assert chi.pvalue > 0.01
         assert counts[~keep].sum() <= np.ceil(expected[~keep].sum() + 4 * np.sqrt(6000))
+
+
+class TestRecommendDraws:
+    """The per-user draw kernel against the retry loop plus ``rng.choice``."""
+
+    def test_cached_cdf_matches_choice_bit_for_bit(self):
+        t = generate_T(40, 24, 3, 0.1, np.random.default_rng(41))
+        params = ProjectionParams(sigma=0.2 * np.linalg.norm(t))
+        ctx = RecommendContext(t, params)
+        users = [u for u in range(40) if t[u].any()][:5]
+        cached, sequential = np.random.default_rng(7), np.random.default_rng(7)
+        for k in range(3000):
+            user = users[k % len(users)]
+            probs, beta_sq, _ = ctx.user_state(user)
+            out = ctx.recommend(user, cached)
+            attempt = 1
+            while not sequential.random() < beta_sq:
+                attempt += 1
+            product = int(sequential.choice(t.shape[1], p=probs))
+            assert (out.iterations, out.product) == (attempt, product)
+        assert cached.random() == sequential.random()
+
+    def test_second_recommend_builds_no_cdf(self, monkeypatch):
+        built = []
+        real = recsys.choice_cdf
+
+        def counting(p):
+            built.append(len(p))
+            return real(p)
+
+        monkeypatch.setattr(recsys, "choice_cdf", counting)
+        t = generate_T(16, 12, 2, 0.1, np.random.default_rng(5))
+        ctx = RecommendContext(t, ProjectionParams(sigma=0.2 * np.linalg.norm(t)))
+        rng = np.random.default_rng(6)
+        ctx.recommend(3, rng)
+        assert built == [12]
+        ctx.recommend(3, rng)
+        assert built == [12]
+        ctx.recommend(4, rng)
+        assert built == [12, 12]
+
+    def test_choice_cdf_checks_and_normalizes_p_as_choice_does(self):
+        for p in ([0.5, 0.6], [1.5, -0.5]):
+            with pytest.raises(MatrixError, match="non-negative and sum to 1"):
+                choice_cdf(np.array(p))
+        # A sum 1e-9 short of 1 passes the check; the table still ends at 1.
+        cdf = choice_cdf(np.array([0.25, 0.75 - 1e-9]))
+        assert cdf[-1] == 1.0
+        assert cdf[0] == 0.25 / (1.0 - 1e-9)
