@@ -17,7 +17,6 @@ singular values below f are then only certified to lie below it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +24,6 @@ from .errors import MatrixError
 
 # Orthonormality and idempotence tolerance for factorization invariants.
 ORTHO_TOL = 1e-10
-# Reconstruction tolerance, relative to the Frobenius norm of the input.
-RECONSTRUCT_TOL = 1e-8
 # The A^T A route runs only when floor^2 > GRAM_FLOOR * max(m, n) * eps *
 # ||A||_F^2. Forming and diagonalizing A^T A moves each eigenvalue by about
 # max(m, n) * eps * ||A||_F^2, so a singular value at the floor comes out
@@ -97,17 +94,6 @@ class SvdFactorization:
     def frobenius_norm(self) -> float:
         return float(np.sqrt(np.sum(self.sigma**2)))
 
-    def reconstruct(self, indices: Sequence[int] | None = None) -> np.ndarray:
-        """Sum of sigma_i u_i v_i^T over ``indices`` (default: all of them)."""
-        if self.u is None or self.v is None:
-            raise MatrixError("reconstruction needs a factorization with U and V")
-        idx = np.arange(self.rank) if indices is None else np.asarray(indices, dtype=int)
-        if idx.size == 0:
-            return np.zeros(self.shape)
-        if idx.min() < 0 or idx.max() >= self.rank:
-            raise MatrixError("reconstruction index outside the positive spectrum")
-        return (self.u[:, idx] * self.sigma[idx]) @ self.v[:, idx].T
-
 
 def svd(a, vectors: bool = True, floor: float | None = None) -> SvdFactorization:
     """Factor A = U diag(sigma) V^T with a numerical-rank cutoff.
@@ -124,7 +110,7 @@ def svd(a, vectors: bool = True, floor: float | None = None) -> SvdFactorization
     u = v = None
     if not vectors:
         s = np.linalg.svd(arr, compute_uv=False)
-    elif floor is not None and floor**2 > GRAM_FLOOR * tol * float(np.vdot(arr, arr)):
+    elif floor is not None and floor > np.sqrt(GRAM_FLOOR * tol * float(np.vdot(arr, arr))):
         lam, vecs = np.linalg.eigh(arr.T @ arr)
         lam = lam[::-1]
         # Eigenvalues inside eigh's rounding of A^T A are zero singular values.

@@ -11,9 +11,10 @@ on |Q x> therefore estimates singular values in units of ||A||_F.
 
 Two execution paths expose the same interface. The exact path diagonalizes
 the matrix classically and rounds each true phase to the estimation grid; it
-is deterministic and serves as the oracle. The circuit path decomposes W
-inside span[P Q], where |Q x> lies, on (m + n)-dimensional coefficient
-vectors (y, x) of states P y + Q x, so no vector of length mn is formed. It
+is deterministic and serves as the oracle. The circuit path reads W's
+rotation planes off the SVD of A / ||A||_F built from the tree-prepared row
+states: plane i is span{P u_i, Q v_i}, so |Q x> = sum_i (v_i . x) |Q v_i>
+puts weight (v_i . x)^2 on it, and no vector of length mn is formed. It
 splits the input across the folded phase groups there and samples
 phase-register outcomes from the exact single-round kernel with median
 boosting, reproducing the statistics of the quantum procedure without
@@ -34,7 +35,8 @@ from .rng import choice_cdf
 from .store import MatrixStore, RowTree
 
 # Hard ceiling on simulated amplitudes (phase register times joint index). The
-# span decomposition's dense (m + n) x (m + n) matrices are held to it too.
+# span decomposition's SVD, with its m x m U and n x n V, is held to
+# (m + n)^2 <= REGISTER_CAP.
 REGISTER_CAP = 1 << 22
 
 # Finest estimation grid. Bin indices are int64, and a bin of 2 pi / 2^62 is
@@ -45,21 +47,10 @@ MAX_GRID_BITS = 62
 # Overlaps below this are treated as absent when reporting components.
 COMPONENT_TOL = 1e-12
 # Eigenphases of W whose cosines differ by less than this fall into one
-# phase group. eigh resolves cos(theta) to about 1e-15 absolute at the sizes
-# the span cap admits; arccos turns that into ~1e-15 in theta mid-range but
-# ~1e-8 near 0 and pi, so grouping compares cosines, not phases.
+# phase group. The SVD resolves cos(theta) to about 1e-15 absolute at the
+# sizes the span cap admits; arccos turns that into ~1e-15 in theta mid-range
+# but ~1e-8 near 0 and pi, so grouping compares cosines, not phases.
 COS_TOL = 1e-12
-# Gram eigenvalues of span[P Q] at or below this are dropped from its basis.
-# A direction's Gram eigenvalue is its squared length as a joint-space state,
-# which bounds the share of |Q x>'s weight it can hold; above the cutoff, the
-# basis vector's error is G's rounding (~1e-16) divided by the eigenvalue.
-# Exact zeros (empty rows, P u = Q v for a rank-one A) land far below it.
-GRAM_TOL = 1e-10
-# Largest entry of |w^T w - I| accepted for the walk w in the span basis. W is
-# orthogonal, so a larger drift means the basis lost orthonormality (a Gram
-# eigenvalue just above GRAM_TOL) and the phases read off w are unreliable.
-# Well-conditioned spans stay near 1e-14.
-BASIS_TOL = 1e-10
 
 
 def prepare_vector_state(tree: RowTree) -> np.ndarray:
@@ -104,9 +95,11 @@ class WalkOperator:
     P maps y to sum_i y_i |i>|A_i> and Q maps x to |A~> x, where
     ``row_states`` holds the unit rows |A_i> (all-zero for empty rows) and
     ``a_tilde`` the unit vector of row norms; ``a_scaled`` is P^T Q =
-    A / ||A||_F. ``phase_groups`` gives W's rotation planes inside
-    span[P Q] as coefficient vectors (y, x) of states P y + Q x; W is the
-    identity on the rest of the joint space.
+    A / ||A||_F. For a singular triple (sigma_i, u_i, v_i) of A~, W rotates
+    the plane span{P u_i, Q v_i} by theta_i with cos(theta_i / 2) = sigma_i
+    (Jordan's lemma for two reflections), negates Q v_i when sigma_i = 0,
+    and fixes everything orthogonal to span[P Q]. ``phase_groups`` gives
+    the planes |Q x> reaches by their right singular vectors v_i.
     """
 
     def __init__(self, row_states: np.ndarray, a_tilde: np.ndarray, fro: float):
@@ -139,9 +132,32 @@ class WalkOperator:
         return cls(rows, norms / fro, fro)
 
     def phase_groups(self) -> list["PhaseGroup"]:
+        """W's rotation planes reached from span Q, grouped by folded phase.
+
+        V from the SVD of A~ comes in descending sigma, that is ascending
+        theta, with the kernel last at exactly pi, so each group is a run of
+        consecutive columns whose cos(theta) agree within COS_TOL. The
+        groups hold all n columns. Raises RegisterCapError when (m + n)^2
+        exceeds REGISTER_CAP, before any allocation.
+        """
         if self._groups is None:
-            filled = np.any(self.row_states != 0.0, axis=1).astype(np.float64)
-            self._groups = _phase_groups(self.a_scaled, filled)
+            size = (self.m + self.n) ** 2
+            if size > REGISTER_CAP:
+                raise RegisterCapError(
+                    f"span decomposition of {size} entries exceeds the cap {REGISTER_CAP}"
+                )
+            f = svd(self.a_scaled)
+            thetas = eigenphases(f)
+            cosines = np.cos(thetas)
+            self._groups = []
+            start = 0
+            while start < len(thetas):
+                stop = start + 1
+                while stop < len(thetas) and cosines[start] - cosines[stop] < COS_TOL:
+                    stop += 1
+                theta = float(np.mean(thetas[start:stop]))
+                self._groups.append(PhaseGroup(theta=theta, basis=f.v[:, start:stop]))
+                start = stop
         return self._groups
 
 
@@ -258,21 +274,20 @@ def _check_register(mn: int, grid: PhaseGrid) -> None:
 class PhaseGroup:
     """All rotation planes of W sharing one folded phase.
 
-    ``coef`` holds coefficient vectors (y, x), one column each, whose states
-    P y + Q x form a real orthonormal basis of the group's invariant
-    subspace, so projections of real states stay real. Conjugate eigenvector
-    pairs are folded into one group: their estimate registers evolve
-    identically, and treating them separately would split physically
-    inseparable components.
+    ``basis`` holds the planes' right singular vectors v_i, one orthonormal
+    column each, so the part of |Q x> in the group is Q basis basis^T x and
+    projections of real states stay real. Conjugate eigenvector pairs are
+    folded into one group: their estimate registers evolve identically, and
+    treating them separately would split physically inseparable components.
     """
 
     theta: float
-    coef: np.ndarray
+    basis: np.ndarray
     _cdfs: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.coef.shape[1]
+        return self.basis.shape[1]
 
     def cdf(self, grid: PhaseGrid) -> np.ndarray:
         """Cumulative single-round outcome distribution on a grid, built once
@@ -281,60 +296,6 @@ class PhaseGroup:
         if cdf is None:
             cdf = self._cdfs[grid] = choice_cdf(qpe_bin_probabilities(self.theta, grid))
         return cdf
-
-
-def _phase_groups(a_scaled: np.ndarray, filled: np.ndarray) -> list[PhaseGroup]:
-    """Split W inside span[P Q] into folded-phase invariant subspaces.
-
-    With A~ = P^T Q and D = P^T P (``filled``, the 0/1 diagonal of non-empty
-    rows), states P y + Q x have the Gram matrix G = [[D, A~], [A~^T, I]],
-    and W maps the coefficients (y, x) by M = [[4 A~ A~^T - I, 2 A~],
-    [-2 A~^T, -I]]. C = V_G Lambda^{-1/2} over the Gram eigenvalues above
-    GRAM_TOL is an orthonormal basis of the span, C^T G M C is W in that
-    basis, and the eigenvalues of its symmetrization are cos(theta) on the
-    folded rotation planes; eigh yields an orthonormal real basis even for
-    the high-multiplicity negated space. The groups span the retained rank
-    of G; theta = 0 is implicit on the rest of the joint space.
-
-    Raises RegisterCapError when (m + n)^2 exceeds REGISTER_CAP, before any
-    allocation, and MatrixError when w is not orthogonal within BASIS_TOL.
-    """
-    m, n = a_scaled.shape
-    if (m + n) ** 2 > REGISTER_CAP:
-        raise RegisterCapError(
-            f"span decomposition of {(m + n) ** 2} entries exceeds the cap {REGISTER_CAP}"
-        )
-    gram = np.block([[np.diag(filled), a_scaled], [a_scaled.T, np.eye(n)]])
-    walk = np.block(
-        [
-            [4.0 * (a_scaled @ a_scaled.T) - np.eye(m), 2.0 * a_scaled],
-            [-2.0 * a_scaled.T, -np.eye(n)],
-        ]
-    )
-    lam, vecs = np.linalg.eigh(gram)
-    keep = lam > GRAM_TOL
-    basis = vecs[:, keep] / np.sqrt(lam[keep])
-    w = basis.T @ (gram @ walk) @ basis
-    drift = float(np.max(np.abs(w.T @ w - np.eye(len(w)))))
-    if drift > BASIS_TOL:
-        raise MatrixError(
-            f"walk is not orthogonal in the span basis (|w^T w - I| reaches {drift:.3g})"
-        )
-    sym_vals, sym_vecs = np.linalg.eigh((w + w.T) / 2.0)
-    thetas = np.arccos(np.clip(sym_vals, -1.0, 1.0))
-    order = np.argsort(thetas, kind="stable")
-    thetas, cosines = thetas[order], sym_vals[order]
-    coef = basis @ sym_vecs[:, order]
-    groups: list[PhaseGroup] = []
-    start = 0
-    while start < len(thetas):
-        stop = start + 1
-        while stop < len(thetas) and cosines[start] - cosines[stop] < COS_TOL:
-            stop += 1
-        theta = float(np.mean(thetas[start:stop]))
-        groups.append(PhaseGroup(theta=theta, coef=coef[:, start:stop]))
-        start = stop
-    return groups
 
 
 # -- singular value estimation ------------------------------------------------
@@ -404,9 +365,9 @@ class CircuitSve:
     """Circuit estimation of one input, split into per-input work and rounds.
 
     Construction does the per-input work once: the register check, the
-    coordinates of |Q x> in every phase group (from G [0; x] = [A~ x; x]),
-    the group weights and true singular values, and the cumulative kernel
-    of each group that carries weight (cached on the group per grid).
+    coordinates of |Q x> in every phase group (basis^T x), the group
+    weights and true singular values, and the cumulative kernel of each
+    group that carries weight (cached on the group per grid).
     ``round`` is one boosted estimation: boost_rounds(m, n) draws per
     carrying group, in group order, each read off at its median bin. The
     draws come from one ``rng.random`` call and inverse-CDF lookups, the
@@ -417,9 +378,8 @@ class CircuitSve:
         _check_register(wop.m * wop.n, grid)
         self.wop, self.grid = wop, grid
         x = unit_vector(x, wop.n)
-        gram_qx = np.concatenate([wop.a_scaled @ x, x])
         self.groups = wop.phase_groups()
-        self.coords = [g.coef.T @ gram_qx for g in self.groups]
+        self.coords = [g.basis.T @ x for g in self.groups]
         self.weights = np.array([float(c @ c) for c in self.coords])
         self.sigmas = np.array([np.cos(g.theta / 2.0) * wop.fro for g in self.groups])
         self.carrying = np.flatnonzero(self.weights >= COMPONENT_TOL**2)
@@ -443,11 +403,9 @@ class CircuitSve:
         ]
 
     def survivor(self, gids) -> np.ndarray:
-        """Q^T of the input's projection onto the given groups: A~^T y + x
-        for the projection's coefficients (y, x)."""
-        m = self.wop.m
-        coef = sum((self.groups[g].coef @ self.coords[g] for g in gids), np.zeros(m + self.wop.n))
-        return self.wop.a_scaled.T @ coef[:m] + coef[m:]
+        """Q^T of the input's projection onto the given groups: the sum of
+        basis basis^T x over them."""
+        return sum((self.groups[g].basis @ self.coords[g] for g in gids), np.zeros(self.wop.n))
 
 
 def sve_circuit(wop: WalkOperator, x, eps: float, rng: np.random.Generator) -> SveOutput:

@@ -3,9 +3,9 @@
 Oracles may read qrecsim data (walk arrays, ``SvdFactorization`` fields,
 ``PhaseGrid``, caps, error types), but never call the package function they
 are compared against: their value is that they reach the same quantities by
-different algorithms. Beyond that data, the spectral projections build on
-``SvdFactorization.reconstruct``, ``calibration_ratio`` on the package's two
-bounds, and several oracles on its input checks. None of this is package API.
+different algorithms. Beyond that data, ``calibration_ratio`` builds on the
+package's two bounds, and several oracles on its input checks. None of this
+is package API.
 """
 
 from __future__ import annotations
@@ -381,12 +381,27 @@ def uncompute_residual_mass(wop: OracleWalk, s: np.ndarray, grid: PhaseGrid) -> 
 
 # -- spectral projections of a factorization -----------------------------------
 
+# Reconstruction tolerance, relative to the Frobenius norm of the input.
+RECONSTRUCT_TOL = 1e-8
+
+
+def reconstruct(f: SvdFactorization, indices: Sequence[int] | None = None) -> np.ndarray:
+    """Sum of sigma_i u_i v_i^T over ``indices`` (default: all of them)."""
+    if f.u is None or f.v is None:
+        raise MatrixError("reconstruction needs a factorization with U and V")
+    idx = np.arange(f.rank) if indices is None else np.asarray(indices, dtype=int)
+    if idx.size == 0:
+        return np.zeros(f.shape)
+    if idx.min() < 0 or idx.max() >= f.rank:
+        raise MatrixError("reconstruction index outside the positive spectrum")
+    return (f.u[:, idx] * f.sigma[idx]) @ f.v[:, idx].T
+
 
 def truncate_top_k(f: SvdFactorization, k: int) -> np.ndarray:
     """Best rank-k approximation A_k (all of A when k >= rank)."""
     if k < 0:
         raise MatrixError(f"rank k must be >= 0, got {k}")
-    return f.reconstruct(range(min(k, f.rank)))
+    return reconstruct(f, range(min(k, f.rank)))
 
 
 def threshold_indices(f: SvdFactorization, sigma: float) -> list[int]:
@@ -427,7 +442,7 @@ def _kept_indices(
 
 def project_threshold(f: SvdFactorization, sigma: float) -> np.ndarray:
     """A_{>=sigma}: keep exactly the singular directions with sigma_i >= sigma."""
-    return f.reconstruct(threshold_indices(f, sigma))
+    return reconstruct(f, threshold_indices(f, sigma))
 
 
 def project_threshold_family(
@@ -439,7 +454,7 @@ def project_threshold_family(
     band [(1-kappa)*sigma, sigma). A selector index outside the band is an
     input error.
     """
-    return f.reconstruct(_kept_indices(f, sigma, kappa, band_selector))
+    return reconstruct(f, _kept_indices(f, sigma, kappa, band_selector))
 
 
 def pseudo_project_row(

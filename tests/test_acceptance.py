@@ -121,7 +121,7 @@ def test_criterion_2_walk_correspondence():
         if factor_err > 1e-10:
             problems.append(f"run {run}: P^T Q error {factor_err}")
         f = svd(a)
-        walk_thetas = np.array([g.theta for g in w.phase_groups()])
+        walk_thetas = np.array([g.theta for g in w.dense_phase_groups])
         for i in range(f.rank):
             want = 2.0 * np.arccos(min(f.sigma[i] / fro, 1.0))
             miss = float(np.min(np.abs(walk_thetas - want)))

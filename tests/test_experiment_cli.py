@@ -337,6 +337,13 @@ class TestCliRecommend:
         assert main(["recommend", str(wide_store), "--user", "0"]) == EXIT_ERROR
         assert "--sigma" in capsys.readouterr().err
 
+    def test_huge_sigma_is_input_error(self, wide_store, capsys):
+        # The factorization floor (1 - kappa) sigma must not overflow when
+        # squared before the threshold check rejects it.
+        code = main(["recommend", str(wide_store), "--user", "0", "--sigma", "1e300"])
+        assert code == EXIT_ERROR
+        assert "exceeds ||A||_F" in capsys.readouterr().err
+
     def test_zero_count_rejected(self, wide_store, capsys):
         code = main(
             ["recommend", str(wide_store), "--user", "0", "--sigma", "1e-9", "--count", "0"]

@@ -90,8 +90,8 @@ def test_circuit_threshold_project_outcome():
         path="circuit",
     )
     assert out.iterations == 2
-    assert out.beta_sq.hex() == "0x1.6c3756f6094cep-1"
+    assert out.beta_sq.hex() == "0x1.6c3756f6094d7p-1"
     assert out.kept_indices() == [0, 1]
     assert hashlib.sha256(out.state.tobytes()).hexdigest() == (
-        "87b177e7347676b3bebb93fdcbba366f35dd292e70250efcb6a4ff273977061b"
+        "40710ce18c52bdeed2c931ee214b87ccaafa794070868e4e7f72e07a00962a07"
     )

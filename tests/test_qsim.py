@@ -183,7 +183,7 @@ class TestEigenphases:
         groups = sorted(w.phase_groups(), key=lambda g: g.theta)
         cosines = sorted(np.cos(g.theta / 2.0) for g in groups)
         assert cosines == pytest.approx([0.6, 0.8], abs=1e-10)
-        assert sum(g.dim for g in groups) == 4
+        assert sum(g.dim for g in groups) == w.n
         f = svd(a)
         assert sorted(eigenphases(f)) == pytest.approx(
             sorted(2.0 * np.arccos(np.array([0.8, 0.6]))), abs=1e-12
@@ -192,8 +192,8 @@ class TestEigenphases:
     def test_oracle_matches_walk_spectrum(self):
         a = random_full_matrix(7, 4, 3)
         f = svd(a)
-        w = WalkOperator.from_dense(a)
-        walk_thetas = sorted(g.theta for g in w.phase_groups() for _ in range(g.dim))
+        w = OracleWalk.from_dense(a)
+        walk_thetas = sorted(g.theta for g in w.dense_phase_groups for _ in range(g.dim))
         # Every oracle phase appears among the walk's plane angles.
         for theta in eigenphases(f):
             assert min(abs(theta - t) for t in walk_thetas) <= 1e-8
@@ -512,19 +512,25 @@ def near_rank_one(seed: int, m: int, n: int, noise: float) -> np.ndarray:
     return np.outer(r.normal(size=m), r.normal(size=n)) + noise * r.normal(size=(m, n))
 
 
-# 1 - sigma_1 / ||A||_F ~ 5e-9 and ~4e-10: the kept Gram direction P u_1 - Q v_1
-# has an eigenvalue that small, so the span basis is off by ~1e-16 over it and
-# the theta_1 plane splits into two groups (phases 1.93e-4 and 4.25e-4 where the
-# dense walk has 1.93e-4 for both; 0 and 5.78e-5 for a true 5.78e-5). The
-# orthogonality check rejects both bases.
-_NEAR_RANK_ONE = pytest.mark.xfail(
-    raises=MatrixError, strict=True,
-    reason="span basis is ill-conditioned near rank one; needs a rank-revealing basis",
-)
-SPAN_KNOWN_FAILURES = {
-    "rank-1-plus-1e-4-noise": _NEAR_RANK_ONE,
-    "rank-1-plus-3e-5-noise": _NEAR_RANK_ONE,
-}
+# 1 - sigma_1 / ||A||_F ~ 5e-9 and ~4e-10, and the small singular values sit
+# ~1e-5 apart. The dense walk's eigh cannot separate its clusters near pi,
+# about 1e-8 apart in cos(theta), so its weights there are off by ~2e-7, and it
+# reports the fixed space as a theta ~ 1.5e-8 group. Its phases and survivor
+# still agree; the analytic weights stand in for its weights and kept sets.
+DENSE_UNRESOLVED = {"rank-1-plus-1e-4-noise", "rank-1-plus-3e-5-noise"}
+
+
+def planted_subsample(
+    rng: np.random.Generator, m: int, n: int, types: int = 4, flips: float = 0.05,
+    keep: float = 0.5,
+) -> np.ndarray:
+    """User types over items, per-cell flips, then keep-with-p rescaled by 1/p."""
+    liked = rng.integers(0, 2, size=(types, n))
+    liked[np.arange(types), rng.integers(0, n, size=types)] = 1
+    liked = liked[rng.integers(0, types, size=m)]
+    liked = np.where(rng.random((m, n)) < flips, 1 - liked, liked)
+    kept = rng.random((m, n)) < keep
+    return np.where(kept & (liked == 1), 1.0 / keep, 0.0)
 
 
 def phase_buckets(*theta_lists, tol=1e-6) -> list[float]:
@@ -538,64 +544,71 @@ def bucket_of(theta: float, edges: list[float]) -> int:
 
 
 class TestSpanDecomposition:
-    """The coefficient-space decomposition against the dense mn x mn walk."""
+    """The SVD-read rotation planes against the dense mn x mn walk and the exact SVD."""
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            pytest.param(name, marks=SPAN_KNOWN_FAILURES.get(name, ()))
-            for name in sorted(span_test_matrices())
-        ],
-    )
+    @pytest.mark.parametrize("name", sorted(span_test_matrices()))
     def test_matches_dense_walk(self, name):
         a = span_test_matrices()[name]
         m, n = a.shape
         w = OracleWalk.from_dense(a)
         f = svd(a)
-        coef_groups, dense_groups = w.phase_groups(), w.dense_phase_groups
+        walk_groups, dense_groups = w.phase_groups(), w.dense_phase_groups
         x = unit_vector(np.cos(np.arange(n) + 0.5), n)
         qx = w.apply_Q(x).reshape(-1)
         grid = PhaseGrid(10)
         est = CircuitSve(w, x, grid)
         dense_w = np.array([g.overlap_sq(qx) for g in dense_groups])
-        coef_t = np.array([g.theta for g in coef_groups])
+        walk_t = np.array([g.theta for g in walk_groups])
         dense_t = np.array([g.theta for g in dense_groups])
-        if name in ("one-row", "one-column"):
+        if name == "one-row":
             # theta = 0 and one pi group: arccos near pi resolves only ~1e-8,
             # and the pi eigenspace must not split at that scale.
-            assert len(coef_groups) == len(dense_groups) == 2, name
+            assert len(walk_groups) == len(dense_groups) == 2, name
+        if name == "one-column":
+            # The pi eigenspace lies wholly on the P side: no |Q x> reaches it.
+            assert [g.theta for g in walk_groups] == [0.0], name
 
-        # Phases away from 0 and pi: coefficient, dense and analytic agree.
+        # Phases away from 0 and pi: walk, dense and analytic agree.
         true_t = 2.0 * np.arccos(np.clip(f.sigma / f.frobenius_norm(), 0.0, 1.0))
 
         def away(thetas):
             return thetas[(thetas > 1e-3) & (thetas < np.pi - 1e-3)]
 
-        for theta in away(coef_t):
+        for theta in away(walk_t):
             assert np.min(np.abs(dense_t - theta)) <= 1e-10, (name, theta)
             assert np.min(np.abs(true_t - theta)) <= 1e-10, (name, theta)
         for theta in away(dense_t):
-            assert np.min(np.abs(coef_t - theta)) <= 1e-10, (name, theta)
+            assert np.min(np.abs(walk_t - theta)) <= 1e-10, (name, theta)
 
         # Phases near 0 (sigma near ||A||_F): arccos of cos(theta) ~ 1
         # resolves them only to ~sqrt(machine epsilon) = 1.5e-8.
         def near_zero(thetas):
             return thetas[(thetas > 1e-7) & (thetas <= 1e-3)]
 
-        for theta in near_zero(coef_t):
+        for theta in near_zero(walk_t):
             assert np.min(np.abs(true_t - theta)) <= 1e-7, (name, theta)
         for theta in near_zero(true_t):
-            assert np.min(np.abs(coef_t - theta)) <= 1e-7, (name, theta)
+            assert np.min(np.abs(walk_t - theta)) <= 1e-7, (name, theta)
+        # Every group phase, near pi too, is one of the exact phases.
+        exact_t = eigenphases(f)
+        for theta in walk_t:
+            assert np.min(np.abs(exact_t - theta)) <= 1e-7, (name, theta)
 
-        # Group weights of |Q x>, summed per cluster of phases.
+        # Group weights of |Q x>, summed per cluster of phases, against the
+        # overlaps (v_i . x)^2 of the exact SVD and the dense walk's weights.
         assert np.sum(est.weights) == pytest.approx(1.0, abs=1e-12)
-        assert sum(g.dim for g in coef_groups) <= m + n
-        edges = phase_buckets(coef_t, dense_t)
-        coef_b = np.zeros(len(edges))
-        dense_b = np.zeros(len(edges))
-        np.add.at(coef_b, [bucket_of(t, edges) for t in coef_t], est.weights)
-        np.add.at(dense_b, [bucket_of(t, edges) for t in dense_t], dense_w)
-        assert np.max(np.abs(coef_b - dense_b)) <= 1e-12, name
+        assert sum(g.dim for g in walk_groups) == n
+        edges = phase_buckets(walk_t, dense_t, exact_t)
+
+        def bucketed(thetas, weights):
+            out = np.zeros(len(edges))
+            np.add.at(out, [bucket_of(t, edges) for t in thetas], weights)
+            return out
+
+        walk_b = bucketed(walk_t, est.weights)
+        assert np.max(np.abs(walk_b - bucketed(exact_t, (f.v.T @ x) ** 2))) <= 1e-10, name
+        if name not in DENSE_UNRESOLVED:
+            assert np.max(np.abs(walk_b - bucketed(dense_t, dense_w))) <= 1e-12, name
 
         # Kept sets by phase: carrying groups whose rounded estimate clears
         # the cut of a threshold inside the spectrum.
@@ -608,21 +621,36 @@ class TestSpanDecomposition:
             carry = np.asarray(weights) >= COMPONENT_TOL**2
             return np.flatnonzero(carry & (np.asarray(ests) >= params.cut))
 
-        coef_kept = kept(coef_t, est.weights)
+        walk_kept = kept(walk_t, est.weights)
         dense_kept = kept(dense_t, dense_w)
-        assert {bucket_of(coef_t[g], edges) for g in coef_kept} == {
-            bucket_of(dense_t[g], edges) for g in dense_kept
-        }, name
+        if name not in DENSE_UNRESOLVED:
+            assert {bucket_of(walk_t[g], edges) for g in walk_kept} == {
+                bucket_of(dense_t[g], edges) for g in dense_kept
+            }, name
         # The survivors map back to the same item-space vector.
         dense_survivor = w.apply_Qt(
             sum(dense_groups[g].basis @ (dense_groups[g].basis.T @ qx) for g in dense_kept)
             .reshape(m, n)
         )
-        assert np.max(np.abs(est.survivor(coef_kept) - dense_survivor)) <= 1e-10, name
+        assert np.max(np.abs(est.survivor(walk_kept) - dense_survivor)) <= 1e-10, name
+
+    def test_stored_rows_put_no_weight_on_the_kernel(self):
+        # A row of A is orthogonal to null(A), so the theta = pi group gets
+        # only rounding from it; weight above COMPONENT_TOL^2 = 1e-24 there
+        # would draw a component the input does not carry.
+        worst = 0.0
+        for seed in range(22):
+            a = planted_subsample(np.random.default_rng(seed), 32, 32)
+            w = WalkOperator.from_store(MatrixStore.from_dense(a))
+            for row in a[np.any(a != 0.0, axis=1)]:
+                est = CircuitSve(w, row, PhaseGrid(4))
+                at_pi = np.array([abs(g.theta - np.pi) < 1e-6 for g in est.groups])
+                worst = max(worst, float(np.sum(est.weights[at_pi])))
+        assert worst <= 1e-28
 
     def test_phase_groups_allocate_nothing_of_size_mn(self):
         # At 64 x 64 the dense walk alone would be 128 MiB; the span
-        # decomposition works on (m + n)-sized matrices.
+        # decomposition is one SVD of the m x n matrix.
         a = random_full_matrix(60, 64, 64)
         w = WalkOperator.from_dense(a)
         tracemalloc.start()
@@ -632,7 +660,7 @@ class TestSpanDecomposition:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * (w.m + w.n) ** 2 * 8
-        assert sum(g.dim for g in groups) == w.m + w.n
+        assert sum(g.dim for g in groups) == w.n
 
     def test_span_cap_raises_before_allocating(self):
         # 2047 x 2 on a 5-bit grid keeps mn * 2^t far under REGISTER_CAP, but
