@@ -101,6 +101,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     truth = generate_T(config.m, config.n, config.k, config.noise, stream(seed, "preference"))
     f_truth = svd(truth, vectors=False)
     fro_truth = f_truth.frobenius_norm()
+    if fro_truth <= 0.0:
+        raise MatrixError("generated preference matrix is all zero")
     tail_sq = float(np.sum(f_truth.sigma[config.k :] ** 2))
     eps_k = float(np.sqrt(tail_sq) / fro_truth)
     if eps_k <= 0.0:

@@ -205,20 +205,18 @@ def _project_circuit(
     # finite; realized kept sets vary only inside the band.
     beta_guess = float(np.sum(est.weights[est.sigmas >= params.cut]))
     limit = params.retry_limit(wop.n, beta_guess)
+    g = est.carrying
     for attempt in range(1, limit + 1):
-        comps = tuple(
-            ProjectionComponent(
-                c.index, c.amplitude, c.sigma, c.sigma_est, kept=c.sigma_est >= params.cut
-            )
-            for c in est.round(rng)
-        )
-        kept = [c.index for c in comps if c.kept]
-        beta_sq = float(np.sum(est.weights[kept]))
+        _, _, sigma_est = est.round(rng)
+        kept = sigma_est >= params.cut
+        beta_sq = float(np.sum(est.weights[g[kept]]))
         if rng.random() < beta_sq:
-            out = est.survivor(kept)
+            out = est.survivor(g[kept])
             out_norm = np.linalg.norm(out)
             if out_norm <= 0.0:
                 continue
+            cols = (g, np.sqrt(est.weights[g]), est.sigmas[g], sigma_est, kept)
+            comps = tuple(ProjectionComponent(*row) for row in zip(*(c.tolist() for c in cols)))
             return ProjectionOutcome(
                 state=out / out_norm,
                 iterations=attempt,

@@ -25,7 +25,7 @@ procedure would need, mn * 2^t amplitudes, is still capped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,8 @@ class WalkOperator:
         self.fro = float(fro)
         self.m, self.n = row_states.shape
         self.a_scaled = row_states * a_tilde[:, None]
-        self._groups: list[PhaseGroup] | None = None
+        self._groups: PhaseTable | None = None
+        self._kernels: dict[PhaseGrid, np.ndarray] = {}
 
     @classmethod
     def from_store(cls, store: MatrixStore) -> "WalkOperator":
@@ -131,14 +132,15 @@ class WalkOperator:
         rows = np.divide(arr, norms[:, None], out=np.zeros_like(arr), where=norms[:, None] > 0)
         return cls(rows, norms / fro, fro)
 
-    def phase_groups(self) -> list["PhaseGroup"]:
+    def phase_groups(self) -> "PhaseTable":
         """W's rotation planes reached from span Q, grouped by folded phase.
 
         V from the SVD of A~ comes in descending sigma, that is ascending
         theta, with the kernel last at exactly pi, so each group is a run of
-        consecutive columns whose cos(theta) agree within COS_TOL. The
-        groups hold all n columns. Raises RegisterCapError when (m + n)^2
-        exceeds REGISTER_CAP, before any allocation.
+        consecutive columns whose cos(theta) agree within COS_TOL, and its
+        phase is the mean over the run. The groups hold all n columns.
+        Raises RegisterCapError when (m + n)^2 exceeds REGISTER_CAP, before
+        any allocation.
         """
         if self._groups is None:
             size = (self.m + self.n) ** 2
@@ -149,16 +151,25 @@ class WalkOperator:
             f = svd(self.a_scaled)
             thetas = eigenphases(f)
             cosines = np.cos(thetas)
-            self._groups = []
+            starts, phases = [], []
             start = 0
             while start < len(thetas):
                 stop = start + 1
                 while stop < len(thetas) and cosines[start] - cosines[stop] < COS_TOL:
                     stop += 1
-                theta = float(np.mean(thetas[start:stop]))
-                self._groups.append(PhaseGroup(theta=theta, basis=f.v[:, start:stop]))
+                starts.append(start)
+                phases.append(np.mean(thetas[start:stop]))
                 start = stop
+            self._groups = PhaseTable(v=f.v, start=np.array(starts), theta=np.array(phases))
         return self._groups
+
+    def kernels(self, grid: PhaseGrid) -> np.ndarray:
+        """Each phase group's cumulative single-round outcome distribution on
+        a grid (``choice_cdf`` of its kernel), one row per group, built once."""
+        if grid not in self._kernels:
+            cdfs = [choice_cdf(qpe_bin_probabilities(t, grid)) for t in self.phase_groups().theta]
+            self._kernels[grid] = np.array(cdfs)
+        return self._kernels[grid]
 
 
 def eigenphases(f: SvdFactorization) -> np.ndarray:
@@ -270,32 +281,29 @@ def _check_register(mn: int, grid: PhaseGrid) -> None:
 # -- rotation-plane decomposition --------------------------------------------
 
 
-@dataclass
-class PhaseGroup:
-    """All rotation planes of W sharing one folded phase.
+@dataclass(frozen=True)
+class PhaseTable:
+    """W's rotation planes reached from span Q, grouped by folded phase.
 
-    ``basis`` holds the planes' right singular vectors v_i, one orthonormal
-    column each, so the part of |Q x> in the group is Q basis basis^T x and
-    projections of real states stay real. Conjugate eigenvector pairs are
-    folded into one group: their estimate registers evolve identically, and
-    treating them separately would split physically inseparable components.
+    Group g has phase ``theta[g]`` and holds the planes' right singular
+    vectors v_g = v[:, start[g]:start[g + 1]] (the last group runs to column
+    n), so the part of |Q x> in it is Q v_g v_g^T x. Conjugate eigenvector
+    pairs fold into one group: their estimate registers evolve identically,
+    and treating them separately would split physically inseparable
+    components.
     """
 
-    theta: float
-    basis: np.ndarray
-    _cdfs: dict = field(default_factory=dict, repr=False)
+    v: np.ndarray
+    start: np.ndarray
+    theta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.theta)
 
     @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def cdf(self, grid: PhaseGrid) -> np.ndarray:
-        """Cumulative single-round outcome distribution on a grid, built once
-        per grid by ``choice_cdf``."""
-        cdf = self._cdfs.get(grid)
-        if cdf is None:
-            cdf = self._cdfs[grid] = choice_cdf(qpe_bin_probabilities(self.theta, grid))
-        return cdf
+    def dim(self) -> np.ndarray:
+        """Columns per group."""
+        return np.diff(self.start, append=self.v.shape[1])
 
 
 # -- singular value estimation ------------------------------------------------
@@ -326,11 +334,6 @@ class SveOutput:
     grid: PhaseGrid
     fro: float
     path: str
-
-    def max_error(self, min_amplitude: float = 1e-9) -> float:
-        """Largest |sigma_est - sigma| over components carrying amplitude."""
-        errs = [abs(c.sigma_est - c.sigma) for c in self.components if c.amplitude > min_amplitude]
-        return max(errs, default=0.0)
 
 
 def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
@@ -365,47 +368,40 @@ class CircuitSve:
     """Circuit estimation of one input, split into per-input work and rounds.
 
     Construction does the per-input work once: the register check, the
-    coordinates of |Q x> in every phase group (basis^T x), the group
-    weights and true singular values, and the cumulative kernel of each
-    group that carries weight (cached on the group per grid).
+    coordinates V^T x of |Q x> in the walk's planes, the group weights and
+    true singular values, and the groups that carry weight.
     ``round`` is one boosted estimation: boost_rounds(m, n) draws per
     carrying group, in group order, each read off at its median bin. The
-    draws come from one ``rng.random`` call and inverse-CDF lookups, the
-    same bits as one ``rng.choice(p=kernel)`` per group in turn.
+    draws come from one ``rng.random`` call and inverse-CDF lookups in the
+    walk's kernel table, the same bits as one ``rng.choice(p=kernel)`` per
+    group in turn.
     """
 
     def __init__(self, wop: WalkOperator, x, grid: PhaseGrid):
         _check_register(wop.m * wop.n, grid)
         self.wop, self.grid = wop, grid
-        x = unit_vector(x, wop.n)
         self.groups = wop.phase_groups()
-        self.coords = [g.basis.T @ x for g in self.groups]
-        self.weights = np.array([float(c @ c) for c in self.coords])
-        self.sigmas = np.array([np.cos(g.theta / 2.0) * wop.fro for g in self.groups])
+        self.coords = self.groups.v.T @ unit_vector(x, wop.n)
+        self.weights = np.add.reduceat(self.coords**2, self.groups.start)
+        self.sigmas = np.cos(self.groups.theta / 2.0) * wop.fro
         self.carrying = np.flatnonzero(self.weights >= COMPONENT_TOL**2)
-        self.cdfs = [self.groups[gid].cdf(grid) for gid in self.carrying]
+        self.kernels = wop.kernels(grid)
 
-    def round(self, rng: np.random.Generator) -> list[SveComponent]:
+    def round(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(bin, theta_est, sigma_est) arrays, one entry per carrying group."""
         draws = rng.random((len(self.carrying), boost_rounds(self.wop.m, self.wop.n)))
-        bins = np.array([cdf.searchsorted(u, side="right") for cdf, u in zip(self.cdfs, draws)])
+        rows = zip(self.carrying, draws)
+        bins = np.array([self.kernels[g].searchsorted(u, side="right") for g, u in rows])
         picked, theta_est = median_bin(bins, self.grid)
-        return [
-            SveComponent(
-                index=int(gid),
-                amplitude=float(np.sqrt(self.weights[gid])),
-                sigma=float(self.sigmas[gid]),
-                theta=self.groups[gid].theta,
-                bin=int(picked[k]),
-                theta_est=float(theta_est[k]),
-                sigma_est=float(np.cos(float(theta_est[k]) / 2.0) * self.wop.fro),
-            )
-            for k, gid in enumerate(self.carrying)
-        ]
+        return picked, theta_est, np.cos(theta_est / 2.0) * self.wop.fro
 
     def survivor(self, gids) -> np.ndarray:
-        """Q^T of the input's projection onto the given groups: the sum of
-        basis basis^T x over them."""
-        return sum((self.groups[g].basis @ self.coords[g] for g in gids), np.zeros(self.wop.n))
+        """Q^T of the input's projection onto the given groups: V_S V_S^T x
+        over their columns S."""
+        keep = np.zeros(len(self.groups), dtype=bool)
+        keep[gids] = True
+        cols = np.repeat(keep, self.groups.dim)
+        return self.groups.v[:, cols] @ self.coords[cols]
 
 
 def sve_circuit(wop: WalkOperator, x, eps: float, rng: np.random.Generator) -> SveOutput:
@@ -417,7 +413,10 @@ def sve_circuit(wop: WalkOperator, x, eps: float, rng: np.random.Generator) -> S
     amplitudes follow the projection of the input.
     """
     est = CircuitSve(wop, x, PhaseGrid.for_sigma_precision(eps))
-    return SveOutput(components=tuple(est.round(rng)), grid=est.grid, fro=wop.fro, path="circuit")
+    g = est.carrying
+    cols = (g, np.sqrt(est.weights[g]), est.sigmas[g], est.groups.theta[g], *est.round(rng))
+    comps = tuple(SveComponent(*row) for row in zip(*(c.tolist() for c in cols)))
+    return SveOutput(components=comps, grid=est.grid, fro=wop.fro, path="circuit")
 
 
 def factorization_of(source) -> SvdFactorization:

@@ -38,10 +38,10 @@ _ROW_COUNT = struct.Struct("<Q")
 _LEAF_DTYPE = np.dtype([("column", "<u8"), ("weight", "<f8"), ("sign", "i1")])
 # Bulk builds and dense reads go this many rows at a time to bound scratch memory.
 _BLOCK_ROWS = 64
-# Largest row or column count ``ingest_triplets`` accepts, inferred or given.
-# A store allocates its row trees up front (about 1.3 KB per row at this
-# width) and every consumer densifies it to m x n float64 (2 GiB at the cap),
-# so one mistyped index would otherwise exhaust memory for a single entry.
+# Largest row or column count that ``ingest_triplets`` (inferred or given) and
+# a ``deserialize`` header accept. A store allocates its row trees up front
+# (about 1.3 KB per row at this width) and every consumer densifies it to m x n
+# float64 (2 GiB at the cap), so one bad index or header would exhaust memory.
 MAX_INGEST_DIM = 1 << 14
 
 
@@ -399,10 +399,10 @@ class MatrixStore:
         Rejected, at the offset of the first bad record: a column outside
         [0, n), a weight that is negative or not finite, a sign outside
         {-1, 0, 1}, and a column not above the one before it in its row
-        (duplicate or out of order). Truncation, trailing bytes and an entry
-        count that disagrees with the header are rejected too. The trees are
-        bulk-built as in ``from_dense``, bit-identical to inserting each
-        record, and ``node_touches`` counts the nodes written.
+        (duplicate or out of order). A shape over MAX_INGEST_DIM, truncation,
+        trailing bytes and an entry count unlike the header's are rejected too.
+        The trees are bulk-built as in ``from_dense``, bit-identical to
+        inserting each record, and ``node_touches`` counts the nodes written.
         """
         if len(blob) < _HEADER.size:
             raise StoreFormatError("truncated header", offset=len(blob))
@@ -411,8 +411,8 @@ class MatrixStore:
             raise StoreFormatError(f"bad magic {magic!r}", offset=0)
         if version != _VERSION:
             raise StoreFormatError(f"unsupported version {version}", offset=4)
-        if m < 1 or n < 1:
-            raise StoreFormatError(f"invalid shape {m}x{n}", offset=8)
+        if not (1 <= m <= MAX_INGEST_DIM and 1 <= n <= MAX_INGEST_DIM):
+            raise StoreFormatError(f"invalid shape {m}x{n} (limit {MAX_INGEST_DIM})", offset=8)
         # Walk the row headers first; records that precede a truncation are
         # still checked, so the earliest fault in the blob is the one reported.
         starts, counts, segments = [], [], []

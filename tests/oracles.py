@@ -22,6 +22,7 @@ from qrecsim.qsim import (
     COMPONENT_TOL,
     COS_TOL,
     PhaseGrid,
+    SveOutput,
     WalkOperator,
     _check_register,
     boost_rounds,
@@ -311,6 +312,12 @@ def dense_groups(w: np.ndarray) -> list[DenseGroup]:
     if total != w.shape[0]:
         raise MatrixError(f"phase groups span {total} of {w.shape[0]} dimensions")
     return groups
+
+
+def max_error(out: SveOutput) -> float:
+    """Largest |sigma_est - sigma| over components carrying amplitude."""
+    errs = [abs(c.sigma_est - c.sigma) for c in out.components if c.amplitude > 0.0]
+    return max(errs, default=0.0)
 
 
 def sample_phase_bins(

@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,6 +416,37 @@ class TestCliMisc:
             main(["--version"])
         assert info.value.code == 0
         assert "qrecsim" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["recommend", "--user", "0", "--sigma", "0.5"],
+            ["sve", "--vector", "uniform", "--eps", "0.1"],
+            ["project", "--vector", "uniform", "--sigma", "0.5"],
+        ],
+    )
+    def test_wide_store_header_is_input_error(self, tmp_path, capsys, command):
+        # One entry in a 1 x 2^36 store: densifying it would take 512 GiB.
+        path = tmp_path / "wide.qrst"
+        path.write_bytes(struct.pack("<4sIQQQQQdb", b"QRST", 1, 1, 1 << 36, 1, 1, 0, 1.0, 1))
+        tracemalloc.start()
+        try:
+            code = main([command[0], str(path), *command[1:]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: invalid shape 1x68719476736")
+        assert peak < 1 << 20
+
+    def test_zero_generated_truth_is_input_error(self, tmp_path, capsys):
+        # At the default seed the one 1 x 1 cell flips to 0.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"m": 1, "n": 1}), encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        assert main(["experiment", str(cfg), "--out", str(report_path)]) == EXIT_ERROR
+        assert "error: generated preference matrix is all zero" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_missing_store_path(self, tmp_path, capsys):
         code = main(["sve", str(tmp_path / "none.qrst"), "--vector", "uniform",

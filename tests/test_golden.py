@@ -35,6 +35,18 @@ SMALL = np.array(
 SMALL_X = np.cos(np.arange(4.0)) + 0.3
 SMALL_SIGMA = 2.4396600205789
 
+# A 4 x 5 matrix with singular values sqrt 3 and sqrt 2 (three times) and a
+# one-dimensional kernel, so its walk has a three-column phase group and a
+# theta = pi group; REPEATED_X puts weight on all three groups.
+REPEATED = np.array(
+    [[1.0, 1.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 1.0],
+     [0.0, 0.0, 1.0, -1.0, 0.0]]
+)
+REPEATED_X = np.array([0.5, -0.2, 1.0, 0.9, -1.6])
+# Float pins hold to this absolute tolerance: how the input's coordinates are
+# summed per group may move them in the last bit, never an integer outcome.
+FLOAT_TOL = 1e-15
+
 
 def test_experiment_report_digest():
     report, _ = run_experiment(ExperimentConfig(m=64, n=64, seed=20161))
@@ -90,8 +102,54 @@ def test_circuit_threshold_project_outcome():
         path="circuit",
     )
     assert out.iterations == 2
-    assert out.beta_sq.hex() == "0x1.6c3756f6094d7p-1"
+    assert out.beta_sq.hex() == "0x1.6c3756f6094d9p-1"
     assert out.kept_indices() == [0, 1]
     assert hashlib.sha256(out.state.tobytes()).hexdigest() == (
-        "40710ce18c52bdeed2c931ee214b87ccaafa794070868e4e7f72e07a00962a07"
+        "bc41366b1d7401e57d935c1d094b26bd8862383ab077aa2584ff498bca47b6d1"
+    )
+
+
+def test_circuit_sve_draws_with_multi_column_groups():
+    out = sve_circuit(
+        WalkOperator.from_dense(REPEATED), REPEATED_X, 0.05, stream(5, "golden", "sve-repeated")
+    )
+    assert out.grid.bits == 8
+    assert [(c.index, c.bin) for c in out.components] == [(0, 78), (1, 88), (2, 128)]
+    got = [[c.amplitude, c.sigma, c.theta, c.theta_est, c.sigma_est] for c in out.components]
+    want = [
+        [0.08023570427399103, 1.7320508075688772, 1.9106332362490186, 1.9144080232812801,
+         1.727424574253536],
+        [0.2516042945381555, 1.4142135623730947, 2.1598272970111707, 2.1598449493429825,
+         1.4141902104779933],
+        [0.9644985799520982, 1.8369701987210297e-16, 3.141592653589793, 3.141592653589793,
+         1.8369701987210297e-16],
+    ]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=FLOAT_TOL)
+
+
+def test_circuit_threshold_project_with_multi_column_groups():
+    out = threshold_project(
+        REPEATED, REPEATED_X, ProjectionParams(sigma=1.2),
+        stream(5, "golden", "circuit-repeated"), path="circuit",
+    )
+    assert out.iterations == 3
+    assert out.kept_indices() == [0, 1]
+    assert [(c.index, c.kept) for c in out.components] == [(0, True), (1, True), (2, False)]
+    np.testing.assert_allclose(
+        [[c.amplitude, c.sigma, c.sigma_est] for c in out.components],
+        [
+            [0.08023570427399103, 1.7320508075688772, 1.727424574253536],
+            [0.2516042945381555, 1.4142135623730947, 1.4141902104779933],
+            [0.9644985799520982, 1.8369701987210297e-16, 1.8369701987210297e-16],
+        ],
+        rtol=0.0,
+        atol=FLOAT_TOL,
+    )
+    assert abs(out.beta_sq - 0.06974248927038626) <= FLOAT_TOL
+    np.testing.assert_allclose(
+        out.state,
+        [0.8770580193070292, -0.35082320772281145, 0.26311740579210907, 0.08770580193070258,
+         0.1754116038614058],
+        rtol=0.0,
+        atol=FLOAT_TOL,
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qrecsim.errors import EmptyRowError, MatrixError, StoreFormatError
-from qrecsim.store import MatrixStore, RowTree, ingest_triplets, parse_triplets
+from qrecsim.store import MAX_INGEST_DIM, MatrixStore, RowTree, ingest_triplets, parse_triplets
 
 from oracles import leaf_scan_weights
 
@@ -335,6 +335,21 @@ class TestSerialization:
             MatrixStore.deserialize(self.blob([[(0, 4.0, 1), (1, 1.0, 1)]])[:-3])
         assert "truncated leaf record in row 0" in str(err.value)
         assert err.value.offset == 57
+
+    @pytest.mark.parametrize(
+        "m, n", [(MAX_INGEST_DIM + 1, 4), (1, MAX_INGEST_DIM + 1), (1, 1 << 36)]
+    )
+    def test_header_shape_beyond_limit_rejected(self, m, n):
+        header = struct.pack("<4sIQQQ", b"QRST", 1, m, n, 1)
+        record = struct.pack("<Q", 1) + struct.pack("<Qdb", 0, 1.0, 1)
+        with pytest.raises(StoreFormatError) as err:
+            MatrixStore.deserialize(header + record)
+        assert f"invalid shape {m}x{n} (limit {MAX_INGEST_DIM})" in str(err.value)
+        assert err.value.offset == 8
+
+    def test_header_shape_at_limit_loads(self):
+        store = MatrixStore.deserialize(self.blob([[(0, 1.0, 1)]], n=MAX_INGEST_DIM))
+        assert (store.m, store.n) == (1, MAX_INGEST_DIM)
 
     def test_entry_count_mismatch(self):
         with pytest.raises(StoreFormatError) as err:
