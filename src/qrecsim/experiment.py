@@ -99,11 +99,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     """Execute one run; returns (report, per-user rows for CSV export)."""
     seed = config.seed
     truth = generate_T(config.m, config.n, config.k, config.noise, stream(seed, "preference"))
-    f_truth = svd(truth, vectors=False)
+    f_truth = svd(truth, vectors=False, top=config.k)
     fro_truth = f_truth.frobenius_norm()
     if fro_truth <= 0.0:
         raise MatrixError("generated preference matrix is all zero")
-    tail_sq = float(np.sum(f_truth.sigma[config.k :] ** 2))
+    tail_sq = float(np.sum(f_truth.sigma[config.k :] ** 2)) + f_truth.rest_sq
     eps_k = float(np.sqrt(tail_sq) / fro_truth)
     if eps_k <= 0.0:
         # Noise-free instances reconstruct exactly; keep bounds well defined.
@@ -131,8 +131,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     typical_idx = np.flatnonzero(mask)
     report_flags: list[str] = [sub_params.status]
 
-    # Sandwich check on the realized kept set (hard invariant).
-    sigmas = np.zeros(ctx.f.shape[1])
+    # Sandwich check on the realized kept set (hard invariant). Directions the
+    # context left unresolved lie below its floor, hence below sigma, and are
+    # never kept, so only the resolved ones can miss.
+    sigmas = np.zeros(kept.size)
     sigmas[: ctx.f.rank] = ctx.f.sigma
     misses = ((sigmas >= sigma) & ~kept) | ((sigmas < (1.0 - config.kappa) * sigma) & kept)
     sandwich_ok = not misses.any()

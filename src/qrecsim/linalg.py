@@ -1,21 +1,41 @@
-"""Dense singular value decomposition and input validation.
+"""Singular value decompositions, full and partial, and input validation.
 
 The exact path (phases, threshold projection, the experiment's kept-set
 surrogate) works from one factorization A = sum_i sigma_i u_i v_i^T, so
 this module owns the conventions: singular values are sorted descending
-and strictly positive up to the numerical rank, while a stored U or V is a
-complete orthonormal basis (the columns beyond the rank span the null
-spaces, which the phase simulator needs).
+and strictly positive up to the numerical rank, ``sigma`` holds the
+resolved ones, and the squared mass they leave out of ||A||_F^2 travels
+with them. A stored U or V is either complete (the columns beyond the rank
+span the null spaces, which the phase simulator needs) or, on the partial
+route, holds only the resolved columns.
 
 ``svd(a)`` is the full LAPACK factorization and the oracle. Callers that
-read less ask for less: ``vectors=False`` gives the singular values alone,
-and ``floor=f`` gives sigma and V without U, from the eigendecomposition of
-A^T A when f is far enough above that route's rounding (``GRAM_FLOOR``);
-singular values below f are then only certified to lie below it.
+read less ask for less, and each request has a partial route that falls
+back to a dense one:
+
+- ``vectors=False`` gives the singular values alone (values-only gesdd).
+  With ``top=k`` it first runs block subspace iteration for the top k
+  values and keeps them when their Ritz residuals bound the mass that the
+  rest leave out of ||A||_F^2 to RITZ_TOL relative; otherwise (for
+  instance when that mass is within rounding, as for a matrix of rank at
+  most k) gesdd runs.
+- ``floor=f`` gives sigma and V without U for every sigma >= f. When f
+  clears the A^T A route's rounding (``GRAM_FLOOR``) it forms G = A^T A and
+  runs block subspace iteration on G. The values at or above f are kept
+  when their Ritz residuals reach RITZ_TOL and a Cholesky factorization
+  certifies that every other singular value lies below f. When the block
+  fills, the iteration stalls or the certificate fails, eigh(G) gives sigma
+  and a complete V, and values below f are then only certified to lie
+  below it. Below the rounding rule the full factorization runs.
+
+The subspace iteration starts from a block drawn with a fixed internal
+seed, so every route depends on the input bits alone and draws from no
+caller's random stream.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +44,27 @@ from .errors import MatrixError
 
 # Orthonormality and idempotence tolerance for factorization invariants.
 ORTHO_TOL = 1e-10
-# The A^T A route runs only when floor^2 > GRAM_FLOOR * max(m, n) * eps *
+# The A^T A routes run only when floor^2 > GRAM_FLOOR * max(m, n) * eps *
 # ||A||_F^2. Forming and diagonalizing A^T A moves each eigenvalue by about
 # max(m, n) * eps * ||A||_F^2, so a singular value at the floor comes out
 # within 1 / (2 GRAM_FLOOR) = 5e-9 relative, and less above it. At n = 1024
 # this admits floors from about 4.8e-3 ||A||_F up.
 GRAM_FLOOR = 1e8
+# Seed of the subspace iteration's start block (internal: no caller's stream).
+RITZ_SEED = 20160321
+# Block width beyond the k wanted values of a top-k request.
+RITZ_OVERSAMPLE = 4
+# Block width of a thresholded request: it can resolve up to RITZ_BLOCK - 1
+# values above the floor; a block that fills falls back to eigh.
+RITZ_BLOCK = 8
+# Sweeps before a partial route gives up and falls back.
+RITZ_SWEEPS = 24
+# Relative accuracy a partial route must reach: each resolved sigma^2 (by
+# its Ritz residual, Weyl's bound) or, for top k, the mass left out.
+RITZ_TOL = 1e-12
+# Rows of the certificate matrix formed per block product.
+CERTIFY_ROWS = 128
+EPS = float(np.finfo(np.float64).eps)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -69,17 +104,22 @@ def unit_vector(x, size: int) -> np.ndarray:
 class SvdFactorization:
     """SVD of an m x n matrix with the rank made explicit.
 
-    ``u`` is m x m and ``v`` is n x n, both orthonormal, or None when the
-    caller did not ask for them; ``sigma`` holds only the ``rank`` strictly
-    positive singular values, descending. Column i of ``v`` for i >= rank
-    spans the kernel of A (singular value zero). From ``svd(a, floor=f)``,
-    values below f are rough: each is certified to lie below f, not resolved.
+    ``sigma`` holds the resolved strictly positive singular values,
+    descending, and ``rest_sq`` the squared mass ||A||_F^2 - sum sigma_i^2
+    that they leave out: 0 when sigma holds them all. ``u`` and ``v`` are
+    None when the caller did not ask for them. A complete ``v`` is n x n
+    and orthonormal, and its column i for i >= rank spans the kernel of A
+    (singular value zero); on the partial route of ``svd(a, floor=f)`` it
+    holds the ``rank`` resolved columns only. From the eigh route of
+    ``svd(a, floor=f)``, values below f are rough: each is certified to lie
+    below f, not resolved.
     """
 
     u: np.ndarray | None
     sigma: np.ndarray
     v: np.ndarray | None
     shape: tuple[int, int] = field(default=(0, 0))
+    rest_sq: float = 0.0
 
     @property
     def rank(self) -> int:
@@ -92,26 +132,38 @@ class SvdFactorization:
         return float(self.sigma[i]) if i < self.rank else 0.0
 
     def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.sigma**2)))
+        return float(np.sqrt(np.sum(self.sigma**2) + self.rest_sq))
 
 
-def svd(a, vectors: bool = True, floor: float | None = None) -> SvdFactorization:
+def svd(
+    a, vectors: bool = True, floor: float | None = None, top: int | None = None
+) -> SvdFactorization:
     """Factor A = U diag(sigma) V^T with a numerical-rank cutoff.
 
     Deterministic for identical input bits. Trailing singular values below
     max(m, n) * eps * sigma_1 are treated as zero and dropped from ``sigma``
     (their basis vectors remain in U and V). With ``vectors=False`` only
-    sigma is computed (``floor`` is then ignored). With a ``floor`` clearing
-    the GRAM_FLOOR rule, sigma and a complete C-contiguous V come from eigh
-    of A^T A and U is None; otherwise the full factorization runs.
+    sigma is computed (``floor`` is then ignored), and ``top=k`` allows the
+    result to hold only the top k values (``top`` is ignored with vectors).
+    With a ``floor`` clearing the GRAM_FLOOR rule, U is None and sigma and a
+    C-contiguous V come from the partial route or eigh of A^T A (see the
+    module docstring); otherwise the full factorization runs.
     """
     arr = as_matrix(a)
-    tol = max(arr.shape) * np.finfo(np.float64).eps
+    tol = max(arr.shape) * EPS
+    fro_sq = float(np.vdot(arr, arr))
     u = v = None
     if not vectors:
+        part = None if top is None else _top_values(arr, top, fro_sq)
+        if part is not None:
+            return part
         s = np.linalg.svd(arr, compute_uv=False)
-    elif floor is not None and floor > np.sqrt(GRAM_FLOOR * tol * float(np.vdot(arr, arr))):
-        lam, vecs = np.linalg.eigh(arr.T @ arr)
+    elif floor is not None and floor > np.sqrt(GRAM_FLOOR * tol * fro_sq):
+        g = arr.T @ arr
+        part = _above_floor(g, floor, fro_sq, arr.shape)
+        if part is not None:
+            return part
+        lam, vecs = np.linalg.eigh(g)
         lam = lam[::-1]
         # Eigenvalues inside eigh's rounding of A^T A are zero singular values.
         s = np.sqrt(np.where(lam > tol * lam[0], lam, 0.0))
@@ -121,3 +173,110 @@ def svd(a, vectors: bool = True, floor: float | None = None) -> SvdFactorization
         v = vt.T
     rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0
     return SvdFactorization(u=u, sigma=s[:rank].copy(), v=v, shape=arr.shape)
+
+
+def _ritz_sweeps(gram_times, n: int, block: int):
+    """Block subspace iteration on a Gram matrix G = A^T A, applied by
+    ``gram_times``: after each sweep, yields the Rayleigh-Ritz eigenvalue
+    estimates (descending), their Ritz vectors and the residual norms
+    ||G v_i - lam_i v_i||. Weyl's inequality puts an eigenvalue of G within
+    each residual of its estimate, and the estimates lie below the
+    eigenvalues they approach (Cauchy interlacing).
+    """
+    start = np.random.default_rng(RITZ_SEED).standard_normal((n, block))
+    x = np.linalg.qr(gram_times(start))[0]
+    while True:
+        gx = gram_times(x)
+        lam, w = np.linalg.eigh(x.T @ gx)
+        lam, w = lam[::-1], w[:, ::-1]
+        vecs = x @ w
+        yield lam, vecs, np.linalg.norm(gx @ w - vecs * lam, axis=0)
+        x = np.linalg.qr(gx)[0]
+
+
+def _top_values(arr: np.ndarray, k: int, fro_sq: float) -> SvdFactorization | None:
+    """The top k singular values and the mass the rest leave out, or None
+    when the residuals cannot bound that mass to RITZ_TOL relative."""
+    m, n = arr.shape
+    block = k + RITZ_OVERSAMPLE
+    if block >= min(m, n):
+        return None
+    # ||A||_F^2 and the k estimates each carry about eps relative rounding.
+    rounding = (k + 1) * EPS * fro_sq
+    sweeps = _ritz_sweeps(lambda x: arr.T @ (arr @ x), n, block)
+    for lam, _, res in itertools.islice(sweeps, RITZ_SWEEPS):
+        rest_sq = fro_sq - float(np.sum(lam[:k]))
+        if rounding > RITZ_TOL * rest_sq:
+            return None
+        if float(np.sum(res[:k])) + rounding <= RITZ_TOL * rest_sq:
+            return SvdFactorization(None, np.sqrt(lam[:k]), None, arr.shape, rest_sq)
+    return None
+
+
+def _above_floor(
+    g: np.ndarray, floor: float, fro_sq: float, shape: tuple[int, int]
+) -> SvdFactorization | None:
+    """Every singular value >= floor with its right vector, from G = A^T A,
+    or None when the block fills, the residuals stall above RITZ_TOL or the
+    certificate fails. G's lower triangle is left as it was."""
+    n = g.shape[0]
+    if RITZ_BLOCK >= n:
+        return None
+    bound = floor * floor
+    for lam, vecs, res in itertools.islice(_ritz_sweeps(g.__matmul__, n, RITZ_BLOCK), RITZ_SWEEPS):
+        r = int(np.sum(lam >= bound))
+        if r == RITZ_BLOCK:
+            return None
+        if np.all(res[:r] <= RITZ_TOL * lam[:r]):
+            break
+    else:
+        return None
+    vecs, lam = vecs[:, :r], lam[:r]
+    if not _certify_below(g, vecs, lam, bound - _certificate_margin(shape, r, fro_sq, bound)):
+        return None
+    rest_sq = fro_sq - float(np.sum(lam))
+    return SvdFactorization(None, np.sqrt(lam), np.ascontiguousarray(vecs), shape, rest_sq)
+
+
+def _certificate_margin(shape: tuple[int, int], r: int, fro_sq: float, bound: float) -> float:
+    """What rounding can hide in the certificate of G - V diag(lam) V^T
+    below ``bound`` (first order in eps, with lam_1 <= ||A||_F^2):
+
+    - forming G = fl(A^T A) moves it by at most m eps ||A||_F^2;
+    - subtracting the rank-r term adds (r + 2) eps (r + 1) ||A||_F^2;
+    - a Cholesky factorization that completes on M proves M + E positive
+      definite with ||E|| <= (n + 1) eps tr(M), and tr(M) <= n * bound.
+
+    No term for the Ritz residual is needed: Weyl's inequality for a rank-r
+    update, lam_{r+1}(G) <= lam_1(G - V diag(lam) V^T), holds whatever V and
+    lam are.
+    """
+    m, n = shape
+    return EPS * ((m + (r + 2) * (r + 1)) * fro_sq + (n + 1) * n * bound)
+
+
+def _certify_below(g: np.ndarray, vecs: np.ndarray, lam: np.ndarray, bound: float) -> bool:
+    """Whether bound * I - (G - V diag(lam) V^T) has a Cholesky factor.
+
+    The matrix is written over G's upper triangle, block by block, and G's
+    diagonal is restored afterwards, so G's lower triangle (all that eigh
+    reads) and its diagonal come back unchanged.
+    """
+    n = g.shape[0]
+    diag = g.diagonal().copy()
+    scaled = vecs * lam
+    for lo in range(0, n, CERTIFY_ROWS):
+        hi = min(lo + CERTIFY_ROWS, n)
+        rows = scaled[lo:hi] @ vecs[lo:].T
+        rows -= g[lo:hi, lo:]
+        below = np.tril_indices(hi - lo, -1)
+        rows[below] = g[lo:hi, lo:hi][below]
+        g[lo:hi, lo:] = rows
+    g.flat[:: n + 1] += bound
+    try:
+        np.linalg.cholesky(g, upper=True)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        g.flat[:: n + 1] = diag
+    return True

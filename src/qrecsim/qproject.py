@@ -99,13 +99,30 @@ def default_max_iterations(n: int, beta_sq: float) -> int:
     return int(np.ceil(base / beta_sq))
 
 
+def projection_grid(params: ProjectionParams, fro: float) -> PhaseGrid:
+    """The estimation grid for a matrix of Frobenius norm ``fro``; a
+    threshold above ``fro`` is rejected."""
+    if params.sigma > fro:
+        raise MatrixError(f"threshold {params.sigma} exceeds ||A||_F = {fro}")
+    return PhaseGrid.for_sigma_precision(params.precision(fro))
+
+
 def estimated_spectrum(f: SvdFactorization, params: ProjectionParams) -> np.ndarray:
     """Grid-rounded estimate for every right basis direction (deterministic)."""
     fro = f.frobenius_norm()
-    if params.sigma > fro:
-        raise MatrixError(f"threshold {params.sigma} exceeds ||A||_F = {fro}")
-    grid = PhaseGrid.for_sigma_precision(params.precision(fro))
+    grid = projection_grid(params, fro)
     return grid.sigma_of(grid.bin_of(eigenphases(f)), fro)
+
+
+def keep_floor(params: ProjectionParams, fro: float) -> float:
+    """The lowest singular value whose estimate can reach the cut.
+
+    Rounding the phase 2 arccos(sigma / fro) to the nearest grid point moves
+    the estimate by at most fro * width / 4, so every sigma below cut -
+    fro * width / 4 is flagged whatever its bin: ``kept_mask`` depends on
+    the singular values at or above this floor and their directions alone.
+    """
+    return params.cut - fro * projection_grid(params, fro).width / 4.0
 
 
 def kept_mask(f: SvdFactorization, params: ProjectionParams) -> np.ndarray:
@@ -155,7 +172,7 @@ def exact_kept_components(
             sigma_est=float(estimates[i]),
             kept=bool(kept[i]),
         )
-        for i in range(f.shape[1])
+        for i in range(kept.size)
     ]
     return comps, alpha, kept
 
@@ -198,9 +215,7 @@ def _project_exact(
 def _project_circuit(
     wop: WalkOperator, x, params: ProjectionParams, rng: np.random.Generator
 ) -> ProjectionOutcome:
-    if params.sigma > wop.fro:
-        raise MatrixError(f"threshold {params.sigma} exceeds ||A||_F = {wop.fro}")
-    est = CircuitSve(wop, x, PhaseGrid.for_sigma_precision(params.precision(wop.fro)))
+    est = CircuitSve(wop, x, projection_grid(params, wop.fro))
     # A rough retry budget from the deterministic kept set keeps the loop
     # finite; realized kept sets vary only inside the band.
     beta_guess = float(np.sum(est.weights[est.sigmas >= params.cut]))

@@ -173,7 +173,8 @@ class WalkOperator:
 
 
 def eigenphases(f: SvdFactorization) -> np.ndarray:
-    """theta_i = 2 arccos(sigma_i / ||A||_F) for every right basis vector.
+    """theta_i = 2 arccos(sigma_i / ||A||_F) for every right basis vector
+    (every column of V, or n of them when V is not stored).
 
     Indices beyond the rank have sigma zero, hence theta = pi: the walk
     negates |Q v_i> when A v_i = 0 because that state is orthogonal to every
@@ -182,7 +183,7 @@ def eigenphases(f: SvdFactorization) -> np.ndarray:
     fro = f.frobenius_norm()
     if fro <= 0.0:
         raise MatrixError("phases are undefined for a zero matrix")
-    ratios = np.zeros(f.shape[1])
+    ratios = np.zeros(f.shape[1] if f.v is None else f.v.shape[1])
     ratios[: f.rank] = f.sigma / fro
     return 2.0 * np.arccos(np.clip(ratios, 0.0, 1.0))
 
@@ -359,7 +360,7 @@ def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
             theta_est=float(theta_est[i]),
             sigma_est=float(sigma_est[i]),
         )
-        for i in range(f.shape[1])
+        for i in range(thetas.size)
     )
     return SveOutput(components=comps, grid=grid, fro=fro, path="exact")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BoundVacuousError, ColdStartError, MatrixError
 from .linalg import SvdFactorization, as_matrix, svd, unit_vector
-from .qproject import ProjectionParams, attempts_until_success, kept_mask, kept_state
+from .qproject import ProjectionParams, attempts_until_success, keep_floor, kept_mask, kept_state
 from .rng import choice_cdf
 from .store import MatrixStore
 
@@ -158,12 +158,13 @@ class RecommendContext:
 
     Factorizes the stored matrix and computes the exact kept set once per
     context (it depends on the matrix alone). The factorization resolves
-    singular values down to (1 - kappa) sigma, the lowest one the kept set
-    can depend on, and keeps V's kept columns, ``v_kept``. Each user's
-    overlaps and post-projection distribution are computed once, and so are
-    the retry budget and inverse CDF of the user's first recommendation;
-    individual calls only consume randomness (retry draws and the final
-    measurement).
+    the singular values down to ``keep_floor``, the lowest one whose grid
+    estimate can reach the cut, and certifies the rest below it; the kept
+    set is over the resolved directions, and ``v_kept`` holds V's kept
+    columns. Each user's overlaps and post-projection distribution are
+    computed once, and so are the retry budget and inverse CDF of the
+    user's first recommendation; individual calls only consume randomness
+    (retry draws and the final measurement).
     """
 
     def __init__(self, source, params: ProjectionParams):
@@ -172,7 +173,8 @@ class RecommendContext:
         else:
             self.dense = as_matrix(source)
         self.params = params
-        self.f: SvdFactorization = svd(self.dense, floor=(1.0 - params.kappa) * params.sigma)
+        floor = keep_floor(params, float(np.linalg.norm(self.dense)))
+        self.f: SvdFactorization = svd(self.dense, floor=floor)
         self.kept = kept_mask(self.f, params)
         self.v_kept = np.ascontiguousarray(self.f.v[:, self.kept])
         self._users: dict[int, tuple[np.ndarray, float, np.ndarray]] = {}

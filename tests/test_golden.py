@@ -52,7 +52,7 @@ def test_experiment_report_digest():
     report, _ = run_experiment(ExperimentConfig(m=64, n=64, seed=20161))
     del report["created"]
     digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
-    assert digest == "5da98a59c46bb05b81794c8022b2c0c8e91ed4fb25f63393c35ff6e802dcd982"
+    assert digest == "65d894c970792af68b88dfb1535e5b92f4a767ca738b2c08280bae443f1ac9bd"
 
 
 def test_cli_recommend_products(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Factorization and spectral projection contracts."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 from qrecsim import recsys
 from qrecsim.errors import MatrixError
 from qrecsim.experiment import ExperimentConfig, run_experiment
-from qrecsim.linalg import ORTHO_TOL, SvdFactorization, as_matrix, svd
-from qrecsim.qproject import DEFAULT_KAPPA, ProjectionParams, kept_mask
+from qrecsim.linalg import ORTHO_TOL, RITZ_BLOCK, SvdFactorization, as_matrix, svd
+from qrecsim.qproject import DEFAULT_KAPPA, ProjectionParams, keep_floor, kept_mask
 from qrecsim.recsys import RecommendContext, generate_T, recommendation_sigma
+from qrecsim.rng import stream
 
 import test_acceptance as acceptance
 
@@ -241,35 +244,40 @@ def test_factorization_shape_mismatch_guard():
 # -- reduced factorizations ----------------------------------------------------
 
 
-def assert_floor_matches_oracle(a: np.ndarray, sigma: float) -> SvdFactorization:
-    """svd(a, floor=(1 - kappa) sigma) against full gesdd: the same kept set,
-    sigma above the floor within 1e-12 relative, the kept-space projector
-    within 1e-10, and beta^2 of every non-empty row within 1e-12."""
+def assert_context_matches_oracle(a: np.ndarray, sigma: float, ctx=None) -> RecommendContext:
+    """What RecommendContext builds (``ctx``, or a new one) against full
+    gesdd: the same kept set, every sigma at or above ``keep_floor`` within
+    1e-12 relative, the kept-space projector within 1e-10, and beta^2 of
+    every non-empty row within 1e-12."""
     params = ProjectionParams(sigma=sigma)
-    floor = (1.0 - params.kappa) * sigma
-    got, want = svd(a, floor=floor), svd(a)
-    kept = kept_mask(got, params)
-    assert np.array_equal(kept, kept_mask(want, params))
-    above = int(np.sum(want.sigma > floor))
-    assert got.sigma[:above] == pytest.approx(want.sigma[:above], rel=1e-12, abs=0.0)
-    v_got, v_want = got.v[:, kept], want.v[:, kept]
+    ctx = ctx or RecommendContext(a, params)
+    want = svd(a)
+    kept = kept_mask(want, params)
+    assert np.array_equal(np.flatnonzero(ctx.kept), np.flatnonzero(kept))
+    above = int(np.sum(want.sigma >= keep_floor(params, np.linalg.norm(a))))
+    assert ctx.f.sigma[:above] == pytest.approx(want.sigma[:above], rel=1e-12, abs=0.0)
+    v_got, v_want = ctx.v_kept, want.v[:, kept]
     assert np.max(np.abs(v_got @ v_got.T - v_want @ v_want.T), initial=0.0) <= 1e-10
     rows = a[np.any(a != 0.0, axis=1)]
     rows = rows / np.linalg.norm(rows, axis=1)[:, None]
     beta_got = np.sum((rows @ v_got) ** 2, axis=1)
     beta_want = np.sum((rows @ v_want) ** 2, axis=1)
     assert np.max(np.abs(beta_got - beta_want), initial=0.0) <= 1e-12
-    return got
+    return ctx
 
 
-def recorded_thresholds(monkeypatch, run) -> list[tuple[np.ndarray, float | None]]:
-    """Call ``run()`` and return (matrix, sigma) for every ``svd`` call made
-    by the acceptance suite or a RecommendContext, with the threshold of the
-    ``kept_mask`` call that followed it (None when none did)."""
+def recorded_thresholds(
+    monkeypatch, run
+) -> list[tuple[np.ndarray, float | None, RecommendContext | None]]:
+    """Call ``run()`` and return (matrix, sigma, context) for every ``svd``
+    call made by the acceptance suite or a RecommendContext, with the
+    threshold of the ``kept_mask`` call that followed it (None when none
+    did) and the RecommendContext that made the call (None for the suite's
+    own calls)."""
     seen: list[list] = []
     for module in (acceptance, recsys):
         def factor(a, *args, _svd=module.svd, **kwargs):
-            seen.append([np.array(a, dtype=np.float64), None])
+            seen.append([np.array(a, dtype=np.float64), None, None])
             return _svd(a, *args, **kwargs)
 
         def mask(f, params, _mask=module.kept_mask):
@@ -278,9 +286,33 @@ def recorded_thresholds(monkeypatch, run) -> list[tuple[np.ndarray, float | None
 
         monkeypatch.setattr(module, "svd", factor)
         monkeypatch.setattr(module, "kept_mask", mask)
+
+    def build(ctx, *args, _init=RecommendContext.__init__, **kwargs):
+        _init(ctx, *args, **kwargs)
+        seen[-1][2] = ctx
+
+    monkeypatch.setattr(RecommendContext, "__init__", build)
     run()
     monkeypatch.undo()
-    return [(a, sigma) for a, sigma in seen]
+    return [tuple(entry) for entry in seen]
+
+
+def oracle_eps_k(config: ExperimentConfig) -> float:
+    """eps_k of the experiment's truth from the full gesdd spectrum."""
+    rng = stream(config.seed, "preference")
+    truth = generate_T(config.m, config.n, config.k, config.noise, rng)
+    s = svd(truth, vectors=False).sigma
+    return float(np.sqrt(np.sum(s[config.k :] ** 2) / np.sum(s**2)))
+
+
+def planted_subsample(seed: int, size: int = 256) -> tuple[np.ndarray, float]:
+    """A planted 4-type truth kept with p = 1/2 and rescaled, with the
+    benchmark's stream threshold sqrt(s_4 s_5)."""
+    rng = np.random.default_rng(seed)
+    t = generate_T(size, size, 4, 0.05, rng)
+    a = np.where(rng.random(t.shape) < 0.5, 2.0 * t, 0.0)
+    s = svd(a, vectors=False).sigma
+    return a, float(np.sqrt(s[3] * s[4]))
 
 
 def bench_experiment_seed(seed: int) -> int:
@@ -302,14 +334,19 @@ class TestReducedSvd:
             ExperimentConfig(m=48, n=40, k=3, noise=0.0, users=4, recs_per_user=2, seed=5)
         )
         assert report["instance"]["eps_k"] == 1e-9
+        # The mass beyond the top 3 is rounding: gesdd runs instead.
+        truth = generate_T(48, 40, 3, 0.0, stream(5, "preference"))
+        f = svd(truth, vectors=False, top=3)
+        assert f.rest_sq == 0.0
+        assert np.array_equal(f.sigma, svd(truth, vectors=False).sigma)
 
     def test_criterion_4_instances(self, monkeypatch):
         seen = recorded_thresholds(
             monkeypatch, acceptance.test_criterion_4_projection_sandwich_and_retries
         )
         assert len(seen) == 500
-        for a, sigma in seen:
-            assert_floor_matches_oracle(a, sigma)
+        for a, sigma, _ in seen:
+            assert_context_matches_oracle(a, sigma)
 
     def test_criterion_6_instances(self, monkeypatch):
         seen = recorded_thresholds(
@@ -317,29 +354,110 @@ class TestReducedSvd:
         )
         # 150 planted truths (no threshold of their own: give them the
         # recommendation threshold at p = 1) and the 256 x 256 run's context.
-        assert len(seen) == 151 and seen[-1][1] is not None
-        for a, sigma in seen:
+        assert len(seen) == 151 and seen[-1][1] is not None and seen[-1][2] is not None
+        for a, sigma, ctx in seen:
             if sigma is None:
                 f = svd(a)
                 eps_k = np.sqrt(np.sum(f.sigma[4:] ** 2)) / f.frobenius_norm()
                 sigma = recommendation_sigma(eps_k, 1.0, 4, f.frobenius_norm())
-            assert_floor_matches_oracle(a, sigma)
+            assert_context_matches_oracle(a, sigma, ctx)
 
     @pytest.mark.parametrize("size, seed", [(256, 801), (256, 802), (256, 803), (1024, 801)])
     def test_benchmark_experiment_contexts(self, monkeypatch, size, seed):
         config = ExperimentConfig(m=size, n=size, seed=bench_experiment_seed(seed))
-        [(a, sigma)] = recorded_thresholds(monkeypatch, lambda: run_experiment(config))
+        report = {}
+        [(a, sigma, ctx)] = recorded_thresholds(
+            monkeypatch, lambda: report.update(run_experiment(config)[0])
+        )
         # The experiment's floor sits near 0.05 ||That||_F: far above the
         # Gram route's rounding, so the context never forms U.
         assert 0.02 < (1.0 - DEFAULT_KAPPA) * sigma / np.linalg.norm(a) < 0.1
-        assert assert_floor_matches_oracle(a, sigma).u is None
+        assert assert_context_matches_oracle(a, sigma, ctx).f.u is None
+        assert report["instance"]["eps_k"] == pytest.approx(oracle_eps_k(config), rel=1e-12)
 
-    def test_stream_context_takes_the_gram_branch(self):
+    def test_stream_context_takes_the_partial_route(self):
         # The benchmark's stream threshold is at least 0.05 ||A||_F.
         a = generate_T(256, 256, 4, 0.05, np.random.default_rng(3))
         ctx = RecommendContext(a, ProjectionParams(sigma=0.05 * np.linalg.norm(a)))
         assert ctx.f.u is None
+        assert ctx.f.v.shape == (256, ctx.f.rank) and ctx.f.rank < RITZ_BLOCK
         assert ctx.v_kept.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("seed", [901, 902, 903])
+    def test_bulk_edge_context_takes_the_partial_route(self, seed):
+        # sigma_5 sits within a few percent of (1 - kappa) sigma, so only the
+        # grid floor keep_floor, not (1 - kappa) sigma, separates it.
+        a, sigma = planted_subsample(seed)
+        s5 = svd(a, vectors=False).sigma[4]
+        assert 0.9 < s5 / ((1.0 - DEFAULT_KAPPA) * sigma) < 1.1
+        ctx = RecommendContext(a, ProjectionParams(sigma=sigma))
+        assert ctx.f.v.shape == (256, ctx.f.rank) and ctx.f.rank < RITZ_BLOCK
+        # The oracle's mask is the context's, followed by unresolved Falses.
+        want = kept_mask(svd(a), ProjectionParams(sigma=sigma))
+        assert np.array_equal(want[: ctx.kept.size], ctx.kept) and not want[ctx.kept.size :].any()
+        assert_context_matches_oracle(a, sigma, ctx)
+
+    def test_noise_bulk_context_falls_back_to_eigh(self, monkeypatch):
+        # The default 256 x 256 experiment keeps dozens of directions in the
+        # noise bulk: the block fills after its first sweep.
+        config = ExperimentConfig(m=256, n=256, seed=bench_experiment_seed(801))
+        report = {}
+        [(a, sigma, ctx)] = recorded_thresholds(
+            monkeypatch, lambda: report.update(run_experiment(config)[0])
+        )
+        assert report["measured"]["kept_rank"] >= RITZ_BLOCK
+        assert ctx.f.v.shape == (256, 256)
+        assert_context_matches_oracle(a, sigma, ctx)
+        assert report["instance"]["eps_k"] == pytest.approx(oracle_eps_k(config), rel=1e-12)
+
+    def test_failed_certificate_falls_back_to_eigh(self):
+        # Three singular values 1e-13 relative below the floor: inside the
+        # certificate's rounding margin, so the Cholesky factorization fails.
+        rng = np.random.default_rng(4)
+        u, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+        v, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+        params = ProjectionParams(sigma=1.5)
+        s = np.concatenate([[3.0, 2.0, 1.0, 1.0, 1.0], np.linspace(0.3, 0.01, 35)])
+        for _ in range(8):
+            s[2:5] = keep_floor(params, np.linalg.norm(s)) * (1.0 - 1e-13)
+        a = (u * s) @ v.T
+        ctx = RecommendContext(a, params)
+        assert ctx.f.v.shape == (40, 40)
+        assert ctx.kept.tolist()[:6] == [True, True, False, False, False, False]
+        assert_context_matches_oracle(a, 1.5, ctx)
+
+    def test_top_values_match_oracle(self):
+        for seed, (m, n, k) in enumerate([(64, 64, 4), (90, 40, 3), (40, 90, 6)]):
+            t = generate_T(m, n, k, 0.05, np.random.default_rng(seed))
+            got, want = svd(t, vectors=False, top=k), svd(t, vectors=False)
+            assert got.rank == k and got.v is None
+            assert got.sigma == pytest.approx(want.sigma[:k], rel=1e-12, abs=0.0)
+            assert got.rest_sq == pytest.approx(np.sum(want.sigma[k:] ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("m, n, k, kept_rank", [(8, 6, 9, 5), (6, 8, 7, 4)])
+    def test_rank_beyond_the_matrix_takes_gesdd(self, monkeypatch, m, n, k, kept_rank):
+        config = ExperimentConfig(m=m, n=n, k=k, seed=3, users=3, recs_per_user=2)
+        report = {}
+        [(a, sigma, ctx)] = recorded_thresholds(
+            monkeypatch, lambda: report.update(run_experiment(config)[0])
+        )
+        assert report["instance"]["eps_k"] == 1e-9
+        assert report["measured"]["kept_rank"] == kept_rank
+        assert_context_matches_oracle(a, sigma, ctx)
+
+    def test_partial_routes_depend_on_input_bits_alone(self):
+        a, sigma = planted_subsample(904)
+        floor = keep_floor(ProjectionParams(sigma=sigma), np.linalg.norm(a))
+        state = np.random.get_state()
+        first, second = svd(a, floor=floor), svd(a.copy(), floor=floor)
+        top = [svd(x, vectors=False, top=4) for x in (a, a.copy())]
+        after = np.random.get_state()
+        assert first.v.shape[1] < a.shape[1] and top[0].rank == 4
+        assert np.array_equal(first.sigma, second.sigma) and np.array_equal(first.v, second.v)
+        assert np.array_equal(top[0].sigma, top[1].sigma) and top[0].rest_sq == top[1].rest_sq
+        assert state[0] == after[0] and np.array_equal(state[1], after[1])
+        assert state[2:] == after[2:]
+        assert list(inspect.signature(svd).parameters) == ["a", "vectors", "floor", "top"]
 
     def test_tiny_threshold_context_takes_gesdd(self):
         t = generate_T(8, 8, 2, 0.2, np.random.default_rng(20))
@@ -348,7 +466,7 @@ class TestReducedSvd:
         assert np.array_equal(ctx.f.sigma, svd(t).sigma)
 
     def test_planted_spectrum_below_the_gram_resolution(self):
-        # At threshold 2e-8 the floor is ~1.3e-8, where A^T A's rounding
+        # At threshold 2e-8 the floor is ~1.6e-8, where A^T A's rounding
         # (~1e-15) swamps the 3e-8 direction's eigenvalue 9e-16.
         rng = np.random.default_rng(12)
         u, _ = np.linalg.qr(rng.normal(size=(8, 6)))
@@ -357,7 +475,7 @@ class TestReducedSvd:
         ctx = RecommendContext(a, ProjectionParams(sigma=2e-8))
         assert ctx.f.u is not None
         assert ctx.kept.tolist() == [True, True, True, True, False, False]
-        assert_floor_matches_oracle(a, 2e-8)
+        assert_context_matches_oracle(a, 2e-8, ctx)
 
     def test_reduced_factorizations_do_not_reconstruct(self):
         a = random_matrix(4, 30, 20)
@@ -368,8 +486,10 @@ class TestReducedSvd:
 
     @pytest.mark.parametrize("m, n", [(30, 20), (20, 30)])
     def test_gram_branch_v_is_complete_and_contiguous(self, m, n):
+        # Ten singular values lie above the floor: the block fills and eigh runs.
         a = random_matrix(9, m, n)
         f = svd(a, floor=0.2 * np.linalg.norm(a))
+        assert np.sum(svd(a).sigma >= 0.2 * np.linalg.norm(a)) > RITZ_BLOCK
         assert f.v.flags["C_CONTIGUOUS"]
         assert np.max(np.abs(f.v.T @ f.v - np.eye(n))) <= ORTHO_TOL
         assert f.frobenius_norm() == pytest.approx(np.linalg.norm(a), rel=1e-14)
