@@ -49,4 +49,4 @@ class BoundVacuousError(QrecsimError):
 
 
 class RegisterCapError(QrecsimError):
-    """Circuit-path register would exceed the simulable amplitude budget."""
+    """A circuit-path allocation would exceed the simulator's entry cap."""

@@ -99,7 +99,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     """Execute one run; returns (report, per-user rows for CSV export)."""
     seed = config.seed
     truth = generate_T(config.m, config.n, config.k, config.noise, stream(seed, "preference"))
-    f_truth = svd(truth, vectors=False, top=config.k)
+    f_truth = svd(truth, top=config.k)
     fro_truth = f_truth.frobenius_norm()
     if fro_truth <= 0.0:
         raise MatrixError("generated preference matrix is all zero")
@@ -120,7 +120,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     sigma = recommendation_sigma(eps_k, sub_params.p, config.k, fro_hat)
     params = ProjectionParams(sigma=sigma, kappa=config.kappa)
 
-    ctx = RecommendContext(store, params)
+    # The store's dense view is sampled bit for bit: sqrt(x^2) = |x| in binary64.
+    ctx = RecommendContext(sampled, params)
     kept = ctx.kept
     kept_rank = int(np.sum(kept))
     # The kept-set reconstruction U_k S_k V_k^T, as (A V_k) V_k^T without U.

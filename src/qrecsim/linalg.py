@@ -1,28 +1,27 @@
 """Singular value decompositions, full and partial, and input validation.
 
-The exact path (phases, threshold projection, the experiment's kept-set
-surrogate) works from one factorization A = sum_i sigma_i u_i v_i^T, so
-this module owns the conventions: singular values are sorted descending
-and strictly positive up to the numerical rank, ``sigma`` holds the
-resolved ones, and the squared mass they leave out of ||A||_F^2 travels
-with them. A stored U or V is either complete (the columns beyond the rank
-span the null spaces, which the phase simulator needs) or, on the partial
-route, holds only the resolved columns.
+Every caller reads sigma and the right singular vectors of A = sum_i
+sigma_i u_i v_i^T, never U, so this module returns only those and owns the
+conventions: singular values are sorted descending and strictly positive
+up to the numerical rank, ``sigma`` holds the resolved ones, and the
+squared mass they leave out of ||A||_F^2 travels with them. A stored V is
+either complete (the columns beyond the rank span the null space, which
+the phase simulator needs) or, on the partial route, holds only the
+resolved columns.
 
-``svd(a)`` is the full LAPACK factorization and the oracle. Callers that
-read less ask for less, and each request has a partial route that falls
-back to a dense one:
+``svd(a)`` is the LAPACK factorization and the oracle. Callers that read
+less ask for less, and each request has a partial route that falls back to
+a dense one:
 
-- ``vectors=False`` gives the singular values alone (values-only gesdd).
-  With ``top=k`` it first runs block subspace iteration for the top k
-  values and keeps them when their Ritz residuals bound the mass that the
-  rest leave out of ||A||_F^2 to RITZ_TOL relative; otherwise (for
-  instance when that mass is within rounding, as for a matrix of rank at
-  most k) gesdd runs.
-- ``floor=f`` gives sigma and V without U for every sigma >= f. When f
-  clears the A^T A route's rounding (``GRAM_FLOOR``) it forms G = A^T A and
-  runs block subspace iteration on G. The values at or above f are kept
-  when their Ritz residuals reach RITZ_TOL and a Cholesky factorization
+- ``top=k`` gives singular values alone. It first runs block subspace
+  iteration for the top k values and keeps them when their Ritz residuals
+  bound the mass that the rest leave out of ||A||_F^2 to RITZ_TOL
+  relative; otherwise (for instance when that mass is within rounding, as
+  for a matrix of rank at most k) the values-only gesdd runs.
+- ``floor=f`` gives sigma and V for every sigma >= f. When f clears the
+  A^T A route's rounding (``GRAM_FLOOR``) it forms G = A^T A and runs
+  block subspace iteration on G. The values at or above f are kept when
+  their Ritz residuals reach RITZ_TOL and a Cholesky factorization
   certifies that every other singular value lies below f. When the block
   fills, the iteration stalls or the certificate fails, eigh(G) gives sigma
   and a complete V, and values below f are then only certified to lie
@@ -36,7 +35,7 @@ caller's random stream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,23 +101,21 @@ def unit_vector(x, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdFactorization:
-    """SVD of an m x n matrix with the rank made explicit.
+    """Singular values and right vectors of an m x n matrix, rank explicit.
 
     ``sigma`` holds the resolved strictly positive singular values,
     descending, and ``rest_sq`` the squared mass ||A||_F^2 - sum sigma_i^2
-    that they leave out: 0 when sigma holds them all. ``u`` and ``v`` are
-    None when the caller did not ask for them. A complete ``v`` is n x n
-    and orthonormal, and its column i for i >= rank spans the kernel of A
-    (singular value zero); on the partial route of ``svd(a, floor=f)`` it
-    holds the ``rank`` resolved columns only. From the eigh route of
-    ``svd(a, floor=f)``, values below f are rough: each is certified to lie
-    below f, not resolved.
+    that they leave out: 0 when sigma holds them all. ``v`` is None for a
+    values-only request. A complete ``v`` is n x n and orthonormal, and its
+    column i for i >= rank spans the kernel of A (singular value zero); on
+    the partial route of ``svd(a, floor=f)`` it holds the ``rank`` resolved
+    columns only. From the eigh route of ``svd(a, floor=f)``, values below
+    f are rough: each is certified to lie below f, not resolved.
     """
 
-    u: np.ndarray | None
     sigma: np.ndarray
     v: np.ndarray | None
-    shape: tuple[int, int] = field(default=(0, 0))
+    shape: tuple[int, int]
     rest_sq: float = 0.0
 
     @property
@@ -135,26 +132,27 @@ class SvdFactorization:
         return float(np.sqrt(np.sum(self.sigma**2) + self.rest_sq))
 
 
-def svd(
-    a, vectors: bool = True, floor: float | None = None, top: int | None = None
-) -> SvdFactorization:
-    """Factor A = U diag(sigma) V^T with a numerical-rank cutoff.
+def svd(a, floor: float | None = None, top: int | None = None) -> SvdFactorization:
+    """sigma and V of A = U diag(sigma) V^T, with a numerical-rank cutoff.
 
     Deterministic for identical input bits. Trailing singular values below
     max(m, n) * eps * sigma_1 are treated as zero and dropped from ``sigma``
-    (their basis vectors remain in U and V). With ``vectors=False`` only
-    sigma is computed (``floor`` is then ignored), and ``top=k`` allows the
-    result to hold only the top k values (``top`` is ignored with vectors).
-    With a ``floor`` clearing the GRAM_FLOOR rule, U is None and sigma and a
-    C-contiguous V come from the partial route or eigh of A^T A (see the
-    module docstring); otherwise the full factorization runs.
+    (their vectors remain in V). By default V is complete (n x n), and
+    LAPACK's U is never larger than m x min(m, n). ``top=k`` computes the
+    values alone and allows the result to hold only the top k. With a
+    ``floor`` clearing the GRAM_FLOOR rule, sigma and a C-contiguous V come
+    from the partial route or eigh of A^T A (see the module docstring);
+    otherwise the full factorization runs. Asking for both raises
+    MatrixError.
     """
     arr = as_matrix(a)
+    if floor is not None and top is not None:
+        raise MatrixError("svd takes a floor or a top count, not both")
     tol = max(arr.shape) * EPS
     fro_sq = float(np.vdot(arr, arr))
-    u = v = None
-    if not vectors:
-        part = None if top is None else _top_values(arr, top, fro_sq)
+    v = None
+    if top is not None:
+        part = _top_values(arr, top, fro_sq)
         if part is not None:
             return part
         s = np.linalg.svd(arr, compute_uv=False)
@@ -169,10 +167,11 @@ def svd(
         s = np.sqrt(np.where(lam > tol * lam[0], lam, 0.0))
         v = np.ascontiguousarray(vecs[:, ::-1])
     else:
-        u, s, vt = np.linalg.svd(arr, full_matrices=True)
+        # The reduced V is complete when m >= n; a wide A's full V costs an m x m U.
+        _, s, vt = np.linalg.svd(arr, full_matrices=arr.shape[0] < arr.shape[1])
         v = vt.T
     rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0.0 else 0
-    return SvdFactorization(u=u, sigma=s[:rank].copy(), v=v, shape=arr.shape)
+    return SvdFactorization(sigma=s[:rank].copy(), v=v, shape=arr.shape)
 
 
 def _ritz_sweeps(gram_times, n: int, block: int):
@@ -209,7 +208,7 @@ def _top_values(arr: np.ndarray, k: int, fro_sq: float) -> SvdFactorization | No
         if rounding > RITZ_TOL * rest_sq:
             return None
         if float(np.sum(res[:k])) + rounding <= RITZ_TOL * rest_sq:
-            return SvdFactorization(None, np.sqrt(lam[:k]), None, arr.shape, rest_sq)
+            return SvdFactorization(np.sqrt(lam[:k]), None, arr.shape, rest_sq)
     return None
 
 
@@ -235,7 +234,7 @@ def _above_floor(
     if not _certify_below(g, vecs, lam, bound - _certificate_margin(shape, r, fro_sq, bound)):
         return None
     rest_sq = fro_sq - float(np.sum(lam))
-    return SvdFactorization(None, np.sqrt(lam), np.ascontiguousarray(vecs), shape, rest_sq)
+    return SvdFactorization(np.sqrt(lam), np.ascontiguousarray(vecs), shape, rest_sq)
 
 
 def _certificate_margin(shape: tuple[int, int], r: int, fro_sq: float, bound: float) -> float:

@@ -12,8 +12,8 @@ On the exact path the estimates round the true phases, so the kept set is a
 function of the factorization alone (``kept_mask``); an input only adds its
 overlaps. Exact-path callers share ``kept_state`` and the retry loop
 ``attempts_until_success``. The circuit path draws its estimates through
-qsim's circuit-SVE kernel, ``CircuitSve``, which also enforces the register
-cap; it keeps a separate loop only because each attempt resamples the kept set.
+qsim's circuit-SVE kernel, ``CircuitSve``, capped by its walk; it keeps a
+separate loop only because each attempt resamples the kept set.
 """
 
 from __future__ import annotations

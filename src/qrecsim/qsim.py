@@ -19,8 +19,8 @@ splits the input across the folded phase groups there and samples
 phase-register outcomes from the exact single-round kernel with median
 boosting, reproducing the statistics of the quantum procedure without
 2^t-fold register blowup per boosting round (the rounds are iid per group
-because the joint state is block diagonal across groups). The register the
-procedure would need, mn * 2^t amplitudes, is still capped.
+because the joint state is block diagonal across groups). The SVD and the
+kernel tables, all that the simulator allocates, are capped.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .linalg import SvdFactorization, svd, unit_vector
 from .rng import choice_cdf
 from .store import MatrixStore, RowTree
 
-# Hard ceiling on simulated amplitudes (phase register times joint index). The
-# span decomposition's SVD, with its m x m U and n x n V, is held to
-# (m + n)^2 <= REGISTER_CAP.
+# Hard ceiling on the float64 entries one circuit-path allocation may hold: the
+# phase groups' SVD (V, the reduced U and LAPACK's copy of A~, n^2 + 2 mn) and
+# a grid's kernel table (groups x 2^t).
 REGISTER_CAP = 1 << 22
 
 # Finest estimation grid. Bin indices are int64, and a bin of 2 pi / 2^62 is
@@ -48,9 +48,14 @@ MAX_GRID_BITS = 62
 COMPONENT_TOL = 1e-12
 # Eigenphases of W whose cosines differ by less than this fall into one
 # phase group. The SVD resolves cos(theta) to about 1e-15 absolute at the
-# sizes the span cap admits; arccos turns that into ~1e-15 in theta mid-range
+# sizes the cap admits; arccos turns that into ~1e-15 in theta mid-range
 # but ~1e-8 near 0 and pi, so grouping compares cosines, not phases.
 COS_TOL = 1e-12
+
+
+def _check_allocation(what: str, entries: int) -> None:
+    if entries > REGISTER_CAP:
+        raise RegisterCapError(f"{what} of {entries} entries exceeds the cap {REGISTER_CAP}")
 
 
 def prepare_vector_state(tree: RowTree) -> np.ndarray:
@@ -139,15 +144,11 @@ class WalkOperator:
         theta, with the kernel last at exactly pi, so each group is a run of
         consecutive columns whose cos(theta) agree within COS_TOL, and its
         phase is the mean over the run. The groups hold all n columns.
-        Raises RegisterCapError when (m + n)^2 exceeds REGISTER_CAP, before
-        any allocation.
+        Raises RegisterCapError, before any allocation, when the SVD's
+        n^2 + 2 mn entries exceed REGISTER_CAP.
         """
         if self._groups is None:
-            size = (self.m + self.n) ** 2
-            if size > REGISTER_CAP:
-                raise RegisterCapError(
-                    f"span decomposition of {size} entries exceeds the cap {REGISTER_CAP}"
-                )
+            _check_allocation("span decomposition", self.n * self.n + 2 * self.m * self.n)
             f = svd(self.a_scaled)
             thetas = eigenphases(f)
             cosines = np.cos(thetas)
@@ -165,8 +166,10 @@ class WalkOperator:
 
     def kernels(self, grid: PhaseGrid) -> np.ndarray:
         """Each phase group's cumulative single-round outcome distribution on
-        a grid (``choice_cdf`` of its kernel), one row per group, built once."""
+        a grid (``choice_cdf`` of its kernel), one row per group, built once.
+        Raises RegisterCapError first when groups x 2^t exceeds REGISTER_CAP."""
         if grid not in self._kernels:
+            _check_allocation("register", len(self.phase_groups()) * grid.size)
             cdfs = [choice_cdf(qpe_bin_probabilities(t, grid)) for t in self.phase_groups().theta]
             self._kernels[grid] = np.array(cdfs)
         return self._kernels[grid]
@@ -271,14 +274,6 @@ def median_bin(bins: np.ndarray, grid: PhaseGrid):
     return _scalar(picked), _scalar(np.take_along_axis(thetas, k, axis=-1)[..., 0])
 
 
-def _check_register(mn: int, grid: PhaseGrid) -> None:
-    total = mn * grid.size
-    if total > REGISTER_CAP:
-        raise RegisterCapError(
-            f"register of {total} amplitudes exceeds the cap {REGISTER_CAP}"
-        )
-
-
 # -- rotation-plane decomposition --------------------------------------------
 
 
@@ -368,9 +363,9 @@ def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
 class CircuitSve:
     """Circuit estimation of one input, split into per-input work and rounds.
 
-    Construction does the per-input work once: the register check, the
-    coordinates V^T x of |Q x> in the walk's planes, the group weights and
-    true singular values, and the groups that carry weight.
+    Construction does the per-input work once: the coordinates V^T x of
+    |Q x> in the walk's planes, the group weights and true singular values,
+    and the groups that carry weight.
     ``round`` is one boosted estimation: boost_rounds(m, n) draws per
     carrying group, in group order, each read off at its median bin. The
     draws come from one ``rng.random`` call and inverse-CDF lookups in the
@@ -379,7 +374,6 @@ class CircuitSve:
     """
 
     def __init__(self, wop: WalkOperator, x, grid: PhaseGrid):
-        _check_register(wop.m * wop.n, grid)
         self.wop, self.grid = wop, grid
         self.groups = wop.phase_groups()
         self.coords = self.groups.v.T @ unit_vector(x, wop.n)

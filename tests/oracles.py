@@ -21,10 +21,10 @@ from qrecsim.linalg import SvdFactorization, as_matrix, as_vector
 from qrecsim.qsim import (
     COMPONENT_TOL,
     COS_TOL,
+    REGISTER_CAP,
     PhaseGrid,
     SveOutput,
     WalkOperator,
-    _check_register,
     boost_rounds,
     qpe_bin_probabilities,
 )
@@ -349,9 +349,11 @@ def qpe_joint_state(wop: OracleWalk, s: np.ndarray, grid: PhaseGrid) -> np.ndarr
     Hadamards put the phase register in uniform superposition, controlled
     walk powers build W^a s in branch a, and the inverse Fourier transform
     concentrates each eigencomponent near its phase bin. Raises
-    RegisterCapError over the package's register cap.
+    RegisterCapError when the mn * 2^bits amplitudes exceed the package's cap.
     """
-    _check_register(wop.m * wop.n, grid)
+    total = wop.m * wop.n * grid.size
+    if total > REGISTER_CAP:
+        raise RegisterCapError(f"register of {total} amplitudes exceeds the cap {REGISTER_CAP}")
     n = grid.size
     stack = np.empty((n, wop.m, wop.n), dtype=np.complex128)
     current = np.asarray(s, dtype=np.complex128)
@@ -392,23 +394,31 @@ def uncompute_residual_mass(wop: OracleWalk, s: np.ndarray, grid: PhaseGrid) -> 
 RECONSTRUCT_TOL = 1e-8
 
 
-def reconstruct(f: SvdFactorization, indices: Sequence[int] | None = None) -> np.ndarray:
-    """Sum of sigma_i u_i v_i^T over ``indices`` (default: all of them)."""
-    if f.u is None or f.v is None:
-        raise MatrixError("reconstruction needs a factorization with U and V")
+def reconstruct(
+    a: np.ndarray, f: SvdFactorization, indices: Sequence[int] | None = None
+) -> np.ndarray:
+    """Sum of sigma_i u_i v_i^T over ``indices`` (default: all of them) for
+    a factorization ``f`` of ``a``, with u_i from ``np.linalg.svd(a)``: the
+    package keeps no U. ``f`` must hold a complete V from the same LAPACK
+    route, so that u_i and v_i pair up with the same signs."""
+    if f.v is None or f.v.shape != (f.shape[1], f.shape[1]):
+        raise MatrixError("reconstruction needs a factorization with a complete V")
+    if np.shape(a) != f.shape:
+        raise MatrixError(f"shape mismatch {np.shape(a)} vs {f.shape}")
     idx = np.arange(f.rank) if indices is None else np.asarray(indices, dtype=int)
     if idx.size == 0:
         return np.zeros(f.shape)
     if idx.min() < 0 or idx.max() >= f.rank:
         raise MatrixError("reconstruction index outside the positive spectrum")
-    return (f.u[:, idx] * f.sigma[idx]) @ f.v[:, idx].T
+    u = np.linalg.svd(a)[0]
+    return (u[:, idx] * f.sigma[idx]) @ f.v[:, idx].T
 
 
-def truncate_top_k(f: SvdFactorization, k: int) -> np.ndarray:
+def truncate_top_k(a: np.ndarray, f: SvdFactorization, k: int) -> np.ndarray:
     """Best rank-k approximation A_k (all of A when k >= rank)."""
     if k < 0:
         raise MatrixError(f"rank k must be >= 0, got {k}")
-    return reconstruct(f, range(min(k, f.rank)))
+    return reconstruct(a, f, range(min(k, f.rank)))
 
 
 def threshold_indices(f: SvdFactorization, sigma: float) -> list[int]:
@@ -447,13 +457,17 @@ def _kept_indices(
     return kept
 
 
-def project_threshold(f: SvdFactorization, sigma: float) -> np.ndarray:
+def project_threshold(a: np.ndarray, f: SvdFactorization, sigma: float) -> np.ndarray:
     """A_{>=sigma}: keep exactly the singular directions with sigma_i >= sigma."""
-    return reconstruct(f, threshold_indices(f, sigma))
+    return reconstruct(a, f, threshold_indices(f, sigma))
 
 
 def project_threshold_family(
-    f: SvdFactorization, sigma: float, kappa: float, band_selector: Sequence[int] = ()
+    a: np.ndarray,
+    f: SvdFactorization,
+    sigma: float,
+    kappa: float,
+    band_selector: Sequence[int] = (),
 ) -> np.ndarray:
     """One member of the family A_{>=sigma,kappa}.
 
@@ -461,7 +475,7 @@ def project_threshold_family(
     band [(1-kappa)*sigma, sigma). A selector index outside the band is an
     input error.
     """
-    return reconstruct(f, _kept_indices(f, sigma, kappa, band_selector))
+    return reconstruct(a, f, _kept_indices(f, sigma, kappa, band_selector))
 
 
 def pseudo_project_row(

@@ -288,7 +288,7 @@ def test_criterion_6_planted_recommendation_quality():
         rng = stream(MASTER, "acceptance", "planted", f"eps={eps_target}")
         for trial in range(50):
             truth = generate_T(64, 64, 4, noise, rng)
-            surrogate = truncate_top_k(svd(truth), 4)
+            surrogate = truncate_top_k(truth, svd(truth), 4)
             eps_hat = float(np.linalg.norm(truth - surrogate) / np.linalg.norm(truth))
             rate = bad_mass(surrogate, truth)
             bound = bad_sample_bound(eps_hat)

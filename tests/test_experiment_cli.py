@@ -245,10 +245,10 @@ class TestCliSve:
         assert capsys.readouterr().out == first
 
     def test_circuit_span_cap_is_input_error(self, tmp_path, capsys):
-        # 2047 x 2 passes the register cap on a 5-bit grid, but the span
-        # decomposition would need (2047 + 2)^2 > 2^22 entries per matrix.
-        store_path = tmp_path / "skinny.qrst"
-        MatrixStore.from_dense(np.vstack([np.eye(2), np.zeros((2045, 2))])).save(store_path)
+        # 2 x 2048 keeps the kernel table small on a 5-bit grid, but the span
+        # decomposition's SVD would hold n^2 + 2 mn = 4,202,496 > 2^22 entries.
+        store_path = tmp_path / "wide.qrst"
+        MatrixStore.from_dense(np.hstack([np.eye(2), np.zeros((2, 2046))])).save(store_path)
         code = main(["sve", str(store_path), "--vector", "uniform", "--eps", "0.5",
                      "--path", "circuit"])
         assert code == EXIT_ERROR

@@ -54,7 +54,7 @@ class TestSvd:
     def test_zero_matrix_rank_zero(self):
         f = svd(np.zeros((3, 4)))
         assert f.rank == 0
-        assert reconstruct(f).shape == (3, 4)
+        assert reconstruct(np.zeros((3, 4)), f).shape == (3, 4)
 
     def test_sigma_squared_matches_jacobi_oracle(self):
         # Independent eigendecomposition of A^T A by cyclic Jacobi.
@@ -70,19 +70,20 @@ class TestSvd:
         assert svd(a).sigma[0] == pytest.approx(power_iteration_top_sigma(a), rel=1e-9)
 
     def test_orthonormal_and_reconstructs(self):
-        for seed in range(10):
-            a = random_matrix(seed, 7, 5)
+        # V is complete whether A is tall, square or wide, and its columns
+        # beyond the rank span the kernel of A.
+        for seed, (m, n) in enumerate([(7, 5)] * 10 + [(5, 9), (7, 7), (40, 3), (3, 40)]):
+            a = random_matrix(seed, m, n)
             f = svd(a)
-            m, n = a.shape
-            assert np.max(np.abs(f.u.T @ f.u - np.eye(m))) <= ORTHO_TOL
+            assert f.v.shape == (n, n)
             assert np.max(np.abs(f.v.T @ f.v - np.eye(n))) <= ORTHO_TOL
-            err = np.linalg.norm(reconstruct(f) - a)
+            assert np.max(np.abs(a @ f.v[:, f.rank :]), initial=0.0) <= 1e-12 * np.linalg.norm(a)
+            err = np.linalg.norm(reconstruct(a, f) - a)
             assert err <= RECONSTRUCT_TOL * np.linalg.norm(a)
 
     def test_deterministic(self):
         a = random_matrix(3)
         f1, f2 = svd(a), svd(a.copy())
-        assert np.array_equal(f1.u, f2.u)
         assert np.array_equal(f1.sigma, f2.sigma)
         assert np.array_equal(f1.v, f2.v)
 
@@ -93,6 +94,10 @@ class TestSvd:
             svd(np.array([[np.nan, 1.0]]))
         with pytest.raises(MatrixError):
             as_matrix(np.empty((0, 3)))
+
+    def test_floor_and_top_together_rejected(self):
+        with pytest.raises(MatrixError, match="not both"):
+            svd(random_matrix(2, 30, 20), floor=1.0, top=2)
 
     def test_singular_value_beyond_rank_is_zero(self):
         f = svd(np.outer([1.0, 1.0], [1.0, 1.0, 1.0]))
@@ -106,20 +111,20 @@ class TestSvd:
 class TestTruncate:
     def test_k_zero_is_zero_matrix(self):
         a = random_matrix(0)
-        assert np.array_equal(truncate_top_k(svd(a), 0), np.zeros_like(a))
+        assert np.array_equal(truncate_top_k(a, svd(a), 0), np.zeros_like(a))
 
     def test_k_at_least_rank_recovers(self):
         a = random_matrix(1)
         f = svd(a)
-        assert np.allclose(truncate_top_k(f, f.rank), a, atol=1e-12)
-        assert np.allclose(truncate_top_k(f, f.rank + 3), a, atol=1e-12)
+        assert np.allclose(truncate_top_k(a, f, f.rank), a, atol=1e-12)
+        assert np.allclose(truncate_top_k(a, f, f.rank + 3), a, atol=1e-12)
 
     def test_eckart_young_optimality(self):
         # The rank-k truncation must beat random rank-k competitors.
         rng = np.random.default_rng(42)
         a = rng.normal(size=(6, 6))
         f = svd(a)
-        best = np.linalg.norm(a - truncate_top_k(f, 2))
+        best = np.linalg.norm(a - truncate_top_k(a, f, 2))
         assert best == pytest.approx(np.sqrt(np.sum(f.sigma[2:] ** 2)), rel=1e-12)
         for _ in range(25):
             cand = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 6))
@@ -127,7 +132,7 @@ class TestTruncate:
 
     def test_negative_k_rejected(self):
         with pytest.raises(MatrixError):
-            truncate_top_k(svd(np.eye(2)), -1)
+            truncate_top_k(np.eye(2), svd(np.eye(2)), -1)
 
 
 class TestProjectThreshold:
@@ -139,20 +144,19 @@ class TestProjectThreshold:
         self.f = svd(self.a)
 
     def test_zero_threshold_keeps_all(self):
-        assert np.allclose(project_threshold(self.f, 0.0), self.a, atol=1e-10)
+        assert np.allclose(project_threshold(self.a, self.f, 0.0), self.a, atol=1e-10)
 
     def test_above_top_keeps_none(self):
-        assert np.allclose(project_threshold(self.f, 4.5), 0.0)
+        assert np.allclose(project_threshold(self.a, self.f, 4.5), 0.0)
 
     def test_tie_at_threshold_is_kept(self):
         kept = threshold_indices(self.f, float(self.f.sigma[1]))
         assert kept == [0, 1]
 
     def test_matches_manual_sum(self):
-        got = project_threshold(self.f, 2.5)
-        manual = sum(
-            self.f.sigma[i] * np.outer(self.f.u[:, i], self.f.v[:, i]) for i in range(2)
-        )
+        got = project_threshold(self.a, self.f, 2.5)
+        # sigma_i u_i = A v_i: the kept terms without any U.
+        manual = sum(np.outer(self.a @ self.f.v[:, i], self.f.v[:, i]) for i in range(2))
         assert np.allclose(got, manual, atol=1e-12)
 
     def test_family_band_membership(self):
@@ -160,10 +164,10 @@ class TestProjectThreshold:
         kappa = 0.4
         band = band_indices(self.f, 3.5, kappa)
         assert band == [1]
-        full = project_threshold_family(self.f, 3.5, kappa, band_selector=[1])
-        none = project_threshold_family(self.f, 3.5, kappa, band_selector=[])
-        assert np.allclose(full, reconstruct(self.f, [0, 1]), atol=1e-12)
-        assert np.allclose(none, reconstruct(self.f, [0]), atol=1e-12)
+        full = project_threshold_family(self.a, self.f, 3.5, kappa, band_selector=[1])
+        none = project_threshold_family(self.a, self.f, 3.5, kappa, band_selector=[])
+        assert np.allclose(full, reconstruct(self.a, self.f, [0, 1]), atol=1e-12)
+        assert np.allclose(none, reconstruct(self.a, self.f, [0]), atol=1e-12)
 
     def test_family_lower_edge_inclusive(self):
         # sigma_i exactly at (1-kappa) sigma is admissible.
@@ -172,13 +176,13 @@ class TestProjectThreshold:
 
     def test_selector_outside_band_rejected(self):
         with pytest.raises(MatrixError):
-            project_threshold_family(self.f, 3.5, 0.4, band_selector=[3])
+            project_threshold_family(self.a, self.f, 3.5, 0.4, band_selector=[3])
 
     def test_family_includes_threshold_and_degrades_to_threshold(self):
         kappa = 0.4
         assert np.allclose(
-            project_threshold_family(self.f, 2.5, kappa, []),
-            project_threshold(self.f, 2.5),
+            project_threshold_family(self.a, self.f, 2.5, kappa, []),
+            project_threshold(self.a, self.f, 2.5),
             atol=1e-12,
         )
 
@@ -209,7 +213,7 @@ class TestPseudoProjectRow:
 
     def test_row_of_matrix_projected_matches_matrix_projection(self):
         sigma = float(self.f.sigma[1])
-        proj = project_threshold(self.f, sigma)
+        proj = project_threshold(self.a, self.f, sigma)
         for i in range(self.a.shape[0]):
             row = pseudo_project_row(self.f, self.a[i], sigma, 0.3)
             assert np.allclose(row, proj[i], atol=1e-9)
@@ -232,13 +236,13 @@ def test_svd_invariants_property(rows):
     f = svd(a)
     assert np.all(np.diff(f.sigma) <= 1e-12)
     assert np.all(f.sigma > 0.0)
-    assert np.linalg.norm(reconstruct(f) - a) <= RECONSTRUCT_TOL * max(np.linalg.norm(a), 1.0)
+    assert np.linalg.norm(reconstruct(a, f) - a) <= RECONSTRUCT_TOL * max(np.linalg.norm(a), 1.0)
 
 
 def test_factorization_shape_mismatch_guard():
-    f = SvdFactorization(u=np.eye(2), sigma=np.array([1.0]), v=np.eye(3), shape=(2, 3))
+    f = SvdFactorization(sigma=np.array([1.0]), v=np.eye(3), shape=(2, 3))
     with pytest.raises(MatrixError):
-        reconstruct(f, [1])
+        reconstruct(np.eye(2, 3), f, [1])
 
 
 # -- reduced factorizations ----------------------------------------------------
@@ -301,7 +305,7 @@ def oracle_eps_k(config: ExperimentConfig) -> float:
     """eps_k of the experiment's truth from the full gesdd spectrum."""
     rng = stream(config.seed, "preference")
     truth = generate_T(config.m, config.n, config.k, config.noise, rng)
-    s = svd(truth, vectors=False).sigma
+    s = svd(truth, top=min(truth.shape)).sigma
     return float(np.sqrt(np.sum(s[config.k :] ** 2) / np.sum(s**2)))
 
 
@@ -311,8 +315,15 @@ def planted_subsample(seed: int, size: int = 256) -> tuple[np.ndarray, float]:
     rng = np.random.default_rng(seed)
     t = generate_T(size, size, 4, 0.05, rng)
     a = np.where(rng.random(t.shape) < 0.5, 2.0 * t, 0.0)
-    s = svd(a, vectors=False).sigma
+    s = svd(a, top=min(a.shape)).sigma
     return a, float(np.sqrt(s[3] * s[4]))
+
+
+def took_gesdd(f: SvdFactorization, a: np.ndarray) -> bool:
+    """Whether ``f`` is the full factorization ``svd(a)``, bit for bit."""
+    want = svd(a)
+    same_v = f.v is not None and f.v.shape == want.v.shape and np.array_equal(f.v, want.v)
+    return same_v and np.array_equal(f.sigma, want.sigma)
 
 
 def bench_experiment_seed(seed: int) -> int:
@@ -324,8 +335,8 @@ class TestReducedSvd:
     def test_values_only_matches_oracle(self):
         for seed, (m, n) in enumerate([(7, 5), (5, 7), (64, 64), (40, 90)]):
             a = random_matrix(seed, m, n)
-            got, want = svd(a, vectors=False), svd(a)
-            assert got.u is None and got.v is None
+            got, want = svd(a, top=min(m, n)), svd(a)
+            assert got.v is None
             assert got.rank == want.rank
             assert got.sigma == pytest.approx(want.sigma, rel=1e-14, abs=0.0)
 
@@ -336,9 +347,9 @@ class TestReducedSvd:
         assert report["instance"]["eps_k"] == 1e-9
         # The mass beyond the top 3 is rounding: gesdd runs instead.
         truth = generate_T(48, 40, 3, 0.0, stream(5, "preference"))
-        f = svd(truth, vectors=False, top=3)
+        f = svd(truth, top=3)
         assert f.rest_sq == 0.0
-        assert np.array_equal(f.sigma, svd(truth, vectors=False).sigma)
+        assert np.array_equal(f.sigma, svd(truth, top=min(truth.shape)).sigma)
 
     def test_criterion_4_instances(self, monkeypatch):
         seen = recorded_thresholds(
@@ -370,16 +381,16 @@ class TestReducedSvd:
             monkeypatch, lambda: report.update(run_experiment(config)[0])
         )
         # The experiment's floor sits near 0.05 ||That||_F: far above the
-        # Gram route's rounding, so the context never forms U.
+        # Gram route's rounding, so the context never runs gesdd.
         assert 0.02 < (1.0 - DEFAULT_KAPPA) * sigma / np.linalg.norm(a) < 0.1
-        assert assert_context_matches_oracle(a, sigma, ctx).f.u is None
+        assert not took_gesdd(assert_context_matches_oracle(a, sigma, ctx).f, a)
         assert report["instance"]["eps_k"] == pytest.approx(oracle_eps_k(config), rel=1e-12)
 
     def test_stream_context_takes_the_partial_route(self):
         # The benchmark's stream threshold is at least 0.05 ||A||_F.
         a = generate_T(256, 256, 4, 0.05, np.random.default_rng(3))
         ctx = RecommendContext(a, ProjectionParams(sigma=0.05 * np.linalg.norm(a)))
-        assert ctx.f.u is None
+        assert not took_gesdd(ctx.f, a)
         assert ctx.f.v.shape == (256, ctx.f.rank) and ctx.f.rank < RITZ_BLOCK
         assert ctx.v_kept.flags["C_CONTIGUOUS"]
 
@@ -388,7 +399,7 @@ class TestReducedSvd:
         # sigma_5 sits within a few percent of (1 - kappa) sigma, so only the
         # grid floor keep_floor, not (1 - kappa) sigma, separates it.
         a, sigma = planted_subsample(seed)
-        s5 = svd(a, vectors=False).sigma[4]
+        s5 = svd(a, top=min(a.shape)).sigma[4]
         assert 0.9 < s5 / ((1.0 - DEFAULT_KAPPA) * sigma) < 1.1
         ctx = RecommendContext(a, ProjectionParams(sigma=sigma))
         assert ctx.f.v.shape == (256, ctx.f.rank) and ctx.f.rank < RITZ_BLOCK
@@ -429,7 +440,7 @@ class TestReducedSvd:
     def test_top_values_match_oracle(self):
         for seed, (m, n, k) in enumerate([(64, 64, 4), (90, 40, 3), (40, 90, 6)]):
             t = generate_T(m, n, k, 0.05, np.random.default_rng(seed))
-            got, want = svd(t, vectors=False, top=k), svd(t, vectors=False)
+            got, want = svd(t, top=k), svd(t, top=min(m, n))
             assert got.rank == k and got.v is None
             assert got.sigma == pytest.approx(want.sigma[:k], rel=1e-12, abs=0.0)
             assert got.rest_sq == pytest.approx(np.sum(want.sigma[k:] ** 2), rel=1e-12)
@@ -450,20 +461,19 @@ class TestReducedSvd:
         floor = keep_floor(ProjectionParams(sigma=sigma), np.linalg.norm(a))
         state = np.random.get_state()
         first, second = svd(a, floor=floor), svd(a.copy(), floor=floor)
-        top = [svd(x, vectors=False, top=4) for x in (a, a.copy())]
+        top = [svd(x, top=4) for x in (a, a.copy())]
         after = np.random.get_state()
         assert first.v.shape[1] < a.shape[1] and top[0].rank == 4
         assert np.array_equal(first.sigma, second.sigma) and np.array_equal(first.v, second.v)
         assert np.array_equal(top[0].sigma, top[1].sigma) and top[0].rest_sq == top[1].rest_sq
         assert state[0] == after[0] and np.array_equal(state[1], after[1])
         assert state[2:] == after[2:]
-        assert list(inspect.signature(svd).parameters) == ["a", "vectors", "floor", "top"]
+        assert list(inspect.signature(svd).parameters) == ["a", "floor", "top"]
 
     def test_tiny_threshold_context_takes_gesdd(self):
         t = generate_T(8, 8, 2, 0.2, np.random.default_rng(20))
         ctx = RecommendContext(t, ProjectionParams(sigma=1e-9))
-        assert ctx.f.u is not None
-        assert np.array_equal(ctx.f.sigma, svd(t).sigma)
+        assert took_gesdd(ctx.f, t)
 
     def test_planted_spectrum_below_the_gram_resolution(self):
         # At threshold 2e-8 the floor is ~1.6e-8, where A^T A's rounding
@@ -473,16 +483,15 @@ class TestReducedSvd:
         v, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         a = (u * [1.0, 0.5, 1e-6, 3e-8, 1e-9, 0.0]) @ v.T
         ctx = RecommendContext(a, ProjectionParams(sigma=2e-8))
-        assert ctx.f.u is not None
+        assert took_gesdd(ctx.f, a)
         assert ctx.kept.tolist() == [True, True, True, True, False, False]
         assert_context_matches_oracle(a, 2e-8, ctx)
 
     def test_reduced_factorizations_do_not_reconstruct(self):
         a = random_matrix(4, 30, 20)
-        for f in (svd(a, vectors=False), svd(a, floor=0.5 * np.linalg.norm(a))):
-            assert f.u is None
-            with pytest.raises(MatrixError, match="needs a factorization with U and V"):
-                reconstruct(f)
+        for f in (svd(a, top=min(a.shape)), svd(a, floor=0.5 * np.linalg.norm(a))):
+            with pytest.raises(MatrixError, match="needs a factorization with a complete V"):
+                reconstruct(a, f)
 
     @pytest.mark.parametrize("m, n", [(30, 20), (20, 30)])
     def test_gram_branch_v_is_complete_and_contiguous(self, m, n):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from qrecsim import experiment
 from qrecsim.errors import MatrixError, ProjectionEmptyError, RegisterCapError
+from qrecsim.experiment import ExperimentConfig, run_experiment
 from qrecsim.linalg import svd, unit_vector
 from qrecsim.qproject import (
     BETA_SQ_FLOOR,
@@ -13,9 +15,11 @@ from qrecsim.qproject import (
     exact_kept_components,
     kept_mask,
     kept_state,
+    projection_grid,
     threshold_project,
 )
 from qrecsim.qsim import REGISTER_CAP, PhaseGrid, WalkOperator, sve_circuit
+from qrecsim.rng import DEFAULT_SEED
 from qrecsim.store import MatrixStore
 
 from oracles import band_indices, expected_iterations, pseudo_project_row, threshold_indices
@@ -275,6 +279,28 @@ class TestCircuitPath:
                 for c in out.components
             )
         assert misses == 0
+
+    def test_default_experiment_store(self, monkeypatch):
+        # The default 64 x 64 config needs an 11-bit grid: mn * 2^11 is over
+        # REGISTER_CAP, but the walk's kernel table holds at most n * 2^11.
+        seen = []
+
+        def context(a, params, _build=experiment.RecommendContext):
+            seen.append((a, params))
+            return _build(a, params)
+
+        monkeypatch.setattr(experiment, "RecommendContext", context)
+        run_experiment(ExperimentConfig(seed=DEFAULT_SEED, users=0))
+        [(a, params)] = seen
+        wop = WalkOperator.from_store(MatrixStore.from_dense(a))
+        grid = projection_grid(params, wop.fro)
+        assert grid.bits == 11 and wop.m * wop.n * grid.size > REGISTER_CAP
+        rng = np.random.default_rng(DEFAULT_SEED)
+        for row in np.flatnonzero(a.any(axis=1))[:4]:
+            out = threshold_project(wop, a[row], params, rng, path="circuit")
+            assert out.path == "circuit"
+            assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-12)
+        assert wop.kernels(grid).size <= wop.n * grid.size <= REGISTER_CAP
 
     def test_gap_instance_matches_exact(self):
         wop = WalkOperator.from_dense(GAP)

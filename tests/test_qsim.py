@@ -226,10 +226,11 @@ class TestEigenphases:
         # On span{P u_i, Q v_i} the walk acts as a rotation by theta_i.
         a = random_full_matrix(9, 4, 4)
         f = svd(a)
+        u = np.linalg.svd(a)[0]
         w = OracleWalk.from_dense(a)
         thetas = eigenphases(f)
         for i in range(f.rank):
-            pu = w.apply_P(f.u[:, i]).reshape(-1)
+            pu = w.apply_P(u[:, i]).reshape(-1)
             qv = w.apply_Q(f.v[:, i]).reshape(-1)
             wqv = w.apply_W(qv.reshape(4, 4)).reshape(-1)
             # Stays in the plane and has the right angle with Qv.
@@ -479,7 +480,7 @@ class TestSve:
         a = random_full_matrix(52, 4, 4)
         f = svd(a)
         w = OracleWalk.from_dense(a)
-        s = w.apply_P(f.u[:, 0]).reshape(-1)
+        s = w.apply_P(np.linalg.svd(a)[0][:, 0]).reshape(-1)
         theta_1 = eigenphases(f)[0]
         best = max(w.dense_phase_groups, key=lambda g: g.overlap_sq(s))
         assert best.theta == pytest.approx(theta_1, abs=1e-8)
@@ -667,21 +668,41 @@ class TestSpanDecomposition:
         assert peak <= 40 * (w.m + w.n) ** 2 * 8
         assert sum(groups.dim) == w.n
 
-    def test_span_cap_raises_before_allocating(self):
-        # 2047 x 2 on a 5-bit grid keeps mn * 2^t far under REGISTER_CAP, but
-        # (m + n)^2 = 2049^2 is over it.
-        a = np.zeros((2047, 2))
-        a[:2] = np.eye(2)
-        w = WalkOperator.from_dense(a)
-        assert w.m * w.n * PhaseGrid(5).size <= REGISTER_CAP < (w.m + w.n) ** 2
+    @pytest.mark.parametrize("m, n", [(2047, 2), (16384, 8)])
+    def test_tall_stores_run_without_an_m_by_m_u(self, m, n):
+        # (m + n)^2 is over REGISTER_CAP, but the SVD holds only V, the
+        # reduced U and a copy of A~: n^2 + 2 mn entries.
+        a = np.zeros((m, n))
+        a[:n] = np.eye(n) + np.triu(np.ones((n, n)))
+        a[n::7, 0] = 1.0
+        w = WalkOperator.from_store(MatrixStore.from_dense(a))
+        assert w.n**2 + 2 * w.m * w.n <= REGISTER_CAP < (w.m + w.n) ** 2
         tracemalloc.start()
         try:
-            with pytest.raises(RegisterCapError, match="span decomposition"):
-                sve_circuit(w, np.ones(2), 0.5, np.random.default_rng(0))
+            groups = w.phase_groups()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < (w.m + w.n) ** 2
+        assert peak < w.m**2 * 8
+        assert sum(groups.dim) == w.n
+        out = sve_circuit(w, a[0], 0.5, np.random.default_rng(0))
+        assert sum(c.amplitude**2 for c in out.components) == pytest.approx(1.0, abs=1e-12)
+
+    def test_span_cap_raises_before_allocating(self):
+        # 2 x 2048 on a 5-bit grid keeps every kernel table small, but the
+        # SVD's n^2 + 2 mn = 4,202,496 entries are over REGISTER_CAP.
+        a = np.zeros((2, 2048))
+        a[:, :2] = np.eye(2)
+        w = WalkOperator.from_dense(a)
+        assert w.n * PhaseGrid(5).size <= REGISTER_CAP < w.n**2 + 2 * w.m * w.n
+        tracemalloc.start()
+        try:
+            with pytest.raises(RegisterCapError, match="span decomposition"):
+                sve_circuit(w, np.ones(2048), 0.5, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < w.n**2
 
 
 class TestCircuitDraws:
