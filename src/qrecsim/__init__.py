@@ -19,7 +19,6 @@ from .qsim import (
     SveOutput,
     WalkOperator,
     eigenphases,
-    prepare_vector_state,
     sve,
 )
 from .recsys import (
@@ -31,7 +30,7 @@ from .recsys import (
     typical_user_bound,
 )
 from .rng import default_seed, stream
-from .store import MatrixStore, RowTree, ingest_triplets, parse_triplets
+from .store import MatrixStore, TreeTable, ingest_triplets, parse_triplets
 from .subsample import (
     SubsampleParams,
     ThresholdParams,
@@ -53,12 +52,12 @@ __all__ = [
     "QrecsimError",
     "RecommendContext",
     "RegisterCapError",
-    "RowTree",
     "StoreFormatError",
     "SubsampleParams",
     "SvdFactorization",
     "SveOutput",
     "ThresholdParams",
+    "TreeTable",
     "WalkOperator",
     "bad_sample_bound",
     "bound_threshold_family_error",
@@ -68,7 +67,6 @@ __all__ = [
     "generate_T",
     "ingest_triplets",
     "parse_triplets",
-    "prepare_vector_state",
     "quantum_typical_user_bound",
     "stream",
     "sve",

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import EmptyRowError, MatrixError, RegisterCapError
 from .linalg import SvdFactorization, svd, unit_vector
 from .rng import choice_cdf
-from .store import MatrixStore, RowTree
+from .store import MatrixStore
 
 # Hard ceiling on the float64 entries one circuit-path allocation may hold: the
 # phase groups' SVD (V, the reduced U and LAPACK's copy of A~, n^2 + 2 mn) and
@@ -56,42 +56,6 @@ COS_TOL = 1e-12
 def _check_allocation(what: str, entries: int) -> None:
     if entries > REGISTER_CAP:
         raise RegisterCapError(f"{what} of {entries} entries exceeds the cap {REGISTER_CAP}")
-
-
-def prepare_vector_state(tree: RowTree) -> np.ndarray:
-    """Amplitudes produced by the conditional-rotation cascade over a tree.
-
-    Walks the tree level by level, splitting each node's amplitude between
-    its children in proportion to sqrt(child weight / node weight), and
-    applies the stored sign at the leaf level. The result equals the row
-    normalized by its length, but computed by the mechanism the store
-    supports on hardware.
-    """
-    if tree.root <= 0.0:
-        raise EmptyRowError("empty-row sample: cannot prepare a state from zero weight")
-    level_amp = {0: 1.0}
-    for t in range(tree.depth):
-        child_weights = tree.levels[t + 1]
-        last = t == tree.depth - 1
-        next_amp: dict[int, float] = {}
-        for prefix, amp in level_amp.items():
-            node = tree.levels[t][prefix]
-            for child in (2 * prefix, 2 * prefix + 1):
-                weight = child_weights.get(child, 0.0)
-                if weight <= 0.0 and not (last and child in tree.signs):
-                    continue
-                value = amp * np.sqrt(weight / node)
-                if last:
-                    value *= tree.sign(child)
-                next_amp[child] = value
-        level_amp = next_amp
-    out = np.zeros(tree.size)
-    for j, amp in level_amp.items():
-        if j < tree.size:
-            out[j] = amp
-    if tree.depth == 0:
-        out[0] = float(tree.sign(0)) * level_amp[0]
-    return out
 
 
 class WalkOperator:
@@ -120,12 +84,8 @@ class WalkOperator:
     def from_store(cls, store: MatrixStore) -> "WalkOperator":
         if store.frobenius_sq() <= 0.0:
             raise EmptyRowError("empty-store sample: cannot build a walk from zero mass")
-        rows = np.zeros((store.m, store.n))
-        for i in range(store.m):
-            if store.rows[i].root > 0.0:
-                rows[i] = prepare_vector_state(store.rows[i])[: store.n]
-        a_tilde = prepare_vector_state(store.norm_tree)[: store.m]
-        return cls(rows, a_tilde, store.frobenius_norm())
+        a_tilde = store.norm_tree.states()[0]
+        return cls(store.rows.states(), a_tilde, store.frobenius_norm())
 
     @classmethod
     def from_dense(cls, a) -> "WalkOperator":
@@ -169,9 +129,12 @@ class WalkOperator:
         a grid (``choice_cdf`` of its kernel), one row per group, built once.
         Raises RegisterCapError first when groups x 2^t exceeds REGISTER_CAP."""
         if grid not in self._kernels:
-            _check_allocation("register", len(self.phase_groups()) * grid.size)
-            cdfs = [choice_cdf(qpe_bin_probabilities(t, grid)) for t in self.phase_groups().theta]
-            self._kernels[grid] = np.array(cdfs)
+            thetas = self.phase_groups().theta
+            _check_allocation("register", len(thetas) * grid.size)
+            table = np.empty((len(thetas), grid.size))
+            for row, theta in zip(table, thetas):
+                row[:] = choice_cdf(qpe_bin_probabilities(theta, grid))
+            self._kernels[grid] = table
         return self._kernels[grid]
 
 

@@ -7,23 +7,26 @@ the same kind over the squared row norms picks rows proportional to their
 share of the squared Frobenius norm. Entry signs are kept beside the leaves;
 the trees themselves only ever see squared weights.
 
+Every tree lives in a ``TreeTable``: one heap-ordered float64 array with a
+row per tree, where node (t, prefix) of tree i sits at column 2^t + prefix
+(the root at column 1, the leaves from column 2^depth), plus a sign and a
+held flag per leaf. A node with no written leaf below it holds +0.0.
+
 Updates recompute each ancestor as the exact sum of its two children rather
 than propagating deltas, so the stored floats depend only on the final set of
-leaf values, never on arrival order.
-
-Bulk construction (``MatrixStore.from_dense`` and ``deserialize``) builds each
-level in numpy from the one below, as left child + right child with an absent
-child counting as 0.0. Those are the same IEEE additions on the same operands
-that one insert per cell performs, so a bulk-built store is bit-identical to
-one filled insert by insert: same levels, signs and serialized bytes. After a
-bulk build ``node_touches`` counts the tree nodes written, one per stored
-node, rather than the per-insert path cost.
+leaf values, never on arrival order. Bulk construction (``from_dense`` and
+``deserialize``) writes the leaves and then forms each level from the one
+below as left child + right child, the same IEEE additions on the same
+operands that one insert per cell performs, so a bulk-built store is
+bit-identical to one filled insert by insert: same nodes, signs and
+serialized bytes. After a bulk build ``node_touches`` counts one write per
+node on the path of a written leaf, rather than the per-insert path cost.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,12 +39,12 @@ _HEADER = struct.Struct("<4sIQQQ")
 _ROW_COUNT = struct.Struct("<Q")
 # One leaf record, u64 column, f64 squared weight, i8 sign: packed, 17 bytes.
 _LEAF_DTYPE = np.dtype([("column", "<u8"), ("weight", "<f8"), ("sign", "i1")])
-# Bulk builds and dense reads go this many rows at a time to bound scratch memory.
-_BLOCK_ROWS = 64
 # Largest row or column count that ``ingest_triplets`` (inferred or given) and
-# a ``deserialize`` header accept. A store allocates its row trees up front
-# (about 1.3 KB per row at this width) and every consumer densifies it to m x n
-# float64 (2 GiB at the cap), so one bad index or header would exhaust memory.
+# a ``deserialize`` header accept. The row trees are dense whatever the
+# sparsity: m * 2^(ceil(log2 n) + 1) * 8 bytes of nodes plus 2 mn bytes of
+# signs and flags, 18 MiB at 1024 x 1024 and about 4.5 GiB at this cap, where
+# every consumer also densifies the store to m x n float64 (2 GiB), so one bad
+# index or header would exhaust memory.
 MAX_INGEST_DIM = 1 << 14
 
 
@@ -52,47 +55,54 @@ def _leaf_depth(count: int) -> int:
     return int(count - 1).bit_length()
 
 
-class RowTree:
-    """Prefix-sum tree over one row of squared amplitudes.
+class TreeTable:
+    """``count`` prefix-sum trees over ``size`` squared amplitudes each.
 
-    ``levels[t]`` maps a t-bit prefix (as an integer) to the total squared
-    weight of leaves whose index starts with that prefix; ``levels[depth]``
-    holds the leaves themselves and ``levels[0][0]`` is the row's squared
-    norm. Absent nodes weigh zero. An explicitly inserted zero is stored as a
-    zero-weight leaf so the set of populated cells is part of the state.
+    ``nodes[i, 2**t + prefix]`` is the total squared weight of tree i's
+    leaves whose index starts with the t-bit ``prefix``; column 1 is the
+    root and ``leaves`` are the columns from 2**depth on. ``signs`` holds
+    each leaf's sign and ``held`` whether it was ever written: an explicitly
+    inserted zero is a held zero-weight leaf, so the set of populated cells
+    is part of the state. Single-entry reads and writes go through a flat
+    memoryview of ``nodes`` in Python floats; bulk loads write the arrays
+    and call ``fill``.
     """
 
-    __slots__ = ("size", "depth", "levels", "signs")
+    __slots__ = ("count", "size", "depth", "nodes", "signs", "held", "_flat", "_signs", "_held")
 
-    def __init__(self, size: int):
+    def __init__(self, count: int, size: int):
+        self.count = int(count)
         self.size = int(size)
         self.depth = _leaf_depth(self.size)
-        self.levels: list[dict[int, float]] = [{} for _ in range(self.depth + 1)]
-        self.signs: dict[int, int] = {}
+        self.nodes = np.zeros((self.count, 2 << self.depth))
+        self.signs = np.zeros((self.count, self.size), dtype=np.int8)
+        self.held = np.zeros((self.count, self.size), dtype=bool)
+        self._flat = memoryview(self.nodes.reshape(-1))
+        self._signs = memoryview(self.signs.reshape(-1))
+        self._held = memoryview(self.held.reshape(-1))
 
     @property
-    def root(self) -> float:
-        return self.levels[0].get(0, 0.0)
+    def leaves(self) -> np.ndarray:
+        """Leaf weights, one row per tree (a view of ``nodes``)."""
+        first = 1 << self.depth
+        return self.nodes[:, first : first + self.size]
 
-    def leaf_weight(self, j: int) -> float:
-        return self.levels[self.depth].get(j, 0.0)
+    def root(self, i: int) -> float:
+        return self._flat[i * (2 << self.depth) + 1]
 
-    def sign(self, j: int) -> int:
-        return self.signs.get(j, 0)
+    def amplitude(self, i: int, j: int) -> float:
+        """Signed entry value sign_j * sqrt(weight_j) of tree i."""
+        return float(self.signs[i, j] * np.sqrt(self.leaves[i, j]))
 
-    def amplitude(self, j: int) -> float:
-        """Signed entry value sign_j * sqrt(weight_j)."""
-        return self.sign(j) * float(np.sqrt(self.leaf_weight(j)))
-
-    def node_weight(self, t: int, prefix: int) -> float:
+    def node_weight(self, i: int, t: int, prefix: int) -> float:
         if not 0 <= t <= self.depth:
             raise MatrixError(f"depth {t} outside [0, {self.depth}]")
         if not 0 <= prefix < (1 << t):
             raise MatrixError(f"prefix {prefix} is not a {t}-bit value")
-        return self.levels[t].get(prefix, 0.0)
+        return self._flat[i * (2 << self.depth) + (1 << t) + prefix]
 
-    def update(self, j: int, weight: float, sign: int) -> int:
-        """Set leaf j to ``weight`` and refresh its ancestors.
+    def update(self, i: int, j: int, weight: float, sign: int) -> int:
+        """Set leaf j of tree i to ``weight`` and refresh its ancestors.
 
         Returns the number of tree nodes written (depth + 1). Each ancestor
         is recomputed as left child + right child, which keeps stored sums
@@ -100,80 +110,92 @@ class RowTree:
         """
         if not 0 <= j < self.size:
             raise MatrixError(f"leaf index {j} outside [0, {self.size})")
-        if not np.isfinite(weight) or weight < 0.0:
+        if not math.isfinite(weight) or weight < 0.0:
             raise MatrixError(f"leaf weight must be finite and >= 0, got {weight}")
-        self.levels[self.depth][j] = float(weight)
-        self.signs[j] = int(sign)
-        for t in range(self.depth - 1, -1, -1):
-            prefix = j >> (self.depth - t)
-            child = self.levels[t + 1]
-            self.levels[t][prefix] = child.get(2 * prefix, 0.0) + child.get(2 * prefix + 1, 0.0)
+        width = 2 << self.depth
+        tree = self._flat[i * width : (i + 1) * width]
+        k = (width >> 1) + j
+        tree[k] = float(weight)
+        self._signs[i * self.size + j] = int(sign)
+        self._held[i * self.size + j] = True
+        while k > 1:
+            k >>= 1
+            tree[k] = tree[2 * k] + tree[2 * k + 1]
         return self.depth + 1
 
-    def insert(self, j: int, value: float) -> int:
-        if not np.isfinite(value):
+    def insert(self, i: int, j: int, value: float) -> int:
+        if not math.isfinite(value):
             raise MatrixError(f"entry value must be finite, got {value}")
-        return self.update(j, value * value, int(np.sign(value)))
+        return self.update(i, j, value * value, int(value > 0.0) - int(value < 0.0))
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw a leaf with probability weight_j / root."""
-        if self.root <= 0.0:
+    def sample(self, i: int, rng: np.random.Generator) -> int:
+        """Draw a leaf of tree i with probability weight_j / root."""
+        width = 2 << self.depth
+        tree = self._flat[i * width : (i + 1) * width]
+        if tree[1] <= 0.0:
             raise EmptyRowError("empty-row sample: row has zero total weight")
-        prefix = 0
+        k = 1
+        for _ in range(self.depth):
+            k += k
+            left = tree[k]
+            if rng.random() * (left + tree[k + 1]) >= left:
+                k += 1
+        return k - (width >> 1)
+
+    def _held_leaves(self) -> np.ndarray:
+        """``held`` padded with False to the 2**depth leaf columns."""
+        out = np.zeros((self.count, 1 << self.depth), dtype=bool)
+        out[:, : self.size] = self.held
+        return out
+
+    def fill(self) -> int:
+        """Recompute every internal node from the leaves, a level at a time.
+
+        Each parent is left child + right child, the sum ``update`` makes, so
+        a filled table is bit-identical to one written leaf by leaf. Returns
+        the number of nodes on the path of a held leaf.
+        """
+        live = self._held_leaves()
+        written = np.count_nonzero(live)
+        lo = 1 << self.depth
+        while lo > 1:
+            np.add(
+                self.nodes[:, lo : 2 * lo : 2],
+                self.nodes[:, lo + 1 : 2 * lo : 2],
+                out=self.nodes[:, lo >> 1 : lo],
+            )
+            live = live[:, 0::2] | live[:, 1::2]
+            written += np.count_nonzero(live)
+            lo >>= 1
+        return int(written)
+
+    def states(self) -> np.ndarray:
+        """Amplitudes of every tree's conditional-rotation cascade, a row per tree.
+
+        Level by level, each node's amplitude splits between its children as
+        amp * sqrt(child / node), and the leaves then take their signs: the
+        leaves normalized by the root, by the mechanism the store supports
+        on hardware. Only a child of positive weight, or a held leaf, under
+        a reached node is reached; every other amplitude is +0.0, and so is
+        every amplitude of a tree whose root is not positive.
+        """
+        amp = np.ones((self.count, 1))
+        reach = self.nodes[:, 1:2] > 0.0
+        held = self._held_leaves()
         for t in range(self.depth):
-            child = self.levels[t + 1]
-            left = child.get(2 * prefix, 0.0)
-            right = child.get(2 * prefix + 1, 0.0)
-            if rng.random() * (left + right) < left:
-                prefix = 2 * prefix
-            else:
-                prefix = 2 * prefix + 1
-        return prefix
-
-
-def _fill_levels(
-    trees: list[RowTree],
-    owner: np.ndarray,
-    keys: np.ndarray,
-    weights: np.ndarray,
-    signs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fill empty trees of one depth from their leaves, a whole level at a time.
-
-    Leaf k belongs to ``trees[owner[k]]`` at column ``keys[k]``; the pairs
-    (owner, key) are sorted, distinct and not empty. Each parent is left child + right
-    child with an absent child as 0.0, exactly as ``RowTree.update`` sums it.
-    Returns the owners that hold a leaf, their root weights, and the number
-    of nodes written.
-    """
-    depth = trees[0].depth
-    written = 0
-    for t in range(depth, -1, -1):
-        if t < depth:
-            parent = keys >> 1
-            first = np.ones(keys.size, dtype=bool)
-            first[1:] = (owner[1:] != owner[:-1]) | (parent[1:] != parent[:-1])
-            slot = np.cumsum(first) - 1
-            right = (keys & 1) == 1
-            left_w = np.zeros(int(slot[-1]) + 1)
-            right_w = np.zeros_like(left_w)
-            left_w[slot[~right]] = weights[~right]
-            right_w[slot[right]] = weights[right]
-            weights = left_w + right_w
-            owner, keys = owner[first], parent[first]
-        bounds = np.searchsorted(owner, np.arange(len(trees) + 1)).tolist()
-        key_list, weight_list = keys.tolist(), weights.tolist()
-        sign_list = signs.tolist() if t == depth else None
-        for k, tree in enumerate(trees):
-            lo, hi = bounds[k], bounds[k + 1]
-            if lo == hi:
-                continue
-            tree_keys = key_list[lo:hi]
-            tree.levels[t] = dict(zip(tree_keys, weight_list[lo:hi]))
-            if sign_list is not None:
-                tree.signs = dict(zip(tree_keys, sign_list[lo:hi]))
-        written += keys.size
-    return owner, weights, written
+            lo = 1 << t
+            kids = self.nodes[:, 2 * lo : 4 * lo].reshape(self.count, lo, 2)
+            opened = kids > 0.0
+            if t == self.depth - 1:
+                opened |= held.reshape(self.count, lo, 2)
+            reach = reach[:, :, None] & opened
+            ratio = np.divide(
+                kids, self.nodes[:, lo : 2 * lo, None], out=np.zeros_like(kids), where=reach
+            )
+            amp = (amp[:, :, None] * np.sqrt(ratio)).reshape(self.count, 2 * lo)
+            reach = reach.reshape(self.count, 2 * lo)
+        size = self.size
+        return np.where(reach[:, :size], amp[:, :size] * self.signs, 0.0)
 
 
 class MatrixStore:
@@ -190,15 +212,14 @@ class MatrixStore:
             raise MatrixError(f"store shape must be >= 1x1, got {m}x{n}")
         self.m = int(m)
         self.n = int(n)
-        self.rows = [RowTree(self.n) for _ in range(self.m)]
-        self.norm_tree = RowTree(self.m)
+        self.rows = TreeTable(self.m, self.n)
+        self.norm_tree = TreeTable(1, self.m)
         self.node_touches = 0
         self.last_insert_touches = 0
-        self._entry_count = 0
 
     @property
     def entry_count(self) -> int:
-        return self._entry_count
+        return int(np.count_nonzero(self.rows.held))
 
     def insert(self, i: int, j: int, value: float) -> int:
         """Record A[i, j] = value, overwriting any previous value there.
@@ -207,14 +228,9 @@ class MatrixStore:
         and its ancestors in the row tree, then the row's leaf and ancestors
         in the norm tree.
         """
-        if not 0 <= i < self.m:
-            raise MatrixError(f"row index {i} outside [0, {self.m})")
-        row = self.rows[i]
-        fresh = j not in row.levels[row.depth] if 0 <= j < row.size else False
-        touches = row.insert(j, value)
-        touches += self.norm_tree.update(i, row.root, 1)
-        if fresh:
-            self._entry_count += 1
+        self._check_row(i)
+        touches = self.rows.insert(i, j, value)
+        touches += self.norm_tree.update(0, i, self.rows.root(i), 1)
         self.node_touches += touches
         self.last_insert_touches = touches
         return touches
@@ -223,13 +239,13 @@ class MatrixStore:
 
     def row_norm(self, i: int) -> float:
         self._check_row(i)
-        return float(np.sqrt(self.rows[i].root))
+        return float(np.sqrt(self.rows.root(i)))
 
     def frobenius_sq(self) -> float:
-        return self.norm_tree.root
+        return self.norm_tree.root(0)
 
     def frobenius_norm(self) -> float:
-        return float(np.sqrt(self.norm_tree.root))
+        return float(np.sqrt(self.norm_tree.root(0)))
 
     def subtree_weight(self, i: int, prefix: str) -> float:
         """Squared weight under the row-i subtree addressed by a bit string.
@@ -239,66 +255,43 @@ class MatrixStore:
         self._check_row(i)
         if any(c not in "01" for c in prefix):
             raise MatrixError(f"prefix must be a bit string, got {prefix!r}")
-        tree = self.rows[i]
-        if len(prefix) > tree.depth:
-            raise MatrixError(f"prefix longer than tree depth {tree.depth}: {prefix!r}")
+        depth = self.rows.depth
+        if len(prefix) > depth:
+            raise MatrixError(f"prefix longer than tree depth {depth}: {prefix!r}")
         key = int(prefix, 2) if prefix else 0
-        return tree.node_weight(len(prefix), key)
+        return self.rows.node_weight(i, len(prefix), key)
 
     def entry(self, i: int, j: int) -> float:
         self._check_row(i)
         if not 0 <= j < self.n:
             raise MatrixError(f"column index {j} outside [0, {self.n})")
-        return self.rows[i].amplitude(j)
+        return self.rows.amplitude(i, j)
 
     def row_dense(self, i: int) -> np.ndarray:
         self._check_row(i)
-        return self._dense(range(i, i + 1))[0]
+        return self._dense(slice(i, i + 1))[0]
 
     def to_dense(self) -> np.ndarray:
-        return self._dense(range(self.m))
+        return self._dense(slice(None))
 
-    def _dense(self, rows: range) -> np.ndarray:
-        """Signed entries sign_j * sqrt(weight_j) of a run of rows, gathered
-        a block of rows at a time to bound scratch memory."""
-        out = np.zeros((len(rows), self.n))
-        for first in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[first : first + _BLOCK_ROWS]
-            counts, cols, weights, signs = self._leaves(block)
-            at = first + np.repeat(np.arange(len(block)), counts)
-            out[at, cols] = signs * np.sqrt(weights)
+    def _dense(self, rows: slice) -> np.ndarray:
+        """Signed entries sign_j * sqrt(weight_j) of a run of rows."""
+        out = np.sqrt(self.rows.leaves[rows])
+        out *= self.rows.signs[rows]
         return out
-
-    def _leaves(self, rows: range) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-        """Per-row leaf counts, then column, weight and sign of every populated
-        cell of ``rows``, ordered by row and then column."""
-        trees = [self.rows[i] for i in rows]
-        cols = [sorted(tree.levels[tree.depth]) for tree in trees]
-        counts = [len(c) for c in cols]
-        total = sum(counts)
-        weights = chain.from_iterable(
-            map(tree.levels[tree.depth].__getitem__, c) for tree, c in zip(trees, cols)
-        )
-        signs = chain.from_iterable(map(tree.signs.__getitem__, c) for tree, c in zip(trees, cols))
-        return (
-            counts,
-            np.fromiter(chain.from_iterable(cols), dtype=np.uint64, count=total),
-            np.fromiter(weights, dtype=np.float64, count=total),
-            np.fromiter(signs, dtype=np.int8, count=total),
-        )
 
     # -- sampling --------------------------------------------------------
 
     def l2_sample_in_row(self, i: int, rng: np.random.Generator) -> int:
         """Column j with probability A_ij^2 / ||A_i||^2."""
         self._check_row(i)
-        return self.rows[i].sample(rng)
+        return self.rows.sample(i, rng)
 
     def l2_sample_row_index(self, rng: np.random.Generator) -> int:
         """Row i with probability ||A_i||^2 / ||A||_F^2."""
-        if self.norm_tree.root <= 0.0:
+        if self.norm_tree.root(0) <= 0.0:
             raise EmptyRowError("empty-store sample: no nonzero entries")
-        return self.norm_tree.sample(rng)
+        return self.norm_tree.sample(0, rng)
 
     def sample_entry(self, rng: np.random.Generator) -> tuple[int, int]:
         i = self.l2_sample_row_index(rng)
@@ -314,9 +307,9 @@ class MatrixStore:
     def from_dense(cls, a) -> "MatrixStore":
         """Store holding every nonzero cell of a dense matrix.
 
-        Built level by level in bulk (see the module docstring): the result is
-        bit-identical to inserting each nonzero cell, and ``node_touches``
-        counts the nodes written.
+        Built in bulk (see the module docstring): the result is bit-identical
+        to inserting each nonzero cell, and ``node_touches`` counts the nodes
+        on a written leaf's path.
         """
         arr = np.asarray(a, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
@@ -324,50 +317,25 @@ class MatrixStore:
         if not np.all(np.isfinite(arr)):
             raise MatrixError("matrix entries must be finite")
         store = cls(arr.shape[0], arr.shape[1])
-
-        def blocks():
-            for first in range(0, store.m, _BLOCK_ROWS):
-                block = arr[first : first + _BLOCK_ROWS]
-                rows, cols = np.nonzero(block)
-                values = block[rows, cols]
-                yield rows, cols, values * values, np.sign(values).astype(np.int8)
-
-        store._bulk_build(blocks())
+        rows = store.rows
+        np.multiply(arr, arr, out=rows.leaves)
+        np.sign(arr, out=rows.signs, casting="unsafe")
+        np.not_equal(arr, 0.0, out=rows.held)
+        store._fill()
         return store
 
-    def _bulk_build(self, blocks: Iterable[tuple[np.ndarray, ...]]) -> None:
-        """Fill an empty store from its leaves, one block of rows at a time.
+    def _fill(self) -> None:
+        """Sum every internal node after a bulk load of the row leaves.
 
-        Block b covers rows from b * _BLOCK_ROWS on and holds (row within the
-        block, column, weight, sign) arrays, sorted by row and column and free
-        of duplicates. A row enters the norm tree when it has at least one
-        leaf, as it does after its first insert.
+        A row enters the norm tree, with sign 1, when it holds a leaf, as it
+        does after its first insert.
         """
-        filled, roots = [], []
-        written = entries = 0
-        for block, (rows, cols, weights, signs) in enumerate(blocks):
-            if rows.size == 0:
-                continue
-            first_row = block * _BLOCK_ROWS
-            owner, root, count = _fill_levels(
-                self.rows[first_row : first_row + _BLOCK_ROWS], rows, cols, weights, signs
-            )
-            filled.append(owner + first_row)
-            roots.append(root)
-            written += count
-            entries += rows.size
-        if filled:
-            populated = np.concatenate(filled)
-            _, _, count = _fill_levels(
-                [self.norm_tree],
-                np.zeros(populated.size, dtype=np.intp),
-                populated,
-                np.concatenate(roots),
-                np.ones(populated.size, dtype=np.int8),
-            )
-            written += count
-        self._entry_count = entries
-        self.node_touches = written
+        written = self.rows.fill()
+        norm = self.norm_tree
+        norm.held[0] = self.rows.held.any(axis=1)
+        norm.signs[0] = norm.held[0]
+        norm.leaves[0] = self.rows.nodes[:, 1]
+        self.node_touches = written + norm.fill()
 
     # -- serialization ---------------------------------------------------
 
@@ -380,11 +348,14 @@ class MatrixStore:
         Internal nodes are recomputed on load, which reproduces them exactly
         because every stored sum is a pure function of the leaf values.
         """
-        counts, cols, weights, signs = self._leaves(range(self.m))
+        rows, cols = np.nonzero(self.rows.held)
         records = np.empty(cols.size, dtype=_LEAF_DTYPE)
-        records["column"], records["weight"], records["sign"] = cols, weights, signs
+        records["column"] = cols
+        records["weight"] = self.rows.leaves[rows, cols]
+        records["sign"] = self.rows.signs[rows, cols]
+        counts = np.count_nonzero(self.rows.held, axis=1).tolist()
         body = memoryview(records.tobytes())
-        parts = [_HEADER.pack(_MAGIC, _VERSION, self.m, self.n, self._entry_count)]
+        parts = [_HEADER.pack(_MAGIC, _VERSION, self.m, self.n, cols.size)]
         offset = 0
         for count in counts:
             end = offset + count * _LEAF_DTYPE.itemsize
@@ -402,7 +373,8 @@ class MatrixStore:
         (duplicate or out of order). A shape over MAX_INGEST_DIM, truncation,
         trailing bytes and an entry count unlike the header's are rejected too.
         The trees are bulk-built as in ``from_dense``, bit-identical to
-        inserting each record, and ``node_touches`` counts the nodes written.
+        inserting each record, and ``node_touches`` counts the nodes on a
+        written leaf's path.
         """
         if len(blob) < _HEADER.size:
             raise StoreFormatError("truncated header", offset=len(blob))
@@ -465,11 +437,11 @@ class MatrixStore:
                 offset=_HEADER.size - 8,
             )
         store = cls(m, n)
-        edges = np.searchsorted(rows, range(0, m + _BLOCK_ROWS, _BLOCK_ROWS)).tolist()
-        store._bulk_build(
-            (rows[lo:hi] - first, cols[lo:hi], weights[lo:hi], signs[lo:hi])
-            for first, lo, hi in zip(range(0, m, _BLOCK_ROWS), edges, edges[1:])
-        )
+        table = store.rows
+        table.leaves[rows, cols] = weights
+        table.signs[rows, cols] = signs
+        table.held[rows, cols] = True
+        store._fill()
         return store
 
     def save(self, path) -> None:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qrecsim.errors import ColdStartError, MatrixError, RegisterCapError
+from qrecsim.errors import ColdStartError, EmptyRowError, MatrixError, RegisterCapError
 from qrecsim.linalg import SvdFactorization, as_matrix, as_vector
 from qrecsim.qsim import (
     COMPONENT_TOL,
@@ -63,17 +63,20 @@ def jacobi_eigenvalues(sym: np.ndarray, sweeps: int = 100, tol: float = 1e-13) -
     return np.sort(np.diag(a))[::-1]
 
 
-def leaf_scan_weights(tree) -> dict[tuple[int, int], float]:
-    """Recompute every internal weight by brute-force scans over the leaves.
+def leaf_scan_weights(table, i: int = 0) -> dict[tuple[int, int], float]:
+    """Recompute every internal weight of tree i by brute-force leaf scans.
 
-    Sums each prefix's leaves with math.fsum-free plain accumulation in leaf
-    order, which is an intentionally different summation order than the
+    Sums each prefix's held leaves with math.fsum-free plain accumulation in
+    leaf order, which is an intentionally different summation order than the
     tree's pairwise child sums.
     """
-    leaves = tree.levels[tree.depth]
+    first = 1 << table.depth
+    leaves = {
+        j: float(table.nodes[i, first + j]) for j in range(table.size) if table.held[i, j]
+    }
     out: dict[tuple[int, int], float] = {}
-    for t in range(tree.depth + 1):
-        shift = tree.depth - t
+    for t in range(table.depth + 1):
+        shift = table.depth - t
         for prefix in range(1 << t):
             total = 0.0
             hit = False
@@ -83,6 +86,45 @@ def leaf_scan_weights(tree) -> dict[tuple[int, int], float]:
                     hit = True
             if hit:
                 out[(t, prefix)] = total
+    return out
+
+
+def prepare_vector_state(table, i: int = 0) -> np.ndarray:
+    """Tree i's conditional-rotation cascade, one node at a time.
+
+    Walks the tree level by level from the root, splitting each reached
+    node's amplitude between its children as amp * sqrt(child / node), and
+    applies the stored sign at the leaf level. A child of zero weight is not
+    reached unless it is a held leaf. The reference for ``TreeTable.states``.
+    """
+    nodes = table.nodes[i].tolist()
+    held = table.held[i].tolist()
+    signs = table.signs[i].tolist()
+    if nodes[1] <= 0.0:
+        raise EmptyRowError("empty-row sample: cannot prepare a state from zero weight")
+    first = 1 << table.depth
+    level_amp = {1: 1.0}
+    for t in range(table.depth):
+        last = t == table.depth - 1
+        next_amp: dict[int, float] = {}
+        for node, amp in level_amp.items():
+            for child in (2 * node, 2 * node + 1):
+                weight = nodes[child]
+                leaf = child - first
+                held_leaf = last and leaf < table.size and held[leaf]
+                if weight <= 0.0 and not held_leaf:
+                    continue
+                value = amp * np.sqrt(weight / nodes[node])
+                if last:
+                    value *= signs[leaf]
+                next_amp[child] = value
+        level_amp = next_amp
+    out = np.zeros(table.size)
+    for node, amp in level_amp.items():
+        if node - first < table.size:
+            out[node - first] = amp
+    if table.depth == 0:
+        out[0] = float(signs[0]) * level_amp[1]
     return out
 
 

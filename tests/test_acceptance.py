@@ -14,7 +14,7 @@ from qrecsim.errors import ProjectionEmptyError
 from qrecsim.experiment import ExperimentConfig, run_experiment
 from qrecsim.linalg import svd
 from qrecsim.qproject import ProjectionParams, kept_mask, threshold_project
-from qrecsim.qsim import WalkOperator, prepare_vector_state, sve_circuit, sve_exact
+from qrecsim.qsim import WalkOperator, sve_circuit, sve_exact
 from qrecsim.recsys import (
     RecommendContext,
     bad_sample_bound,
@@ -23,7 +23,7 @@ from qrecsim.recsys import (
     typical_set,
 )
 from qrecsim.rng import DEFAULT_SEED, stream
-from qrecsim.store import MatrixStore, RowTree
+from qrecsim.store import MatrixStore, TreeTable
 from qrecsim.subsample import subsample
 
 from oracles import (
@@ -70,24 +70,26 @@ def test_criterion_1_worked_tree_example():
     t0 = time.perf_counter()
     problems = []
     row = [0.4, 0.4, 0.8, 0.2]
-    tree = RowTree(4)
+    tree = TreeTable(1, 4)
     for j, v in enumerate(row):
-        tree.insert(j, v)
-    leaves = {j: v * v for j, v in enumerate(row)}
-    if tree.levels[2] != leaves:
-        problems.append(f"leaf level {tree.levels[2]} != {leaves}")
-    internals = {0: leaves[0] + leaves[1], 1: leaves[2] + leaves[3]}
-    if tree.levels[1] != internals:
-        problems.append(f"internal level {tree.levels[1]} != {internals}")
-    if tree.levels[0] != {0: internals[0] + internals[1]}:
-        problems.append(f"root level {tree.levels[0]}")
-    for got, want in ((tree.levels[1][0], 0.32), (tree.levels[1][1], 0.68), (tree.root, 1.0)):
+        tree.insert(0, j, v)
+    # Level t of the heap row is columns 2^t .. 2^(t+1).
+    level = [tree.nodes[0, 1 << t : 2 << t].tolist() for t in range(3)]
+    leaves = [v * v for v in row]
+    if level[2] != leaves:
+        problems.append(f"leaf level {level[2]} != {leaves}")
+    internals = [leaves[0] + leaves[1], leaves[2] + leaves[3]]
+    if level[1] != internals:
+        problems.append(f"internal level {level[1]} != {internals}")
+    if level[0] != [internals[0] + internals[1]]:
+        problems.append(f"root level {level[0]}")
+    for got, want in ((level[1][0], 0.32), (level[1][1], 0.68), (tree.root(0), 1.0)):
         if abs(got - want) > 1e-12:
             problems.append(f"node {got} differs from {want} by {abs(got - want)}")
     for j, v in enumerate(row):
-        if abs(tree.amplitude(j) - v) > 1e-12:
-            problems.append(f"amplitude({j}) = {tree.amplitude(j)} != {v}")
-    state = prepare_vector_state(tree)
+        if abs(tree.amplitude(0, j) - v) > 1e-12:
+            problems.append(f"amplitude({j}) = {tree.amplitude(0, j)} != {v}")
+    state = tree.states()[0]
     if np.max(np.abs(state - row)) > 1e-12:
         problems.append(f"prepared state off by {np.max(np.abs(state - row))}")
 
@@ -100,7 +102,7 @@ def test_criterion_1_worked_tree_example():
         problems.append(f"norm tree root {store.frobenius_sq()} != 2")
     if abs(store.subtree_weight(0, "1") - 0.68) > 1e-12:
         problems.append(f"subtree weight {store.subtree_weight(0, '1')} != 0.68")
-    probs = [store.rows[0].levels[2][j] / store.rows[0].root for j in range(4)]
+    probs = [store.rows.leaves[0, j] / store.rows.root(0) for j in range(4)]
     for got, want in zip(probs, (0.16, 0.16, 0.64, 0.04)):
         if abs(got - want) > 1e-12:
             problems.append(f"sampling probability {got} != {want}")

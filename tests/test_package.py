@@ -24,12 +24,12 @@ PUBLIC_API = [
     "QrecsimError",
     "RecommendContext",
     "RegisterCapError",
-    "RowTree",
     "StoreFormatError",
     "SubsampleParams",
     "SvdFactorization",
     "SveOutput",
     "ThresholdParams",
+    "TreeTable",
     "WalkOperator",
     "bad_sample_bound",
     "bound_threshold_family_error",
@@ -39,7 +39,6 @@ PUBLIC_API = [
     "generate_T",
     "ingest_triplets",
     "parse_triplets",
-    "prepare_vector_state",
     "quantum_typical_user_bound",
     "stream",
     "svd",

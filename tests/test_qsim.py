@@ -19,19 +19,19 @@ from qrecsim.qsim import (
     boost_rounds,
     eigenphases,
     median_bin,
-    prepare_vector_state,
     qpe_bin_probabilities,
     sve,
     sve_circuit,
     sve_exact,
 )
-from qrecsim.store import MatrixStore, RowTree
+from qrecsim.store import MatrixStore, TreeTable
 
 from oracles import (
     OracleWalk,
     QuantumState,
     dft_phase_distribution,
     max_error,
+    prepare_vector_state,
     qpe_joint_state,
     sample_phase_bins,
     sequential_round,
@@ -41,10 +41,10 @@ from oracles import (
 EXAMPLE_ROW = [0.4, 0.4, 0.8, 0.2]
 
 
-def tree_of(values) -> RowTree:
-    tree = RowTree(len(values))
+def tree_of(values) -> TreeTable:
+    tree = TreeTable(1, len(values))
     for j, v in enumerate(values):
-        tree.insert(j, v)
+        tree.insert(0, j, v)
     return tree
 
 
@@ -59,42 +59,44 @@ def random_full_matrix(seed: int, m: int = 4, n: int = 4) -> np.ndarray:
 
 class TestPrepareState:
     def test_example_state(self):
-        state = prepare_vector_state(tree_of(EXAMPLE_ROW))
+        state = tree_of(EXAMPLE_ROW).states()[0]
         assert np.max(np.abs(state - EXAMPLE_ROW)) <= 1e-12
 
     def test_matches_direct_normalization(self):
         rng = np.random.default_rng(21)
         row = rng.normal(size=8)
-        state = prepare_vector_state(tree_of(row))
+        state = tree_of(row).states()[0]
         assert np.max(np.abs(state - row / np.linalg.norm(row))) <= 1e-12
 
     def test_single_negative_entry(self):
-        tree = RowTree(4)
-        tree.insert(2, -7.0)
-        state = prepare_vector_state(tree)
+        tree = TreeTable(1, 4)
+        tree.insert(0, 2, -7.0)
+        state = tree.states()[0]
         assert np.array_equal(state, [0.0, 0.0, -1.0, 0.0])
 
     def test_signs_at_leaf_level(self):
-        state = prepare_vector_state(tree_of([0.5, -0.5, -0.5, 0.5]))
+        state = tree_of([0.5, -0.5, -0.5, 0.5]).states()[0]
         assert np.allclose(state, [0.5, -0.5, -0.5, 0.5], atol=1e-14)
 
     def test_single_leaf_tree(self):
-        tree = RowTree(1)
-        tree.insert(0, -3.0)
-        assert np.array_equal(prepare_vector_state(tree), [-1.0])
+        tree = TreeTable(1, 1)
+        tree.insert(0, 0, -3.0)
+        assert np.array_equal(tree.states()[0], [-1.0])
 
     def test_empty_tree_errors(self):
-        with pytest.raises(EmptyRowError):
-            prepare_vector_state(RowTree(4))
-        zero = RowTree(4)
-        zero.insert(1, 0.0)
-        with pytest.raises(EmptyRowError):
-            prepare_vector_state(zero)
+        # The cascade has nothing to split, so the oracle refuses and the
+        # table gives the tree a row of +0.0.
+        empty, zero = TreeTable(1, 4), TreeTable(1, 4)
+        zero.insert(0, 1, 0.0)
+        for tree in (empty, zero):
+            with pytest.raises(EmptyRowError):
+                prepare_vector_state(tree)
+            assert not tree.states().view(np.uint64).any()
 
     def test_padded_width(self):
         rng = np.random.default_rng(3)
         row = rng.normal(size=5)
-        state = prepare_vector_state(tree_of(row))
+        state = tree_of(row).states()[0]
         assert state.shape == (5,)
         assert np.max(np.abs(state - row / np.linalg.norm(row))) <= 1e-12
 
@@ -687,6 +689,21 @@ class TestSpanDecomposition:
         assert sum(groups.dim) == w.n
         out = sve_circuit(w, a[0], 0.5, np.random.default_rng(0))
         assert sum(c.amplitude**2 for c in out.components) == pytest.approx(1.0, abs=1e-12)
+
+    def test_kernel_table_is_built_in_place(self):
+        # 64 groups x 2^16 bins is REGISTER_CAP itself; building the table
+        # holds it once, plus one group's scratch at a time.
+        w = WalkOperator.from_dense(random_full_matrix(61, 64, 64))
+        w.phase_groups()
+        grid = PhaseGrid(16)
+        tracemalloc.start()
+        try:
+            table = w.kernels(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (len(w.phase_groups()), grid.size)
+        assert peak < 1.25 * table.nbytes
 
     def test_span_cap_raises_before_allocating(self):
         # 2 x 2048 on a 5-bit grid keeps every kernel table small, but the

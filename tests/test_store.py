@@ -2,94 +2,97 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from qrecsim.errors import EmptyRowError, MatrixError, StoreFormatError
-from qrecsim.store import MAX_INGEST_DIM, MatrixStore, RowTree, ingest_triplets, parse_triplets
+from qrecsim.store import MAX_INGEST_DIM, MatrixStore, TreeTable, ingest_triplets, parse_triplets
 
-from oracles import leaf_scan_weights
+from oracles import leaf_scan_weights, prepare_vector_state
 
 EXAMPLE_ROW = [0.4, 0.4, 0.8, 0.2]
 
 
-def example_tree() -> RowTree:
-    tree = RowTree(4)
+def example_tree() -> TreeTable:
+    tree = TreeTable(1, 4)
     for j, v in enumerate(EXAMPLE_ROW):
-        tree.insert(j, v)
+        tree.insert(0, j, v)
     return tree
 
 
 class TestRowTree:
+    """One row tree of a TreeTable."""
+
     def test_example_weights(self):
         tree = example_tree()
-        assert tree.leaf_weight(0) == pytest.approx(0.16, abs=1e-12)
-        assert tree.leaf_weight(2) == pytest.approx(0.64, abs=1e-12)
-        assert tree.node_weight(1, 0) == pytest.approx(0.32, abs=1e-12)
-        assert tree.node_weight(1, 1) == pytest.approx(0.68, abs=1e-12)
-        assert tree.root == pytest.approx(1.0, abs=1e-12)
+        assert tree.leaves[0, 0] == pytest.approx(0.16, abs=1e-12)
+        assert tree.leaves[0, 2] == pytest.approx(0.64, abs=1e-12)
+        assert tree.node_weight(0, 1, 0) == pytest.approx(0.32, abs=1e-12)
+        assert tree.node_weight(0, 1, 1) == pytest.approx(0.68, abs=1e-12)
+        assert tree.root(0) == pytest.approx(1.0, abs=1e-12)
         # Bit-exact against the IEEE sums of the squared inputs.
         sq = [v * v for v in EXAMPLE_ROW]
-        assert tree.node_weight(1, 0) == sq[0] + sq[1]
-        assert tree.node_weight(1, 1) == sq[2] + sq[3]
-        assert tree.root == (sq[0] + sq[1]) + (sq[2] + sq[3])
+        assert tree.node_weight(0, 1, 0) == sq[0] + sq[1]
+        assert tree.node_weight(0, 1, 1) == sq[2] + sq[3]
+        assert tree.root(0) == (sq[0] + sq[1]) + (sq[2] + sq[3])
 
     def test_signs_kept_separately(self):
-        tree = RowTree(4)
-        tree.insert(1, -0.5)
-        assert tree.leaf_weight(1) == 0.25
-        assert tree.sign(1) == -1
-        assert tree.amplitude(1) == -0.5
+        tree = TreeTable(1, 4)
+        tree.insert(0, 1, -0.5)
+        assert tree.leaves[0, 1] == 0.25
+        assert tree.signs[0, 1] == -1
+        assert tree.amplitude(0, 1) == -0.5
 
     def test_explicit_zero_is_stored(self):
-        tree = RowTree(4)
-        tree.insert(2, 0.0)
-        assert 2 in tree.levels[tree.depth]
-        assert tree.leaf_weight(2) == 0.0
-        assert tree.sign(2) == 0
+        tree = TreeTable(1, 4)
+        tree.insert(0, 2, 0.0)
+        assert tree.held[0, 2]
+        assert tree.leaves[0, 2] == 0.0
+        assert tree.signs[0, 2] == 0
 
     def test_overwrite_replaces(self):
         tree = example_tree()
-        tree.insert(2, -0.1)
-        assert tree.amplitude(2) == pytest.approx(-0.1, abs=1e-15)
+        tree.insert(0, 2, -0.1)
+        assert tree.amplitude(0, 2) == pytest.approx(-0.1, abs=1e-15)
         scan = leaf_scan_weights(tree)
         for (t, prefix), want in scan.items():
-            assert tree.node_weight(t, prefix) == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert tree.node_weight(0, t, prefix) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_single_leaf_tree(self):
-        tree = RowTree(1)
+        tree = TreeTable(1, 1)
         assert tree.depth == 0
-        touches = tree.insert(0, -2.0)
+        touches = tree.insert(0, 0, -2.0)
         assert touches == 1
-        assert tree.root == 4.0
-        assert tree.amplitude(0) == -2.0
+        assert tree.root(0) == 4.0
+        assert tree.amplitude(0, 0) == -2.0
 
     def test_non_power_of_two_padding(self):
-        tree = RowTree(5)
+        tree = TreeTable(1, 5)
         assert tree.depth == 3
-        tree.insert(4, 1.0)
-        assert tree.root == 1.0
+        tree.insert(0, 4, 1.0)
+        assert tree.root(0) == 1.0
         with pytest.raises(MatrixError):
-            tree.insert(5, 1.0)
+            tree.insert(0, 5, 1.0)
 
     def test_sample_empty_row_errors(self):
         with pytest.raises(EmptyRowError):
-            RowTree(4).sample(np.random.default_rng(0))
-        tree = RowTree(4)
-        tree.insert(0, 0.0)
+            TreeTable(1, 4).sample(0, np.random.default_rng(0))
+        tree = TreeTable(1, 4)
+        tree.insert(0, 0, 0.0)
         with pytest.raises(EmptyRowError):
-            tree.sample(np.random.default_rng(0))
+            tree.sample(0, np.random.default_rng(0))
 
     def test_rejects_nonfinite(self):
-        tree = RowTree(2)
+        tree = TreeTable(1, 2)
         with pytest.raises(MatrixError):
-            tree.insert(0, np.inf)
+            tree.insert(0, 0, np.inf)
         with pytest.raises(MatrixError):
-            tree.update(0, -1.0, 1)
+            tree.update(0, 0, -1.0, 1)
 
 
 class TestMatrixStore:
@@ -241,12 +244,7 @@ class TestSerialization:
         assert back.serialize() == blob
         assert back.entry_count == store.entry_count
         assert np.array_equal(back.to_dense(), store.to_dense())
-        for i in range(store.m):
-            for t in range(store.rows[i].depth + 1):
-                assert back.rows[i].levels[t] == store.rows[i].levels[t]
-            assert back.rows[i].signs == store.rows[i].signs
-        for t in range(store.norm_tree.depth + 1):
-            assert back.norm_tree.levels[t] == store.norm_tree.levels[t]
+        assert_same_store(back, store)
 
     def test_golden_blob_digest(self):
         # Pins the blob format and every stored float bit for bit.
@@ -386,6 +384,18 @@ class TestTriplets:
         with pytest.raises(StoreFormatError):
             ingest_triplets(["5,0,1.0"], m=2, n=2)
 
+    def test_inferred_tall_shape_allocates_little(self):
+        # One entry at row 16000 infers a 16001 x 1 store: two small tables,
+        # about 0.6 MiB, not one tree object per row.
+        tracemalloc.start()
+        try:
+            store = ingest_triplets(["16000,0,1.0"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (store.m, store.n, store.entry_count) == (16001, 1, 1)
+        assert peak < 1 << 20
+
     def test_shuffled_duplicate_stream_same_bytes(self):
         lines = ["0,0,1.0", "1,2,-2.0", "0,0,3.0", "2,1,0.5"]
         a = ingest_triplets(lines, m=3, n=3).serialize()
@@ -409,27 +419,24 @@ def test_internal_sums_match_leaf_scan_property(entries):
     store = MatrixStore(5, 7)
     for i, j, v in entries:
         store.insert(i, j, v)
-    for tree in [*store.rows, store.norm_tree]:
-        scan = leaf_scan_weights(tree)
+    for table, i in [*((store.rows, i) for i in range(store.m)), (store.norm_tree, 0)]:
+        scan = leaf_scan_weights(table, i)
         for (t, prefix), want in scan.items():
-            got = tree.node_weight(t, prefix)
+            got = table.node_weight(i, t, prefix)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-250)
     # Norm-tree leaves must eagerly equal the row roots.
     for i in range(store.m):
-        assert store.norm_tree.leaf_weight(i) == store.rows[i].root
-
-
-def tree_bits(tree: RowTree) -> tuple:
-    """Every level and sign of a tree, with floats as exact hex strings."""
-    levels = tuple(sorted((k, v.hex()) for k, v in level.items()) for level in tree.levels)
-    return tree.size, tree.depth, levels, sorted(tree.signs.items())
+        assert store.norm_tree.leaves[0, i] == store.rows.root(i)
 
 
 def assert_same_store(got: MatrixStore, want: MatrixStore) -> None:
+    """Same shape, entry count, and every node, sign and held flag bit for bit."""
     assert (got.m, got.n, got.entry_count) == (want.m, want.n, want.entry_count)
-    for g, w in zip(got.rows, want.rows):
-        assert tree_bits(g) == tree_bits(w)
-    assert tree_bits(got.norm_tree) == tree_bits(want.norm_tree)
+    for g, w in ((got.rows, want.rows), (got.norm_tree, want.norm_tree)):
+        assert (g.count, g.size, g.depth) == (w.count, w.size, w.depth)
+        assert g.nodes.tobytes() == w.nodes.tobytes()
+        assert g.signs.tobytes() == w.signs.tobytes()
+        assert g.held.tobytes() == w.held.tobytes()
 
 
 @st.composite
@@ -461,6 +468,57 @@ def test_bulk_build_matches_inserts_property(a, zeros):
     back = MatrixStore.deserialize(reference.serialize())
     assert_same_store(back, reference)
     assert back.serialize() == reference.serialize()
+
+
+@st.composite
+def edge_stores(draw):
+    """Stores loaded from a blob, then written to by inserts.
+
+    The blob holds any valid records: explicit zeros, -0.0 weights and zero
+    weights under a nonzero sign; the inserts add explicit zeros and squares
+    that underflow. Rows may stay empty, and n may be 1 or not a power of two.
+    """
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    weight = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]), st.floats(0.0, 1e3))
+    records = [
+        [(j, draw(weight), draw(st.sampled_from([-1, 0, 1]))) for j in sorted(cols)]
+        for cols in draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=m, max_size=m))
+    ]
+    store = MatrixStore.deserialize(TestSerialization.blob(records, n=n))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1e-170, -1e-170]), st.floats(-1e3, 1e3))
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value))):
+        store.insert(i, j, v)
+    return store
+
+
+def edge_example(records, n, inserts) -> MatrixStore:
+    store = MatrixStore.deserialize(TestSerialization.blob(records, n=n))
+    for i, j, v in inserts:
+        store.insert(i, j, v)
+    return store
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_stores())
+# Every case at once: a -0.0 and a zero weight under a negative sign from the
+# blob, each beside a live sibling (both prepare -0.0), an empty row, and a
+# row whose only entries square to zero.
+@example(
+    edge_example(
+        [[(0, -0.0, 1), (1, 4.0, -1), (2, 0.0, -1), (3, 1.0, 1), (4, 1.0, 1)], [], []],
+        5,
+        [(2, 3, -1e-170), (2, 1, 0.0)],
+    )
+)
+@example(edge_example([[(0, 4.0, -1)], [(0, -0.0, 1)], []], 1, [(2, 0, 1e-170)]))
+def test_states_match_cascade_oracle_property(store):
+    for table in (store.rows, store.norm_tree):
+        got = table.states()
+        assert got.shape == (table.count, table.size)
+        for i in range(table.count):
+            # A tree without positive weight prepares nothing: +0.0 throughout.
+            want = prepare_vector_state(table, i) if table.root(i) > 0.0 else np.zeros(table.size)
+            assert np.array_equal(got[i].view(np.uint64), want.view(np.uint64))
 
 
 def assert_loads_exactly_or_rejects(blob: bytes) -> None:
