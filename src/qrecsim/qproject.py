@@ -19,6 +19,7 @@ separate loop only because each attempt resamples the kept set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +65,7 @@ class ProjectionParams:
         return self.max_iterations or default_max_iterations(n, beta_sq)
 
 
-@dataclass(frozen=True)
-class ProjectionComponent:
+class ProjectionComponent(NamedTuple):
     """Fate of one input component in a projection run."""
 
     index: int
@@ -218,7 +218,7 @@ def _project_circuit(
     est = CircuitSve(wop, x, projection_grid(params, wop.fro))
     # A rough retry budget from the deterministic kept set keeps the loop
     # finite; realized kept sets vary only inside the band.
-    beta_guess = float(np.sum(est.weights[est.sigmas >= params.cut]))
+    beta_guess = float(np.sum(est.weights[est.groups.sigma >= params.cut]))
     limit = params.retry_limit(wop.n, beta_guess)
     g = est.carrying
     for attempt in range(1, limit + 1):
@@ -230,7 +230,7 @@ def _project_circuit(
             out_norm = np.linalg.norm(out)
             if out_norm <= 0.0:
                 continue
-            cols = (g, np.sqrt(est.weights[g]), est.sigmas[g], sigma_est, kept)
+            cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], sigma_est, kept)
             comps = tuple(ProjectionComponent(*row) for row in zip(*(c.tolist() for c in cols)))
             return ProjectionOutcome(
                 state=out / out_norm,

@@ -26,6 +26,7 @@ kernel tables, all that the simulator allocates, are capped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from .store import MatrixStore
 # phase groups' SVD (V, the reduced U and LAPACK's copy of A~, n^2 + 2 mn) and
 # a grid's kernel table (groups x 2^t).
 REGISTER_CAP = 1 << 22
+# Temporary entries per block of kernel-table rows: a table is built a few
+# rows at a time, one row at a time once a row alone is this large.
+KERNEL_BLOCK = 1 << 14
 
 # Finest estimation grid. Bin indices are int64, and a bin of 2 pi / 2^62 is
 # already far below the float64 resolution of the phases it rounds, so a
@@ -78,7 +82,7 @@ class WalkOperator:
         self.m, self.n = row_states.shape
         self.a_scaled = row_states * a_tilde[:, None]
         self._groups: PhaseTable | None = None
-        self._kernels: dict[PhaseGrid, np.ndarray] = {}
+        self._tables: tuple[PhaseGrid, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_store(cls, store: MatrixStore) -> "WalkOperator":
@@ -113,29 +117,51 @@ class WalkOperator:
             thetas = eigenphases(f)
             cosines = np.cos(thetas)
             starts, phases = [], []
+            column_group = np.empty(len(thetas), dtype=np.intp)
             start = 0
             while start < len(thetas):
                 stop = start + 1
                 while stop < len(thetas) and cosines[start] - cosines[stop] < COS_TOL:
                     stop += 1
+                column_group[start:stop] = len(starts)
                 starts.append(start)
                 phases.append(np.mean(thetas[start:stop]))
                 start = stop
-            self._groups = PhaseTable(v=f.v, start=np.array(starts), theta=np.array(phases))
+            theta = np.array(phases)
+            self._groups = PhaseTable(
+                v=f.v,
+                start=np.array(starts),
+                theta=theta,
+                sigma=np.cos(theta / 2.0) * self.fro,
+                column_group=column_group,
+            )
         return self._groups
 
-    def kernels(self, grid: PhaseGrid) -> np.ndarray:
-        """Each phase group's cumulative single-round outcome distribution on
-        a grid (``choice_cdf`` of its kernel), one row per group, built once.
-        Raises RegisterCapError first when groups x 2^t exceeds REGISTER_CAP."""
-        if grid not in self._kernels:
+    def grid_tables(self, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+        """(kernel table, bin phases) on a grid, built once per grid run.
+
+        Row g of the kernel table is group g's cumulative single-round
+        outcome distribution (``choice_cdf`` of its kernel), built
+        KERNEL_BLOCK entries at a time into the one preallocated table;
+        entry b of the bin phases is ``grid.theta_of(b)``. Only the latest
+        grid's tables are held. Raises RegisterCapError first when groups x
+        2^t exceeds REGISTER_CAP.
+        """
+        if self._tables is None or self._tables[0] != grid:
+            self._tables = None  # free the last grid's tables before allocating
             thetas = self.phase_groups().theta
             _check_allocation("register", len(thetas) * grid.size)
             table = np.empty((len(thetas), grid.size))
-            for row, theta in zip(table, thetas):
-                row[:] = choice_cdf(qpe_bin_probabilities(theta, grid))
-            self._kernels[grid] = table
-        return self._kernels[grid]
+            rows = max(1, KERNEL_BLOCK // grid.size)
+            for lo in range(0, len(thetas), rows):
+                block = thetas[lo : lo + rows]
+                table[lo : lo + len(block)] = choice_cdf(qpe_bin_probabilities(block, grid))
+            self._tables = (grid, table, grid.theta_of(np.arange(grid.size)))
+        return self._tables[1:]
+
+    def kernels(self, grid: PhaseGrid) -> np.ndarray:
+        """The kernel table of ``grid_tables``: one CDF row per phase group."""
+        return self.grid_tables(grid)[0]
 
 
 def eigenphases(f: SvdFactorization) -> np.ndarray:
@@ -211,30 +237,31 @@ def boost_rounds(m: int, n: int) -> int:
     return 2 * int(np.ceil(np.log2(m * n))) + 1
 
 
-def qpe_bin_probabilities(theta: float, grid: PhaseGrid) -> np.ndarray:
-    """Single-round outcome distribution for an eigenphase theta.
+def qpe_bin_probabilities(theta, grid: PhaseGrid) -> np.ndarray:
+    """Single-round outcome distribution for an eigenphase theta; for an
+    array of phases, one distribution per phase along a new last axis.
 
     |c_b|^2 = sin^2(N d_b / 2) / (N^2 sin^2(d_b / 2)) with d_b = theta - 2
     pi b / N; the mass within one bin of theta is at least 8 / pi^2.
     """
     n = grid.size
-    d = theta - grid.width * np.arange(n)
+    d = np.asarray(theta)[..., None] - grid.width * np.arange(n)
     half = d / 2.0
     sin_half = np.sin(half)
     on_grid = np.abs(sin_half) < 1e-15
     num = np.sin(n * half) ** 2
     den = (n * sin_half) ** 2
     probs = np.where(on_grid, 1.0, num / np.where(on_grid, 1.0, den))
-    return probs / probs.sum()
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def median_bin(bins: np.ndarray, grid: PhaseGrid):
-    """Bin whose folded phase is the median of the realized folded phases,
-    with that phase; for a 2-D array, one (bin, phase) per row, as arrays."""
-    thetas = grid.theta_of(bins)
-    k = np.argsort(thetas, axis=-1, kind="stable")[..., bins.shape[-1] // 2, None]
-    picked = np.take_along_axis(bins, k, axis=-1)[..., 0]
-    return _scalar(picked), _scalar(np.take_along_axis(thetas, k, axis=-1)[..., 0])
+def median_bin(bins: np.ndarray, thetas: np.ndarray):
+    """Bin whose folded phase (``thetas``, the bins' ``theta_of``) is the
+    stable median of the realized ones, with that phase; for 2-D arrays,
+    one (bin, phase) per row, as arrays."""
+    k = np.argsort(thetas, axis=-1, kind="stable")[..., bins.shape[-1] // 2]
+    at = (np.arange(len(bins)), k) if bins.ndim == 2 else k
+    return _scalar(bins[at]), _scalar(thetas[at])
 
 
 # -- rotation-plane decomposition --------------------------------------------
@@ -244,32 +271,29 @@ def median_bin(bins: np.ndarray, grid: PhaseGrid):
 class PhaseTable:
     """W's rotation planes reached from span Q, grouped by folded phase.
 
-    Group g has phase ``theta[g]`` and holds the planes' right singular
-    vectors v_g = v[:, start[g]:start[g + 1]] (the last group runs to column
-    n), so the part of |Q x> in it is Q v_g v_g^T x. Conjugate eigenvector
-    pairs fold into one group: their estimate registers evolve identically,
-    and treating them separately would split physically inseparable
-    components.
+    Group g has phase ``theta[g]`` and singular value ``sigma[g]`` =
+    cos(theta_g / 2) ||A||_F, and holds the planes' right singular vectors
+    v_g = v[:, start[g]:start[g + 1]] (the last group runs to column n), so
+    the part of |Q x> in it is Q v_g v_g^T x; ``column_group`` gives each
+    column's group. Conjugate eigenvector pairs fold into one group: their
+    estimate registers evolve identically, and treating them separately
+    would split physically inseparable components.
     """
 
     v: np.ndarray
     start: np.ndarray
     theta: np.ndarray
+    sigma: np.ndarray
+    column_group: np.ndarray
 
     def __len__(self) -> int:
         return len(self.theta)
-
-    @property
-    def dim(self) -> np.ndarray:
-        """Columns per group."""
-        return np.diff(self.start, append=self.v.shape[1])
 
 
 # -- singular value estimation ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SveComponent:
+class SveComponent(NamedTuple):
     """One estimated component of the input state.
 
     ``index`` is the right-singular index on the exact path and the phase
@@ -327,8 +351,8 @@ class CircuitSve:
     """Circuit estimation of one input, split into per-input work and rounds.
 
     Construction does the per-input work once: the coordinates V^T x of
-    |Q x> in the walk's planes, the group weights and true singular values,
-    and the groups that carry weight.
+    |Q x> in the walk's planes, the group weights, and the groups that carry
+    weight; the true singular values are the phase table's.
     ``round`` is one boosted estimation: boost_rounds(m, n) draws per
     carrying group, in group order, each read off at its median bin. The
     draws come from one ``rng.random`` call and inverse-CDF lookups in the
@@ -341,16 +365,16 @@ class CircuitSve:
         self.groups = wop.phase_groups()
         self.coords = self.groups.v.T @ unit_vector(x, wop.n)
         self.weights = np.add.reduceat(self.coords**2, self.groups.start)
-        self.sigmas = np.cos(self.groups.theta / 2.0) * wop.fro
         self.carrying = np.flatnonzero(self.weights >= COMPONENT_TOL**2)
-        self.kernels = wop.kernels(grid)
+        self.kernels, self.bin_theta = wop.grid_tables(grid)
+        self.rounds = boost_rounds(wop.m, wop.n)
 
     def round(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bin, theta_est, sigma_est) arrays, one entry per carrying group."""
-        draws = rng.random((len(self.carrying), boost_rounds(self.wop.m, self.wop.n)))
+        draws = rng.random((len(self.carrying), self.rounds))
         rows = zip(self.carrying, draws)
         bins = np.array([self.kernels[g].searchsorted(u, side="right") for g, u in rows])
-        picked, theta_est = median_bin(bins, self.grid)
+        picked, theta_est = median_bin(bins, self.bin_theta[bins])
         return picked, theta_est, np.cos(theta_est / 2.0) * self.wop.fro
 
     def survivor(self, gids) -> np.ndarray:
@@ -358,7 +382,7 @@ class CircuitSve:
         over their columns S."""
         keep = np.zeros(len(self.groups), dtype=bool)
         keep[gids] = True
-        cols = np.repeat(keep, self.groups.dim)
+        cols = keep[self.groups.column_group]
         return self.groups.v[:, cols] @ self.coords[cols]
 
 
@@ -372,7 +396,7 @@ def sve_circuit(wop: WalkOperator, x, eps: float, rng: np.random.Generator) -> S
     """
     est = CircuitSve(wop, x, PhaseGrid.for_sigma_precision(eps))
     g = est.carrying
-    cols = (g, np.sqrt(est.weights[g]), est.sigmas[g], est.groups.theta[g], *est.round(rng))
+    cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], est.groups.theta[g], *est.round(rng))
     comps = tuple(SveComponent(*row) for row in zip(*(c.tolist() for c in cols)))
     return SveOutput(components=comps, grid=est.grid, fro=wop.fro, path="circuit")
 

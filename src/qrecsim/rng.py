@@ -46,16 +46,17 @@ def stream(master_seed: int, *names: str) -> np.random.Generator:
 
 
 def choice_cdf(p: np.ndarray) -> np.ndarray:
-    """Inverse-CDF table for repeated draws from the distribution p.
+    """Inverse-CDF table for repeated draws from the distribution p; for a
+    2-D p, one table per row.
 
-    Checks p as ``Generator.choice`` does (no negative entry, sum within
-    sqrt(eps) of 1) and normalizes its cumulative sum the same way, so
-    ``cdf.searchsorted(rng.random(), side="right")`` draws the index that
-    ``rng.choice(len(p), p=p)`` would, bit for bit.
+    Checks each distribution as ``Generator.choice`` does (no negative
+    entry, sum within sqrt(eps) of 1) and normalizes its cumulative sum the
+    same way, so ``cdf.searchsorted(rng.random(), side="right")`` draws the
+    index that ``rng.choice(len(p), p=p)`` would, bit for bit.
     """
     atol = np.sqrt(np.finfo(np.float64).eps)
-    if np.any(p < 0.0) or not abs(float(np.sum(p)) - 1.0) <= atol:
+    if (p < 0.0).any() or not (abs(p.sum(axis=-1) - 1.0) <= atol).all():
         raise MatrixError("probabilities must be non-negative and sum to 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf

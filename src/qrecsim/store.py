@@ -129,7 +129,12 @@ class TreeTable:
         return self.update(i, j, value * value, int(value > 0.0) - int(value < 0.0))
 
     def sample(self, i: int, rng: np.random.Generator) -> int:
-        """Draw a leaf of tree i with probability weight_j / root."""
+        """Draw a leaf of tree i with probability weight_j / root.
+
+        The walk never enters a zero-weight child: when rounding picks one
+        (u * (left + 0) can round up to a subnormal ``left``), it takes the
+        positive sibling, so the drawn leaf always has positive weight.
+        """
         width = 2 << self.depth
         tree = self._flat[i * width : (i + 1) * width]
         if tree[1] <= 0.0:
@@ -137,8 +142,8 @@ class TreeTable:
         k = 1
         for _ in range(self.depth):
             k += k
-            left = tree[k]
-            if rng.random() * (left + tree[k + 1]) >= left:
+            left, right = tree[k], tree[k + 1]
+            if rng.random() * (left + right) >= left and right > 0.0:
                 k += 1
         return k - (width >> 1)
 
@@ -309,7 +314,8 @@ class MatrixStore:
 
         Built in bulk (see the module docstring): the result is bit-identical
         to inserting each nonzero cell, and ``node_touches`` counts the nodes
-        on a written leaf's path.
+        on a written leaf's path. Raises MatrixError when a squared entry or
+        ||A||_F^2 overflows.
         """
         arr = np.asarray(a, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
@@ -318,24 +324,30 @@ class MatrixStore:
             raise MatrixError("matrix entries must be finite")
         store = cls(arr.shape[0], arr.shape[1])
         rows = store.rows
-        np.multiply(arr, arr, out=rows.leaves)
+        with np.errstate(over="ignore"):
+            np.multiply(arr, arr, out=rows.leaves)
         np.sign(arr, out=rows.signs, casting="unsafe")
         np.not_equal(arr, 0.0, out=rows.held)
-        store._fill()
+        if not store._fill():
+            raise MatrixError("entries too large: ||A||_F^2 overflows")
         return store
 
-    def _fill(self) -> None:
-        """Sum every internal node after a bulk load of the row leaves.
+    def _fill(self) -> bool:
+        """Sum every internal node after a bulk load of the row leaves, and
+        report whether ||A||_F^2 is finite.
 
         A row enters the norm tree, with sign 1, when it holds a leaf, as it
-        does after its first insert.
+        does after its first insert. A leaf or partial sum that overflows
+        makes the norm tree's root inf, so the root alone is checked.
         """
-        written = self.rows.fill()
         norm = self.norm_tree
-        norm.held[0] = self.rows.held.any(axis=1)
-        norm.signs[0] = norm.held[0]
-        norm.leaves[0] = self.rows.nodes[:, 1]
-        self.node_touches = written + norm.fill()
+        with np.errstate(over="ignore"):
+            written = self.rows.fill()
+            norm.held[0] = self.rows.held.any(axis=1)
+            norm.signs[0] = norm.held[0]
+            norm.leaves[0] = self.rows.nodes[:, 1]
+            self.node_touches = written + norm.fill()
+        return math.isfinite(norm.root(0))
 
     # -- serialization ---------------------------------------------------
 
@@ -371,7 +383,8 @@ class MatrixStore:
         [0, n), a weight that is negative or not finite, a sign outside
         {-1, 0, 1}, and a column not above the one before it in its row
         (duplicate or out of order). A shape over MAX_INGEST_DIM, truncation,
-        trailing bytes and an entry count unlike the header's are rejected too.
+        trailing bytes, an entry count unlike the header's and weights whose
+        sum overflows are rejected too.
         The trees are bulk-built as in ``from_dense``, bit-identical to
         inserting each record, and ``node_touches`` counts the nodes on a
         written leaf's path.
@@ -441,7 +454,8 @@ class MatrixStore:
         table.leaves[rows, cols] = weights
         table.signs[rows, cols] = signs
         table.held[rows, cols] = True
-        store._fill()
+        if not store._fill():
+            raise StoreFormatError("weights too large: ||A||_F^2 overflows")
         return store
 
     def save(self, path) -> None:

@@ -1,6 +1,7 @@
 """Walk operator mechanics, phase estimation, and singular value estimation."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qrecsim.linalg import svd, unit_vector
 from qrecsim.qproject import ProjectionParams
 from qrecsim.qsim import (
     COMPONENT_TOL,
+    KERNEL_BLOCK,
     MAX_GRID_BITS,
     REGISTER_CAP,
     CircuitSve,
@@ -24,6 +26,7 @@ from qrecsim.qsim import (
     sve_circuit,
     sve_exact,
 )
+from qrecsim.rng import choice_cdf
 from qrecsim.store import MatrixStore, TreeTable
 
 from oracles import (
@@ -186,7 +189,7 @@ class TestEigenphases:
         groups = w.phase_groups()
         cosines = sorted(np.cos(groups.theta / 2.0))
         assert cosines == pytest.approx([0.6, 0.8], abs=1e-10)
-        assert sum(groups.dim) == w.n
+        assert groups.column_group.tolist() == [0, 1]
         f = svd(a)
         assert sorted(eigenphases(f)) == pytest.approx(
             sorted(2.0 * np.arccos(np.array([0.8, 0.6]))), abs=1e-12
@@ -364,7 +367,7 @@ class TestPhaseEstimation:
     def test_median_bin_folds_across_zero(self):
         grid = PhaseGrid(6)
         bins = np.array([0, 63, 1, 63, 2])
-        b, theta = median_bin(bins, grid)
+        b, theta = median_bin(bins, grid.theta_of(bins))
         assert grid.theta_of(b) == pytest.approx(grid.width, abs=1e-12)
         assert theta == grid.theta_of(b)
 
@@ -375,7 +378,7 @@ class TestPhaseEstimation:
         hits = 0
         for _ in range(200):
             bins = sample_phase_bins(theta, grid, 13, rng)
-            b, _ = median_bin(bins, grid)
+            b, _ = median_bin(bins, grid.theta_of(bins))
             dist = min((b - grid.bin_of(theta)) % grid.size,
                        (grid.bin_of(theta) - b) % grid.size)
             hits += dist <= 1
@@ -605,7 +608,7 @@ class TestSpanDecomposition:
         # Group weights of |Q x>, summed per cluster of phases, against the
         # overlaps (v_i . x)^2 of the exact SVD and the dense walk's weights.
         assert np.sum(est.weights) == pytest.approx(1.0, abs=1e-12)
-        assert sum(walk_groups.dim) == n
+        assert walk_groups.column_group.size == n
         edges = phase_buckets(walk_t, dense_t, exact_t)
 
         def bucketed(thetas, weights):
@@ -668,7 +671,7 @@ class TestSpanDecomposition:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * (w.m + w.n) ** 2 * 8
-        assert sum(groups.dim) == w.n
+        assert groups.column_group.size == w.n
 
     @pytest.mark.parametrize("m, n", [(2047, 2), (16384, 8)])
     def test_tall_stores_run_without_an_m_by_m_u(self, m, n):
@@ -686,7 +689,7 @@ class TestSpanDecomposition:
         finally:
             tracemalloc.stop()
         assert peak < w.m**2 * 8
-        assert sum(groups.dim) == w.n
+        assert groups.column_group.size == w.n
         out = sve_circuit(w, a[0], 0.5, np.random.default_rng(0))
         assert sum(c.amplitude**2 for c in out.components) == pytest.approx(1.0, abs=1e-12)
 
@@ -739,24 +742,101 @@ class TestCircuitDraws:
             assert got == want
         assert batched.random() == sequential.random()
 
+    @pytest.mark.parametrize("bits", range(3, 17))
+    def test_blocked_table_matches_row_by_row_kernels(self, bits, monkeypatch):
+        # Enough phases to cross a block edge twice on every grid: random
+        # ones, exactly 0 and pi, and on-grid ones (whose kernel is exact).
+        grid = PhaseGrid(bits)
+        rows = max(1, KERNEL_BLOCK // grid.size)
+        rng = np.random.default_rng(bits)
+        on_grid = grid.width * rng.integers(0, grid.size // 2 + 1, size=3)
+        special = np.concatenate([[0.0, np.pi], on_grid])
+        thetas = np.concatenate([special, rng.uniform(0.0, np.pi, size=2 * rows + 1)])
+        w = WalkOperator.from_dense(np.eye(2))
+        monkeypatch.setattr(w, "phase_groups", lambda: SimpleNamespace(theta=thetas))
+        table, bin_theta = w.grid_tables(grid)
+        want = np.stack([choice_cdf(qpe_bin_probabilities(t, grid)) for t in thetas])
+        assert table.tobytes() == want.tobytes()
+        assert bin_theta.tobytes() == grid.theta_of(np.arange(grid.size)).tobytes()
+
+    @pytest.mark.parametrize("bits", [2, 3, 6])
+    def test_median_of_looked_up_phases_matches_theta_of(self, bits):
+        # Bins b and N - b fold to one phase, and 0 and N/2 are the ends of
+        # [0, pi]; the stable median must pick the same bin either way.
+        grid = PhaseGrid(bits)
+        n = grid.size
+        rng = np.random.default_rng(bits)
+        base = rng.integers(0, n, size=(40, 13))
+        bins = np.where(rng.random(base.shape) < 0.5, base, (n - base) % n)
+        bins[:5, :4] = [0, n // 2, n // 2, 0]
+        w = WalkOperator.from_dense(random_full_matrix(bits, 3, 4))
+        _, bin_theta = w.grid_tables(grid)
+        got = median_bin(bins, bin_theta[bins])
+        want = median_bin(bins, grid.theta_of(bins))
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        for row, b, theta in zip(bins, *got):
+            folded = grid.theta_of(row)
+            k = np.argsort(folded, kind="stable")[len(row) // 2]
+            assert (int(row[k]), float(folded[k])) == (b, theta)
+            assert median_bin(row, grid.theta_of(row)) == (b, theta)
+
+    def test_round_picks_the_median_of_its_draws(self):
+        # A 3-bit grid and 2 ceil(log2 mn) + 1 = 13 rounds make folded ties
+        # in nearly every group.
+        w = WalkOperator.from_dense(random_full_matrix(83, 5, 8))
+        grid = PhaseGrid(3)
+        est = CircuitSve(w, np.ones(8), grid)
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(20):
+            got = est.round(got_rng)
+            draws = want_rng.random((len(est.carrying), boost_rounds(w.m, w.n)))
+            bins = np.array(
+                [est.kernels[g].searchsorted(u, side="right") for g, u in zip(est.carrying, draws)]
+            )
+            picked, theta_est = median_bin(bins, grid.theta_of(bins))
+            assert got[0].tolist() == picked.tolist()
+            assert got[1].tolist() == theta_est.tolist()
+            assert got[2].tolist() == (np.cos(theta_est / 2.0) * w.fro).tolist()
+
+    def test_walk_holds_only_the_latest_grids_tables(self):
+        # Grids of 10 to 16 bits on 64 groups total 2^23 entries, twice the
+        # cap; only the 16-bit grid's tables stay held.
+        w = WalkOperator.from_dense(random_full_matrix(62, 64, 64))
+        w.phase_groups()
+        tracemalloc.start()
+        try:
+            for bits in range(10, 17):
+                CircuitSve(w, np.ones(64), PhaseGrid(bits))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table, bin_theta = w.grid_tables(PhaseGrid(16))
+        assert table.nbytes + bin_theta.nbytes <= held < 1.05 * (table.nbytes + bin_theta.nbytes)
+
     def test_kernels_built_once_per_walk_and_grid(self, monkeypatch):
         built = []
         kernel = qsim.qpe_bin_probabilities
         def counting(theta, grid):
-            built.append(theta)
+            built.extend(np.atleast_1d(theta).tolist())
             return kernel(theta, grid)
 
         monkeypatch.setattr(qsim, "qpe_bin_probabilities", counting)
         w = WalkOperator.from_dense(random_full_matrix(80, 4, 6))
         x = np.ones(6)
         first = CircuitSve(w, x, PhaseGrid(7))
-        # Every group has a kernel row, and here every group carries weight.
-        assert len(built) == len(first.carrying) == len(w.phase_groups()) > 0
+        # Every group has a kernel row, built once, and here every group
+        # carries weight. Kernels are counted by row, since a call builds a
+        # block of rows.
+        thetas = w.phase_groups().theta.tolist()
+        assert built == thetas and len(first.carrying) == len(thetas) > 0
         built.clear()
         CircuitSve(w, x, PhaseGrid(7))
         assert built == []
         CircuitSve(w, x, PhaseGrid(8))
-        assert len(built) == len(first.carrying)
+        assert built == thetas
+        built.clear()
+        CircuitSve(w, x, PhaseGrid(8))
+        assert built == []
 
 
 class TestQuantumState:

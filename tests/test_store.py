@@ -87,6 +87,15 @@ class TestRowTree:
         with pytest.raises(EmptyRowError):
             tree.sample(0, np.random.default_rng(0))
 
+    def test_subnormal_weight_never_draws_a_zero_leaf(self):
+        # 1.6e-162 squared is one subnormal ulp; u * (ulp + 0) rounds up to
+        # the ulp for about half the draws, which once sent the walk into
+        # the empty right subtree (columns 1 and 3, outside [0, 3)).
+        store = MatrixStore.from_dense([[1.6e-162, 0.0, 0.0]])
+        rng = np.random.default_rng(0)
+        assert {store.l2_sample_in_row(0, rng) for _ in range(200)} == {0}
+        assert {store.sample_entry(rng) for _ in range(200)} == {(0, 0)}
+
     def test_rejects_nonfinite(self):
         tree = TreeTable(1, 2)
         with pytest.raises(MatrixError):
@@ -138,6 +147,13 @@ class TestMatrixStore:
             store.subtree_weight(0, "012")
         with pytest.raises(MatrixError):
             store.subtree_weight(0, "000")
+
+    @pytest.mark.parametrize("row", [[1e200, 1.0], [1e154, 1e154]])
+    def test_from_dense_rejects_overflowing_weights(self, row):
+        # 1e200 squared overflows as a leaf, 1e154 only in the row sum; both
+        # would leave ||A||_F^2 infinite, which insert refuses too.
+        with pytest.raises(MatrixError, match="overflows"):
+            MatrixStore.from_dense([row])
 
     def test_dense_round_trip(self):
         a = np.random.default_rng(3).normal(size=(5, 7))
@@ -348,6 +364,12 @@ class TestSerialization:
     def test_header_shape_at_limit_loads(self):
         store = MatrixStore.deserialize(self.blob([[(0, 1.0, 1)]], n=MAX_INGEST_DIM))
         assert (store.m, store.n) == (1, MAX_INGEST_DIM)
+
+    def test_overflowing_weight_sum_rejected(self):
+        # Each weight is finite, as the record check requires, but their sum
+        # is not: the blob of the 1 x 2 matrix [1e154, 1e154].
+        with pytest.raises(StoreFormatError, match="overflows"):
+            MatrixStore.deserialize(self.blob([[(0, 1e308, 1), (1, 1e308, 1)]]))
 
     def test_entry_count_mismatch(self):
         with pytest.raises(StoreFormatError) as err:
