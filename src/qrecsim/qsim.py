@@ -159,10 +159,6 @@ class WalkOperator:
             self._tables = (grid, table, grid.theta_of(np.arange(grid.size)))
         return self._tables[1:]
 
-    def kernels(self, grid: PhaseGrid) -> np.ndarray:
-        """The kernel table of ``grid_tables``: one CDF row per phase group."""
-        return self.grid_tables(grid)[0]
-
 
 def eigenphases(f: SvdFactorization) -> np.ndarray:
     """theta_i = 2 arccos(sigma_i / ||A||_F) for every right basis vector

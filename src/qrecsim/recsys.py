@@ -11,7 +11,7 @@ is close to the per-user average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,9 +142,8 @@ def typical_set(t, gamma: float) -> np.ndarray:
 # -- recommendation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecommendOutcome:
-    """One recommendation: the product plus the run's bookkeeping."""
+class RecommendOutcome(NamedTuple):
+    """One recommendation, a named tuple: the product plus the run's bookkeeping."""
 
     user: int
     product: int
@@ -178,7 +177,7 @@ class RecommendContext:
         self.kept = kept_mask(self.f, params)
         self.v_kept = np.ascontiguousarray(self.f.v[:, self.kept])
         self._users: dict[int, tuple[np.ndarray, float, np.ndarray]] = {}
-        self._draws: dict[int, tuple[int, np.ndarray | None]] = {}
+        self._draws: dict[int, tuple[float, int, np.ndarray | None]] = {}
 
     def user_state(self, i: int) -> tuple[np.ndarray, float, np.ndarray]:
         """(probabilities, beta_sq, projected unit row) for user i."""
@@ -200,20 +199,17 @@ class RecommendContext:
         Draws the same bits as a retry loop followed by ``rng.choice(n,
         p=probabilities)``.
         """
-        probs, beta_sq, _ = self.user_state(i)
-        if i not in self._draws:
+        draws = self._draws.get(i)
+        if draws is None:
+            probs, beta_sq, _ = self.user_state(i)
             # A zero beta_sq exhausts every budget, so its CDF is never read.
             cdf = choice_cdf(probs) if beta_sq > 0.0 else None
-            self._draws[i] = (self.params.retry_limit(self.dense.shape[1], beta_sq), cdf)
-        limit, cdf = self._draws[i]
+            limit = self.params.retry_limit(self.dense.shape[1], beta_sq)
+            draws = self._draws[i] = (beta_sq, limit, cdf)
+        beta_sq, limit, cdf = draws
         attempt = attempts_until_success(beta_sq, limit, rng)
-        return RecommendOutcome(
-            user=i,
-            product=int(cdf.searchsorted(rng.random(), side="right")),
-            iterations=attempt,
-            beta_sq=beta_sq,
-            w_stat=1.0 / beta_sq,
-        )
+        product = int(cdf.searchsorted(rng.random(), side="right"))
+        return RecommendOutcome(i, product, attempt, beta_sq, 1.0 / beta_sq)
 
 
 def recommendation_sigma(eps: float, p: float, k: int, norm_f_hat: float) -> float:

@@ -12,15 +12,17 @@ row per tree, where node (t, prefix) of tree i sits at column 2^t + prefix
 (the root at column 1, the leaves from column 2^depth), plus a sign and a
 held flag per leaf. A node with no written leaf below it holds +0.0.
 
-Updates recompute each ancestor as the exact sum of its two children rather
-than propagating deltas, so the stored floats depend only on the final set of
-leaf values, never on arrival order. Bulk construction (``from_dense`` and
-``deserialize``) writes the leaves and then forms each level from the one
-below as left child + right child, the same IEEE additions on the same
-operands that one insert per cell performs, so a bulk-built store is
-bit-identical to one filled insert by insert: same nodes, signs and
-serialized bytes. After a bulk build ``node_touches`` counts one write per
-node on the path of a written leaf, rather than the per-insert path cost.
+Updates carry the new sum up the leaf's path, so each ancestor is the exact
+sum of its two children rather than an old sum plus a delta, and the stored
+floats depend only on the final set of leaf values, never on arrival order.
+Bulk construction (``from_dense`` and ``deserialize``) writes the leaves and
+then forms each level from the one below as left child + right child, the
+same IEEE additions on the same operands that one insert per cell performs
+(addition commutes, so an insert's path sum + sibling is the same), so a
+bulk-built store is bit-identical to one filled insert by insert: same
+nodes, signs and serialized bytes. After a bulk build ``node_touches``
+counts one write per node on the path of a written leaf, rather than the
+per-insert path cost.
 """
 
 from __future__ import annotations
@@ -104,9 +106,9 @@ class TreeTable:
     def update(self, i: int, j: int, weight: float, sign: int) -> int:
         """Set leaf j of tree i to ``weight`` and refresh its ancestors.
 
-        Returns the number of tree nodes written (depth + 1). Each ancestor
-        is recomputed as left child + right child, which keeps stored sums
-        independent of the order updates arrive in.
+        Returns the number of tree nodes written (depth + 1). The new sum is
+        carried up the path, one sibling read per level; each ancestor is
+        left child + right child bit for bit (see the module docstring).
         """
         if not 0 <= j < self.size:
             raise MatrixError(f"leaf index {j} outside [0, {self.size})")
@@ -115,13 +117,29 @@ class TreeTable:
         width = 2 << self.depth
         tree = self._flat[i * width : (i + 1) * width]
         k = (width >> 1) + j
-        tree[k] = float(weight)
+        tree[k] = total = float(weight)
         self._signs[i * self.size + j] = int(sign)
         self._held[i * self.size + j] = True
         while k > 1:
+            total += tree[k ^ 1]
             k >>= 1
-            tree[k] = tree[2 * k] + tree[2 * k + 1]
+            tree[k] = total
         return self.depth + 1
+
+    def leaf(self, i: int, j: int) -> tuple[float, int, bool]:
+        """Leaf j of tree i as (weight, sign, held), as ``restore`` takes it."""
+        if not 0 <= j < self.size:
+            raise MatrixError(f"leaf index {j} outside [0, {self.size})")
+        k = i * self.size + j
+        weight = self._flat[i * (2 << self.depth) + (1 << self.depth) + j]
+        return weight, self._signs[k], self._held[k]
+
+    def restore(self, i: int, j: int, leaf: tuple[float, int, bool]) -> None:
+        """Write back a ``leaf`` reading. Every sum depends only on the
+        leaves, so the ancestors return to their earlier bits too."""
+        weight, sign, held = leaf
+        self.update(i, j, weight, sign)
+        self._held[i * self.size + j] = held
 
     def insert(self, i: int, j: int, value: float) -> int:
         if not math.isfinite(value):
@@ -131,19 +149,22 @@ class TreeTable:
     def sample(self, i: int, rng: np.random.Generator) -> int:
         """Draw a leaf of tree i with probability weight_j / root.
 
-        The walk never enters a zero-weight child: when rounding picks one
-        (u * (left + 0) can round up to a subnormal ``left``), it takes the
-        positive sibling, so the drawn leaf always has positive weight.
+        The walk takes one uniform per level, all ``depth`` of them from one
+        ``rng.random(depth)`` block: the same doubles, in the same order, as
+        one ``rng.random()`` per level. It never enters a zero-weight child:
+        when rounding picks one (u * (left + 0) can round up to a subnormal
+        ``left``), it takes the positive sibling, so the drawn leaf always
+        has positive weight.
         """
         width = 2 << self.depth
         tree = self._flat[i * width : (i + 1) * width]
         if tree[1] <= 0.0:
             raise EmptyRowError("empty-row sample: row has zero total weight")
         k = 1
-        for _ in range(self.depth):
+        for u in rng.random(self.depth).tolist():
             k += k
             left, right = tree[k], tree[k + 1]
-            if rng.random() * (left + right) >= left and right > 0.0:
+            if u * (left + right) >= left and right > 0.0:
                 k += 1
         return k - (width >> 1)
 
@@ -231,11 +252,26 @@ class MatrixStore:
 
         Touches at most ceil(log2 n) + ceil(log2 m) + 2 tree nodes: the leaf
         and its ancestors in the row tree, then the row's leaf and ancestors
-        in the norm tree.
+        in the norm tree. Raises MatrixError when the new ||A||_F^2
+        overflows, and leaves the store exactly as it was.
         """
         self._check_row(i)
-        touches = self.rows.insert(i, j, value)
-        touches += self.norm_tree.update(0, i, self.rows.root(i), 1)
+        rows, norm = self.rows, self.norm_tree
+        old = rows.leaf(i, j)
+        touches = rows.insert(i, j, value)
+        try:
+            touches += norm.update(0, i, rows.root(i), 1)
+        except MatrixError:  # an infinite row root, refused before any write
+            overflow = True
+        else:
+            overflow = not math.isfinite(norm.root(0))
+        if overflow:
+            # A row's norm leaf is its root, held and signed 1 once the row
+            # holds a leaf, so the restored row gives it back exactly.
+            rows.restore(i, j, old)
+            held = bool(rows.held[i].any())
+            norm.restore(0, i, (rows.root(i), int(held), held))
+            raise MatrixError(f"entry ({i}, {j}) too large: ||A||_F^2 overflows") from None
         self.node_touches += touches
         self.last_insert_touches = touches
         return touches
@@ -481,17 +517,22 @@ def parse_triplets(lines: Iterable[str]) -> Iterator[tuple[int, int, float]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
         if len(fields) != 3:
             raise StoreFormatError(f"line {lineno}: expected i,j,value, got {raw!r}", offset=lineno)
         try:
-            i, j = int(fields[0]), int(fields[1])
-            value = float(fields[2])
-        except ValueError as exc:
-            raise StoreFormatError(f"line {lineno}: {exc}", offset=lineno) from exc
+            i, j, value = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            # int() and float() skip the whitespace around a field, but their
+            # messages quote it: parse the stripped fields for the message.
+            fields = [f.strip() for f in fields]
+            try:
+                i, j, value = int(fields[0]), int(fields[1]), float(fields[2])
+            except ValueError as exc:
+                raise StoreFormatError(f"line {lineno}: {exc}", offset=lineno) from exc
         if i < 0 or j < 0:
             raise StoreFormatError(f"line {lineno}: negative index", offset=lineno)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise StoreFormatError(f"line {lineno}: non-finite value", offset=lineno)
         yield i, j, value
 

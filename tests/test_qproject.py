@@ -300,7 +300,7 @@ class TestCircuitPath:
             out = threshold_project(wop, a[row], params, rng, path="circuit")
             assert out.path == "circuit"
             assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-12)
-        assert wop.kernels(grid).size <= wop.n * grid.size <= REGISTER_CAP
+        assert wop.grid_tables(grid)[0].size <= wop.n * grid.size <= REGISTER_CAP
 
     def test_gap_instance_matches_exact(self):
         wop = WalkOperator.from_dense(GAP)

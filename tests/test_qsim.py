@@ -701,7 +701,7 @@ class TestSpanDecomposition:
         grid = PhaseGrid(16)
         tracemalloc.start()
         try:
-            table = w.kernels(grid)
+            table = w.grid_tables(grid)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

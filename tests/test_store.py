@@ -1,6 +1,7 @@
 """Sampling-tree store: weights, updates, sampling, serialization."""
 
 import hashlib
+import math
 import struct
 import tracemalloc
 
@@ -155,6 +156,35 @@ class TestMatrixStore:
         with pytest.raises(MatrixError, match="overflows"):
             MatrixStore.from_dense([row])
 
+    @pytest.mark.parametrize(
+        "before, cell",
+        [
+            ([(0, 0, 1e154)], (0, 1)),  # the row sum overflows
+            ([(0, 0, 1e154)], (1, 0)),  # only the norm tree's root overflows
+            ([(0, 0, 1e154), (1, 0, -2.0)], (1, 0)),  # over a held cell
+        ],
+    )
+    def test_overflowing_insert_leaves_store_unchanged(self, before, cell):
+        def filled() -> MatrixStore:
+            store = MatrixStore(2, 3)
+            for i, j, value in before:
+                store.insert(i, j, value)
+            return store
+
+        store, twin = filled(), filled()
+        with pytest.raises(MatrixError, match="overflows"):
+            store.insert(*cell, 1e154)
+        assert_same_store(store, twin)
+        assert (store.node_touches, store.last_insert_touches) == (
+            twin.node_touches,
+            twin.last_insert_touches,
+        )
+        assert store.serialize() == twin.serialize()
+        assert_same_store(MatrixStore.deserialize(store.serialize()), twin)
+        store.insert(*cell, 1.0)
+        twin.insert(*cell, 1.0)
+        assert_same_store(store, twin)
+
     def test_dense_round_trip(self):
         a = np.random.default_rng(3).normal(size=(5, 7))
         a[np.abs(a) < 0.3] = 0.0
@@ -239,6 +269,39 @@ class TestSampling:
         b = [store.sample_entry(np.random.default_rng(10)) for _ in range(20)]
         assert a == b
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (129, 256)])
+    def test_walk_draws_one_uniform_per_level(self, m, n):
+        # A walk consumes exactly the doubles that one scalar rng.random()
+        # per level would, and none when the row is empty.
+        a = np.random.default_rng(4).normal(size=(m, n))
+        a[0] = 0.0
+        a[-1, 0] = 1.0
+        store = MatrixStore.from_dense(a)
+        depth_m, depth_n = store.norm_tree.depth, store.rows.depth
+        assert depth_m == depth_n == {1: 0, 2: 1, 256: 8}[n]
+        walks = [(lambda rng: store.l2_sample_in_row(m - 1, rng), depth_n)]
+        walks.append((store.sample_entry, depth_m + depth_n))
+        for walk, levels in walks:
+            rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+            for _ in range(7):
+                walk(rng)
+            for _ in range(7 * levels):
+                twin.random()
+            assert rng.bit_generator.state == twin.bit_generator.state
+        if m > 1:
+            with pytest.raises(EmptyRowError):
+                store.l2_sample_in_row(0, rng)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_sample_entry_draws_digest(self):
+        # Pins 2,000 seeded draws across versions, on the golden blob's store.
+        store = TestSerialization.golden_store()
+        rng = np.random.default_rng(20160321)
+        draws = np.array([store.sample_entry(rng) for _ in range(2000)], dtype=np.int64)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+            "4c545aac30edba2c25c8401ccef3259360d61d9a3d7e286ca88fa889fd81f910"
+        )
+
     def test_empty_store_sample_errors(self):
         with pytest.raises(EmptyRowError):
             MatrixStore(2, 2).l2_sample_row_index(np.random.default_rng(0))
@@ -262,15 +325,19 @@ class TestSerialization:
         assert np.array_equal(back.to_dense(), store.to_dense())
         assert_same_store(back, store)
 
-    def test_golden_blob_digest(self):
-        # Pins the blob format and every stored float bit for bit.
+    @staticmethod
+    def golden_store() -> MatrixStore:
         a = np.random.default_rng(2016).normal(size=(64, 48))
         a[np.abs(a) < 0.5] = 0.0
         a[11] = 0.0  # one empty row
         assert a[40, 3] == 0.0
         store = MatrixStore.from_dense(a)
         store.insert(40, 3, 0.0)  # explicit zero cell
-        blob = store.serialize()
+        return store
+
+    def test_golden_blob_digest(self):
+        # Pins the blob format and every stored float bit for bit.
+        blob = self.golden_store().serialize()
         assert hashlib.sha256(blob).hexdigest() == (
             "5ac136223c68de53c212850c0c3611f34c7e28a2f8cdacbdd956b0425271b563"
         )
@@ -401,6 +468,34 @@ class TestTriplets:
             list(parse_triplets(["-1,0,2"]))
         with pytest.raises(StoreFormatError):
             list(parse_triplets(["0,0,inf"]))
+
+    def test_whitespace_and_signed_zero_parse(self):
+        got = list(parse_triplets([" 3 , 4 , 2.5 ", "3,4,-0.0", "\t1,\t2 ,1e-3\t"]))
+        assert got == [(3, 4, 2.5), (3, 4, -0.0), (1, 2, 1e-3)]
+        assert math.copysign(1.0, got[1][2]) == -1.0
+        assert all(type(i) is int and type(j) is int and type(v) is float for i, j, v in got)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0,0,nan", "non-finite value"),
+            ("0,0,inf", "non-finite value"),
+            ("0,0,-inf", "non-finite value"),
+            ("0,0,1e999", "non-finite value"),
+            ("0,0", "expected i,j,value, got '0,0'"),
+            ("0,0,1,2", "expected i,j,value, got '0,0,1,2'"),
+            ("-1,0,2", "negative index"),
+            ("0, -3 ,2", "negative index"),
+            ("0,,1", "invalid literal for int() with base 10: ''"),
+            (" 0 , x , 2", "invalid literal for int() with base 10: 'x'"),
+            ("0,0, y ", "could not convert string to float: 'y'"),
+        ],
+    )
+    def test_rejected_line_keeps_message_and_number(self, line, message):
+        with pytest.raises(StoreFormatError) as err:
+            list(parse_triplets(["0,0,1.0", "# comment", "", line]))
+        assert str(err.value) == f"line 4: {message} (at offset 4)"
+        assert err.value.offset == 4
 
     def test_out_of_shape_rejected(self):
         with pytest.raises(StoreFormatError):
