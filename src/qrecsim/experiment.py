@@ -34,7 +34,7 @@ from .recsys import (
     w_statistic_bound,
 )
 from .rng import stream
-from .store import MatrixStore
+from .store import MAX_INGEST_DIM, MatrixStore
 from .subsample import bound_threshold_family_error, derive_params, subsample
 from . import rng as rng_mod
 
@@ -60,11 +60,15 @@ class ExperimentConfig:
     recs_per_user: int = 40
 
     def __post_init__(self):
-        for name, low in (("m", 1), ("n", 1), ("k", 1), ("seed", 0), ("users", 0),
-                          ("recs_per_user", 0)):
+        dim = MAX_INGEST_DIM  # the store's limit, which the rank shares
+        for name, low, high in (("m", 1, dim), ("n", 1, dim), ("k", 1, dim), ("seed", 0, np.inf),
+                                ("users", 0, np.inf), ("recs_per_user", 0, np.inf)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-                raise MatrixError(f"config {name} must be an integer >= {low}, got {value!r}")
+            bad = isinstance(value, bool) or not isinstance(value, Integral)
+            if bad or not low <= value <= high:
+                raise MatrixError(
+                    f"config {name} must be an integer in [{low}, {high}], got {value!r}"
+                )
         fraction = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
         reals = {
             "noise": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
@@ -135,8 +139,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     # Sandwich check on the realized kept set (hard invariant). Directions the
     # context left unresolved lie below its floor, hence below sigma, and are
     # never kept, so only the resolved ones can miss.
-    sigmas = np.zeros(kept.size)
-    sigmas[: ctx.f.rank] = ctx.f.sigma
+    sigmas = ctx.f.column_sigma()
     misses = ((sigmas >= sigma) & ~kept) | ((sigmas < (1.0 - config.kappa) * sigma) & kept)
     sandwich_ok = not misses.any()
 

@@ -66,9 +66,17 @@ CERTIFY_ROWS = 128
 EPS = float(np.finfo(np.float64).eps)
 
 
+def _float64(a) -> np.ndarray:
+    """``a`` as a float64 array; MatrixError when numpy cannot convert it."""
+    try:
+        return np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MatrixError(f"cannot convert input to a float64 array: {exc}") from exc
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and convert input to a 2-d float64 array."""
-    arr = np.asarray(a, dtype=np.float64)
+    arr = _float64(a)
     if arr.ndim != 2:
         raise MatrixError(f"expected a 2-d matrix, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -80,7 +88,7 @@ def as_matrix(a) -> np.ndarray:
 
 def as_vector(x, size: int | None = None) -> np.ndarray:
     """Validate and convert input to a 1-d float64 array."""
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _float64(x)
     if arr.ndim != 1:
         raise MatrixError(f"expected a 1-d vector, got shape {arr.shape}")
     if size is not None and arr.shape[0] != size:
@@ -122,11 +130,12 @@ class SvdFactorization:
     def rank(self) -> int:
         return int(self.sigma.shape[0])
 
-    def singular_value(self, i: int) -> float:
-        """sigma_i with the convention sigma_i = 0 beyond the rank."""
-        if i < 0 or i >= self.shape[1]:
-            raise MatrixError(f"singular value index {i} out of range")
-        return float(self.sigma[i]) if i < self.rank else 0.0
+    def column_sigma(self) -> np.ndarray:
+        """sigma for every column of V (n of them when V is not stored),
+        zero beyond the rank."""
+        out = np.zeros(self.shape[1] if self.v is None else self.v.shape[1])
+        out[: self.rank] = self.sigma
+        return out
 
     def frobenius_norm(self) -> float:
         return float(np.sqrt(np.sum(self.sigma**2) + self.rest_sq))

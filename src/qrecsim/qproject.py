@@ -10,14 +10,15 @@ each run realizes some member of the admissible projector family.
 
 On the exact path the estimates round the true phases, so the kept set is a
 function of the factorization alone (``kept_mask``); an input only adds its
-overlaps. Exact-path callers share ``kept_state`` and the retry loop
-``attempts_until_success``. The circuit path draws its estimates through
-qsim's circuit-SVE kernel, ``CircuitSve``, capped by its walk; it keeps a
-separate loop only because each attempt resamples the kept set.
+overlaps, and exact-path callers share ``kept_state``. The circuit path
+draws its estimates through qsim's circuit-SVE kernel, ``CircuitSve``,
+capped by its walk, so each attempt resamples the kept set. Both paths run
+their attempts through ``attempts_until_success``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,7 +26,8 @@ import numpy as np
 
 from .errors import MatrixError, ProjectionEmptyError
 from .linalg import SvdFactorization, unit_vector
-from .qsim import CircuitSve, PhaseGrid, WalkOperator, eigenphases, factorization_of, walk_of
+from .qsim import (CircuitSve, PhaseGrid, WalkOperator, component_rows, eigenphases,
+                   factorization_of, walk_of)
 
 DEFAULT_KAPPA = 1.0 / 3.0
 # Success probabilities at or below this count as zero. An overlap that is
@@ -144,12 +146,17 @@ def kept_state(v_kept: np.ndarray, alpha_kept: np.ndarray) -> tuple[float, np.nd
     return beta_sq, state
 
 
-def attempts_until_success(beta_sq: float, limit: int, rng: np.random.Generator) -> int:
-    """Attempts, one ``rng.random()`` each, up to the first success; raises
-    ProjectionEmptyError when ``limit`` attempts all fail."""
-    for attempt in range(1, limit + 1):
-        if rng.random() < beta_sq:
-            return attempt
+def attempts_until_success(
+    attempt: Callable[[], float], beta_sq: float, limit: int, rng: np.random.Generator
+) -> int:
+    """Attempts up to the first success. Each one takes its success
+    probability from ``attempt()`` and then draws one ``rng.random()``
+    against it. Raises ProjectionEmptyError, carrying ``beta_sq`` (the
+    probability ``limit`` was set from), when all ``limit`` attempts fail."""
+    for n in range(1, limit + 1):
+        p = attempt()
+        if rng.random() < p:
+            return n
     raise ProjectionEmptyError(
         f"projection empty: no surviving component after {limit} repetitions",
         beta_sq=beta_sq,
@@ -159,22 +166,13 @@ def attempts_until_success(beta_sq: float, limit: int, rng: np.random.Generator)
 
 def exact_kept_components(
     f: SvdFactorization, x, params: ProjectionParams
-) -> tuple[list[ProjectionComponent], np.ndarray, np.ndarray]:
+) -> tuple[tuple[ProjectionComponent, ...], np.ndarray, np.ndarray]:
     """Deterministic component fates plus (alpha, kept mask) working arrays."""
     alpha = f.v.T @ unit_vector(x, f.shape[1])
     estimates = estimated_spectrum(f, params)
     kept = estimates >= params.cut
-    comps = [
-        ProjectionComponent(
-            index=i,
-            amplitude=float(abs(alpha[i])),
-            sigma=f.singular_value(i),
-            sigma_est=float(estimates[i]),
-            kept=bool(kept[i]),
-        )
-        for i in range(kept.size)
-    ]
-    return comps, alpha, kept
+    cols = (np.arange(kept.size), np.abs(alpha), f.column_sigma(), estimates, kept)
+    return component_rows(ProjectionComponent, *cols), alpha, kept
 
 
 def threshold_project(
@@ -205,9 +203,9 @@ def _project_exact(
     limit = params.retry_limit(f.shape[1], beta_sq)
     return ProjectionOutcome(
         state=state,
-        iterations=attempts_until_success(beta_sq, limit, rng),
+        iterations=attempts_until_success(lambda: beta_sq, beta_sq, limit, rng),
         beta_sq=beta_sq,
-        components=tuple(comps),
+        components=comps,
         path="exact",
     )
 
@@ -219,28 +217,24 @@ def _project_circuit(
     # A rough retry budget from the deterministic kept set keeps the loop
     # finite; realized kept sets vary only inside the band.
     beta_guess = float(np.sum(est.weights[est.groups.sigma >= params.cut]))
-    limit = params.retry_limit(wop.n, beta_guess)
     g = est.carrying
-    for attempt in range(1, limit + 1):
-        _, _, sigma_est = est.round(rng)
+    sigma_est = kept = beta_sq = None
+
+    def attempt() -> float:
+        nonlocal sigma_est, kept, beta_sq
+        sigma_est = est.round(rng)[2]
         kept = sigma_est >= params.cut
         beta_sq = float(np.sum(est.weights[g[kept]]))
-        if rng.random() < beta_sq:
-            out = est.survivor(g[kept])
-            out_norm = np.linalg.norm(out)
-            if out_norm <= 0.0:
-                continue
-            cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], sigma_est, kept)
-            comps = tuple(ProjectionComponent(*row) for row in zip(*(c.tolist() for c in cols)))
-            return ProjectionOutcome(
-                state=out / out_norm,
-                iterations=attempt,
-                beta_sq=beta_sq,
-                components=comps,
-                path="circuit",
-            )
-    raise ProjectionEmptyError(
-        f"projection empty: no surviving component after {limit} repetitions",
-        beta_sq=beta_guess,
-        iterations=limit,
+        return beta_sq
+
+    limit = params.retry_limit(wop.n, beta_guess)
+    iterations = attempts_until_success(attempt, beta_guess, limit, rng)
+    out = est.survivor(g[kept])
+    cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], sigma_est, kept)
+    return ProjectionOutcome(
+        state=out / np.linalg.norm(out),
+        iterations=iterations,
+        beta_sq=beta_sq,
+        components=component_rows(ProjectionComponent, *cols),
+        path="circuit",
     )

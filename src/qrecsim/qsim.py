@@ -171,9 +171,7 @@ def eigenphases(f: SvdFactorization) -> np.ndarray:
     fro = f.frobenius_norm()
     if fro <= 0.0:
         raise MatrixError("phases are undefined for a zero matrix")
-    ratios = np.zeros(f.shape[1] if f.v is None else f.v.shape[1])
-    ratios[: f.rank] = f.sigma / fro
-    return 2.0 * np.arccos(np.clip(ratios, 0.0, 1.0))
+    return 2.0 * np.arccos(np.clip(f.column_sigma() / fro, 0.0, 1.0))
 
 
 # -- estimation grid --------------------------------------------------------
@@ -307,6 +305,12 @@ class SveComponent(NamedTuple):
     sigma_est: float
 
 
+def component_rows(kind, *cols) -> tuple:
+    """One ``kind`` per index of the equal-length column arrays, built from
+    their entries as Python scalars."""
+    return tuple(kind(*row) for row in zip(*(c.tolist() for c in cols)))
+
+
 @dataclass(frozen=True)
 class SveOutput:
     components: tuple[SveComponent, ...]
@@ -326,20 +330,9 @@ def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
     alpha = f.v.T @ unit_vector(x, f.shape[1])
     thetas = eigenphases(f)
     bins = grid.bin_of(thetas)
-    theta_est = grid.theta_of(bins)
-    sigma_est = grid.sigma_of(bins, fro)
-    comps = tuple(
-        SveComponent(
-            index=i,
-            amplitude=float(abs(alpha[i])),
-            sigma=f.singular_value(i),
-            theta=float(thetas[i]),
-            bin=int(bins[i]),
-            theta_est=float(theta_est[i]),
-            sigma_est=float(sigma_est[i]),
-        )
-        for i in range(thetas.size)
-    )
+    cols = (np.arange(thetas.size), np.abs(alpha), f.column_sigma(), thetas, bins,
+            grid.theta_of(bins), grid.sigma_of(bins, fro))
+    comps = component_rows(SveComponent, *cols)
     return SveOutput(components=comps, grid=grid, fro=fro, path="exact")
 
 
@@ -393,19 +386,17 @@ def sve_circuit(wop: WalkOperator, x, eps: float, rng: np.random.Generator) -> S
     est = CircuitSve(wop, x, PhaseGrid.for_sigma_precision(eps))
     g = est.carrying
     cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], est.groups.theta[g], *est.round(rng))
-    comps = tuple(SveComponent(*row) for row in zip(*(c.tolist() for c in cols)))
+    comps = component_rows(SveComponent, *cols)
     return SveOutput(components=comps, grid=est.grid, fro=wop.fro, path="circuit")
 
 
 def factorization_of(source) -> SvdFactorization:
-    """Exact-path SVD of a MatrixStore, WalkOperator or dense matrix; an
-    SvdFactorization is returned as is."""
+    """Exact-path SVD of a MatrixStore or dense matrix; an SvdFactorization
+    is returned as is."""
     if isinstance(source, SvdFactorization):
         return source
     if isinstance(source, MatrixStore):
         return svd(source.to_dense())
-    if isinstance(source, WalkOperator):
-        return svd(source.row_states * (source.a_tilde * source.fro)[:, None])
     return svd(source)
 
 

@@ -11,6 +11,7 @@ is close to the per-user average.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -161,9 +162,9 @@ class RecommendContext:
     estimate can reach the cut, and certifies the rest below it; the kept
     set is over the resolved directions, and ``v_kept`` holds V's kept
     columns. Each user's overlaps and post-projection distribution are
-    computed once, and so are the retry budget and inverse CDF of the
-    user's first recommendation; individual calls only consume randomness
-    (retry draws and the final measurement).
+    computed once, and so are the beta^2 source, retry budget and inverse
+    CDF of the user's first recommendation; individual calls only consume
+    randomness (retry draws and the final measurement).
     """
 
     def __init__(self, source, params: ProjectionParams):
@@ -177,7 +178,7 @@ class RecommendContext:
         self.kept = kept_mask(self.f, params)
         self.v_kept = np.ascontiguousarray(self.f.v[:, self.kept])
         self._users: dict[int, tuple[np.ndarray, float, np.ndarray]] = {}
-        self._draws: dict[int, tuple[float, int, np.ndarray | None]] = {}
+        self._draws: dict[int, tuple[Callable[[], float], float, int, np.ndarray | None]] = {}
 
     def user_state(self, i: int) -> tuple[np.ndarray, float, np.ndarray]:
         """(probabilities, beta_sq, projected unit row) for user i."""
@@ -205,11 +206,11 @@ class RecommendContext:
             # A zero beta_sq exhausts every budget, so its CDF is never read.
             cdf = choice_cdf(probs) if beta_sq > 0.0 else None
             limit = self.params.retry_limit(self.dense.shape[1], beta_sq)
-            draws = self._draws[i] = (beta_sq, limit, cdf)
-        beta_sq, limit, cdf = draws
-        attempt = attempts_until_success(beta_sq, limit, rng)
+            draws = self._draws[i] = (lambda: beta_sq, beta_sq, limit, cdf)
+        attempt, beta_sq, limit, cdf = draws
+        iterations = attempts_until_success(attempt, beta_sq, limit, rng)
         product = int(cdf.searchsorted(rng.random(), side="right"))
-        return RecommendOutcome(i, product, attempt, beta_sq, 1.0 / beta_sq)
+        return RecommendOutcome(i, product, iterations, beta_sq, 1.0 / beta_sq)
 
 
 def recommendation_sigma(eps: float, p: float, k: int, norm_f_hat: float) -> float:

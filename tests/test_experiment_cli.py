@@ -52,6 +52,10 @@ class TestConfig:
         assert cfg.seed == DEFAULT_SEED
         assert cfg.kappa == pytest.approx(1.0 / 3.0)
 
+    def test_dimensions_at_the_ingest_limit_accepted(self):
+        cfg = ExperimentConfig(m=MAX_INGEST_DIM, n=MAX_INGEST_DIM, k=MAX_INGEST_DIM)
+        assert (cfg.m, cfg.n, cfg.k) == (MAX_INGEST_DIM,) * 3
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(MatrixError) as info:
             ExperimentConfig.from_dict({"m": 8, "banana": 1})
@@ -398,6 +402,9 @@ class TestCliExperiment:
             ({"p": float("nan")}, "p"),
             ({"kappa": 1.0}, "kappa"),
             ([8, 8], "JSON object"),
+            ({"m": 16385}, "m"),
+            ({"n": 10000000}, "n"),
+            ({"k": 16385}, "k"),
         ],
     )
     def test_invalid_config_value(self, tmp_path, capsys, raw, field):

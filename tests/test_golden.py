@@ -8,12 +8,15 @@ recorded once and must not move unless a change says why the draws changed.
 import hashlib
 
 import numpy as np
+import pytest
 
 from qrecsim.cli import EXIT_OK, main
+from qrecsim.errors import ProjectionEmptyError
 from qrecsim.experiment import ExperimentConfig, report_to_json, run_experiment
 from qrecsim.qproject import ProjectionParams, threshold_project
 from qrecsim.qsim import WalkOperator, sve_circuit
 from qrecsim.rng import stream
+from qrecsim.store import MatrixStore
 
 # A planted 12 x 10 preference matrix (three user types, 15% flips).
 PLANTED = np.array(
@@ -152,4 +155,30 @@ def test_circuit_threshold_project_with_multi_column_groups():
          0.1754116038614058],
         rtol=0.0,
         atol=FLOAT_TOL,
+    )
+
+
+def test_circuit_attempt_draws_on_default_store(default_context_input):
+    # Every stored row of the default 64 x 64 store on one stream, then a
+    # three-attempt run that exhausts its budget: each outcome's attempts,
+    # kept set, beta^2 and state bytes, the error's fields, and the stream's
+    # final state. The capped input is V's last column, far below the cut,
+    # plus a tenth of the first row, so that beta^2 is about 1%.
+    a, params = default_context_input
+    wop = WalkOperator.from_store(MatrixStore.from_dense(a))
+    rng = stream(5, "golden", "default-store")
+    digest = hashlib.sha256()
+    rows = np.flatnonzero(a.any(axis=1)).tolist()
+    for row in rows:
+        out = threshold_project(wop, a[row], params, rng, path="circuit")
+        digest.update(repr((row, out.iterations, out.kept_indices(), out.beta_sq.hex())).encode())
+        digest.update(out.state.tobytes())
+    capped = ProjectionParams(sigma=params.sigma, kappa=params.kappa, max_iterations=3)
+    x = wop.phase_groups().v[:, -1] + 0.1 * a[rows[0]] / np.linalg.norm(a[rows[0]])
+    with pytest.raises(ProjectionEmptyError) as info:
+        threshold_project(wop, x, capped, rng, path="circuit")
+    digest.update(repr((info.value.beta_sq.hex(), info.value.iterations)).encode())
+    digest.update(repr(rng.bit_generator.state).encode())
+    assert len(rows) == 64 and digest.hexdigest() == (
+        "a7d4d28e53cc7f48e3782838fbc6b430cd0f90806e50d65c9ab1691b5daa1703"
     )

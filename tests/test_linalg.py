@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qrecsim import recsys
 from qrecsim.errors import MatrixError
 from qrecsim.experiment import ExperimentConfig, run_experiment
-from qrecsim.linalg import ORTHO_TOL, RITZ_BLOCK, SvdFactorization, as_matrix, svd
+from qrecsim.linalg import ORTHO_TOL, RITZ_BLOCK, SvdFactorization, as_matrix, as_vector, svd
 from qrecsim.qproject import DEFAULT_KAPPA, ProjectionParams, keep_floor, kept_mask
 from qrecsim.recsys import RecommendContext, generate_T, recommendation_sigma
 from qrecsim.rng import stream
@@ -95,17 +95,33 @@ class TestSvd:
         with pytest.raises(MatrixError):
             as_matrix(np.empty((0, 3)))
 
+    @pytest.mark.parametrize(
+        "convert, value",
+        [
+            (svd, [[1.0, 2.0], [3.0]]),
+            (svd, [["a"]]),
+            (as_matrix, object()),
+            (as_vector, [1.0, [2.0]]),
+            (as_vector, ["b"]),
+            (as_vector, object()),
+        ],
+    )
+    def test_unconvertible_input_is_matrix_error(self, convert, value):
+        with pytest.raises(MatrixError, match="cannot convert"):
+            convert(value)
+
     def test_floor_and_top_together_rejected(self):
         with pytest.raises(MatrixError, match="not both"):
             svd(random_matrix(2, 30, 20), floor=1.0, top=2)
 
     def test_singular_value_beyond_rank_is_zero(self):
-        f = svd(np.outer([1.0, 1.0], [1.0, 1.0, 1.0]))
-        assert f.singular_value(0) > 0
-        assert f.singular_value(1) == 0.0
-        assert f.singular_value(2) == 0.0
-        with pytest.raises(MatrixError):
-            f.singular_value(3)
+        a = np.outer([1.0, 1.0], [1.0, 1.0, 1.0])
+        full, values = svd(a), svd(a, top=1)
+        assert values.v is None
+        for f in (full, values):
+            sigma = f.column_sigma()
+            assert sigma.shape == (3,) and sigma[0] > 0
+            assert sigma[1:].tolist() == [0.0, 0.0]
 
 
 class TestTruncate:

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from qrecsim import experiment
 from qrecsim.errors import MatrixError, ProjectionEmptyError, RegisterCapError
-from qrecsim.experiment import ExperimentConfig, run_experiment
 from qrecsim.linalg import svd, unit_vector
 from qrecsim.qproject import (
     BETA_SQ_FLOOR,
@@ -245,6 +243,13 @@ class TestExactPath:
         assert np.allclose(out_s.state, out_d.state, atol=1e-12)
         assert out_s.kept_indices() == out_d.kept_indices()
 
+    def test_walk_on_the_exact_path_rejected(self):
+        # The exact path factorizes a matrix; a walk is a circuit-path source.
+        with pytest.raises(MatrixError, match="cannot convert"):
+            threshold_project(
+                WalkOperator.from_dense(GAP), GAP_X, GAP_PARAMS, np.random.default_rng(0)
+            )
+
     def test_unknown_path_rejected(self):
         with pytest.raises(MatrixError):
             threshold_project(GAP, GAP_X, GAP_PARAMS, np.random.default_rng(0), path="fast")
@@ -280,18 +285,10 @@ class TestCircuitPath:
             )
         assert misses == 0
 
-    def test_default_experiment_store(self, monkeypatch):
+    def test_default_experiment_store(self, default_context_input):
         # The default 64 x 64 config needs an 11-bit grid: mn * 2^11 is over
         # REGISTER_CAP, but the walk's kernel table holds at most n * 2^11.
-        seen = []
-
-        def context(a, params, _build=experiment.RecommendContext):
-            seen.append((a, params))
-            return _build(a, params)
-
-        monkeypatch.setattr(experiment, "RecommendContext", context)
-        run_experiment(ExperimentConfig(seed=DEFAULT_SEED, users=0))
-        [(a, params)] = seen
+        a, params = default_context_input
         wop = WalkOperator.from_store(MatrixStore.from_dense(a))
         grid = projection_grid(params, wop.fro)
         assert grid.bits == 11 and wop.m * wop.n * grid.size > REGISTER_CAP
