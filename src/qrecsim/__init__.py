@@ -33,7 +33,6 @@ from .rng import default_seed, stream
 from .store import MatrixStore, TreeTable, ingest_triplets, parse_triplets
 from .subsample import (
     SubsampleParams,
-    ThresholdParams,
     bound_threshold_family_error,
     derive_params,
     subsample,
@@ -56,7 +55,6 @@ __all__ = [
     "SubsampleParams",
     "SvdFactorization",
     "SveOutput",
-    "ThresholdParams",
     "TreeTable",
     "WalkOperator",
     "bad_sample_bound",

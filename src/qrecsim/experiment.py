@@ -39,6 +39,10 @@ from .subsample import bound_threshold_family_error, derive_params, subsample
 from . import rng as rng_mod
 
 REPORT_SCHEMA = "qrecsim-report/1"
+# Largest ``users`` and ``recs_per_user``. The user draw allocates one int64
+# per user (8 MiB at the cap), and each drawn user's count times
+# recs_per_user stays far inside int64.
+MAX_SERVED = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ class ExperimentConfig:
     def __post_init__(self):
         dim = MAX_INGEST_DIM  # the store's limit, which the rank shares
         for name, low, high in (("m", 1, dim), ("n", 1, dim), ("k", 1, dim), ("seed", 0, np.inf),
-                                ("users", 0, np.inf), ("recs_per_user", 0, np.inf)):
+                                ("users", 0, MAX_SERVED), ("recs_per_user", 0, MAX_SERVED)):
             value = getattr(self, name)
             bad = isinstance(value, bool) or not isinstance(value, Integral)
             if bad or not low <= value <= high:
@@ -113,9 +117,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
         # Noise-free instances reconstruct exactly; keep bounds well defined.
         eps_k = 1e-9
 
-    sub_params, thr_params = derive_params(
-        truth, config.k, eps_k, p=config.p, kappa=config.kappa
-    )
+    sub_params = derive_params(truth, config.k, eps_k, p=config.p)
     sampled = subsample(truth, sub_params.p, stream(seed, "subsample"))
     store = MatrixStore.from_dense(sampled) if sampled.any() else None
     if store is None:
@@ -155,13 +157,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
         row_sq = np.sum(ctx.dense[typical_idx] ** 2, axis=1)
         user_probs = row_sq / row_sq.sum()
         chosen = user_rng.choice(typical_idx, size=config.users, p=user_probs)
-        for user in np.unique(chosen):
-            count = int(np.sum(chosen == user))
+        for user, count in zip(*np.unique(chosen, return_counts=True)):
             stats = {"user": int(user), "typical": True, "recs": 0, "bad": 0}
-            try:
-                _, beta_sq, _ = ctx.user_state(int(user))
-            except MatrixError:
-                continue
+            _, beta_sq, _ = ctx.user_state(int(user))
             stats["beta_sq"] = beta_sq
             stats["w_stat"] = float(np.inf) if beta_sq <= 0 else 1.0 / beta_sq
             w_values.append(stats["w_stat"])
@@ -188,7 +186,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
             np.sqrt(tail_sq),
             sub_params.eta,
             config.k,
-            thr_params.mu,
+            sub_params.mu,
             sub_params.p,
             config.kappa,
             fro_truth,
@@ -248,7 +246,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
             "p": sub_params.p,
             "eta": sub_params.eta,
             "eta_max": sub_params.eta_max,
-            "mu": thr_params.mu,
+            "mu": sub_params.mu,
             "sigma": sigma,
             "kappa": config.kappa,
             "precondition": sub_params.status,

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyRowError, MatrixError, RegisterCapError
-from .linalg import SvdFactorization, svd, unit_vector
+from .linalg import SvdFactorization, as_matrix, svd, unit_vector
 from .rng import choice_cdf
 from .store import MatrixStore
 
@@ -93,7 +93,7 @@ class WalkOperator:
 
     @classmethod
     def from_dense(cls, a) -> "WalkOperator":
-        arr = np.asarray(a, dtype=np.float64)
+        arr = as_matrix(a)
         fro = float(np.linalg.norm(arr))
         if fro <= 0.0:
             raise EmptyRowError("empty-store sample: cannot build a walk from zero mass")
@@ -315,7 +315,6 @@ def component_rows(kind, *cols) -> tuple:
 class SveOutput:
     components: tuple[SveComponent, ...]
     grid: PhaseGrid
-    fro: float
     path: str
 
 
@@ -333,7 +332,7 @@ def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
     cols = (np.arange(thetas.size), np.abs(alpha), f.column_sigma(), thetas, bins,
             grid.theta_of(bins), grid.sigma_of(bins, fro))
     comps = component_rows(SveComponent, *cols)
-    return SveOutput(components=comps, grid=grid, fro=fro, path="exact")
+    return SveOutput(components=comps, grid=grid, path="exact")
 
 
 class CircuitSve:
@@ -387,7 +386,7 @@ def sve_circuit(wop: WalkOperator, x, eps: float, rng: np.random.Generator) -> S
     g = est.carrying
     cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], est.groups.theta[g], *est.round(rng))
     comps = component_rows(SveComponent, *cols)
-    return SveOutput(components=comps, grid=est.grid, fro=wop.fro, path="circuit")
+    return SveOutput(components=comps, grid=est.grid, path="circuit")
 
 
 def factorization_of(source) -> SvdFactorization:

@@ -6,12 +6,12 @@ when T_ij = 0. Sampling instead from a low-rank or threshold-projected
 surrogate of T is good on average because the surrogate concentrates mass
 on the planted structure; the bounds here quantify how much of the sampled
 mass can land on bad cells, overall and for "typical" users whose row mass
-is close to the per-user average.
+is close to the per-user average. ``RecommendContext`` serves repeated
+recommendations from one store and keeps one cached record per user.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -161,10 +161,11 @@ class RecommendContext:
     the singular values down to ``keep_floor``, the lowest one whose grid
     estimate can reach the cut, and certifies the rest below it; the kept
     set is over the resolved directions, and ``v_kept`` holds V's kept
-    columns. Each user's overlaps and post-projection distribution are
-    computed once, and so are the beta^2 source, retry budget and inverse
-    CDF of the user's first recommendation; individual calls only consume
-    randomness (retry draws and the final measurement).
+    columns. ``user_state`` builds each user's record once: probabilities,
+    beta^2 and state, then the beta^2 source, retry budget and inverse CDF
+    (None when beta^2 is 0, which exhausts every budget) that the user's
+    recommendations draw with. Individual calls only consume randomness
+    (retry draws and the final measurement).
     """
 
     def __init__(self, source, params: ProjectionParams):
@@ -177,22 +178,24 @@ class RecommendContext:
         self.f: SvdFactorization = svd(self.dense, floor=floor)
         self.kept = kept_mask(self.f, params)
         self.v_kept = np.ascontiguousarray(self.f.v[:, self.kept])
-        self._users: dict[int, tuple[np.ndarray, float, np.ndarray]] = {}
-        self._draws: dict[int, tuple[Callable[[], float], float, int, np.ndarray | None]] = {}
+        self._users: dict[int, tuple] = {}  # user -> the record ``user_state`` builds
 
     def user_state(self, i: int) -> tuple[np.ndarray, float, np.ndarray]:
         """(probabilities, beta_sq, projected unit row) for user i."""
-        if i in self._users:
-            return self._users[i]
-        if not 0 <= i < self.dense.shape[0]:
-            raise MatrixError(f"user index {i} outside [0, {self.dense.shape[0]})")
-        row = self.dense[i]
-        if not row.any():
-            raise ColdStartError(f"cold-start user: user {i} has no stored entries")
-        alpha = self.v_kept.T @ unit_vector(row, self.dense.shape[1])
-        beta_sq, state = kept_state(self.v_kept, alpha)
-        self._users[i] = (state**2, beta_sq, state)
-        return self._users[i]
+        user = self._users.get(i)
+        if user is None:
+            m, n = self.dense.shape
+            if not 0 <= i < m:
+                raise MatrixError(f"user index {i} outside [0, {m})")
+            row = self.dense[i]
+            if not row.any():
+                raise ColdStartError(f"cold-start user: user {i} has no stored entries")
+            beta_sq, state = kept_state(self.v_kept, self.v_kept.T @ unit_vector(row, n))
+            probs = state**2
+            cdf = choice_cdf(probs) if beta_sq > 0.0 else None
+            limit = self.params.retry_limit(n, beta_sq)
+            user = self._users[i] = (probs, beta_sq, state, lambda: beta_sq, limit, cdf)
+        return user[:3]
 
     def recommend(self, i: int, rng: np.random.Generator) -> RecommendOutcome:
         """Project user i's stored row, then measure a product index.
@@ -200,14 +203,11 @@ class RecommendContext:
         Draws the same bits as a retry loop followed by ``rng.choice(n,
         p=probabilities)``.
         """
-        draws = self._draws.get(i)
-        if draws is None:
-            probs, beta_sq, _ = self.user_state(i)
-            # A zero beta_sq exhausts every budget, so its CDF is never read.
-            cdf = choice_cdf(probs) if beta_sq > 0.0 else None
-            limit = self.params.retry_limit(self.dense.shape[1], beta_sq)
-            draws = self._draws[i] = (lambda: beta_sq, beta_sq, limit, cdf)
-        attempt, beta_sq, limit, cdf = draws
+        user = self._users.get(i)
+        if user is None:
+            self.user_state(i)
+            user = self._users[i]
+        _, beta_sq, _, attempt, limit, cdf = user
         iterations = attempts_until_success(attempt, beta_sq, limit, rng)
         product = int(cdf.searchsorted(rng.random(), side="right"))
         return RecommendOutcome(i, product, iterations, beta_sq, 1.0 / beta_sq)

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import EmptyRowError, MatrixError, StoreFormatError
+from .linalg import as_matrix
 
 _MAGIC = b"QRST"
 _VERSION = 1
@@ -350,14 +351,10 @@ class MatrixStore:
 
         Built in bulk (see the module docstring): the result is bit-identical
         to inserting each nonzero cell, and ``node_touches`` counts the nodes
-        on a written leaf's path. Raises MatrixError when a squared entry or
-        ||A||_F^2 overflows.
+        on a written leaf's path. Raises MatrixError when ``linalg.as_matrix``
+        rejects the input or when a squared entry or ||A||_F^2 overflows.
         """
-        arr = np.asarray(a, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise MatrixError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise MatrixError("matrix entries must be finite")
+        arr = as_matrix(a)
         store = cls(arr.shape[0], arr.shape[1])
         rows = store.rows
         with np.errstate(over="ignore"):

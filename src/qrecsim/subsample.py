@@ -6,6 +6,9 @@ variance controlled by p. The derivations here tie together the knobs of the
 low-rank reconstruction pipeline: the sampling probability p, the noise scale
 eta, the estimation resolution mu, and the singular value threshold
 sigma = sqrt(mu/k) * ||Ahat||_F used to denoise the subsample.
+``derive_params`` resolves p, eta and mu for one matrix into one
+``SubsampleParams`` record. The band width kappa belongs to the projection
+(``qproject.ProjectionParams``), and the bound here takes it as an argument.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 from .errors import MatrixError
 from .linalg import as_matrix
-from .qproject import DEFAULT_KAPPA
 
 
 def subsample(a, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -71,7 +73,12 @@ def precondition_satisfied(n: int, k: int, eps: float, norm_f: float) -> bool:
 
 @dataclass(frozen=True)
 class SubsampleParams:
-    """Resolved sampling knobs for one matrix."""
+    """Resolved sampling knobs for one matrix, with the estimation
+    resolution mu = eps^2 p / 2 they imply.
+
+    The threshold itself scales with ||Ahat||_F, so it is set once the
+    subsample exists (``recsys.recommendation_sigma``).
+    """
 
     p: float
     b: float
@@ -79,30 +86,15 @@ class SubsampleParams:
     eta_max: float
     formula_p: float
     precondition_ok: bool
+    mu: float
 
     @property
     def status(self) -> str:
         return "precondition-satisfied" if self.precondition_ok else "extrapolated"
 
 
-@dataclass(frozen=True)
-class ThresholdParams:
-    """Spectral threshold settings derived from (k, eps, p).
-
-    The threshold itself scales with ||Ahat||_F, so it is set once the
-    subsample exists (``recsys.recommendation_sigma``).
-    """
-
-    k: int
-    eps: float
-    mu: float
-    kappa: float = DEFAULT_KAPPA
-
-
-def derive_params(
-    a, k: int, eps: float, p: float | None = None, kappa: float = DEFAULT_KAPPA
-) -> tuple[SubsampleParams, ThresholdParams]:
-    """Resolve all subsample/threshold knobs for matrix ``a``.
+def derive_params(a, k: int, eps: float, p: float | None = None) -> SubsampleParams:
+    """Resolve every subsample knob for matrix ``a``.
 
     When p is omitted it is set from the formula p = 16 n b^2 / (eta_max
     ||A||_F)^2, clamped to 1. When p is given, the implied eta is derived by
@@ -126,16 +118,15 @@ def derive_params(
     elif not 0.0 < p <= 1.0:
         raise MatrixError(f"sampling probability must be in (0, 1], got {p}")
     eta = noise_scale(p, n, b, norm_f)
-    sub = SubsampleParams(
+    return SubsampleParams(
         p=float(p),
         b=b,
         eta=eta,
         eta_max=e_max,
         formula_p=raw,
         precondition_ok=precondition_satisfied(n, k, eps, norm_f),
+        mu=eps * eps * p / 2.0,
     )
-    thr = ThresholdParams(k=k, eps=eps, mu=eps * eps * p / 2.0, kappa=kappa)
-    return sub, thr
 
 
 def bound_threshold_family_error(

@@ -405,6 +405,9 @@ class TestCliExperiment:
             ({"m": 16385}, "m"),
             ({"n": 10000000}, "n"),
             ({"k": 16385}, "k"),
+            ({"users": 1000000000000}, "users"),
+            ({"users": 1048577}, "users"),
+            ({"recs_per_user": 1048577}, "recs_per_user"),
         ],
     )
     def test_invalid_config_value(self, tmp_path, capsys, raw, field):

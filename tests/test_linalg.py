@@ -1,6 +1,7 @@
 """Factorization and spectral projection contracts."""
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from qrecsim import recsys
 from qrecsim.errors import MatrixError
 from qrecsim.experiment import ExperimentConfig, run_experiment
 from qrecsim.linalg import ORTHO_TOL, RITZ_BLOCK, SvdFactorization, as_matrix, as_vector, svd
-from qrecsim.qproject import DEFAULT_KAPPA, ProjectionParams, keep_floor, kept_mask
+from qrecsim.qproject import DEFAULT_KAPPA, ProjectionParams, keep_floor, kept_mask, threshold_project
+from qrecsim.qsim import sve
 from qrecsim.recsys import RecommendContext, generate_T, recommendation_sigma
 from qrecsim.rng import stream
+from qrecsim.store import MatrixStore
 
 import test_acceptance as acceptance
 
@@ -253,6 +256,34 @@ def test_svd_invariants_property(rows):
     assert np.all(np.diff(f.sigma) <= 1e-12)
     assert np.all(f.sigma > 0.0)
     assert np.linalg.norm(reconstruct(a, f) - a) <= RECONSTRUCT_TOL * max(np.linalg.norm(a), 1.0)
+
+
+INTAKE_CONSUMERS = {
+    "store": MatrixStore.from_dense,
+    "circuit-project": lambda a: threshold_project(
+        a, np.ones(2), ProjectionParams(sigma=0.5), np.random.default_rng(0), path="circuit"
+    ),
+    "circuit-sve": lambda a: sve(a, np.ones(2), 0.1, path="circuit", rng=np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(INTAKE_CONSUMERS))
+@pytest.mark.parametrize(
+    "value",
+    [[[1.0, 2.0], [3.0]], [[np.nan, 1.0], [1.0, 1.0]], [[np.inf, 1.0], [1.0, 1.0]],
+     [1.0, 2.0], object()],
+    ids=["ragged", "nan", "inf", "1-d", "object"],
+)
+def test_dense_intake_is_as_matrix(consumer, value):
+    # The store and the circuit path's walk take a dense matrix through
+    # as_matrix: bad input raises its MatrixError, with no numpy warning first.
+    with pytest.raises(MatrixError) as want:
+        as_matrix(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixError) as got:
+            INTAKE_CONSUMERS[consumer](value)
+    assert str(got.value) == str(want.value)
 
 
 def test_factorization_shape_mismatch_guard():

@@ -28,7 +28,6 @@ PUBLIC_API = [
     "SubsampleParams",
     "SvdFactorization",
     "SveOutput",
-    "ThresholdParams",
     "TreeTable",
     "WalkOperator",
     "bad_sample_bound",

@@ -118,19 +118,18 @@ class TestDerivations:
 
     def test_derive_params_consistency(self):
         a = np.random.default_rng(8).normal(size=(12, 10))
-        sub, thr = derive_params(a, 3, 0.2, p=0.4)
+        sub = derive_params(a, 3, 0.2, p=0.4)
         assert sub.p == 0.4
         assert sub.b == entry_bound(a)
         assert sub.eta == pytest.approx(
             noise_scale(0.4, 10, sub.b, np.linalg.norm(a)), rel=1e-12
         )
-        assert thr.mu == pytest.approx(0.2**2 * 0.4 / 2.0, rel=1e-12)
-        assert thr.kappa == pytest.approx(1.0 / 3.0)
+        assert sub.mu == pytest.approx(0.2**2 * 0.4 / 2.0, rel=1e-12)
         assert sub.status in ("precondition-satisfied", "extrapolated")
 
     def test_derive_params_formula_p_clamped(self):
         a = np.random.default_rng(9).normal(size=(6, 6))
-        sub, _ = derive_params(a, 2, 0.3)
+        sub = derive_params(a, 2, 0.3)
         assert sub.formula_p > 1.0  # desk-scale mass: formula blows past 1
         assert sub.p == 1.0
         assert not sub.precondition_ok
