@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ColdStartError, MatrixError, ProjectionEmptyError, QrecsimError
-from .experiment import ExperimentConfig, run_experiment, write_report, write_user_csv
+from .experiment import MAX_SERVED, ExperimentConfig, run_experiment, write_report, write_user_csv
 from .qproject import DEFAULT_KAPPA, ProjectionParams, threshold_project
 from .qsim import sve
 from .recsys import RecommendContext, recommendation_sigma
@@ -64,6 +64,13 @@ def _seed_of(args) -> int:
     return args.seed if args.seed is not None else default_seed()
 
 
+def _check_draws(flag: str, value: int, low: int) -> None:
+    """Reject a draw count outside [low, MAX_SERVED] before anything is loaded."""
+    if not low <= value <= MAX_SERVED:
+        bound = f">= {low}" if value < low else f"<= {MAX_SERVED}"
+        raise MatrixError(f"{flag} must be {bound}, got {value}")
+
+
 def cmd_ingest(args) -> int:
     with open(args.triplets, "r", encoding="utf-8") as fh:
         store = ingest_triplets(fh, m=args.rows, n=args.cols)
@@ -96,6 +103,7 @@ def cmd_sve(args) -> int:
 
 
 def cmd_project(args) -> int:
+    _check_draws("--samples", args.samples, 0)
     store = MatrixStore.load(args.store)
     vec = _parse_vector(args.vector, store)
     params = ProjectionParams(
@@ -116,8 +124,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    if args.count < 1:
-        raise MatrixError(f"--count must be >= 1, got {args.count}")
+    _check_draws("--count", args.count, 1)
     store = MatrixStore.load(args.store)
     if args.sigma is not None:
         sigma = args.sigma

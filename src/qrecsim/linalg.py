@@ -27,14 +27,20 @@ a dense one:
   and a complete V, and values below f are then only certified to lie
   below it. Below the rounding rule the full factorization runs.
 
-The subspace iteration starts from a block drawn with a fixed internal
-seed, so every route depends on the input bits alone and draws from no
-caller's random stream.
+Both iterations are one Chebyshev-filtered block subspace iteration (Zhou,
+Saad, Tiago & Chelikowsky, J. Comput. Phys. 219, 2006). Its first sweep is a
+power step from a start block drawn with a fixed internal seed, so every
+route depends on the input bits alone and draws from no caller's random
+stream. Each later sweep applies a Chebyshev polynomial of degree
+RITZ_DEGREE in the Gram matrix to the Ritz vectors. The polynomial stays
+within [-1, 1] on [0, lam_b], lam_b the block's smallest Ritz value, and
+grows fastest above it, so the wanted directions gain far more per product
+than a power step gives them. A route gives up once another sweep would
+pass RITZ_SWEEPS + 1 products with the Gram matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +62,13 @@ RITZ_OVERSAMPLE = 4
 # Block width of a thresholded request: it can resolve up to RITZ_BLOCK - 1
 # values above the floor; a block that fills falls back to eigh.
 RITZ_BLOCK = 8
-# Sweeps before a partial route gives up and falls back.
+# Products with G, beyond the start block's, that a partial route may spend
+# before it gives up and falls back: what 24 plain power sweeps cost.
 RITZ_SWEEPS = 24
+# Degree of the Chebyshev filter between Rayleigh-Ritz steps: each filtered
+# sweep costs RITZ_DEGREE products with G, so a route makes at most
+# 1 + (RITZ_SWEEPS - 1) // RITZ_DEGREE = 6 Rayleigh-Ritz steps.
+RITZ_DEGREE = 4
 # Relative accuracy a partial route must reach: each resolved sigma^2 (by
 # its Ritz residual, Weyl's bound) or, for top k, the mass left out.
 RITZ_TOL = 1e-12
@@ -184,22 +195,42 @@ def svd(a, floor: float | None = None, top: int | None = None) -> SvdFactorizati
 
 
 def _ritz_sweeps(gram_times, n: int, block: int):
-    """Block subspace iteration on a Gram matrix G = A^T A, applied by
-    ``gram_times``: after each sweep, yields the Rayleigh-Ritz eigenvalue
-    estimates (descending), their Ritz vectors and the residual norms
-    ||G v_i - lam_i v_i||. Weyl's inequality puts an eigenvalue of G within
-    each residual of its estimate, and the estimates lie below the
+    """Chebyshev-filtered block subspace iteration on a Gram matrix G = A^T A,
+    applied by ``gram_times``: after each Rayleigh-Ritz step, yields the
+    eigenvalue estimates (descending), their Ritz vectors and the residual
+    norms ||G v_i - lam_i v_i||. Weyl's inequality puts an eigenvalue of G
+    within each residual of its estimate, and the estimates lie below the
     eigenvalues they approach (Cauchy interlacing).
+
+    The first sweep orthonormalizes G times the start block. Each later one
+    filters the Ritz vectors with the degree-RITZ_DEGREE Chebyshev polynomial
+    that is at most 1 in magnitude on [0, lam_b], lam_b the block's smallest
+    estimate, and grows fastest above it; a block whose lam_b is rounding
+    (it spans every direction G does not annihilate) takes a plain power step
+    instead. The iteration stops before it would pass RITZ_SWEEPS + 1
+    products with G.
     """
     start = np.random.default_rng(RITZ_SEED).standard_normal((n, block))
     x = np.linalg.qr(gram_times(start))[0]
-    while True:
+    for sweep in range(1 + (RITZ_SWEEPS - 1) // RITZ_DEGREE):
+        if sweep:
+            step = gv if lam[-1] <= EPS * lam[0] else _chebyshev(gram_times, vecs, gv, lam[-1])
+            x = np.linalg.qr(step)[0]
         gx = gram_times(x)
         lam, w = np.linalg.eigh(x.T @ gx)
         lam, w = lam[::-1], w[:, ::-1]
-        vecs = x @ w
-        yield lam, vecs, np.linalg.norm(gx @ w - vecs * lam, axis=0)
-        x = np.linalg.qr(gx)[0]
+        vecs, gv = x @ w, gx @ w
+        yield lam, vecs, np.linalg.norm(gv - vecs * lam, axis=0)
+
+
+def _chebyshev(gram_times, v: np.ndarray, gv: np.ndarray, edge: float) -> np.ndarray:
+    """T_d(2 G / edge - 1) V for d = RITZ_DEGREE by the three-term
+    recurrence, given G V: d - 1 products with G."""
+    half = 0.5 * edge
+    prev, cur = v, gv / half - v
+    for _ in range(RITZ_DEGREE - 1):
+        prev, cur = cur, 2.0 * (gram_times(cur) / half - cur) - prev
+    return cur
 
 
 def _top_values(arr: np.ndarray, k: int, fro_sq: float) -> SvdFactorization | None:
@@ -211,8 +242,7 @@ def _top_values(arr: np.ndarray, k: int, fro_sq: float) -> SvdFactorization | No
         return None
     # ||A||_F^2 and the k estimates each carry about eps relative rounding.
     rounding = (k + 1) * EPS * fro_sq
-    sweeps = _ritz_sweeps(lambda x: arr.T @ (arr @ x), n, block)
-    for lam, _, res in itertools.islice(sweeps, RITZ_SWEEPS):
+    for lam, _, res in _ritz_sweeps(lambda x: arr.T @ (arr @ x), n, block):
         rest_sq = fro_sq - float(np.sum(lam[:k]))
         if rounding > RITZ_TOL * rest_sq:
             return None
@@ -231,7 +261,7 @@ def _above_floor(
     if RITZ_BLOCK >= n:
         return None
     bound = floor * floor
-    for lam, vecs, res in itertools.islice(_ritz_sweeps(g.__matmul__, n, RITZ_BLOCK), RITZ_SWEEPS):
+    for lam, vecs, res in _ritz_sweeps(g.__matmul__, n, RITZ_BLOCK):
         r = int(np.sum(lam >= bound))
         if r == RITZ_BLOCK:
             return None

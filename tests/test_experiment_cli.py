@@ -20,6 +20,7 @@ from qrecsim.cli import (
     main,
 )
 from qrecsim.experiment import (
+    MAX_SERVED,
     REPORT_SCHEMA,
     ExperimentConfig,
     report_to_json,
@@ -358,6 +359,23 @@ class TestCliRecommend:
         assert "error: --count must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, bound",
+    [("project", "--samples", -1, ">= 0"),
+     ("project", "--samples", MAX_SERVED + 1, f"<= {MAX_SERVED}"),
+     ("project", "--samples", 10**12, f"<= {MAX_SERVED}"),
+     ("recommend", "--count", -1, ">= 1"),
+     ("recommend", "--count", 10**8, f"<= {MAX_SERVED}"),
+     ("recommend", "--count", 10**12, f"<= {MAX_SERVED}")],
+)
+def test_draw_counts_are_bounded_before_loading(tmp_path, capsys, command, flag, value, bound):
+    # The store path does not exist: the bound is checked before it is read.
+    required = ["--vector", "uniform", "--sigma", "1"] if command == "project" else ["--user", "0"]
+    argv = [command, str(tmp_path / "none.qrst"), *required, flag, str(value)]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {flag} must be {bound}, got {value}\n"
+
+
 class TestCliExperiment:
     def test_end_to_end_files(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -487,10 +505,10 @@ def cli_argvs(root):
         "--kappa": ["0.3", "0.9", "0", "1", "nan"],
         "--path": ["exact", "circuit", "other"],
         "--max-iterations": ["0", "1", "5", "-2"],
-        "--samples": ["0", "3", "-1"],
+        "--samples": ["0", "3", "-1", "1000000000000"],
         "--seed": ["0", "7", "-1", "x"],
         "--user": ["0", "2", "3", "5", "-1"],
-        "--count": ["1", "3", "0", "-1"],
+        "--count": ["1", "3", "0", "-1", "1000000000000"],
         "--k": ["1", "2", "0"],
         "--p": ["1", "0.5", "0", "2"],
         "--rows": ["2", "4", "0", "100000"],

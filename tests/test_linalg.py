@@ -8,10 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrecsim import recsys
+from qrecsim import linalg, recsys
 from qrecsim.errors import MatrixError
 from qrecsim.experiment import ExperimentConfig, run_experiment
-from qrecsim.linalg import ORTHO_TOL, RITZ_BLOCK, SvdFactorization, as_matrix, as_vector, svd
+from qrecsim.linalg import (
+    ORTHO_TOL,
+    RITZ_BLOCK,
+    RITZ_DEGREE,
+    RITZ_OVERSAMPLE,
+    RITZ_SWEEPS,
+    SvdFactorization,
+    as_matrix,
+    as_vector,
+    svd,
+)
 from qrecsim.qproject import DEFAULT_KAPPA, ProjectionParams, keep_floor, kept_mask, threshold_project
 from qrecsim.qsim import sve
 from qrecsim.recsys import RecommendContext, generate_T, recommendation_sigma
@@ -551,3 +561,97 @@ class TestReducedSvd:
         assert f.frobenius_norm() == pytest.approx(np.linalg.norm(a), rel=1e-14)
         # The n - m null eigenvalues of a wide A^T A are rounding, not rank.
         assert f.rank == svd(a).rank == min(m, n)
+
+
+# -- Chebyshev-filtered sweeps ----------------------------------------------------
+
+# Rayleigh-Ritz steps a partial route may take: the first plus as many
+# filtered ones as the product budget pays for.
+MAX_RITZ_STEPS = 1 + (RITZ_SWEEPS - 1) // RITZ_DEGREE
+
+
+def counted_sweeps(gram_times, n: int, block: int) -> tuple[list, int]:
+    """Every step ``_ritz_sweeps`` yields, and its products with G."""
+    products = 0
+
+    def times(x):
+        nonlocal products
+        products += 1
+        return gram_times(x)
+
+    return list(linalg._ritz_sweeps(times, n, block)), products
+
+
+@pytest.fixture
+def ritz_runs(monkeypatch) -> list[dict]:
+    """Rayleigh-Ritz steps and products with G of every ``_ritz_sweeps``
+    run made while the test runs, one dict per run."""
+    runs = []
+    sweeps = linalg._ritz_sweeps
+
+    def counted(gram_times, n, block):
+        run = {"steps": 0, "products": 0}
+        runs.append(run)
+
+        def times(x):
+            run["products"] += 1
+            return gram_times(x)
+
+        for step in sweeps(times, n, block):
+            run["steps"] += 1
+            yield step
+
+    monkeypatch.setattr(linalg, "_ritz_sweeps", counted)
+    return runs
+
+
+class TestChebyshevSweeps:
+    @pytest.mark.parametrize("seed", [901, 902, 903, 904])
+    def test_planted_context_resolves_in_few_steps(self, ritz_runs, seed):
+        a, sigma = planted_subsample(seed)
+        ctx = RecommendContext(a, ProjectionParams(sigma=sigma))
+        assert ctx.f.v.shape == (256, ctx.f.rank) and ctx.f.rank < RITZ_BLOCK
+        [run] = ritz_runs
+        assert run["steps"] <= 5 and run["products"] <= 15
+        assert_context_matches_oracle(a, sigma, ctx)
+
+    @pytest.mark.filterwarnings("error")
+    def test_plain_step_guard_below_the_block_width(self):
+        # Rank 3: the floor route's block of RITZ_BLOCK and a top-2 block of
+        # 2 + RITZ_OVERSAMPLE both span the range after one sweep, and their
+        # smallest Ritz values are rounding.
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(40, 3)) @ rng.normal(size=(3, 30))
+        want = svd(a)
+        assert want.rank == 3
+        for block, gram in ((RITZ_BLOCK, (a.T @ a).__matmul__),
+                            (2 + RITZ_OVERSAMPLE, lambda x: a.T @ (a @ x))):
+            steps, products = counted_sweeps(gram, 30, block)
+            # Every step after the first is one plain power step: one product.
+            assert len(steps) == MAX_RITZ_STEPS and products == len(steps) + 1
+            for lam, _, _ in steps:
+                assert lam[-1] <= linalg.EPS * lam[0]
+                assert lam[:3] == pytest.approx(want.sigma**2, rel=1e-12)
+        floor = svd(a, floor=0.1 * np.linalg.norm(a))
+        assert floor.sigma == pytest.approx(want.sigma, rel=1e-12)
+        assert np.abs(floor.v.T @ want.v[:, :3]) == pytest.approx(np.eye(3), abs=1e-10)
+        top = svd(a, top=2)
+        assert top.sigma == pytest.approx(want.sigma[:2], rel=1e-12)
+        assert top.rest_sq == pytest.approx(want.sigma[2] ** 2, rel=1e-12)
+
+    def test_stalled_route_gives_up_within_the_product_budget(self, ritz_runs):
+        # sigma_7 sits 5e-7 relative above sigma_8 and 1e-6 above sigma_9,
+        # the first value outside the block, with the floor between sigma_7
+        # and sigma_8: the seventh Ritz vector cannot converge.
+        rng = np.random.default_rng(8)
+        u, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+        v, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+        s = np.concatenate([[10.0, 8.0, 6.0, 5.0, 4.0, 3.0, 1.0 + 5e-7, 1.0, 1.0 - 5e-7],
+                            np.linspace(0.5, 0.01, 31)])
+        a = (u * s) @ v.T
+        f = svd(a, floor=1.0 + 1e-8)
+        [run] = ritz_runs
+        assert run["steps"] == MAX_RITZ_STEPS and run["products"] <= RITZ_SWEEPS + 1
+        # The eigh fallback: a complete V, and sigma_7 resolved with the rest.
+        assert f.v.shape == (40, 40) and f.rank == 40
+        assert f.sigma[:7] == pytest.approx(s[:7], rel=1e-12, abs=0.0)
