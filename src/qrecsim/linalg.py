@@ -27,16 +27,10 @@ a dense one:
   and a complete V, and values below f are then only certified to lie
   below it. Below the rounding rule the full factorization runs.
 
-Both iterations are one Chebyshev-filtered block subspace iteration (Zhou,
-Saad, Tiago & Chelikowsky, J. Comput. Phys. 219, 2006). Its first sweep is a
-power step from a start block drawn with a fixed internal seed, so every
-route depends on the input bits alone and draws from no caller's random
-stream. Each later sweep applies a Chebyshev polynomial of degree
-RITZ_DEGREE in the Gram matrix to the Ritz vectors. The polynomial stays
-within [-1, 1] on [0, lam_b], lam_b the block's smallest Ritz value, and
-grows fastest above it, so the wanted directions gain far more per product
-than a power step gives them. A route gives up once another sweep would
-pass RITZ_SWEEPS + 1 products with the Gram matrix.
+Both partial routes run one Chebyshev-filtered block subspace iteration
+(Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219, 2006). It starts
+from a block drawn with a fixed internal seed, so every route depends on
+the input bits alone and draws from no caller's random stream.
 """
 
 from __future__ import annotations
