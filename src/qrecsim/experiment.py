@@ -146,11 +146,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
     sandwich_ok = not misses.any()
 
     rows: list[dict] = []
-    bad = 0
-    total = 0
     iterations = 0
     failures = 0
-    w_values: list[float] = []
     user_rng = stream(seed, "users")
     rec_rng = stream(seed, "recommend")
     if typical_idx.size:
@@ -162,24 +159,23 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
             _, beta_sq, _ = ctx.user_state(int(user))
             stats["beta_sq"] = beta_sq
             stats["w_stat"] = float(np.inf) if beta_sq <= 0 else 1.0 / beta_sq
-            w_values.append(stats["w_stat"])
             for _ in range(count * config.recs_per_user):
                 try:
                     out = ctx.recommend(int(user), rec_rng)
                 except ProjectionEmptyError:
                     failures += 1
                     continue
-                total += 1
                 iterations += out.iterations
                 stats["recs"] += 1
-                if truth[user, out.product] == 0.0:
-                    bad += 1
-                    stats["bad"] += 1
+                stats["bad"] += int(truth[user, out.product] == 0.0)
             stats["bad_rate"] = stats["bad"] / stats["recs"] if stats["recs"] else None
             rows.append(stats)
 
+    total = sum(row["recs"] for row in rows)
+    bad = sum(row["bad"] for row in rows)
     bad_rate = bad / total if total else None
 
+    eps_hat = realized_err / 9.0
     bounds: dict[str, object] = {
         "bad_sample": bad_sample_bound(eps_k),
         "family_error_relative": bound_threshold_family_error(
@@ -193,30 +189,24 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
         )
         / fro_truth,
     }
-    try:
-        bounds["typical_user"] = typical_user_bound(
-            eps_k, config.gamma, config.delta, config.zeta
-        )
-    except BoundVacuousError as exc:
-        bounds["typical_user"] = None
-        report_flags.append(f"typical_user bound vacuous: {exc}")
-    eps_hat = realized_err / 9.0
-    try:
-        bounds["quantum_typical_user"] = quantum_typical_user_bound(
-            eps_hat, config.gamma, config.delta, config.zeta
-        )
-    except (BoundVacuousError, MatrixError) as exc:
-        bounds["quantum_typical_user"] = None
-        report_flags.append(f"quantum bound vacuous: {exc}")
-    try:
-        bounds["w_statistic"] = w_statistic_bound(
-            eps_hat, config.gamma, config.delta, config.zeta, config.xi
-        )
-    except (BoundVacuousError, MatrixError) as exc:
-        bounds["w_statistic"] = None
-        report_flags.append(f"w bound vacuous: {exc}")
+    # A MatrixError from eps_hat, which can reach 1, makes its two bounds
+    # vacuous; from the typical-user bound it means gamma lies outside (0, 1).
+    fractions = (config.gamma, config.delta, config.zeta)
+    either = (BoundVacuousError, MatrixError)
+    for key, label, bound, args, caught in (
+        ("typical_user", "typical_user bound", typical_user_bound, (eps_k, *fractions),
+         BoundVacuousError),
+        ("quantum_typical_user", "quantum bound", quantum_typical_user_bound,
+         (eps_hat, *fractions), either),
+        ("w_statistic", "w bound", w_statistic_bound, (eps_hat, *fractions, config.xi), either),
+    ):
+        try:
+            bounds[key] = bound(*args)
+        except caught as exc:
+            bounds[key] = None
+            report_flags.append(f"{label} vacuous: {exc}")
 
-    finite_w = [w for w in w_values if np.isfinite(w)]
+    finite_w = [row["w_stat"] for row in rows if np.isfinite(row["w_stat"])]
     checks = {
         "sandwich": sandwich_ok,
         "rate_within_quantum_bound": (

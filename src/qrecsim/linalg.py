@@ -49,6 +49,10 @@ ORTHO_TOL = 1e-10
 # within 1 / (2 GRAM_FLOOR) = 5e-9 relative, and less above it. At n = 1024
 # this admits floors from about 4.8e-3 ||A||_F up.
 GRAM_FLOOR = 1e8
+# The A^T A routes square A's entries, in G and in the Ritz residual norms.
+# While 1 / GRAM_RANGE <= ||A||_F^2 <= GRAM_RANGE no square they rely on can
+# overflow or flush to zero; outside it they run on A scaled by a power of two.
+GRAM_RANGE = 2.0**400
 # Seed of the subspace iteration's start block (internal: no caller's stream).
 RITZ_SEED = 20160321
 # Block width beyond the k wanted values of a top-k request.
@@ -165,20 +169,27 @@ def svd(a, floor: float | None = None, top: int | None = None) -> SvdFactorizati
     tol = max(arr.shape) * EPS
     fro_sq = float(np.vdot(arr, arr))
     v = None
+    scaled, e = arr, 0
+    if (floor is not None or top is not None) and not 1.0 / GRAM_RANGE <= fro_sq <= GRAM_RANGE:
+        # Power-of-two scaling is exact: the routes run on A / 2^e, whose
+        # largest entry lies in [1/2, 1), and their results are scaled back.
+        e = int(np.frexp(max(arr.max(), -arr.min()))[1])
+        scaled = np.ldexp(arr, -e)
+        fro_sq = float(np.vdot(scaled, scaled))
     if top is not None:
-        part = _top_values(arr, top, fro_sq)
+        part = _top_values(scaled, top, fro_sq)
         if part is not None:
-            return part
+            return _scaled_back(part, e)
         s = np.linalg.svd(arr, compute_uv=False)
-    elif floor is not None and floor > np.sqrt(GRAM_FLOOR * tol * fro_sq):
-        g = arr.T @ arr
-        part = _above_floor(g, floor, fro_sq, arr.shape)
+    elif floor is not None and np.ldexp(floor, -e) > np.sqrt(GRAM_FLOOR * tol * fro_sq):
+        g = scaled.T @ scaled
+        part = _above_floor(g, np.ldexp(floor, -e), fro_sq, arr.shape)
         if part is not None:
-            return part
+            return _scaled_back(part, e)
         lam, vecs = np.linalg.eigh(g)
         lam = lam[::-1]
         # Eigenvalues inside eigh's rounding of A^T A are zero singular values.
-        s = np.sqrt(np.where(lam > tol * lam[0], lam, 0.0))
+        s = np.ldexp(np.sqrt(np.where(lam > tol * lam[0], lam, 0.0)), e)
         v = np.ascontiguousarray(vecs[:, ::-1])
     else:
         # The reduced V is complete when m >= n; a wide A's full V costs an m x m U.
@@ -268,6 +279,11 @@ def _above_floor(
         return None
     rest_sq = fro_sq - float(np.sum(lam))
     return SvdFactorization(np.sqrt(lam), np.ascontiguousarray(vecs), shape, rest_sq)
+
+
+def _scaled_back(f: SvdFactorization, e: int) -> SvdFactorization:
+    """``f``, a factorization of A / 2^e, as one of A."""
+    return SvdFactorization(np.ldexp(f.sigma, e), f.v, f.shape, float(np.ldexp(f.rest_sq, 2 * e)))
 
 
 def _certificate_margin(shape: tuple[int, int], r: int, fro_sq: float, bound: float) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -50,8 +51,9 @@ class ProjectionParams:
             raise MatrixError(f"threshold must be finite and > 0, got {self.sigma}")
         if not 0.0 < self.kappa < 1.0:
             raise MatrixError(f"kappa must lie in (0, 1), got {self.kappa}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise MatrixError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        cap = self.max_iterations
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1):
+            raise MatrixError(f"max_iterations must be an integer >= 1, got {cap!r}")
 
     @property
     def cut(self) -> float:
@@ -85,7 +87,6 @@ class ProjectionOutcome:
     iterations: int
     beta_sq: float
     components: tuple[ProjectionComponent, ...]
-    path: str
 
     def kept_indices(self) -> list[int]:
         return [c.index for c in self.components if c.kept]
@@ -206,7 +207,6 @@ def _project_exact(
         iterations=attempts_until_success(lambda: beta_sq, beta_sq, limit, rng),
         beta_sq=beta_sq,
         components=comps,
-        path="exact",
     )
 
 
@@ -214,8 +214,8 @@ def _project_circuit(
     wop: WalkOperator, x, params: ProjectionParams, rng: np.random.Generator
 ) -> ProjectionOutcome:
     est = CircuitSve(wop, x, projection_grid(params, wop.fro))
-    # A rough retry budget from the deterministic kept set keeps the loop
-    # finite; realized kept sets vary only inside the band.
+    # A rough retry budget from the weight on groups whose true sigma reaches
+    # the cut keeps the loop finite; realized kept sets vary only in the band.
     beta_guess = float(np.sum(est.weights[est.groups.sigma >= params.cut]))
     g = est.carrying
     sigma_est = kept = beta_sq = None
@@ -236,5 +236,4 @@ def _project_circuit(
         iterations=iterations,
         beta_sq=beta_sq,
         components=component_rows(ProjectionComponent, *cols),
-        path="circuit",
     )

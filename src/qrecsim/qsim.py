@@ -67,12 +67,12 @@ class WalkOperator:
 
     P maps y to sum_i y_i |i>|A_i> and Q maps x to |A~> x, where
     ``row_states`` holds the unit rows |A_i> (all-zero for empty rows) and
-    ``a_tilde`` the unit vector of row norms; ``a_scaled`` is P^T Q =
-    A / ||A||_F. For a singular triple (sigma_i, u_i, v_i) of A~, W rotates
-    the plane span{P u_i, Q v_i} by theta_i with cos(theta_i / 2) = sigma_i
-    (Jordan's lemma for two reflections), negates Q v_i when sigma_i = 0,
-    and fixes everything orthogonal to span[P Q]. ``phase_groups`` gives
-    the planes |Q x> reaches by their right singular vectors v_i.
+    ``a_tilde`` the unit vector of row norms, so P^T Q = A / ||A||_F. For a
+    singular triple (sigma_i, u_i, v_i) of A~, W rotates the plane
+    span{P u_i, Q v_i} by theta_i with cos(theta_i / 2) = sigma_i (Jordan's
+    lemma for two reflections), negates Q v_i when sigma_i = 0, and fixes
+    everything orthogonal to span[P Q]. ``phase_groups`` gives the planes
+    |Q x> reaches by their right singular vectors v_i.
     """
 
     def __init__(self, row_states: np.ndarray, a_tilde: np.ndarray, fro: float):
@@ -80,7 +80,6 @@ class WalkOperator:
         self.a_tilde = a_tilde
         self.fro = float(fro)
         self.m, self.n = row_states.shape
-        self.a_scaled = row_states * a_tilde[:, None]
         self._groups: PhaseTable | None = None
         self._tables: tuple[PhaseGrid, np.ndarray, np.ndarray] | None = None
 
@@ -113,7 +112,7 @@ class WalkOperator:
         """
         if self._groups is None:
             _check_allocation("span decomposition", self.n * self.n + 2 * self.m * self.n)
-            f = svd(self.a_scaled)
+            f = svd(self.row_states * self.a_tilde[:, None])
             thetas = eigenphases(f)
             cosines = np.cos(thetas)
             starts, phases = [], []
@@ -315,7 +314,6 @@ def component_rows(kind, *cols) -> tuple:
 class SveOutput:
     components: tuple[SveComponent, ...]
     grid: PhaseGrid
-    path: str
 
 
 def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
@@ -332,7 +330,7 @@ def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
     cols = (np.arange(thetas.size), np.abs(alpha), f.column_sigma(), thetas, bins,
             grid.theta_of(bins), grid.sigma_of(bins, fro))
     comps = component_rows(SveComponent, *cols)
-    return SveOutput(components=comps, grid=grid, path="exact")
+    return SveOutput(components=comps, grid=grid)
 
 
 class CircuitSve:
@@ -386,7 +384,7 @@ def sve_circuit(wop: WalkOperator, x, eps: float, rng: np.random.Generator) -> S
     g = est.carrying
     cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], est.groups.theta[g], *est.round(rng))
     comps = component_rows(SveComponent, *cols)
-    return SveOutput(components=comps, grid=est.grid, path="circuit")
+    return SveOutput(components=comps, grid=est.grid)
 
 
 def factorization_of(source) -> SvdFactorization:

@@ -12,6 +12,7 @@ recommendations from one store and keeps one cached record per user.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -32,8 +33,8 @@ def generate_T(
     if empty); every user copies one uniformly chosen type, then each cell
     flips with probability ``noise``. With noise = 0 the rank is at most k.
     """
-    if m < 1 or n < 1 or k < 1:
-        raise MatrixError(f"m, n, k must be >= 1, got {m}, {n}, {k}")
+    if any(isinstance(d, bool) or not isinstance(d, Integral) or d < 1 for d in (m, n, k)):
+        raise MatrixError(f"m, n, k must be integers >= 1, got {m!r}, {n!r}, {k!r}")
     if not 0.0 <= noise < 1.0:
         raise MatrixError(f"noise must be in [0, 1), got {noise}")
     types = rng.integers(0, 2, size=(k, n)).astype(np.float64)
@@ -150,7 +151,6 @@ class RecommendOutcome(NamedTuple):
     product: int
     iterations: int
     beta_sq: float
-    w_stat: float
 
 
 class RecommendContext:
@@ -161,9 +161,9 @@ class RecommendContext:
     the singular values down to ``keep_floor``, the lowest one whose grid
     estimate can reach the cut, and certifies the rest below it; the kept
     set is over the resolved directions, and ``v_kept`` holds V's kept
-    columns. ``user_state`` builds each user's record once: probabilities,
-    beta^2 and state, then the beta^2 source, retry budget and inverse CDF
-    (None when beta^2 is 0, which exhausts every budget) that the user's
+    columns. ``user_state`` builds each user's record once: beta^2 and
+    state, then the beta^2 source, retry budget and inverse CDF (None when
+    beta^2 is 0, which exhausts every budget) that the user's
     recommendations draw with. Individual calls only consume randomness
     (retry draws and the final measurement).
     """
@@ -191,11 +191,10 @@ class RecommendContext:
             if not row.any():
                 raise ColdStartError(f"cold-start user: user {i} has no stored entries")
             beta_sq, state = kept_state(self.v_kept, self.v_kept.T @ unit_vector(row, n))
-            probs = state**2
-            cdf = choice_cdf(probs) if beta_sq > 0.0 else None
+            cdf = choice_cdf(state**2) if beta_sq > 0.0 else None
             limit = self.params.retry_limit(n, beta_sq)
-            user = self._users[i] = (probs, beta_sq, state, lambda: beta_sq, limit, cdf)
-        return user[:3]
+            user = self._users[i] = (beta_sq, state, lambda: beta_sq, limit, cdf)
+        return user[1] ** 2, user[0], user[1]
 
     def recommend(self, i: int, rng: np.random.Generator) -> RecommendOutcome:
         """Project user i's stored row, then measure a product index.
@@ -207,10 +206,10 @@ class RecommendContext:
         if user is None:
             self.user_state(i)
             user = self._users[i]
-        _, beta_sq, _, attempt, limit, cdf = user
+        beta_sq, _, attempt, limit, cdf = user
         iterations = attempts_until_success(attempt, beta_sq, limit, rng)
         product = int(cdf.searchsorted(rng.random(), side="right"))
-        return RecommendOutcome(i, product, iterations, beta_sq, 1.0 / beta_sq)
+        return RecommendOutcome(i, product, iterations, beta_sq)
 
 
 def recommendation_sigma(eps: float, p: float, k: int, norm_f_hat: float) -> float:

@@ -229,9 +229,8 @@ class MatrixStore:
     """Streamed m x n matrix with row trees and a row-norm tree.
 
     ``entry_count`` counts distinct populated cells; re-inserting a cell
-    overwrites its value. ``node_touches`` accumulates tree-node writes and
-    ``last_insert_touches`` holds the cost of the most recent insert, for
-    verifying the logarithmic update bound.
+    overwrites its value. ``node_touches`` accumulates tree-node writes, and
+    ``insert`` returns its own, for verifying the logarithmic update bound.
     """
 
     def __init__(self, m: int, n: int):
@@ -242,7 +241,6 @@ class MatrixStore:
         self.rows = TreeTable(self.m, self.n)
         self.norm_tree = TreeTable(1, self.m)
         self.node_touches = 0
-        self.last_insert_touches = 0
 
     @property
     def entry_count(self) -> int:
@@ -274,7 +272,6 @@ class MatrixStore:
             norm.restore(0, i, (rows.root(i), int(held), held))
             raise MatrixError(f"entry ({i}, {j}) too large: ||A||_F^2 overflows") from None
         self.node_touches += touches
-        self.last_insert_touches = touches
         return touches
 
     # -- queries ---------------------------------------------------------

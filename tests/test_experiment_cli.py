@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrecsim import recsys
 from qrecsim.cli import (
     EXIT_COLD_START,
     EXIT_ERROR,
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_PROJECTION_EMPTY,
     main,
@@ -137,6 +139,37 @@ class TestRunExperiment:
         assert set(got[0]) == {"user", "typical", "beta_sq", "w_stat", "recs", "bad", "bad_rate"}
 
 
+class TestKeptSetDropped:
+    """A context whose kept set is empty: every projection fails, and the
+    directions at or above sigma are missed, which breaks the sandwich."""
+
+    @pytest.fixture(autouse=True)
+    def keep_nothing(self, monkeypatch):
+        monkeypatch.setattr(
+            recsys, "kept_mask", lambda f, params: np.zeros(f.column_sigma().size, dtype=bool)
+        )
+
+    def test_projection_failures_are_counted(self):
+        report, rows = run_experiment(ExperimentConfig(**SMALL))
+        measured = report["measured"]
+        assert measured["projection_failures"] == SMALL["users"] * SMALL["recs_per_user"]
+        assert measured["recommendations"] == measured["bad_recommendations"] == 0
+        assert measured["bad_rate_typical"] is None and measured["mean_iterations"] is None
+        assert measured["w_mean"] is None and measured["kept_rank"] == 0
+        assert rows and all(row["recs"] == 0 and row["bad_rate"] is None for row in rows)
+        assert report["checks"]["sandwich"] is False
+
+    def test_experiment_exits_on_a_sandwich_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(SMALL), encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        assert main(["experiment", str(cfg), "--out", str(report_path)]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == (
+            "invariant failure: kept set violated the threshold sandwich\n"
+        )
+        assert json.loads(report_path.read_text(encoding="utf-8"))["checks"]["sandwich"] is False
+
+
 @pytest.fixture()
 def wide_store(tmp_path):
     """Serialized store for [[0.4, 0.4, 0.8, 0.2], [0.5, 0.5, 0.5, 0.5]]."""
@@ -203,6 +236,13 @@ class TestCliIngest:
         assert main(["ingest", str(triplets), *flags]) == EXIT_ERROR
         assert "exceeds the ingest limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--rows", "3"], ["--cols", "3"]])
+    def test_empty_triplets_need_both_dimensions(self, tmp_path, capsys, flags):
+        triplets = tmp_path / "empty.txt"
+        triplets.write_text("# no entries\n", encoding="utf-8")
+        assert main(["ingest", str(triplets), *flags]) == EXIT_ERROR
+        assert "cannot infer shape from an empty triplet stream" in capsys.readouterr().err
+
     def test_shape_at_limit_accepted(self, tmp_path, capsys):
         triplets = tmp_path / "edge.txt"
         triplets.write_text(f"{MAX_INGEST_DIM - 1},0,1.0\n", encoding="utf-8")
@@ -259,6 +299,17 @@ class TestCliSve:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: span decomposition of ")
 
+    def test_circuit_path_on_a_zero_store(self, tmp_path, capsys):
+        triplets = tmp_path / "zero.txt"
+        triplets.write_text("0,0,0.0\n1,2,-0.0\n", encoding="utf-8")
+        store_path = tmp_path / "zero.qrst"
+        assert main(["ingest", str(triplets), "--out", str(store_path)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["sve", str(store_path), "--vector", "uniform", "--eps", "0.1",
+                     "--path", "circuit"])
+        assert code == EXIT_ERROR
+        assert "cannot build a walk from zero mass" in capsys.readouterr().err
+
     def test_zero_vector_rejected(self, gap_store, capsys):
         assert main(["sve", str(gap_store), "--vector", "0,0", "--eps", "0.1"]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
@@ -301,6 +352,20 @@ class TestCliProject:
                      "--path", "circuit"])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: register of ")
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            ("1,0,0", "expected a vector of length 2, got 3"),
+            ("1", "expected a vector of length 2, got 1"),
+            ("1,nan", "vector entries must be finite"),
+            ("inf,1", "vector entries must be finite"),
+        ],
+    )
+    def test_bad_vector_is_input_error(self, gap_store, capsys, vector, message):
+        code = main(["project", str(gap_store), "--vector", vector, "--sigma", "2.0"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_sigma_is_input_error(self, gap_store, capsys):
         code = main(["project", str(gap_store), "--vector", "basis:0", "--sigma", "9.0"])
@@ -475,6 +540,25 @@ class TestCliMisc:
         assert main(["experiment", str(cfg), "--out", str(report_path)]) == EXIT_ERROR
         assert "error: generated preference matrix is all zero" in capsys.readouterr().err
         assert not report_path.exists()
+
+    def test_empty_subsample_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"m": 4, "n": 4, "k": 1, "noise": 0.0, "p": 1e-9}),
+                       encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        assert main(["experiment", str(cfg), "--out", str(report_path)]) == EXIT_ERROR
+        assert "error: subsample kept no entries" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("raw", ["seven", "1.5", ""])
+    def test_non_integer_seed_variable(self, gap_store, monkeypatch, capsys, raw):
+        monkeypatch.setenv("QRECSIM_SEED", raw)
+        code = main(["sve", str(gap_store), "--vector", "uniform", "--eps", "0.1",
+                     "--path", "circuit"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: QRECSIM_SEED must be an integer, got {raw!r}\n"
+        )
 
     def test_missing_store_path(self, tmp_path, capsys):
         code = main(["sve", str(tmp_path / "none.qrst"), "--vector", "uniform",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrecsim import linalg, recsys
+from qrecsim.cli import EXIT_OK, main
 from qrecsim.errors import MatrixError
 from qrecsim.experiment import ExperimentConfig, run_experiment
 from qrecsim.linalg import (
@@ -644,3 +645,63 @@ class TestChebyshevSweeps:
         # The eigh fallback: a complete V, and sigma_7 resolved with the rest.
         assert f.v.shape == (40, 40) and f.rank == 40
         assert f.sigma[:7] == pytest.approx(s[:7], rel=1e-12, abs=0.0)
+
+    def test_stalled_top_values_fall_back_to_gesdd(self, ritz_runs):
+        # sigma_2 heads six values within 2.5e-6 relative, and sigma_7, the
+        # first outside the top-2 block of 2 + RITZ_OVERSAMPLE, is one of
+        # them: sigma_2's residual stalls near 1e-6, far above what would
+        # bound the mass left out.
+        rng = np.random.default_rng(8)
+        u, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+        v, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+        cluster = 1.0 + np.array([5e-7, 0.0, -5e-7, -1e-6, -1.5e-6, -2e-6])
+        s = np.concatenate([[10.0], cluster, np.linspace(0.5, 0.01, 33)])
+        a = (u * s) @ v.T
+        f = svd(a, top=2)
+        [run] = ritz_runs
+        assert run["steps"] == MAX_RITZ_STEPS and run["products"] <= RITZ_SWEEPS + 1
+        # The values-only gesdd, bit for bit: every value, none left out.
+        assert f.v is None and f.rest_sq == 0.0
+        assert np.array_equal(f.sigma, np.linalg.svd(a, compute_uv=False))
+
+
+@pytest.mark.filterwarnings("error")
+class TestGramScaling:
+    """The A^T A routes at any entry scale. Unscaled, 2^500 A made A^T A
+    overflow, so eigh ended in numpy's LinAlgError, and at 2^-300 A the Ritz
+    residuals' squares flushed to zero, so the certificate accepted an
+    unconverged step."""
+
+    # ||A||_F^2 is about 2^16 here: 190 and -205 keep it inside GRAM_RANGE,
+    # 195 and -210 take it just outside.
+    @pytest.mark.parametrize("e", [500, 195, 190, -205, -210, -300])
+    def test_scaled_store_keeps_kept_set_and_probabilities(self, e):
+        a, _ = planted_subsample(901)
+        sigma = 0.9 * float(np.linalg.svd(a, compute_uv=False)[0])
+        base = RecommendContext(MatrixStore.from_dense(a), ProjectionParams(sigma=sigma))
+        ctx = RecommendContext(
+            MatrixStore.from_dense(np.ldexp(a, e)), ProjectionParams(sigma=np.ldexp(sigma, e))
+        )
+        assert np.array_equal(ctx.kept, base.kept)
+        for user in np.flatnonzero(a.any(axis=1)).tolist():
+            got, want = ctx.user_state(user)[0], base.user_state(user)[0]
+            assert np.max(np.abs(got - want)) <= 1e-12
+        # Powers of two scale exactly: the same route on the same bits.
+        assert np.array_equal(ctx.f.sigma, np.ldexp(base.f.sigma, e))
+        assert ctx.f.rest_sq == np.ldexp(base.f.rest_sq, 2 * e)
+        assert np.array_equal(ctx.f.v, base.f.v)
+
+    def test_cli_recommends_from_a_store_of_huge_entries(self, tmp_path, capsys):
+        a, _ = planted_subsample(901)
+        sigma = 0.9 * float(np.linalg.svd(a, compute_uv=False)[0])
+        user = int(np.flatnonzero(a.any(axis=1))[0])
+        products = []
+        for e in (0, 500):
+            path = tmp_path / f"scaled{e}.qrst"
+            MatrixStore.from_dense(np.ldexp(a, e)).save(path)
+            code = main(["recommend", str(path), "--user", str(user), "--count", "20",
+                         "--sigma", repr(float(np.ldexp(sigma, e))), "--seed", "3"])
+            out, err = capsys.readouterr()
+            assert (code, err) == (EXIT_OK, "")
+            products.append(out.split("products=")[1])
+        assert products[0] == products[1]

@@ -73,6 +73,11 @@ class TestParams:
             ProjectionParams(sigma=1.0, kappa=1.0)
         with pytest.raises(MatrixError):
             ProjectionParams(sigma=1.0, max_iterations=0)
+        # A fractional cap used to fail inside range(), and True ran one attempt.
+        for cap in (2.5, True, 3.0, "3"):
+            with pytest.raises(MatrixError, match="max_iterations must be an integer"):
+                ProjectionParams(sigma=1.0, max_iterations=cap)
+        assert ProjectionParams(sigma=1.0, max_iterations=np.int64(3)).retry_limit(2, 0.5) == 3
 
     def test_retry_budget(self):
         assert default_max_iterations(2, 0.3) == int(np.ceil((np.log(2) + 7.0) / 0.3))
@@ -149,7 +154,6 @@ class TestExactPath:
     def test_gap_instance_output(self):
         rng = np.random.default_rng(0)
         out = threshold_project(GAP, GAP_X, GAP_PARAMS, rng)
-        assert out.path == "exact"
         assert out.beta_sq == pytest.approx(0.3, abs=1e-12)
         assert np.allclose(out.state, [1.0, 0.0], atol=1e-12)
         assert out.kept_indices() == [0]
@@ -295,7 +299,6 @@ class TestCircuitPath:
         rng = np.random.default_rng(DEFAULT_SEED)
         for row in np.flatnonzero(a.any(axis=1))[:4]:
             out = threshold_project(wop, a[row], params, rng, path="circuit")
-            assert out.path == "circuit"
             assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-12)
         assert wop.grid_tables(grid)[0].size <= wop.n * grid.size <= REGISTER_CAP
 
@@ -303,7 +306,6 @@ class TestCircuitPath:
         wop = WalkOperator.from_dense(GAP)
         rng = np.random.default_rng(11)
         out = threshold_project(wop, GAP_X, GAP_PARAMS, rng, path="circuit")
-        assert out.path == "circuit"
         assert out.beta_sq == pytest.approx(0.3, abs=1e-9)
         assert out.state.dtype == np.float64
         assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-12)

@@ -63,6 +63,9 @@ class TestGenerateT:
             generate_T(5, 5, 1, 1.0, rng)
         with pytest.raises(MatrixError):
             generate_T(5, 5, 1, -0.1, rng)
+        for shape in ((4, 4, 2.5), (4.0, 4, 2), (4, True, 2), (4, 4, "2")):
+            with pytest.raises(MatrixError, match="must be integers"):
+                generate_T(*shape, 0.0, rng)
 
 
 class TestBounds:
@@ -227,12 +230,12 @@ class TestRecommendContext:
         outs = [ctx.recommend(3, rng) for _ in range(600)]
         assert all(o.user == 3 for o in outs)
         assert all(o.beta_sq == pytest.approx(beta_sq, abs=1e-12) for o in outs)
-        assert outs[0].w_stat == pytest.approx(1.0 / beta_sq, rel=1e-12)
+        assert 1.0 / outs[0].beta_sq == pytest.approx(1.0 / beta_sq, rel=1e-12)
         # Projection pseudo-row has norm beta * ||row||, so the direct
         # statistic agrees with 1 / beta^2.
         row = t[3]
         projected = state * np.sqrt(beta_sq) * np.linalg.norm(row)
-        assert w_statistic(row, projected) == pytest.approx(outs[0].w_stat, rel=1e-9)
+        assert w_statistic(row, projected) == pytest.approx(1.0 / outs[0].beta_sq, rel=1e-9)
         mean_iter = float(np.mean([o.iterations for o in outs]))
         assert abs(mean_iter - 1.0 / beta_sq) <= 0.2 * (1.0 / beta_sq) + 0.05
 

@@ -132,9 +132,10 @@ class TestMatrixStore:
         bound = int(np.ceil(np.log2(n))) + int(np.ceil(np.log2(m))) + 2
         rng = np.random.default_rng(0)
         for _ in range(200):
+            before = store.node_touches
             t = store.insert(int(rng.integers(m)), int(rng.integers(n)), float(rng.normal()))
             assert t <= bound
-            assert store.last_insert_touches == t
+            assert store.node_touches == before + t
 
     def test_subtree_weight_prefixes(self):
         store = MatrixStore(1, 4)
@@ -175,15 +176,22 @@ class TestMatrixStore:
         with pytest.raises(MatrixError, match="overflows"):
             store.insert(*cell, 1e154)
         assert_same_store(store, twin)
-        assert (store.node_touches, store.last_insert_touches) == (
-            twin.node_touches,
-            twin.last_insert_touches,
-        )
+        assert store.node_touches == twin.node_touches
         assert store.serialize() == twin.serialize()
         assert_same_store(MatrixStore.deserialize(store.serialize()), twin)
-        store.insert(*cell, 1.0)
-        twin.insert(*cell, 1.0)
+        assert store.insert(*cell, 1.0) == twin.insert(*cell, 1.0)
         assert_same_store(store, twin)
+
+    @pytest.mark.parametrize("j", [-1, 3, 1 << 40])
+    def test_insert_outside_the_columns_leaves_store_unchanged(self, j):
+        store = MatrixStore.from_dense([[1.0, 0.0, -2.0], [0.0, 3.0, 0.0]])
+        twin = MatrixStore.from_dense(store.to_dense())
+        blob = store.serialize()
+        with pytest.raises(MatrixError, match=f"leaf index {j} outside"):
+            store.insert(1, j, 5.0)
+        assert_same_store(store, twin)
+        assert store.node_touches == twin.node_touches
+        assert store.serialize() == blob
 
     def test_dense_round_trip(self):
         a = np.random.default_rng(3).normal(size=(5, 7))
