@@ -16,16 +16,16 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import BoundVacuousError, MatrixError, ProjectionEmptyError
-from .linalg import svd
+from .linalg import check_count, check_real, svd
 from .qproject import DEFAULT_KAPPA, ProjectionParams
 from .recsys import (
     RecommendContext,
     bad_sample_bound,
+    check_bound_params,
     generate_T,
     quantum_typical_user_bound,
     recommendation_sigma,
@@ -47,7 +47,8 @@ MAX_SERVED = 1 << 20
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for one seeded end-to-end run."""
+    """Knobs for one seeded end-to-end run. Each is checked under the rule of
+    the code it feeds, in a message that starts with "config "."""
 
     m: int = 64
     n: int = 64
@@ -64,28 +65,18 @@ class ExperimentConfig:
     recs_per_user: int = 40
 
     def __post_init__(self):
-        dim = MAX_INGEST_DIM  # the store's limit, which the rank shares
-        for name, low, high in (("m", 1, dim), ("n", 1, dim), ("k", 1, dim), ("seed", 0, np.inf),
-                                ("users", 0, MAX_SERVED), ("recs_per_user", 0, MAX_SERVED)):
-            value = getattr(self, name)
-            bad = isinstance(value, bool) or not isinstance(value, Integral)
-            if bad or not low <= value <= high:
-                raise MatrixError(
-                    f"config {name} must be an integer in [{low}, {high}], got {value!r}"
-                )
-        fraction = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
-        reals = {
-            "noise": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-            "p": (lambda v: 0.0 < v <= 1.0, "in (0, 1] or null"),
-            "gamma": (lambda v: 0.0 < v < np.inf, "finite and > 0"),
-            "delta": fraction, "zeta": fraction, "xi": fraction, "kappa": fraction,
-        }
-        for name, (ok, allowed) in reals.items():
-            value = getattr(self, name)
-            if name == "p" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, Real) or not ok(value):
-                raise MatrixError(f"config {name} must be a number {allowed}, got {value!r}")
+        try:
+            # The store's shape limit, which the rank shares.
+            check_count(1, MAX_INGEST_DIM, m=self.m, n=self.n, k=self.k)
+            check_count(0, seed=self.seed)
+            check_count(0, MAX_SERVED, users=self.users, recs_per_user=self.recs_per_user)
+            check_real("rate", noise=self.noise)
+            if self.p is not None:
+                check_real("probability", p=self.p)
+            check_bound_params(self.gamma, self.delta, self.zeta, xi=self.xi)
+            check_real("fraction", kappa=self.kappa)
+        except MatrixError as exc:
+            raise MatrixError(f"config {exc}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -189,20 +180,18 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
         )
         / fro_truth,
     }
-    # A MatrixError from eps_hat, which can reach 1, makes its two bounds
-    # vacuous; from the typical-user bound it means gamma lies outside (0, 1).
+    # The config checked gamma, delta, zeta and xi, so a MatrixError here means
+    # an eps outside (0, 1), as eps_hat can reach 1: a vacuous bound.
     fractions = (config.gamma, config.delta, config.zeta)
-    either = (BoundVacuousError, MatrixError)
-    for key, label, bound, args, caught in (
-        ("typical_user", "typical_user bound", typical_user_bound, (eps_k, *fractions),
-         BoundVacuousError),
+    for key, label, bound, args in (
+        ("typical_user", "typical_user bound", typical_user_bound, (eps_k, *fractions)),
         ("quantum_typical_user", "quantum bound", quantum_typical_user_bound,
-         (eps_hat, *fractions), either),
-        ("w_statistic", "w bound", w_statistic_bound, (eps_hat, *fractions, config.xi), either),
+         (eps_hat, *fractions)),
+        ("w_statistic", "w bound", w_statistic_bound, (eps_hat, *fractions, config.xi)),
     ):
         try:
             bounds[key] = bound(*args)
-        except caught as exc:
+        except (BoundVacuousError, MatrixError) as exc:
             bounds[key] = None
             report_flags.append(f"{label} vacuous: {exc}")
 

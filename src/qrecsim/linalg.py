@@ -36,6 +36,7 @@ the input bits alone and draws from no caller's random stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -73,6 +74,15 @@ RITZ_TOL = 1e-12
 # Rows of the certificate matrix formed per block product.
 CERTIFY_ROWS = 128
 EPS = float(np.finfo(np.float64).eps)
+# Domains of real parameters by rule name: the test and how a message states
+# it. NaN and both infinities fail every test.
+REAL_RULES = {
+    "fraction": (lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
+    "probability": (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "rate": (lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+    "positive": (lambda v: 0.0 < v < np.inf, "a finite number > 0"),
+    "nonnegative": (lambda v: 0.0 <= v < np.inf, "a finite number >= 0"),
+}
 
 
 def _float64(a) -> np.ndarray:
@@ -81,6 +91,23 @@ def _float64(a) -> np.ndarray:
         return np.asarray(a, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MatrixError(f"cannot convert input to a float64 array: {exc}") from exc
+
+
+def check_real(rule: str, /, **values) -> None:
+    """Reject the first of ``values`` (name=value) that is not a real number,
+    or a bool, or that fails ``REAL_RULES[rule]``, with a MatrixError."""
+    ok, wording = REAL_RULES[rule]
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Real) or not ok(value):
+            raise MatrixError(f"{name} must be {wording}, got {value!r}")
+
+
+def check_count(low: int, high: float = np.inf, /, **values) -> None:
+    """Reject the first of ``values`` (name=value) that is not an integer,
+    or is a bool, or lies outside [low, high], with a MatrixError."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value <= high:
+            raise MatrixError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 def as_matrix(a) -> np.ndarray:

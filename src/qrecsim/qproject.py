@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MatrixError, ProjectionEmptyError
-from .linalg import SvdFactorization, unit_vector
+from .linalg import SvdFactorization, check_count, check_real, unit_vector
 from .qsim import (CircuitSve, PhaseGrid, WalkOperator, component_rows, eigenphases,
                    factorization_of, walk_of)
 
@@ -47,18 +46,19 @@ class ProjectionParams:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma <= 0.0:
-            raise MatrixError(f"threshold must be finite and > 0, got {self.sigma}")
-        if not 0.0 < self.kappa < 1.0:
-            raise MatrixError(f"kappa must lie in (0, 1), got {self.kappa}")
-        cap = self.max_iterations
-        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1):
-            raise MatrixError(f"max_iterations must be an integer >= 1, got {cap!r}")
+        check_real("positive", sigma=self.sigma)
+        check_real("fraction", kappa=self.kappa)
+        if self.max_iterations is not None:
+            check_count(1, max_iterations=self.max_iterations)
 
     @property
     def cut(self) -> float:
         """Estimates below this are flagged: sigma (1 - kappa/2)."""
         return self.sigma * (1.0 - self.kappa / 2.0)
+
+    def keeps(self, estimates: np.ndarray) -> np.ndarray:
+        """The flag rule: an estimate at or above the cut is kept."""
+        return estimates >= self.cut
 
     def precision(self, fro: float) -> float:
         """Estimation precision (relative to fro) that keeps the band tight."""
@@ -133,7 +133,7 @@ def kept_mask(f: SvdFactorization, params: ProjectionParams) -> np.ndarray:
 
     Independent of the projected vector; the vector only sets amplitudes.
     """
-    return estimated_spectrum(f, params) >= params.cut
+    return params.keeps(estimated_spectrum(f, params))
 
 
 def kept_state(v_kept: np.ndarray, alpha_kept: np.ndarray) -> tuple[float, np.ndarray]:
@@ -171,7 +171,7 @@ def exact_kept_components(
     """Deterministic component fates plus (alpha, kept mask) working arrays."""
     alpha = f.v.T @ unit_vector(x, f.shape[1])
     estimates = estimated_spectrum(f, params)
-    kept = estimates >= params.cut
+    kept = params.keeps(estimates)
     cols = (np.arange(kept.size), np.abs(alpha), f.column_sigma(), estimates, kept)
     return component_rows(ProjectionComponent, *cols), alpha, kept
 
@@ -223,7 +223,7 @@ def _project_circuit(
     def attempt() -> float:
         nonlocal sigma_est, kept, beta_sq
         sigma_est = est.round(rng)[2]
-        kept = sigma_est >= params.cut
+        kept = params.keeps(sigma_est)
         beta_sq = float(np.sum(est.weights[g[kept]]))
         return beta_sq
 

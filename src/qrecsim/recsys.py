@@ -12,13 +12,12 @@ recommendations from one store and keeps one cached record per user.
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BoundVacuousError, ColdStartError, MatrixError
-from .linalg import SvdFactorization, as_matrix, svd, unit_vector
+from .linalg import SvdFactorization, as_matrix, check_count, check_real, svd, unit_vector
 from .qproject import ProjectionParams, attempts_until_success, keep_floor, kept_mask, kept_state
 from .rng import choice_cdf
 from .store import MatrixStore
@@ -33,10 +32,8 @@ def generate_T(
     if empty); every user copies one uniformly chosen type, then each cell
     flips with probability ``noise``. With noise = 0 the rank is at most k.
     """
-    if any(isinstance(d, bool) or not isinstance(d, Integral) or d < 1 for d in (m, n, k)):
-        raise MatrixError(f"m, n, k must be integers >= 1, got {m!r}, {n!r}, {k!r}")
-    if not 0.0 <= noise < 1.0:
-        raise MatrixError(f"noise must be in [0, 1), got {noise}")
+    check_count(1, m=m, n=n, k=k)
+    check_real("rate", noise=noise)
     types = rng.integers(0, 2, size=(k, n)).astype(np.float64)
     for t in range(k):
         while not types[t].any():
@@ -58,7 +55,7 @@ def bad_sample_bound(eps: float) -> float:
     eps is the relative truncation error ||T - T_k||_F / ||T||_F; the bound
     covers the row-mass-weighted average bad probability.
     """
-    _check_eps(eps)
+    check_real("fraction", eps=eps)
     return (eps / (1.0 - eps)) ** 2
 
 
@@ -69,8 +66,7 @@ def typical_user_bound(eps: float, gamma: float, delta: float, zeta: float) -> f
     (1 - delta - zeta)). Raises BoundVacuousError when the denominator
     closes (eps too large relative to delta).
     """
-    _check_eps(eps)
-    _check_fractions(gamma=gamma, delta=delta, zeta=zeta)
+    check_bound_params(gamma, delta, zeta, eps=eps)
     margin = 1.0 / np.sqrt(1.0 + gamma) - eps / np.sqrt(delta)
     if margin <= 0.0:
         raise BoundVacuousError(
@@ -86,7 +82,7 @@ def quantum_typical_user_bound(eps: float, gamma: float, delta: float, zeta: flo
     The end-to-end surrogate error is at most 9 eps, so this is the plain
     bound with eps replaced by 9 eps throughout.
     """
-    _check_eps(eps)
+    check_bound_params(gamma, delta, zeta, eps=eps)
     if 9.0 * eps >= 1.0:
         raise BoundVacuousError(f"bound vacuous: 9 eps = {9.0 * eps} >= 1")
     return typical_user_bound(9.0 * eps, gamma, delta, zeta)
@@ -99,10 +95,7 @@ def w_statistic_bound(
 
     (1 + eps)^2 / (xi (1 - delta - zeta) (1/sqrt(1+gamma) - 9 eps/sqrt(delta))^2).
     """
-    _check_eps(eps)
-    _check_fractions(gamma=gamma, delta=delta, zeta=zeta)
-    if not 0.0 < xi < 1.0:
-        raise MatrixError(f"xi must be in (0, 1), got {xi}")
+    check_bound_params(gamma, delta, zeta, eps=eps, xi=xi)
     margin = 1.0 / np.sqrt(1.0 + gamma) - 9.0 * eps / np.sqrt(delta)
     if margin <= 0.0:
         raise BoundVacuousError(
@@ -111,17 +104,12 @@ def w_statistic_bound(
     return float((1.0 + eps) ** 2 / (xi * (1.0 - delta - zeta) * margin**2))
 
 
-def _check_eps(eps: float) -> None:
-    if not np.isfinite(eps) or not 0.0 < eps < 1.0:
-        raise MatrixError(f"eps must be in (0, 1), got {eps}")
-
-
-def _check_fractions(**values: float) -> None:
-    for name, value in values.items():
-        if not np.isfinite(value) or not 0.0 < value < 1.0:
-            raise MatrixError(f"{name} must be in (0, 1), got {value}")
-    if "delta" in values and "zeta" in values and values["delta"] + values["zeta"] >= 1.0:
-        raise MatrixError("delta + zeta must be < 1")
+def check_bound_params(gamma: float, delta: float, zeta: float, **more: float) -> None:
+    """The domain of the typical-user bounds: gamma, delta, zeta and each of
+    ``more`` (eps, xi) in (0, 1), and delta + zeta < 1."""
+    check_real("fraction", **more, gamma=gamma, delta=delta, zeta=zeta)
+    if delta + zeta >= 1.0:
+        raise MatrixError(f"delta + zeta must be < 1, got {delta!r} + {zeta!r}")
 
 
 # -- typical users -----------------------------------------------------------
@@ -134,8 +122,7 @@ def typical_set(t, gamma: float) -> np.ndarray:
     (1+gamma) ||T||_F^2 / m, both edges inclusive.
     """
     arr = as_matrix(t)
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise MatrixError(f"gamma must be finite and > 0, got {gamma}")
+    check_real("positive", gamma=gamma)
     row_sq = np.sum(arr * arr, axis=1)
     avg = np.sum(row_sq) / arr.shape[0]
     return (row_sq >= avg / (1.0 + gamma)) & (row_sq <= avg * (1.0 + gamma))
@@ -214,11 +201,8 @@ class RecommendContext:
 
 def recommendation_sigma(eps: float, p: float, k: int, norm_f_hat: float) -> float:
     """Threshold sqrt(eps^2 p / (2 k)) ||That||_F used for recommendations."""
-    _check_eps(eps)
-    if not 0.0 < p <= 1.0:
-        raise MatrixError(f"sampling probability must be in (0, 1], got {p}")
-    if k < 1:
-        raise MatrixError(f"target rank k must be >= 1, got {k}")
-    if not np.isfinite(norm_f_hat) or norm_f_hat <= 0.0:
-        raise MatrixError(f"norm must be finite and > 0, got {norm_f_hat}")
+    check_real("fraction", eps=eps)
+    check_real("probability", p=p)
+    check_count(1, k=k)
+    check_real("positive", norm_f_hat=norm_f_hat)
     return float(np.sqrt(eps * eps * p / (2.0 * k)) * norm_f_hat)

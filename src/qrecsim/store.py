@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import EmptyRowError, MatrixError, StoreFormatError
-from .linalg import as_matrix
+from .linalg import as_matrix, check_count
 
 _MAGIC = b"QRST"
 _VERSION = 1
@@ -234,8 +234,7 @@ class MatrixStore:
     """
 
     def __init__(self, m: int, n: int):
-        if m < 1 or n < 1:
-            raise MatrixError(f"store shape must be >= 1x1, got {m}x{n}")
+        check_count(1, MAX_INGEST_DIM, m=m, n=n)
         self.m = int(m)
         self.n = int(n)
         self.rows = TreeTable(self.m, self.n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MatrixError
-from .linalg import as_matrix
+from .linalg import as_matrix, check_count, check_real
 
 
 def subsample(a, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -28,8 +28,7 @@ def subsample(a, p: float, rng: np.random.Generator) -> np.ndarray:
     is a pure function of (A, p, generator state).
     """
     arr = as_matrix(a)
-    if not 0.0 < p <= 1.0:
-        raise MatrixError(f"sampling probability must be in (0, 1], got {p}")
+    check_real("probability", p=p)
     mask = rng.random(arr.shape) < p
     return np.where(mask, arr / p, 0.0)
 
@@ -45,19 +44,19 @@ def sampling_probability(n: int, b: float, eta: float, norm_f: float) -> float:
     Callers clamp to 1; values above 1 mean the target noise scale eta is
     unreachable by subsampling this matrix.
     """
-    _check_positive(n=n, b=b, eta=eta, norm_f=norm_f)
+    check_real("positive", n=n, b=b, eta=eta, norm_f=norm_f)
     return 16.0 * n * b * b / (eta * norm_f) ** 2
 
 
 def noise_scale(p: float, n: int, b: float, norm_f: float) -> float:
     """eta implied by a given p: eta = 4 sqrt(n) b / (sqrt(p) ||A||_F)."""
-    _check_positive(p=p, n=n, b=b, norm_f=norm_f)
+    check_real("positive", p=p, n=n, b=b, norm_f=norm_f)
     return 4.0 * np.sqrt(n) * b / (np.sqrt(p) * norm_f)
 
 
 def noise_scale_max(n: int, k: int, eps: float, norm_f: float) -> float:
     """Largest admissible eta: 2 n^(1/4) eps^(3/2) / (3 (2k)^(1/4) sqrt(||A||_F))."""
-    _check_positive(n=n, k=k, eps=eps, norm_f=norm_f)
+    check_real("positive", n=n, k=k, eps=eps, norm_f=norm_f)
     return 2.0 * n**0.25 * eps**1.5 / (3.0 * (2.0 * k) ** 0.25 * np.sqrt(norm_f))
 
 
@@ -67,7 +66,7 @@ def precondition_satisfied(n: int, k: int, eps: float, norm_f: float) -> bool:
     Below this mass the formula p exceeds 1 and the error bounds are
     extrapolations rather than guarantees.
     """
-    _check_positive(n=n, k=k, eps=eps, norm_f=norm_f)
+    check_real("positive", n=n, k=k, eps=eps, norm_f=norm_f)
     return norm_f >= 36.0 * np.sqrt(2.0) * np.sqrt(n * k) / eps**3
 
 
@@ -103,10 +102,8 @@ def derive_params(a, k: int, eps: float, p: float | None = None) -> SubsamplePar
     """
     arr = as_matrix(a)
     n = arr.shape[1]
-    if k < 1:
-        raise MatrixError(f"target rank k must be >= 1, got {k}")
-    if not 0.0 < eps < 1.0:
-        raise MatrixError(f"eps must be in (0, 1), got {eps}")
+    check_count(1, k=k)
+    check_real("fraction", eps=eps)
     norm_f = float(np.linalg.norm(arr))
     if norm_f == 0.0:
         raise MatrixError("cannot derive parameters for a zero matrix")
@@ -115,8 +112,7 @@ def derive_params(a, k: int, eps: float, p: float | None = None) -> SubsamplePar
     raw = sampling_probability(n, b, e_max, norm_f)
     if p is None:
         p = min(1.0, raw)
-    elif not 0.0 < p <= 1.0:
-        raise MatrixError(f"sampling probability must be in (0, 1], got {p}")
+    check_real("probability", p=p)
     eta = noise_scale(p, n, b, norm_f)
     return SubsampleParams(
         p=float(p),
@@ -138,25 +134,12 @@ def bound_threshold_family_error(
     + (3-kappa) sqrt(2 mu / p)) ||A||_F. With mu = eps^2 p / 2, eta at its
     maximum, and kappa = 1/3 this collapses to at most 9 eps ||A||_F.
     """
-    _check_positive(k=k, p=p, norm_f=norm_f)
-    _check_nonnegative(err_k=err_k, eta=eta, mu=mu)
+    check_real("positive", k=k, p=p, norm_f=norm_f)
+    check_real("nonnegative", err_k=err_k, eta=eta, mu=mu)
+    check_real("fraction", kappa=kappa)
     if eta > 0.0 and mu == 0.0:
         raise MatrixError("mu must be > 0 when eta is")
-    if not 0.0 < kappa < 1.0:
-        raise MatrixError(f"kappa must lie in (0, 1), got {kappa}")
     spread = 0.0 if eta == 0.0 else 3.0 * np.sqrt(eta) * k**0.25 / mu**0.25
     spread *= 2.0 + 1.0 / np.sqrt(1.0 - kappa)
     tail = (3.0 - kappa) * np.sqrt(2.0 * mu / p)
     return float(3.0 * err_k + (spread + tail) * norm_f)
-
-
-def _check_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not np.isfinite(value) or value <= 0:
-            raise MatrixError(f"{name} must be finite and > 0, got {value}")
-
-
-def _check_nonnegative(**values: float) -> None:
-    for name, value in values.items():
-        if not np.isfinite(value) or value < 0:
-            raise MatrixError(f"{name} must be finite and >= 0, got {value}")

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from qrecsim.errors import ColdStartError, EmptyRowError, MatrixError, RegisterCapError
-from qrecsim.linalg import SvdFactorization, as_matrix, as_vector
+from qrecsim.linalg import SvdFactorization, as_matrix, as_vector, check_real
 from qrecsim.qsim import (
     COMPONENT_TOL,
     COS_TOL,
@@ -29,7 +29,6 @@ from qrecsim.qsim import (
     qpe_bin_probabilities,
 )
 from qrecsim.recsys import bad_sample_bound, typical_user_bound
-from qrecsim.subsample import _check_nonnegative, _check_positive
 
 
 def jacobi_eigenvalues(sym: np.ndarray, sweeps: int = 100, tol: float = 1e-13) -> np.ndarray:
@@ -581,8 +580,8 @@ def bound_threshold_error(
     Zero eta and mu are allowed (their terms vanish), so the degenerate
     no-perturbation call returns err_k alone.
     """
-    _check_positive(k=k, p=p, norm_f=norm_f)
-    _check_nonnegative(err_k=err_k, eta=eta, mu=mu)
+    check_real("positive", k=k, p=p, norm_f=norm_f)
+    check_real("nonnegative", err_k=err_k, eta=eta, mu=mu)
     if eta > 0.0 and mu == 0.0:
         raise MatrixError("mu must be > 0 when eta is")
     spread = 0.0 if eta == 0.0 else 3.0 * np.sqrt(eta) * k**0.25 / mu**0.25

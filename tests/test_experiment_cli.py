@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrecsim import recsys
+from qrecsim import experiment, recsys
 from qrecsim.cli import (
     EXIT_COLD_START,
     EXIT_ERROR,
@@ -31,6 +31,7 @@ from qrecsim.experiment import (
     write_user_csv,
 )
 from qrecsim.errors import MatrixError
+from qrecsim.qproject import ProjectionParams
 from qrecsim.rng import DEFAULT_SEED
 from qrecsim.store import MAX_INGEST_DIM, MatrixStore
 
@@ -58,6 +59,25 @@ class TestConfig:
     def test_dimensions_at_the_ingest_limit_accepted(self):
         cfg = ExperimentConfig(m=MAX_INGEST_DIM, n=MAX_INGEST_DIM, k=MAX_INGEST_DIM)
         assert (cfg.m, cfg.n, cfg.k) == (MAX_INGEST_DIM,) * 3
+
+    @pytest.mark.parametrize(
+        "field, value, consumer",
+        [
+            ("m", 0, lambda v: MatrixStore(v, 4)),
+            ("n", MAX_INGEST_DIM + 1, lambda v: MatrixStore(4, v)),
+            ("noise", 1.0, lambda v: recsys.generate_T(4, 4, 1, v, np.random.default_rng(0))),
+            ("kappa", 0.0, lambda v: ProjectionParams(sigma=1.0, kappa=v)),
+            ("p", 1.5, lambda v: experiment.subsample(np.ones((2, 2)), v, np.random.default_rng(0))),
+            ("gamma", 1.0, lambda v: recsys.typical_user_bound(0.01, v, 0.1, 0.1)),
+            ("xi", 0.0, lambda v: recsys.w_statistic_bound(0.01, 0.1, 0.1, 0.1, v)),
+        ],
+    )
+    def test_config_applies_its_consumers_rules(self, field, value, consumer):
+        with pytest.raises(MatrixError) as used:
+            consumer(value)
+        with pytest.raises(MatrixError) as config:
+            ExperimentConfig(**{field: value})
+        assert str(config.value) == f"config {used.value}"
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(MatrixError) as info:
@@ -128,6 +148,11 @@ class TestRunExperiment:
         parsed = json.loads(text)
         assert parsed["schema"] == REPORT_SCHEMA
         assert list(parsed) == sorted(parsed)
+
+    def test_report_infinities_written_as_strings(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_report({"w": np.float64(np.inf), "ws": (1.0, -np.inf)}, path)
+        assert json.loads(path.read_text(encoding="utf-8")) == {"w": "inf", "ws": [1.0, "-inf"]}
 
     def test_user_csv(self, tmp_path):
         _, rows = run_experiment(ExperimentConfig(**SMALL))
@@ -500,6 +525,28 @@ class TestCliExperiment:
         assert main(["experiment", str(cfg), "--out", str(report_path)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: config ") and field in err
+        assert not report_path.exists()
+
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"gamma": 1.5}, "config gamma must be a number in (0, 1), got 1.5"),
+            ({"delta": 0.6, "zeta": 0.5}, "config delta + zeta must be < 1, got 0.6 + 0.5"),
+        ],
+    )
+    def test_bound_params_rejected_before_the_pipeline(
+        self, tmp_path, capsys, monkeypatch, raw, message
+    ):
+        def reached(*args):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(experiment, "generate_T", reached)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        assert main(["experiment", str(cfg), "--out", str(report_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not report_path.exists()
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -705,3 +706,59 @@ class TestGramScaling:
             assert (code, err) == (EXIT_OK, "")
             products.append(out.split("products=")[1])
         assert products[0] == products[1]
+
+
+class TestParameterRules:
+    """``check_real`` and ``check_count``: each rule at its edges, and the
+    input that no rule takes."""
+
+    NOT_NUMBERS = [True, False, "0.5", None, [0.5], 1j]
+    # (rule, accepted, rejected): the values on both sides of each edge.
+    EDGES = [
+        ("fraction", [5e-324, 0.5, np.nextafter(1.0, 0.0)], [0.0, 1.0, -0.5, np.inf]),
+        ("probability", [5e-324, np.float32(0.5), 1], [0.0, np.nextafter(1.0, 2.0), np.inf]),
+        ("rate", [0.0, 0.5, np.nextafter(1.0, 0.0)], [-5e-324, 1.0, np.inf]),
+        ("positive", [5e-324, 3, np.int64(2), 1e308], [0.0, -1.0, np.inf]),
+        ("nonnegative", [0.0, 3, 1e308], [-5e-324, np.inf, -np.inf]),
+    ]
+
+    @pytest.mark.parametrize("rule, accepted, rejected", EDGES)
+    def test_real_rule_edges(self, rule, accepted, rejected):
+        for value in accepted:
+            linalg.check_real(rule, x=value)
+        for value in rejected + [np.nan] + self.NOT_NUMBERS:
+            with pytest.raises(MatrixError) as info:
+                linalg.check_real(rule, x=value)
+            assert str(info.value) == f"x must be {linalg.REAL_RULES[rule][1]}, got {value!r}"
+
+    def test_every_real_rule_is_tested(self):
+        assert sorted(row[0] for row in self.EDGES) == sorted(linalg.REAL_RULES)
+
+    def test_first_bad_value_is_named(self):
+        with pytest.raises(MatrixError, match=r"^b must be a number in \(0, 1\), got 2\.0$"):
+            linalg.check_real("fraction", a=0.5, b=2.0, c=3.0)
+        with pytest.raises(MatrixError, match=r"^c must be an integer in \[1, 3\], got 4$"):
+            linalg.check_count(1, 3, a=1, b=3, c=4, d=0)
+
+    def test_count_rule(self):
+        linalg.check_count(1, 3, a=1, b=np.int64(3), c=np.uint8(2))
+        linalg.check_count(0, seed=10**30)  # no upper limit by default
+        for value in (0, 4, 2.0, 2.5, np.float64(2.0), np.nan) + tuple(self.NOT_NUMBERS):
+            with pytest.raises(MatrixError) as info:
+                linalg.check_count(1, 3, a=1, b=value)
+            assert str(info.value) == f"b must be an integer in [1, 3], got {value!r}"
+        with pytest.raises(MatrixError, match=r"^s must be an integer in \[0, inf\], got -1$"):
+            linalg.check_count(0, s=-1)
+
+    def test_vector_of_a_matrix_rejected(self):
+        with pytest.raises(MatrixError, match=r"expected a 1-d vector, got shape \(2, 2\)"):
+            as_vector(np.eye(2))
+
+    def test_only_the_checkers_test_number_types(self):
+        # Every other module names a rule instead of restating it.
+        for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for kind in ("Integral", "Real"):
+                count = text.count(f"not isinstance(value, {kind})")
+                assert count == (path.name == "linalg.py"), (path.name, kind)
+                assert path.name == "linalg.py" or f"import {kind}" not in text

@@ -102,6 +102,11 @@ class TestKeptSet:
         # Precision (kappa/2) sigma = 1/3 in absolute sigma units.
         assert np.max(np.abs(est - np.array([3.0, 1.0]))) <= 1.0 / 3.0
 
+    def test_flag_rule_keeps_the_cut_itself(self):
+        params = ProjectionParams(sigma=1.0)
+        below, cut, above = np.nextafter(params.cut, 0.0), params.cut, np.nextafter(params.cut, 2.0)
+        assert params.keeps(np.array([below, cut, above])).tolist() == [False, True, True]
+
     def test_gap_instance_mask(self):
         mask = kept_mask(svd(GAP), GAP_PARAMS)
         assert mask.tolist() == [True, False]

@@ -11,6 +11,7 @@ from qrecsim.qproject import ProjectionParams
 from qrecsim.recsys import (
     RecommendContext,
     bad_sample_bound,
+    check_bound_params,
     generate_T,
     quantum_typical_user_bound,
     recommendation_sigma,
@@ -64,7 +65,7 @@ class TestGenerateT:
         with pytest.raises(MatrixError):
             generate_T(5, 5, 1, -0.1, rng)
         for shape in ((4, 4, 2.5), (4.0, 4, 2), (4, True, 2), (4, 4, "2")):
-            with pytest.raises(MatrixError, match="must be integers"):
+            with pytest.raises(MatrixError, match="must be an integer"):
                 generate_T(*shape, 0.0, rng)
 
 
@@ -124,6 +125,41 @@ class TestBounds:
             recommendation_sigma(0.1, 0.5, 0, 2.0)
         with pytest.raises(MatrixError):
             recommendation_sigma(0.1, 0.5, 4, 0.0)
+
+
+class TestBoundParams:
+    """``check_bound_params``: the one domain that the three typical-user
+    bounds and the experiment config share."""
+
+    @pytest.mark.parametrize(
+        "gamma, delta, zeta, message",
+        [
+            (0.0, 0.1, 0.1, "gamma must be a number in (0, 1), got 0.0"),
+            (1.5, 0.1, 0.1, "gamma must be a number in (0, 1), got 1.5"),
+            (0.1, 1.0, 0.1, "delta must be a number in (0, 1), got 1.0"),
+            (0.1, 0.1, float("nan"), "zeta must be a number in (0, 1), got nan"),
+            (0.1, 0.6, 0.5, "delta + zeta must be < 1, got 0.6 + 0.5"),
+            (0.1, 0.5, 0.5, "delta + zeta must be < 1, got 0.5 + 0.5"),
+        ],
+    )
+    def test_every_bound_rejects_outside_the_domain(self, gamma, delta, zeta, message):
+        for call in (
+            lambda: check_bound_params(gamma, delta, zeta),
+            lambda: typical_user_bound(0.01, gamma, delta, zeta),
+            lambda: quantum_typical_user_bound(0.01, gamma, delta, zeta),
+            lambda: w_statistic_bound(0.01, gamma, delta, zeta, 0.1),
+        ):
+            with pytest.raises(MatrixError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_eps_and_xi_are_fractions_too(self):
+        check_bound_params(0.1, 0.5, 0.49, eps=0.5, xi=0.5)
+        with pytest.raises(MatrixError, match=r"^xi must be a number in \(0, 1\), got 1\.0$"):
+            w_statistic_bound(0.01, 0.1, 0.1, 0.1, 1.0)
+        for bound in (typical_user_bound, quantum_typical_user_bound):
+            with pytest.raises(MatrixError, match=r"^eps must be a number in \(0, 1\), got 1$"):
+                bound(1, 0.1, 0.1, 0.1)
 
 
 class TestTypicalSet:

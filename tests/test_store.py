@@ -105,6 +105,53 @@ class TestRowTree:
             tree.update(0, 0, -1.0, 1)
 
 
+class TestShapesAndAddresses:
+    @pytest.mark.parametrize(
+        "m, n, name",
+        [(2.5, 3, "m"), (3, 2.0, "n"), (True, 3, "m"), (3, "3", "n"), (0, 3, "m"), (3, -1, "n"),
+         (MAX_INGEST_DIM + 1, 1, "m"), (1, MAX_INGEST_DIM + 1, "n")],
+    )
+    def test_store_shape_takes_the_count_rule(self, m, n, name):
+        # Rejected before any tree is allocated: the norm tree alone of
+        # MAX_INGEST_DIM + 1 rows would take 512 KiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixError) as info:
+                MatrixStore(m, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        value = m if name == "m" else n
+        want = f"{name} must be an integer in [1, {MAX_INGEST_DIM}], got {value!r}"
+        assert str(info.value) == want
+        assert peak < 1 << 16
+
+    def test_numpy_integer_shape_accepted(self):
+        store = MatrixStore(np.int64(2), np.uint16(MAX_INGEST_DIM))
+        assert (type(store.m), store.m, store.n) == (int, 2, MAX_INGEST_DIM)
+
+    def test_zero_leaf_count_rejected(self):
+        with pytest.raises(MatrixError, match="leaf count must be >= 1, got 0"):
+            TreeTable(1, 0)
+
+    def test_node_address_checked(self):
+        table = MatrixStore.from_dense([[1.0, 2.0, 3.0]]).rows  # depth 2
+        assert table.node_weight(0, 2, 3) == 0.0
+        for t in (-1, 3):
+            with pytest.raises(MatrixError, match=rf"depth {t} outside \[0, 2\]"):
+                table.node_weight(0, t, 0)
+        for prefix in (-1, 2):
+            with pytest.raises(MatrixError, match=f"prefix {prefix} is not a 1-bit value"):
+                table.node_weight(0, 1, prefix)
+
+    def test_entry_column_checked(self):
+        store = MatrixStore.from_dense([[1.0, 2.0]])
+        assert store.entry(0, 1) == 2.0
+        for j in (-1, 2):
+            with pytest.raises(MatrixError, match=rf"column index {j} outside \[0, 2\)"):
+                store.entry(0, j)
+
+
 class TestMatrixStore:
     def test_row_norm_345(self):
         store = MatrixStore(2, 2)

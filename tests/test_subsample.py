@@ -147,6 +147,38 @@ class TestDerivations:
             derive_params(np.zeros((2, 2)), 1, 0.5)
 
 
+class TestParameterDomains:
+    def test_noise_needs_resolution(self):
+        with pytest.raises(MatrixError, match="^mu must be > 0 when eta is$"):
+            bound_threshold_family_error(0.5, 0.04, 16, 0.0, 0.64, 0.5, 10.0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: sampling_probability(0, 1.0, 0.1, 1.0), "n must be a finite number > 0, got 0"),
+            (lambda: noise_scale(0.5, 4, np.inf, 1.0), "b must be a finite number > 0, got inf"),
+            (lambda: noise_scale_max(4, 2, np.nan, 1.0),
+             "eps must be a finite number > 0, got nan"),
+            (lambda: precondition_satisfied(4, -1, 0.1, 1.0),
+             "k must be a finite number > 0, got -1"),
+            (lambda: bound_threshold_family_error(-1.0, 0.0, 1, 0.0, 0.5, 0.5, 1.0),
+             "err_k must be a finite number >= 0, got -1.0"),
+            (lambda: bound_threshold_family_error(0.0, 0.0, 1, 0.0, 0.5, 1.0, 1.0),
+             "kappa must be a number in (0, 1), got 1.0"),
+            (lambda: subsample(np.ones((2, 2)), 1.5, np.random.default_rng(0)),
+             "p must be a number in (0, 1], got 1.5"),
+            (lambda: derive_params(np.ones((2, 2)), 1.0, 0.1),
+             "k must be an integer in [1, inf], got 1.0"),
+            (lambda: derive_params(np.ones((2, 2)), 1, 0.1, p=0.0),
+             "p must be a number in (0, 1], got 0.0"),
+        ],
+    )
+    def test_rule_messages(self, call, message):
+        with pytest.raises(MatrixError) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestBounds:
     def test_plain_bound_hand_arithmetic(self):
         # err + (3 sqrt(.04) 16^(1/4) / .0016^(1/4) + sqrt(.0016/.64)) * 10

@@ -1,7 +1,11 @@
-"""Smoke test of tools/circuit_dump.py on one 8 x 8 benchmark circuit instance."""
+"""Smoke tests of tools/: circuit_dump.py on one 8 x 8 benchmark circuit
+instance, and untested_lines.py on one small test module."""
 
 import importlib.util
 import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,3 +36,26 @@ def test_circuit_dump_matches_itself_and_reports_changes(tmp_path, capsys):
         "integer mismatches: 1",
         "max float difference: 1e-12 at [0].sve[0][0][2]",
     ]
+
+
+def test_untested_lines_lists_what_a_run_skips():
+    # tests/test_package.py imports the package but never the CLI.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "untested_lines.py"), "tests/test_package.py",
+         "-q", "-p", "no:cacheprovider"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    listed = [line for line in lines if line.startswith("src/")]
+    assert all(re.fullmatch(r"src/qrecsim/\w+\.py:\d+: \S.*", line) for line in listed)
+    assert lines[-1] == f"{len(listed)} statements never ran"
+
+    def at(module: str, statement: str) -> str:
+        text = (ROOT / "src" / "qrecsim" / module).read_text(encoding="utf-8").splitlines()
+        return f"src/qrecsim/{module}:{text.index(statement) + 1}: {statement.strip()}"
+
+    assert at("cli.py", "EXIT_OK = 0") in listed
+    floor_and_top = '        raise MatrixError("svd takes a floor or a top count, not both")'
+    assert at("linalg.py", floor_and_top) in listed
+    assert at("linalg.py", "ORTHO_TOL = 1e-10") not in listed  # ran at import
