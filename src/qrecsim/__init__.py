@@ -29,7 +29,7 @@ from .recsys import (
     typical_set,
     typical_user_bound,
 )
-from .rng import default_seed, stream
+from .rng import stream
 from .store import MatrixStore, TreeTable, ingest_triplets, parse_triplets
 from .subsample import (
     SubsampleParams,
@@ -59,7 +59,6 @@ __all__ = [
     "WalkOperator",
     "bad_sample_bound",
     "bound_threshold_family_error",
-    "default_seed",
     "derive_params",
     "eigenphases",
     "generate_T",

@@ -18,10 +18,11 @@ import numpy as np
 from . import __version__
 from .errors import ColdStartError, MatrixError, ProjectionEmptyError, QrecsimError
 from .experiment import MAX_SERVED, ExperimentConfig, run_experiment, write_report, write_user_csv
+from .linalg import check_count
 from .qproject import DEFAULT_KAPPA, ProjectionParams, threshold_project
 from .qsim import sve
 from .recsys import RecommendContext, recommendation_sigma
-from .rng import default_seed, stream
+from .rng import DEFAULT_SEED, stream
 from .store import MatrixStore, ingest_triplets
 
 EXIT_OK = 0
@@ -56,19 +57,12 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
         "--seed",
         type=int,
         default=None,
-        help="master seed (default: $QRECSIM_SEED or the package default)",
+        help=f"master seed (default {DEFAULT_SEED})",
     )
 
 
 def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else default_seed()
-
-
-def _check_draws(flag: str, value: int, low: int) -> None:
-    """Reject a draw count outside [low, MAX_SERVED] before anything is loaded."""
-    if not low <= value <= MAX_SERVED:
-        bound = f">= {low}" if value < low else f"<= {MAX_SERVED}"
-        raise MatrixError(f"{flag} must be {bound}, got {value}")
+    return args.seed if args.seed is not None else DEFAULT_SEED
 
 
 def cmd_ingest(args) -> int:
@@ -103,7 +97,7 @@ def cmd_sve(args) -> int:
 
 
 def cmd_project(args) -> int:
-    _check_draws("--samples", args.samples, 0)
+    check_count(0, MAX_SERVED, **{"--samples": args.samples})
     store = MatrixStore.load(args.store)
     vec = _parse_vector(args.vector, store)
     params = ProjectionParams(
@@ -124,7 +118,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    _check_draws("--count", args.count, 1)
+    check_count(1, MAX_SERVED, **{"--count": args.count})
     store = MatrixStore.load(args.store)
     if args.sigma is not None:
         sigma = args.sigma

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -33,15 +33,15 @@ from .recsys import (
     typical_user_bound,
     w_statistic_bound,
 )
-from .rng import stream
+from .rng import DEFAULT_SEED, stream
 from .store import MAX_INGEST_DIM, MatrixStore
 from .subsample import bound_threshold_family_error, derive_params, subsample
-from . import rng as rng_mod
 
 REPORT_SCHEMA = "qrecsim-report/1"
-# Largest ``users`` and ``recs_per_user``. The user draw allocates one int64
-# per user (8 MiB at the cap), and each drawn user's count times
-# recs_per_user stays far inside int64.
+# Largest ``users``, ``recs_per_user`` and their product, the run's
+# recommendation draws. The user draw allocates one int64 per user (8 MiB at
+# the cap), and at a few microseconds a draw the product's cap keeps a run's
+# recommendations to seconds.
 MAX_SERVED = 1 << 20
 
 
@@ -55,7 +55,7 @@ class ExperimentConfig:
     k: int = 4
     noise: float = 0.05
     p: float | None = 0.5
-    seed: int = field(default_factory=rng_mod.default_seed)
+    seed: int = DEFAULT_SEED
     gamma: float = 0.1
     delta: float = 0.1
     zeta: float = 0.1
@@ -70,6 +70,7 @@ class ExperimentConfig:
             check_count(1, MAX_INGEST_DIM, m=self.m, n=self.n, k=self.k)
             check_count(0, seed=self.seed)
             check_count(0, MAX_SERVED, users=self.users, recs_per_user=self.recs_per_user)
+            check_count(0, MAX_SERVED, **{"users * recs_per_user": self.users * self.recs_per_user})
             check_real("rate", noise=self.noise)
             if self.p is not None:
                 check_real("probability", p=self.p)

@@ -103,8 +103,10 @@ def default_max_iterations(n: int, beta_sq: float) -> int:
 
 
 def projection_grid(params: ProjectionParams, fro: float) -> PhaseGrid:
-    """The estimation grid for a matrix of Frobenius norm ``fro``; a
-    threshold above ``fro`` is rejected."""
+    """The estimation grid for a matrix of Frobenius norm ``fro``; a zero
+    ``fro`` or a threshold above it is rejected."""
+    if fro <= 0.0:
+        raise MatrixError("||A||_F is 0: every entry is 0 or too small to square")
     if params.sigma > fro:
         raise MatrixError(f"threshold {params.sigma} exceeds ||A||_F = {fro}")
     return PhaseGrid.for_sigma_precision(params.precision(fro))

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyRowError, MatrixError, RegisterCapError
-from .linalg import SvdFactorization, as_matrix, svd, unit_vector
+from .linalg import SvdFactorization, as_matrix, check_count, check_real, svd, unit_vector
 from .rng import choice_cdf
 from .store import MatrixStore
 
@@ -178,7 +178,8 @@ def eigenphases(f: SvdFactorization) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Uniform grid of 2^bits phase bins over [0, 2 pi).
+    """Uniform grid of 2^bits phase bins over [0, 2 pi), bits an integer
+    in [1, MAX_GRID_BITS].
 
     ``bin_of``, ``theta_of`` and ``sigma_of`` take a scalar to a Python
     scalar and an array to an array, elementwise, with the same rounding.
@@ -186,18 +187,16 @@ class PhaseGrid:
 
     bits: int
 
-    @classmethod
-    def for_theta_precision(cls, eps_theta: float) -> "PhaseGrid":
-        """Enough bits to resolve phases to eps_theta, plus two guard bits
-        (at most MAX_GRID_BITS)."""
-        if not np.isfinite(eps_theta) or not 0.0 < eps_theta < 2.0 * np.pi:
-            raise MatrixError(f"theta precision must be in (0, 2 pi), got {eps_theta}")
-        return cls(min(int(np.ceil(np.log2(2.0 * np.pi / eps_theta))) + 2, MAX_GRID_BITS))
+    def __post_init__(self):
+        check_count(1, MAX_GRID_BITS, bits=self.bits)
 
     @classmethod
     def for_sigma_precision(cls, eps: float) -> "PhaseGrid":
-        """Grid for |sigma_est - sigma| <= eps ||A||_F (phase slack 2 eps)."""
-        return cls.for_theta_precision(2.0 * eps)
+        """Grid for |sigma_est - sigma| <= eps ||A||_F, eps in (0, 1): enough
+        bits to resolve phases to 2 eps, plus two guard bits (at most
+        MAX_GRID_BITS)."""
+        check_real("fraction", eps=eps)
+        return cls(int(min(np.ceil(np.log2(2.0 * np.pi / (2.0 * eps))) + 2, MAX_GRID_BITS)))
 
     @property
     def size(self) -> int:

@@ -51,15 +51,10 @@ _LEAF_DTYPE = np.dtype([("column", "<u8"), ("weight", "<f8"), ("sign", "i1")])
 MAX_INGEST_DIM = 1 << 14
 
 
-def _leaf_depth(count: int) -> int:
-    """Tree depth for ``count`` leaves padded to the next power of two."""
-    if count < 1:
-        raise MatrixError(f"leaf count must be >= 1, got {count}")
-    return int(count - 1).bit_length()
-
-
 class TreeTable:
-    """``count`` prefix-sum trees over ``size`` squared amplitudes each.
+    """``m`` prefix-sum trees over ``n`` squared amplitudes each, kept as
+    ``count`` and ``size`` (integers in [1, MAX_INGEST_DIM]); the leaves are
+    padded to 2**depth.
 
     ``nodes[i, 2**t + prefix]`` is the total squared weight of tree i's
     leaves whose index starts with the t-bit ``prefix``; column 1 is the
@@ -73,10 +68,11 @@ class TreeTable:
 
     __slots__ = ("count", "size", "depth", "nodes", "signs", "held", "_flat", "_signs", "_held")
 
-    def __init__(self, count: int, size: int):
-        self.count = int(count)
-        self.size = int(size)
-        self.depth = _leaf_depth(self.size)
+    def __init__(self, m: int, n: int):
+        check_count(1, MAX_INGEST_DIM, m=m, n=n)
+        self.count = int(m)
+        self.size = int(n)
+        self.depth = (self.size - 1).bit_length()
         self.nodes = np.zeros((self.count, 2 << self.depth))
         self.signs = np.zeros((self.count, self.size), dtype=np.int8)
         self.held = np.zeros((self.count, self.size), dtype=bool)
@@ -234,10 +230,9 @@ class MatrixStore:
     """
 
     def __init__(self, m: int, n: int):
-        check_count(1, MAX_INGEST_DIM, m=m, n=n)
-        self.m = int(m)
-        self.n = int(n)
-        self.rows = TreeTable(self.m, self.n)
+        self.rows = TreeTable(m, n)
+        self.m = self.rows.count
+        self.n = self.rows.size
         self.norm_tree = TreeTable(1, self.m)
         self.node_touches = 0
 

@@ -347,6 +347,12 @@ class TestCliSve:
         assert main(["sve", str(gap_store), "--vector", "basis:-1", "--eps", "0.1"]) == EXIT_ERROR
         assert "error: basis index -1 outside [0, 2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ["exact", "circuit"])
+    def test_precision_outside_the_fraction_rule(self, gap_store, capsys, path):
+        code = main(["sve", str(gap_store), "--vector", "uniform", "--eps", "4", "--path", path])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: eps must be a number in (0, 1), got 4.0\n"
+
 
 class TestCliProject:
     def test_gap_projection(self, gap_store, capsys):
@@ -441,12 +447,24 @@ class TestCliRecommend:
         assert code == EXIT_ERROR
         assert "exceeds ||A||_F" in capsys.readouterr().err
 
+    def test_zero_norm_store_is_input_error(self, tmp_path, capsys):
+        # Every square of 1e-170 underflows, so the loaded store's ||A||_F is 0.
+        store_path = tmp_path / "tiny.qrst"
+        MatrixStore.from_dense(np.full((3, 3), 1e-170)).save(store_path)
+        code = main(["recommend", str(store_path), "--user", "0", "--sigma", "1e-171"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: ||A||_F is 0: every entry is 0 or too small to square\n"
+        )
+
     def test_zero_count_rejected(self, wide_store, capsys):
         code = main(
             ["recommend", str(wide_store), "--user", "0", "--sigma", "1e-9", "--count", "0"]
         )
         assert code == EXIT_ERROR
-        assert "error: --count must be >= 1, got 0" in capsys.readouterr().err
+        assert f"error: --count must be an integer in [1, {MAX_SERVED}], got 0" in (
+            capsys.readouterr().err
+        )
 
 
 @pytest.mark.parametrize(
@@ -459,11 +477,16 @@ class TestCliRecommend:
      ("recommend", "--count", 10**12, f"<= {MAX_SERVED}")],
 )
 def test_draw_counts_are_bounded_before_loading(tmp_path, capsys, command, flag, value, bound):
+    # ``bound`` names the end of [low, MAX_SERVED] that ``value`` falls past.
+    low = {"--samples": 0, "--count": 1}[flag]
+    assert bound in (f">= {low}", f"<= {MAX_SERVED}")
     # The store path does not exist: the bound is checked before it is read.
     required = ["--vector", "uniform", "--sigma", "1"] if command == "project" else ["--user", "0"]
     argv = [command, str(tmp_path / "none.qrst"), *required, flag, str(value)]
     assert main(argv) == EXIT_ERROR
-    assert capsys.readouterr().err == f"error: {flag} must be {bound}, got {value}\n"
+    assert capsys.readouterr().err == (
+        f"error: {flag} must be an integer in [{low}, {MAX_SERVED}], got {value}\n"
+    )
 
 
 class TestCliExperiment:
@@ -516,6 +539,7 @@ class TestCliExperiment:
             ({"users": 1000000000000}, "users"),
             ({"users": 1048577}, "users"),
             ({"recs_per_user": 1048577}, "recs_per_user"),
+            ({"users": 1024, "recs_per_user": 1025}, "users * recs_per_user"),
         ],
     )
     def test_invalid_config_value(self, tmp_path, capsys, raw, field):
@@ -596,16 +620,6 @@ class TestCliMisc:
         assert main(["experiment", str(cfg), "--out", str(report_path)]) == EXIT_ERROR
         assert "error: subsample kept no entries" in capsys.readouterr().err
         assert not report_path.exists()
-
-    @pytest.mark.parametrize("raw", ["seven", "1.5", ""])
-    def test_non_integer_seed_variable(self, gap_store, monkeypatch, capsys, raw):
-        monkeypatch.setenv("QRECSIM_SEED", raw)
-        code = main(["sve", str(gap_store), "--vector", "uniform", "--eps", "0.1",
-                     "--path", "circuit"])
-        assert code == EXIT_ERROR
-        assert capsys.readouterr().err == (
-            f"error: QRECSIM_SEED must be an integer, got {raw!r}\n"
-        )
 
     def test_missing_store_path(self, tmp_path, capsys):
         code = main(["sve", str(tmp_path / "none.qrst"), "--vector", "uniform",

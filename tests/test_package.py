@@ -32,7 +32,6 @@ PUBLIC_API = [
     "WalkOperator",
     "bad_sample_bound",
     "bound_threshold_family_error",
-    "default_seed",
     "derive_params",
     "eigenphases",
     "generate_T",

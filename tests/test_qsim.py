@@ -252,8 +252,7 @@ class TestEigenphases:
 class TestPhaseGrid:
     def test_bits_for_sigma_precision(self):
         assert PhaseGrid.for_sigma_precision(0.05).bits == 8
-        assert PhaseGrid.for_theta_precision(0.1).bits == 8
-        assert PhaseGrid.for_theta_precision(np.pi).bits == 3
+        assert PhaseGrid.for_sigma_precision(0.99).bits == 4
 
     def test_bin_round_trips(self):
         grid = PhaseGrid(6)
@@ -270,7 +269,21 @@ class TestPhaseGrid:
 
     def test_invalid_precision(self):
         with pytest.raises(MatrixError):
-            PhaseGrid.for_theta_precision(0.0)
+            PhaseGrid.for_sigma_precision(0.0)
+
+    @pytest.mark.parametrize("eps", [1.0, 3.0, np.inf, np.nan, True, "0.1"])
+    def test_precision_is_a_fraction(self, eps):
+        # Every estimate lies within ||A||_F of sigma, so eps >= 1 promises nothing.
+        with pytest.raises(MatrixError, match=r"eps must be a number in \(0, 1\), got "):
+            PhaseGrid.for_sigma_precision(eps)
+
+    @pytest.mark.parametrize("bits", [0, -1, MAX_GRID_BITS + 1, 2.5, True, None])
+    def test_bits_take_the_count_rule(self, bits):
+        with pytest.raises(MatrixError) as info:
+            PhaseGrid(bits)
+        assert str(info.value) == (
+            f"bits must be an integer in [1, {MAX_GRID_BITS}], got {bits!r}"
+        )
 
     @pytest.mark.parametrize("bits", [3, 7, 12, 19, 40, MAX_GRID_BITS])
     def test_array_rounding_matches_scalar_loop(self, bits):
@@ -295,6 +308,8 @@ class TestPhaseGrid:
         grid = PhaseGrid.for_sigma_precision(1e-300)
         assert grid.bits == MAX_GRID_BITS
         assert grid.bin_of(np.pi) == grid.size // 2
+        # 2 pi / (2 eps) overflows to inf here; the cap applies before int().
+        assert PhaseGrid.for_sigma_precision(5e-324).bits == MAX_GRID_BITS
 
     def test_boost_rounds(self):
         assert boost_rounds(8, 8) == 13
@@ -353,7 +368,7 @@ class TestPhaseEstimation:
         a = random_full_matrix(12, 2, 2)
         w = OracleWalk.from_dense(a)
         x = np.array([0.6, 0.8])
-        grid = PhaseGrid.for_theta_precision(0.2)
+        grid = PhaseGrid.for_sigma_precision(0.1)
         joint = qpe_joint_state(w, w.apply_Q(x), grid)
         assert joint.shape == (grid.size, 2, 2)
         assert np.linalg.norm(joint) == pytest.approx(1.0, abs=1e-12)

@@ -20,6 +20,7 @@ from qrecsim.recsys import (
     w_statistic_bound,
 )
 from qrecsim.rng import choice_cdf
+from qrecsim.store import MatrixStore
 
 from oracles import bad_mass, calibration_ratio, w_statistic
 
@@ -230,6 +231,13 @@ class TestRecommendContext:
     def test_threshold_above_norm_rejected(self):
         with pytest.raises(MatrixError):
             RecommendContext(np.eye(2), ProjectionParams(sigma=5.0))
+
+    def test_zero_norm_store_names_the_cause(self):
+        # Every square of 1e-170 underflows, so the store holds ||A||_F = 0.
+        store = MatrixStore.from_dense(np.full((3, 3), 1e-170))
+        with pytest.raises(MatrixError) as info:
+            RecommendContext(store, ProjectionParams(sigma=1e-171))
+        assert str(info.value) == "||A||_F is 0: every entry is 0 or too small to square"
 
     def test_keep_everything_reproduces_row_distribution(self):
         # A tiny threshold keeps the full spectrum: the projection is the

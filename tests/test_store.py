@@ -112,26 +112,29 @@ class TestShapesAndAddresses:
          (MAX_INGEST_DIM + 1, 1, "m"), (1, MAX_INGEST_DIM + 1, "n")],
     )
     def test_store_shape_takes_the_count_rule(self, m, n, name):
-        # Rejected before any tree is allocated: the norm tree alone of
-        # MAX_INGEST_DIM + 1 rows would take 512 KiB.
-        tracemalloc.start()
-        try:
-            with pytest.raises(MatrixError) as info:
-                MatrixStore(m, n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # Rejected before any tree is allocated, by a store and by a direct
+        # TreeTable caller: the norm tree alone of MAX_INGEST_DIM + 1 rows
+        # would take 512 KiB.
         value = m if name == "m" else n
         want = f"{name} must be an integer in [1, {MAX_INGEST_DIM}], got {value!r}"
-        assert str(info.value) == want
-        assert peak < 1 << 16
+        for build in (MatrixStore, TreeTable):
+            tracemalloc.start()
+            try:
+                with pytest.raises(MatrixError) as info:
+                    build(m, n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == want
+            assert peak < 1 << 16
 
     def test_numpy_integer_shape_accepted(self):
         store = MatrixStore(np.int64(2), np.uint16(MAX_INGEST_DIM))
         assert (type(store.m), store.m, store.n) == (int, 2, MAX_INGEST_DIM)
 
     def test_zero_leaf_count_rejected(self):
-        with pytest.raises(MatrixError, match="leaf count must be >= 1, got 0"):
+        want = rf"n must be an integer in \[1, {MAX_INGEST_DIM}\], got 0"
+        with pytest.raises(MatrixError, match=want):
             TreeTable(1, 0)
 
     def test_node_address_checked(self):
