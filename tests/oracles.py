@@ -10,11 +10,13 @@ is package API.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy import stats
 
 from qrecsim.errors import ColdStartError, EmptyRowError, MatrixError, RegisterCapError
 from qrecsim.linalg import SvdFactorization, as_matrix, as_vector, check_real
@@ -427,6 +429,85 @@ def uncompute_residual_mass(wop: OracleWalk, s: np.ndarray, grid: PhaseGrid) -> 
                 psi = wop.apply_W_inverse(psi)
         clean += float(np.linalg.norm(acc / n) ** 2)
     return max(0.0, 1.0 - clean)
+
+
+# -- the circuit projection's law ---------------------------------------------
+
+# A keep probability this close to 0 or 1 counts as certain.
+CERTAIN_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class CircuitProjectionLaw:
+    """Exact law of one circuit projection, for the groups carrying weight.
+
+    ``q[k]`` is the probability that group ``groups[k]`` keeps its median
+    estimate at or above the cut in one attempt. ``kept_sets`` maps each
+    accepted kept set (sorted group ids) to P(S) beta_S^2 / Z, ``products``
+    gives P(product j) = sum_S P(S) (V_S V_S^T x)_j^2 / Z, and ``inv_z`` is
+    1 / Z, the mean number of attempts.
+    """
+
+    groups: np.ndarray
+    q: np.ndarray
+    kept_sets: dict[tuple[int, ...], float]
+    products: np.ndarray
+    inv_z: float
+
+
+def circuit_projection_law(
+    wop: WalkOperator, x, sigma: float, kappa: float, max_uncertain: int = 12
+) -> CircuitProjectionLaw:
+    """The law the estimate-flag-measure procedure implies on ``wop``.
+
+    Group g's single draw lands on a bin whose estimate cos(theta_b / 2)
+    ||A||_F reaches the cut sigma (1 - kappa / 2) with probability p_g, its
+    kernel mass there; the median of r = boost_rounds(m, n) draws reaches it
+    when at least (r + 1) / 2 draws do, so q_g = P(Binomial(r, p_g) >= (r +
+    1) / 2), independently across groups. An attempt keeping S succeeds with
+    probability beta_S^2. Enumerates every subset of the groups whose q_g is
+    not within CERTAIN_TOL of 0 or 1, and refuses (ValueError) when there are
+    more than ``max_uncertain`` of them.
+    """
+    table = wop.phase_groups()
+    fro = wop.fro
+    grid = PhaseGrid.for_sigma_precision((kappa / 2.0) * sigma / fro)
+    cut = sigma * (1.0 - kappa / 2.0)
+    unit = np.asarray(x, dtype=np.float64) / np.linalg.norm(x)
+    coords = table.v.T @ unit
+    stops = np.append(table.start[1:], len(coords))
+    weights = np.array([np.sum(coords[a:b] ** 2) for a, b in zip(table.start, stops)])
+    groups = np.flatnonzero(weights >= COMPONENT_TOL**2)
+    bins = np.arange(grid.size)
+    reaches = np.cos(grid.theta_of(bins) / 2.0) * fro >= cut
+    p = np.array([qpe_bin_probabilities(table.theta[g], grid)[reaches].sum() for g in groups])
+    rounds = boost_rounds(wop.m, wop.n)
+    q = stats.binom.sf((rounds + 1) // 2 - 1, rounds, np.clip(p, 0.0, 1.0))
+    uncertain = np.flatnonzero((q > CERTAIN_TOL) & (q < 1.0 - CERTAIN_TOL))
+    if len(uncertain) > max_uncertain:
+        raise ValueError(f"{len(uncertain)} uncertain groups exceed {max_uncertain}")
+    certain = [k for k in range(len(groups)) if q[k] >= 1.0 - CERTAIN_TOL]
+    kept_sets, products = {}, np.zeros(len(unit))
+    for picks in itertools.product((False, True), repeat=len(uncertain)):
+        chosen = sorted(certain + [int(k) for k, on in zip(uncertain, picks) if on])
+        chance = np.prod([q[k] if on else 1.0 - q[k] for k, on in zip(uncertain, picks)])
+        cols = [c for k in chosen for c in range(table.start[groups[k]], stops[groups[k]])]
+        survivor = table.v[:, cols] @ coords[cols]
+        kept_sets[tuple(int(groups[k]) for k in chosen)] = chance * float(survivor @ survivor)
+        products += chance * survivor**2
+    z = sum(kept_sets.values())
+    kept_sets = {s: w / z for s, w in kept_sets.items()}
+    return CircuitProjectionLaw(groups, q, kept_sets, products / z, 1.0 / z)
+
+
+def folded_median_law(theta: float, grid: PhaseGrid, rounds: int) -> np.ndarray:
+    """P(the median of ``rounds`` single-round draws lands on folded bin f),
+    f = 0 .. N/2, where bins b and N - b fold onto min(b, N - b)."""
+    bins = np.arange(grid.size)
+    folded = np.bincount(np.minimum(bins, grid.size - bins),
+                         weights=qpe_bin_probabilities(theta, grid))
+    cdf = stats.binom.sf((rounds + 1) // 2 - 1, rounds, np.clip(np.cumsum(folded), 0.0, 1.0))
+    return np.diff(cdf, prepend=0.0)
 
 
 # -- spectral projections of a factorization -----------------------------------

@@ -32,6 +32,7 @@ from oracles import (
     bad_mass,
     band_indices,
     calibration_ratio,
+    circuit_projection_law,
     max_error,
     pseudo_project_row,
     threshold_indices,
@@ -280,6 +281,73 @@ def test_criterion_5c_quantum_vs_classical_recommendations():
         problems.append(f"chi-square p = {pvalue}")
     _report("5c", "quantum vs classical recommendation chi-square", problems,
             time.perf_counter() - t0, 120.0)
+
+
+# Planted near-cut instances for criterion 5d: U diag(sigmas) V^T with seeded
+# random orthogonal U and V, threshold sigma = 1 and the default kappa, so the
+# cut is 5/6. Singular values within 1.5% of the cut make one attempt's
+# median estimate land on either side of it; the 5 x 7 instance's repeated
+# value makes a two-column group. A wide retry budget keeps truncation from
+# biasing the attempts.
+NEAR_CUT_PARAMS = ProjectionParams(sigma=1.0, max_iterations=1000)
+CUT = NEAR_CUT_PARAMS.cut
+NEAR_CUT = {
+    "6x6, three near-cut groups": (1, 6, 6, [3.0, 1.010 * CUT, 1.007 * CUT, 1.004 * CUT, 0.4, 0.2]),
+    "5x7, a two-column near-cut group": (2, 5, 7, [2.5, 0.990 * CUT, 0.990 * CUT, 0.985 * CUT, 0.3]),
+}
+
+
+def near_cut_instance(seed: int, m: int, n: int, sigmas: list) -> tuple[np.ndarray, np.ndarray]:
+    """(U diag(sigmas) V^T, input) from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(m, m)))[0][:, : len(sigmas)]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0][:, : len(sigmas)]
+    return (u * sigmas) @ v.T, rng.normal(size=n)
+
+
+def test_criterion_5d_circuit_projection_law():
+    t0 = time.perf_counter()
+    problems = []
+    runs = 20_000
+    params = NEAR_CUT_PARAMS
+    for name, (seed, m, n, sigmas) in NEAR_CUT.items():
+        a, x = near_cut_instance(seed, m, n, sigmas)
+        wop = WalkOperator.from_dense(a)
+        law = circuit_projection_law(wop, x, params.sigma, params.kappa)
+        open_groups = int(np.sum((law.q >= 0.05) & (law.q <= 0.95)))
+        if not 2 <= open_groups <= 4:
+            problems.append(f"{name}: {open_groups} groups with q in [0.05, 0.95], not 2-4")
+            continue
+        # Attempts are geometric with mean 1/Z and variance (1 - Z)/Z^2: the
+        # mean of ``runs`` of them must lie within five standard errors.
+        z = 1.0 / law.inv_z
+        band = 5.0 * np.sqrt(1.0 - z) / z / np.sqrt(runs)
+        rng = stream(MASTER, "acceptance", "circuit-law", name)
+        sets, attempts, products = {}, 0, np.zeros(n, dtype=np.int64)
+        for _ in range(runs):
+            out = threshold_project(wop, x, params, rng, path="circuit")
+            key = tuple(out.kept_indices())
+            sets[key] = sets.get(key, 0) + 1
+            attempts += out.iterations
+            products[rng.choice(n, p=out.state**2)] += 1
+        unlawful = set(sets) - set(law.kept_sets)
+        if unlawful:
+            problems.append(f"{name}: kept sets {sorted(unlawful)} have probability 0")
+            continue
+        keys = list(law.kept_sets)
+        counts = np.array([sets.get(k, 0) for k in keys])
+        expected = np.array([law.kept_sets[k] for k in keys]) * runs
+        pvalue = _merged_chi_pvalue(counts, expected)
+        if pvalue <= 0.01:
+            problems.append(f"{name}: kept-set chi-square p = {pvalue}")
+        pvalue = _merged_chi_pvalue(products, law.products * runs)
+        if pvalue <= 0.01:
+            problems.append(f"{name}: product chi-square p = {pvalue}")
+        mean = attempts / runs
+        if abs(mean - law.inv_z) > band:
+            problems.append(f"{name}: mean attempts {mean} not within {band} of {law.inv_z}")
+    _report("5d", "circuit projection kept-set and product law", problems,
+            time.perf_counter() - t0, 300.0)
 
 
 def test_criterion_6_planted_recommendation_quality():
