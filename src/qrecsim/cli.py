@@ -62,7 +62,10 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
 
 
 def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else DEFAULT_SEED
+    """--seed, checked by the config's seed rule, or DEFAULT_SEED."""
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    check_count(0, **{"--seed": seed})
+    return seed
 
 
 def cmd_ingest(args) -> int:
@@ -142,7 +145,7 @@ def cmd_recommend(args) -> int:
 def cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        config = ExperimentConfig.from_dict({**config.__dict__, "seed": args.seed})
+        config = ExperimentConfig.from_dict({**config.__dict__, "seed": _seed_of(args)})
     report, rows = run_experiment(config)
     write_report(report, args.out)
     if args.csv:

@@ -10,10 +10,11 @@ each run realizes some member of the admissible projector family.
 
 On the exact path the estimates round the true phases, so the kept set is a
 function of the factorization alone (``kept_mask``); an input only adds its
-overlaps, and exact-path callers share ``kept_state``. The circuit path
-draws its estimates through qsim's circuit-SVE kernel, ``CircuitSve``,
-capped by its walk, so each attempt resamples the kept set. Both paths run
-their attempts through ``attempts_until_success``.
+overlaps, and exact-path callers share ``kept_state``. On the circuit path
+each attempt keeps each group with the probability that its boosted median
+estimate reaches the cut, read from the walk's flag table, so each attempt
+resamples the kept set; the estimates are drawn once, after success, given
+the flags. Both paths run their attempts through ``attempts_until_success``.
 """
 
 from __future__ import annotations
@@ -215,22 +216,25 @@ def _project_exact(
 def _project_circuit(
     wop: WalkOperator, x, params: ProjectionParams, rng: np.random.Generator
 ) -> ProjectionOutcome:
-    est = CircuitSve(wop, x, projection_grid(params, wop.fro))
+    grid = projection_grid(params, wop.fro)
+    est = CircuitSve(wop, x, grid)
+    table = wop.flag_table(grid, params)
+    g = est.carrying
+    odds = table.q[g]
     # A rough retry budget from the weight on groups whose true sigma reaches
     # the cut keeps the loop finite; realized kept sets vary only in the band.
     beta_guess = float(np.sum(est.weights[est.groups.sigma >= params.cut]))
-    g = est.carrying
-    sigma_est = kept = beta_sq = None
+    kept = beta_sq = None
 
     def attempt() -> float:
-        nonlocal sigma_est, kept, beta_sq
-        sigma_est = est.round(rng)[2]
-        kept = params.keeps(sigma_est)
+        nonlocal kept, beta_sq
+        kept = rng.random(len(g)) < odds
         beta_sq = float(np.sum(est.weights[g[kept]]))
         return beta_sq
 
     limit = params.retry_limit(wop.n, beta_guess)
     iterations = attempts_until_success(attempt, beta_guess, limit, rng)
+    sigma_est = est.estimates_given(table, kept, rng)
     out = est.survivor(g[kept])
     cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], sigma_est, kept)
     return ProjectionOutcome(

@@ -19,12 +19,15 @@ splits the input across the folded phase groups there and samples
 phase-register outcomes from the exact single-round kernel with median
 boosting, reproducing the statistics of the quantum procedure without
 2^t-fold register blowup per boosting round (the rounds are iid per group
-because the joint state is block diagonal across groups). The SVD and the
-kernel tables, all that the simulator allocates, are capped.
+because the joint state is block diagonal across groups). A projection reads
+only whether each group's median reaches the cut, so it draws that flag
+from its exact probability instead (``WalkOperator.flag_table``). The SVD
+and the tables, all that the simulator allocates, are capped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,11 +39,11 @@ from .rng import choice_cdf
 from .store import MatrixStore
 
 # Hard ceiling on the float64 entries one circuit-path allocation may hold: the
-# phase groups' SVD (V, the reduced U and LAPACK's copy of A~, n^2 + 2 mn) and
-# a grid's kernel table (groups x 2^t).
+# phase groups' SVD (V, the reduced U and LAPACK's copy of A~, n^2 + 2 mn), a
+# grid's kernel table (groups x 2^t) and its flag table (groups x (2^(t-1) + 1)).
 REGISTER_CAP = 1 << 22
-# Temporary entries per block of kernel-table rows: a table is built a few
-# rows at a time, one row at a time once a row alone is this large.
+# Temporary entries per block of kernel rows: a table is built a few rows at a
+# time, one row at a time once a row alone is this large.
 KERNEL_BLOCK = 1 << 14
 
 # Finest estimation grid. Bin indices are int64, and a bin of 2 pi / 2^62 is
@@ -82,6 +85,7 @@ class WalkOperator:
         self.m, self.n = row_states.shape
         self._groups: PhaseTable | None = None
         self._tables: tuple[PhaseGrid, np.ndarray, np.ndarray] | None = None
+        self._flags: tuple[tuple[PhaseGrid, float], FlagTable] | None = None
 
     @classmethod
     def from_store(cls, store: MatrixStore) -> "WalkOperator":
@@ -157,6 +161,81 @@ class WalkOperator:
                 table[lo : lo + len(block)] = choice_cdf(qpe_bin_probabilities(block, grid))
             self._tables = (grid, table, grid.theta_of(np.arange(grid.size)))
         return self._tables[1:]
+
+    def flag_table(self, grid: PhaseGrid, params) -> FlagTable:
+        """The flag table of the median of boost_rounds(m, n) draws on a grid,
+        cut by ``params`` (a ProjectionParams: its ``keeps`` flag rule, cached
+        by its ``cut``).
+
+        Folded bin f in [0, N/2] holds bins f and N - f, at phase f * width;
+        ``kept_bins`` counts those whose ``grid.sigma_of`` passes the rule, a
+        prefix since the estimate falls as the phase rises. With F_g(f) group
+        g's single-draw kernel mass on folded bins up to f, and S_g(f) = 1 -
+        F_g(f) its mass above f, the median of r draws lands at or below f
+        with probability F_med(f) = P(Binomial(r, F_g(f)) >= (r + 1) / 2).
+        ``q[g]`` is F_med at the last kept bin: the chance that g's median
+        estimate is kept. Row g of ``keys`` (raveled) is F_med + g, so one
+        searchsorted inverts every group's F_med; the offset costs at most
+        log2(groups) bits of resolution, about 2e-13 at 1,024 groups, while
+        q is held exactly. Built KERNEL_BLOCK entries at a time, once per
+        (grid, cut); only the latest is held. Raises RegisterCapError first
+        when groups x (N/2 + 1) exceeds REGISTER_CAP.
+        """
+        if self._flags is None or self._flags[0] != (grid, params.cut):
+            self._flags = None  # free the last table before allocating
+            thetas = self.phase_groups().theta
+            folded = grid.size // 2 + 1
+            _check_allocation("register", len(thetas) * folded)
+            sigma = grid.sigma_of(np.arange(folded), self.fro)
+            kept_bins = int(np.count_nonzero(params.keeps(sigma)))
+            keys = np.empty((len(thetas), folded))
+            rounds = boost_rounds(self.m, self.n)
+            rows = max(1, KERNEL_BLOCK // grid.size)
+            for lo in range(0, len(thetas), rows):
+                mass = qpe_bin_probabilities(thetas[lo : lo + rows], grid)
+                keys[lo : lo + len(mass)] = _median_cdf(mass, rounds)
+            q = keys[:, kept_bins - 1].copy() if kept_bins else np.zeros(len(thetas))
+            keys += np.arange(len(thetas))[:, None]
+            self._flags = ((grid, params.cut), FlagTable(sigma, kept_bins, q, keys.ravel()))
+        return self._flags[1]
+
+
+class FlagTable(NamedTuple):
+    """A walk's flag table on one grid and cut (``WalkOperator.flag_table``);
+    ``sigma`` holds each folded bin's ``grid.sigma_of``."""
+
+    sigma: np.ndarray
+    kept_bins: int
+    q: np.ndarray
+    keys: np.ndarray
+
+
+def _median_cdf(mass: np.ndarray, rounds: int) -> np.ndarray:
+    """F_med over the folded bins for each row of single-draw bin masses.
+
+    P(Binomial(r, F) >= h) = F^h sum_j C(r, h + j) F^j S^(d - j), d = r - h,
+    by Horner's rule in F with S^(d - j) carried along: every term is
+    positive, and S is a reverse cumulative sum rather than 1 - F, so small
+    tails keep their relative precision.
+    """
+    half = mass.shape[-1] // 2
+    folded = mass[:, : half + 1].copy()
+    folded[:, 1:half] += mass[:, : half : -1]
+    below = np.cumsum(folded, axis=1)
+    above = np.zeros_like(below)
+    above[:, :-1] = np.cumsum(folded[:, :0:-1], axis=1)[:, ::-1]
+    total = below[:, -1:].copy()
+    below /= total
+    above /= total
+    need = (rounds + 1) // 2
+    acc = np.ones_like(below)
+    power = np.ones_like(below)
+    for j in range(rounds - need - 1, -1, -1):
+        power *= above
+        acc *= below
+        acc += math.comb(rounds, need + j) * power
+    acc *= below**need
+    return np.minimum(acc, 1.0, out=acc)
 
 
 def eigenphases(f: SvdFactorization) -> np.ndarray:
@@ -333,16 +412,18 @@ def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
 
 
 class CircuitSve:
-    """Circuit estimation of one input, split into per-input work and rounds.
+    """Circuit estimation of one input on one grid.
 
     Construction does the per-input work once: the coordinates V^T x of
     |Q x> in the walk's planes, the group weights, and the groups that carry
-    weight; the true singular values are the phase table's.
-    ``round`` is one boosted estimation: boost_rounds(m, n) draws per
-    carrying group, in group order, each read off at its median bin. The
-    draws come from one ``rng.random`` call and inverse-CDF lookups in the
-    walk's kernel table, the same bits as one ``rng.choice(p=kernel)`` per
-    group in turn.
+    weight; the true singular values are the phase table's. The walk's
+    tables are looked up only by the draws that read them. ``round`` is one
+    boosted estimation: boost_rounds(m, n) draws per carrying group, in
+    group order, each read off at its median bin. The draws come from one
+    ``rng.random`` call and inverse-CDF lookups in the walk's kernel table,
+    the same bits as one ``rng.choice(p=kernel)`` per group in turn.
+    A projection reads only whether each median passes the flag rule; it
+    draws the flags from the walk's flag table, and then ``estimates_given``.
     """
 
     def __init__(self, wop: WalkOperator, x, grid: PhaseGrid):
@@ -351,16 +432,33 @@ class CircuitSve:
         self.coords = self.groups.v.T @ unit_vector(x, wop.n)
         self.weights = np.add.reduceat(self.coords**2, self.groups.start)
         self.carrying = np.flatnonzero(self.weights >= COMPONENT_TOL**2)
-        self.kernels, self.bin_theta = wop.grid_tables(grid)
-        self.rounds = boost_rounds(wop.m, wop.n)
+
+    @property
+    def kernels(self) -> np.ndarray:
+        return self.wop.grid_tables(self.grid)[0]
 
     def round(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bin, theta_est, sigma_est) arrays, one entry per carrying group."""
-        draws = rng.random((len(self.carrying), self.rounds))
-        rows = zip(self.carrying, draws)
-        bins = np.array([self.kernels[g].searchsorted(u, side="right") for g, u in rows])
-        picked, theta_est = median_bin(bins, self.bin_theta[bins])
+        kernels, bin_theta = self.wop.grid_tables(self.grid)
+        draws = rng.random((len(self.carrying), boost_rounds(self.wop.m, self.wop.n)))
+        bins = np.array([kernels[g].searchsorted(u, side="right")
+                         for g, u in zip(self.carrying, draws)])
+        picked, theta_est = median_bin(bins, bin_theta[bins])
         return picked, theta_est, np.cos(theta_est / 2.0) * self.wop.fro
+
+    def estimates_given(self, table: FlagTable, kept: np.ndarray, rng: np.random.Generator):
+        """sigma_est per carrying group, drawn from its boosted median's law
+        given its flag in ``kept``: one uniform u per group inverts F_med at
+        u q on the kept side and at q + u (1 - q) past it, and the folded bin
+        is clamped to its flag's side of the cut."""
+        g = self.carrying
+        q = table.q[g]
+        u = rng.random(len(g))
+        f = table.keys.searchsorted(g + np.where(kept, u * q, q + u * (1.0 - q)), side="right")
+        f -= g * len(table.sigma)
+        low = np.where(kept, 0, table.kept_bins)
+        high = np.where(kept, table.kept_bins, len(table.sigma)) - 1
+        return table.sigma[np.minimum(np.maximum(f, low), high)]
 
     def survivor(self, gids) -> np.ndarray:
         """Q^T of the input's projection onto the given groups: V_S V_S^T x

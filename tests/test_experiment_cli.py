@@ -489,6 +489,24 @@ def test_draw_counts_are_bounded_before_loading(tmp_path, capsys, command, flag,
     )
 
 
+@pytest.mark.parametrize(
+    "command, required",
+    [("sve", ["--vector", "uniform", "--eps", "0.1"]),
+     ("project", ["--vector", "uniform", "--sigma", "2"]),
+     ("recommend", ["--user", "0", "--sigma", "2"]),
+     ("experiment", [])],
+)
+def test_negative_seed_is_named_input_error(gap_store, tmp_path, capsys, command, required):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(SMALL), encoding="utf-8")
+    source = cfg if command == "experiment" else gap_store
+    argv = [command, str(source), *required, "--seed", "-1"]
+    if command == "experiment":
+        argv += ["--out", str(tmp_path / "report.json")]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: --seed must be an integer in [0, inf], got -1\n"
+
+
 class TestCliExperiment:
     def test_end_to_end_files(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

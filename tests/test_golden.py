@@ -104,9 +104,13 @@ def test_circuit_threshold_project_outcome():
         SMALL, SMALL_X, ProjectionParams(sigma=SMALL_SIGMA), stream(5, "golden", "circuit"),
         path="circuit",
     )
-    assert out.iterations == 2
+    assert out.iterations == 1
     assert out.beta_sq.hex() == "0x1.6c3756f6094d9p-1"
     assert out.kept_indices() == [0, 1]
+    assert [c.sigma_est.hex() for c in out.components] == [
+        "0x1.3690f2052af44p+2", "0x1.8564cd342d511p+1", "0x1.f722766ea7a58p+0",
+        "0x1.2fa64ad7c2432p-3",
+    ]
     assert hashlib.sha256(out.state.tobytes()).hexdigest() == (
         "bc41366b1d7401e57d935c1d094b26bd8862383ab077aa2584ff498bca47b6d1"
     )
@@ -135,7 +139,7 @@ def test_circuit_threshold_project_with_multi_column_groups():
         REPEATED, REPEATED_X, ProjectionParams(sigma=1.2),
         stream(5, "golden", "circuit-repeated"), path="circuit",
     )
-    assert out.iterations == 3
+    assert out.iterations == 25
     assert out.kept_indices() == [0, 1]
     assert [(c.index, c.kept) for c in out.components] == [(0, True), (1, True), (2, False)]
     np.testing.assert_allclose(
@@ -180,5 +184,5 @@ def test_circuit_attempt_draws_on_default_store(default_context_input):
     digest.update(repr((info.value.beta_sq.hex(), info.value.iterations)).encode())
     digest.update(repr(rng.bit_generator.state).encode())
     assert len(rows) == 64 and digest.hexdigest() == (
-        "a7d4d28e53cc7f48e3782838fbc6b430cd0f90806e50d65c9ab1691b5daa1703"
+        "a024ed296445db9467dfcf9f77208aa4e53aa998a5318a0c4cf0bea5cee11222"
     )

@@ -815,13 +815,13 @@ class TestCircuitDraws:
 
     def test_walk_holds_only_the_latest_grids_tables(self):
         # Grids of 10 to 16 bits on 64 groups total 2^23 entries, twice the
-        # cap; only the 16-bit grid's tables stay held.
+        # cap; only the 16-bit grid's tables stay held. A round builds them.
         w = WalkOperator.from_dense(random_full_matrix(62, 64, 64))
         w.phase_groups()
         tracemalloc.start()
         try:
             for bits in range(10, 17):
-                CircuitSve(w, np.ones(64), PhaseGrid(bits))
+                CircuitSve(w, np.ones(64), PhaseGrid(bits)).round(np.random.default_rng(bits))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -838,19 +838,22 @@ class TestCircuitDraws:
         monkeypatch.setattr(qsim, "qpe_bin_probabilities", counting)
         w = WalkOperator.from_dense(random_full_matrix(80, 4, 6))
         x = np.ones(6)
+        rng = np.random.default_rng(0)
         first = CircuitSve(w, x, PhaseGrid(7))
-        # Every group has a kernel row, built once, and here every group
-        # carries weight. Kernels are counted by row, since a call builds a
-        # block of rows.
+        assert built == []
+        first.round(rng)
+        # Every group has a kernel row, built once by the first round, and
+        # here every group carries weight. Kernels are counted by row, since
+        # a call builds a block of rows.
         thetas = w.phase_groups().theta.tolist()
         assert built == thetas and len(first.carrying) == len(thetas) > 0
         built.clear()
-        CircuitSve(w, x, PhaseGrid(7))
+        CircuitSve(w, x, PhaseGrid(7)).round(rng)
         assert built == []
-        CircuitSve(w, x, PhaseGrid(8))
+        CircuitSve(w, x, PhaseGrid(8)).round(rng)
         assert built == thetas
         built.clear()
-        CircuitSve(w, x, PhaseGrid(8))
+        CircuitSve(w, x, PhaseGrid(8)).round(rng)
         assert built == []
 
 
