@@ -216,7 +216,8 @@ def _median_cdf(mass: np.ndarray, rounds: int) -> np.ndarray:
     P(Binomial(r, F) >= h) = F^h sum_j C(r, h + j) F^j S^(d - j), d = r - h,
     by Horner's rule in F with S^(d - j) carried along: every term is
     positive, and S is a reverse cumulative sum rather than 1 - F, so small
-    tails keep their relative precision.
+    tails keep their relative precision. Near 1, where F and S round apart
+    by an ulp or two, a running maximum keeps each row non-decreasing.
     """
     half = mass.shape[-1] // 2
     folded = mass[:, : half + 1].copy()
@@ -235,7 +236,8 @@ def _median_cdf(mass: np.ndarray, rounds: int) -> np.ndarray:
         acc *= below
         acc += math.comb(rounds, need + j) * power
     acc *= below**need
-    return np.minimum(acc, 1.0, out=acc)
+    np.minimum(acc, 1.0, out=acc)
+    return np.maximum.accumulate(acc, axis=1, out=acc)
 
 
 def eigenphases(f: SvdFactorization) -> np.ndarray:

@@ -510,6 +510,16 @@ def folded_median_law(theta: float, grid: PhaseGrid, rounds: int) -> np.ndarray:
     return np.diff(cdf, prepend=0.0)
 
 
+def merged_chi_pvalue(counts: np.ndarray, expected: np.ndarray) -> float:
+    """Chi-square with bins of expectation < 5 pooled into one bucket."""
+    mask = expected >= 5.0
+    if (~mask).any():
+        counts = np.append(counts[mask], counts[~mask].sum())
+        expected = np.append(expected[mask], expected[~mask].sum())
+    expected = expected * counts.sum() / expected.sum()
+    return float(stats.chisquare(counts, expected).pvalue)
+
+
 # -- spectral projections of a factorization -----------------------------------
 
 # Reconstruction tolerance, relative to the Frobenius norm of the input.

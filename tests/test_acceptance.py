@@ -8,7 +8,6 @@ the full criterion at its stated tolerance and time budget.
 import time
 
 import numpy as np
-from scipy import stats
 
 from qrecsim.errors import ProjectionEmptyError
 from qrecsim.experiment import ExperimentConfig, run_experiment
@@ -34,6 +33,7 @@ from oracles import (
     calibration_ratio,
     circuit_projection_law,
     max_error,
+    merged_chi_pvalue,
     pseudo_project_row,
     threshold_indices,
     truncate_top_k,
@@ -55,16 +55,6 @@ def _full_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     while np.any(np.linalg.norm(a, axis=1) == 0.0):
         a = rng.normal(size=(m, n))
     return a
-
-
-def _merged_chi_pvalue(counts: np.ndarray, expected: np.ndarray) -> float:
-    """Chi-square with bins of expectation < 5 pooled into one bucket."""
-    mask = expected >= 5.0
-    if (~mask).any():
-        counts = np.append(counts[mask], counts[~mask].sum())
-        expected = np.append(expected[mask], expected[~mask].sum())
-    expected = expected * counts.sum() / expected.sum()
-    return float(stats.chisquare(counts, expected).pvalue)
 
 
 def test_criterion_1_worked_tree_example():
@@ -228,7 +218,7 @@ def test_criterion_5a_tree_sampling_distribution():
         i, j = store.sample_entry(rng)
         draws[t] = i * 64 + j
     counts = np.bincount(draws, minlength=64 * 64)
-    pvalue = _merged_chi_pvalue(counts, probs * 100_000)
+    pvalue = merged_chi_pvalue(counts, probs * 100_000)
     if pvalue <= 0.01:
         problems.append(f"chi-square p = {pvalue}")
     _report("5a", "tree entry sampling chi-square", problems, time.perf_counter() - t0, 120.0)
@@ -254,7 +244,7 @@ def test_criterion_5b_projected_state_distribution():
     rng = stream(MASTER, "acceptance", "chi-state")
     outcomes = QuantumState(state, (64,)).measure_many(rng, 100_000)
     counts = np.bincount(outcomes, minlength=64)
-    pvalue = _merged_chi_pvalue(counts, probs * 100_000)
+    pvalue = merged_chi_pvalue(counts, probs * 100_000)
     if pvalue <= 0.01:
         problems.append(f"chi-square p = {pvalue} (beta_sq = {beta_sq})")
     _report("5b", "projection outcome measurement chi-square", problems,
@@ -276,7 +266,7 @@ def test_criterion_5c_quantum_vs_classical_recommendations():
     for i in range(100_000):
         draws[i] = ctx.recommend(user, rng).product
     counts = np.bincount(draws, minlength=64)
-    pvalue = _merged_chi_pvalue(counts, classical_probs * 100_000)
+    pvalue = merged_chi_pvalue(counts, classical_probs * 100_000)
     if pvalue <= 0.01:
         problems.append(f"chi-square p = {pvalue}")
     _report("5c", "quantum vs classical recommendation chi-square", problems,
@@ -337,10 +327,10 @@ def test_criterion_5d_circuit_projection_law():
         keys = list(law.kept_sets)
         counts = np.array([sets.get(k, 0) for k in keys])
         expected = np.array([law.kept_sets[k] for k in keys]) * runs
-        pvalue = _merged_chi_pvalue(counts, expected)
+        pvalue = merged_chi_pvalue(counts, expected)
         if pvalue <= 0.01:
             problems.append(f"{name}: kept-set chi-square p = {pvalue}")
-        pvalue = _merged_chi_pvalue(products, law.products * runs)
+        pvalue = merged_chi_pvalue(products, law.products * runs)
         if pvalue <= 0.01:
             problems.append(f"{name}: product chi-square p = {pvalue}")
         mean = attempts / runs

@@ -16,11 +16,19 @@ from qrecsim.qproject import (
     projection_grid,
     threshold_project,
 )
-from qrecsim.qsim import REGISTER_CAP, PhaseGrid, WalkOperator, sve_circuit
+from qrecsim.qsim import REGISTER_CAP, PhaseGrid, WalkOperator, boost_rounds, sve_circuit
 from qrecsim.rng import DEFAULT_SEED
 from qrecsim.store import MatrixStore
 
-from oracles import band_indices, expected_iterations, pseudo_project_row, threshold_indices
+from oracles import (
+    band_indices,
+    circuit_projection_law,
+    expected_iterations,
+    folded_median_law,
+    merged_chi_pvalue,
+    pseudo_project_row,
+    threshold_indices,
+)
 
 # diag(3, 1) with sigma = 2, kappa = 1/3: the top direction clears the
 # threshold, the other sits below the band, and x gives beta^2 = 0.3 exactly.
@@ -360,6 +368,36 @@ class TestCircuitPath:
             )
             fid = abs(float(np.dot(exact.state, circ.state))) ** 2
             assert fid >= 1.0 - 1e-8, seed
+
+    def test_circuit_estimates_agree_with_their_flags(self):
+        # diag(3, sigma_2, 0.5, 0.25) with sigma_2 = 0.9936 of the cut: its
+        # group keeps its median estimate with q = 0.83 per attempt. Every
+        # component's estimate must pass the flag rule exactly when it is
+        # kept, and that group's estimates must follow the median's law on
+        # their flag's side of the cut.
+        params = ProjectionParams(sigma=1.0, max_iterations=1000)
+        wop = WalkOperator.from_dense(np.diag([3.0, 0.9936 * params.cut, 0.5, 0.25]))
+        x = np.ones(4)
+        q = circuit_projection_law(wop, x, params.sigma, params.kappa).q
+        assert q[1] == pytest.approx(0.833, abs=1e-3)
+        grid = projection_grid(params, wop.fro)
+        theta = wop.phase_groups().theta[1]
+        law = folded_median_law(theta, grid, boost_rounds(wop.m, wop.n))
+        kept_side = np.cos(grid.width * np.arange(law.size) / 2.0) * wop.fro >= params.cut
+        counts = np.zeros((2, law.size), dtype=np.int64)  # flagged, kept
+        rng = np.random.default_rng(83)
+        disagreements = 0
+        for _ in range(20_000):
+            out = threshold_project(wop, x, params, rng, path="circuit")
+            for c in out.components:
+                disagreements += bool(params.keeps(c.sigma_est)) != c.kept
+            est = out.components[1]
+            counts[int(est.kept), round(2.0 * np.arccos(est.sigma_est / wop.fro) / grid.width)] += 1
+        assert disagreements == 0
+        for side, found in zip((~kept_side, kept_side), counts):
+            assert found[~side].sum() == 0
+            expected = law[side] / law[side].sum() * found.sum()
+            assert merged_chi_pvalue(found[side], expected) > 0.01
 
     def test_circuit_threshold_above_norm_rejected(self):
         wop = WalkOperator.from_dense(GAP)

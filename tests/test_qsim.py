@@ -33,6 +33,7 @@ from oracles import (
     OracleWalk,
     QuantumState,
     dft_phase_distribution,
+    folded_median_law,
     max_error,
     prepare_vector_state,
     qpe_joint_state,
@@ -855,6 +856,85 @@ class TestCircuitDraws:
         built.clear()
         CircuitSve(w, x, PhaseGrid(8)).round(rng)
         assert built == []
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("bits", [3, 9, 14])
+    def test_median_cdf_matches_the_binomial_tail(self, bits):
+        # 14 bits makes one row a block of its own; 3 bits leaves one bin
+        # between the folded ends.
+        w = WalkOperator.from_dense(random_full_matrix(84, 6, 8))
+        params = ProjectionParams(sigma=0.4 * w.fro)
+        grid = PhaseGrid(bits)
+        table = w.flag_table(grid, params)
+        folded = grid.size // 2 + 1
+        assert table.sigma.tolist() == grid.sigma_of(np.arange(folded), w.fro).tolist()
+        assert table.kept_bins == np.count_nonzero(table.sigma >= params.cut) > 0
+        assert np.all(table.sigma[: table.kept_bins] >= params.cut)
+        assert np.all(np.diff(table.keys) >= 0.0)
+        med = table.keys.reshape(-1, folded) - np.arange(len(table.q))[:, None]
+        rounds = boost_rounds(w.m, w.n)
+        for g, theta in enumerate(w.phase_groups().theta):
+            want = np.cumsum(folded_median_law(theta, grid, rounds))
+            assert med[g, -1] == 1.0
+            assert np.max(np.abs(med[g] - want)) <= 1e-13
+            assert table.q[g] == pytest.approx(want[table.kept_bins - 1], rel=1e-12, abs=1e-300)
+
+    def test_built_once_per_grid_and_cut(self, monkeypatch):
+        built = []
+        kernel = qsim.qpe_bin_probabilities
+        def counting(theta, grid):
+            built.extend(np.atleast_1d(theta).tolist())
+            return kernel(theta, grid)
+
+        monkeypatch.setattr(qsim, "qpe_bin_probabilities", counting)
+        w = WalkOperator.from_dense(random_full_matrix(80, 4, 6))
+        thetas = w.phase_groups().theta.tolist()
+        params = ProjectionParams(sigma=0.5 * w.fro)
+        first = w.flag_table(PhaseGrid(7), params)
+        assert built == thetas
+        built.clear()
+        # The cut alone decides the table: a retry cap does not rebuild it.
+        capped = ProjectionParams(sigma=params.sigma, kappa=params.kappa, max_iterations=5)
+        assert w.flag_table(PhaseGrid(7), capped) is first
+        assert built == []
+        w.flag_table(PhaseGrid(7), ProjectionParams(sigma=0.6 * w.fro))
+        assert built == thetas
+        built.clear()
+        w.flag_table(PhaseGrid(8), params)
+        assert built == thetas
+
+    def test_walk_holds_only_the_latest_table(self):
+        # 64 groups on grids of 10 to 16 bits; only the 16-bit table stays.
+        w = WalkOperator.from_dense(random_full_matrix(62, 64, 64))
+        w.phase_groups()
+        params = ProjectionParams(sigma=0.3 * w.fro)
+        tracemalloc.start()
+        try:
+            for bits in range(10, 17):
+                table = w.flag_table(PhaseGrid(bits), params)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = table.keys.nbytes + table.q.nbytes + table.sigma.nbytes
+        assert size <= held < 1.05 * size
+
+    def test_cap_raises_before_allocating(self):
+        # 64 groups x (2^16 + 1) folded bins of a 17-bit grid are just over
+        # REGISTER_CAP; the 16-bit grid's table fits.
+        w = WalkOperator.from_dense(random_full_matrix(62, 64, 64))
+        groups = len(w.phase_groups())
+        params = ProjectionParams(sigma=0.3 * w.fro)
+        assert groups * (PhaseGrid(16).size // 2 + 1) <= REGISTER_CAP
+        assert groups * (PhaseGrid(17).size // 2 + 1) > REGISTER_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(RegisterCapError, match="register of "):
+                w.flag_table(PhaseGrid(17), params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestQuantumState:
