@@ -1,6 +1,7 @@
 """Smoke tests of tools/: circuit_dump.py on one 8 x 8 benchmark circuit
 instance, untested_lines.py on one small test module, and code_lines.py on
-a snippet and on a copy of the package in a scratch git repository."""
+a snippet and on a copy of the package in a scratch git repository; and a
+check of the benchmark circuit instances that circuit_dump.py loads."""
 
 import importlib.util
 import json
@@ -41,6 +42,26 @@ def test_circuit_dump_matches_itself_and_reports_changes(tmp_path, capsys):
         "integer mismatches: 1",
         "max float difference: 1e-12 at [0].sve[0][0][2]",
     ]
+
+
+def test_benchmark_circuit_kernels_hold_eight_over_pi_sq_within_one_bin():
+    # Every phase group of the benchmark's 32 x 32 circuit instances (the
+    # dump's first two seeds), on the SVE grid and on the projection grid.
+    import numpy as np
+    from qrecsim.qproject import ProjectionParams, projection_grid
+    from qrecsim.qsim import PhaseGrid, WalkOperator, qpe_bin_probabilities
+
+    wl = circuit_dump.load_workloads()
+    worst = 1.0
+    for inst in wl.circuit_input(1, 32, 16) + wl.circuit_input(7, 32, 16):
+        wop = WalkOperator.from_dense(inst.matrix)
+        theta = wop.phase_groups().theta
+        params = ProjectionParams(sigma=inst.sigma, kappa=wl.KAPPA)
+        for grid in (PhaseGrid.for_sigma_precision(wl.SVE_EPS), projection_grid(params, wop.fro)):
+            probs = qpe_bin_probabilities(theta, grid)
+            near = grid.bin_of(theta)[:, None] + np.arange(-1, 2)
+            worst = min(worst, float(np.take_along_axis(probs, near % grid.size, 1).sum(1).min()))
+    assert worst >= 8.0 / np.pi**2 - 1e-12
 
 
 def test_untested_lines_lists_what_a_run_skips():
