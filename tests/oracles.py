@@ -455,6 +455,15 @@ class CircuitProjectionLaw:
     inv_z: float
 
 
+def _carrying_groups(table, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V^T x for the unit input, each group's column stop, the groups whose
+    weight reaches COMPONENT_TOL^2) from a phase table."""
+    coords = table.v.T @ (np.asarray(x, dtype=np.float64) / np.linalg.norm(x))
+    stops = np.append(table.start[1:], len(coords))
+    weights = np.array([np.sum(coords[a:b] ** 2) for a, b in zip(table.start, stops)])
+    return coords, stops, np.flatnonzero(weights >= COMPONENT_TOL**2)
+
+
 def circuit_projection_law(
     wop: WalkOperator, x, sigma: float, kappa: float, max_uncertain: int = 12
 ) -> CircuitProjectionLaw:
@@ -473,11 +482,7 @@ def circuit_projection_law(
     fro = wop.fro
     grid = PhaseGrid.for_sigma_precision((kappa / 2.0) * sigma / fro)
     cut = sigma * (1.0 - kappa / 2.0)
-    unit = np.asarray(x, dtype=np.float64) / np.linalg.norm(x)
-    coords = table.v.T @ unit
-    stops = np.append(table.start[1:], len(coords))
-    weights = np.array([np.sum(coords[a:b] ** 2) for a, b in zip(table.start, stops)])
-    groups = np.flatnonzero(weights >= COMPONENT_TOL**2)
+    coords, stops, groups = _carrying_groups(table, x)
     bins = np.arange(grid.size)
     reaches = np.cos(grid.theta_of(bins) / 2.0) * fro >= cut
     p = np.array([qpe_bin_probabilities(table.theta[g], grid)[reaches].sum() for g in groups])
@@ -487,7 +492,7 @@ def circuit_projection_law(
     if len(uncertain) > max_uncertain:
         raise ValueError(f"{len(uncertain)} uncertain groups exceed {max_uncertain}")
     certain = [k for k in range(len(groups)) if q[k] >= 1.0 - CERTAIN_TOL]
-    kept_sets, products = {}, np.zeros(len(unit))
+    kept_sets, products = {}, np.zeros(len(coords))
     for picks in itertools.product((False, True), repeat=len(uncertain)):
         chosen = sorted(certain + [int(k) for k, on in zip(uncertain, picks) if on])
         chance = np.prod([q[k] if on else 1.0 - q[k] for k, on in zip(uncertain, picks)])
@@ -508,6 +513,39 @@ def folded_median_law(theta: float, grid: PhaseGrid, rounds: int) -> np.ndarray:
                          weights=qpe_bin_probabilities(theta, grid))
     cdf = stats.binom.sf((rounds + 1) // 2 - 1, rounds, np.clip(np.cumsum(folded), 0.0, 1.0))
     return np.diff(cdf, prepend=0.0)
+
+
+@dataclass(frozen=True)
+class CircuitSveLaw:
+    """Exact law of one circuit estimation, for the groups carrying weight.
+
+    Row k of ``folded`` is group ``groups[k]``'s ``folded_median_law``, and
+    ``far[k, f]`` the chance that its median lands on bin N - f rather than
+    f, given folded bin f. A draw's side is independent of its folded bin and
+    of every other draw, and the stable median picks a draw by folded phases
+    and draw order alone, so the picked draw keeps a single draw's odds:
+    their kernel masses' ratio. ``far`` is 0 at f = 0 and N/2, one bin each.
+    """
+
+    groups: np.ndarray
+    folded: np.ndarray
+    far: np.ndarray
+
+
+def circuit_sve_law(wop: WalkOperator, x, grid: PhaseGrid) -> CircuitSveLaw:
+    """The law boosted estimation implies on ``wop`` for input ``x``: each
+    carrying group's median of boost_rounds(m, n) single-round draws."""
+    table = wop.phase_groups()
+    _, _, groups = _carrying_groups(table, x)
+    rounds = boost_rounds(wop.m, wop.n)
+    half = grid.size // 2
+    folded = np.array([folded_median_law(table.theta[g], grid, rounds) for g in groups])
+    far = np.zeros_like(folded)
+    for k, g in enumerate(groups):
+        mass = qpe_bin_probabilities(table.theta[g], grid)
+        near, away = mass[1:half], mass[:half:-1]
+        np.divide(away, near + away, out=far[k, 1:half], where=near + away > 0.0)
+    return CircuitSveLaw(groups, folded, far)
 
 
 def merged_chi_pvalue(counts: np.ndarray, expected: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from qrecsim.errors import ProjectionEmptyError
 from qrecsim.experiment import ExperimentConfig, run_experiment
 from qrecsim.linalg import svd
 from qrecsim.qproject import ProjectionParams, kept_mask, threshold_project
-from qrecsim.qsim import WalkOperator, sve_circuit, sve_exact
+from qrecsim.qsim import PhaseGrid, WalkOperator, sve_circuit, sve_exact
 from qrecsim.recsys import (
     RecommendContext,
     bad_sample_bound,
@@ -32,6 +32,7 @@ from oracles import (
     band_indices,
     calibration_ratio,
     circuit_projection_law,
+    circuit_sve_law,
     max_error,
     merged_chi_pvalue,
     pseudo_project_row,
@@ -150,6 +151,54 @@ def test_criterion_3_sve_precision():
         problems.append(f"circuit within one bin on only {run_hits}/200 runs")
     _report(3, "estimation within eps, circuit within one bin", problems,
             time.perf_counter() - t0, 300.0)
+
+
+# Planted instances U diag(sigma) V^T whose squared sigmas sum to 1, so that
+# theta = 2 arccos(sigma) is set directly: on a 5-bit grid (eps 0.5) a 2 x 2
+# with phases half a bin from 0 and from pi, and on a 4-bit grid (eps 0.8) a
+# 3 x 3 with phases 1.5, about 6.6 and 7.5 bins. Few boosting rounds (5 and 9)
+# spread each median over three or more folded bins.
+W4, W5 = np.pi / 8.0, np.pi / 16.0
+SVE_LAW = {
+    "2x2, phases half a bin from 0 and pi": (3, 2, 2, 0.5, [np.cos(W5 / 4), np.sin(W5 / 4)]),
+    "3x3, three phases between bins": (4, 3, 3, 0.8, [
+        np.cos(0.75 * W4),
+        np.sqrt(1.0 - np.cos(0.75 * W4) ** 2 - np.cos(3.75 * W4) ** 2),
+        np.cos(3.75 * W4),
+    ]),
+}
+
+
+def test_criterion_3b_circuit_sve_law():
+    t0 = time.perf_counter()
+    problems = []
+    runs = 20_000
+    for name, (seed, m, n, eps, sigmas) in SVE_LAW.items():
+        a, x = near_cut_instance(seed, m, n, sigmas)
+        wop = WalkOperator.from_dense(a)
+        grid = PhaseGrid.for_sigma_precision(eps)
+        half = grid.size // 2
+        law = circuit_sve_law(wop, x, grid)
+        spread = int(np.sum(np.sum(law.folded * runs >= 5.0, axis=1) >= 3))
+        if spread < 2:
+            problems.append(f"{name}: {spread} groups spread over three folded bins, not 2+")
+            continue
+        rng = stream(MASTER, "acceptance", "sve-law", name)
+        bins = np.empty((runs, len(law.groups)), dtype=np.int64)
+        for i in range(runs):
+            out = sve_circuit(wop, x, eps, rng)
+            if i == 0 and [c.index for c in out.components] != law.groups.tolist():
+                problems.append(f"{name}: estimated groups differ from the law's")
+                break
+            bins[i] = [c.bin for c in out.components]
+        else:
+            folded = np.minimum(bins, grid.size - bins)
+            for k, g in enumerate(law.groups):
+                counts = np.bincount(folded[:, k], minlength=half + 1)
+                pvalue = merged_chi_pvalue(counts, law.folded[k] * runs)
+                if not pvalue > 0.01:
+                    problems.append(f"{name}: group {g} folded-bin chi-square p = {pvalue}")
+    _report("3b", "circuit estimation's median law", problems, time.perf_counter() - t0, 300.0)
 
 
 def test_criterion_4_projection_sandwich_and_retries():
