@@ -335,7 +335,9 @@ def _certify_below(g: np.ndarray, vecs: np.ndarray, lam: np.ndarray, bound: floa
 
     The matrix is written over G's upper triangle, block by block, and G's
     diagonal is restored afterwards, so G's lower triangle (all that eigh
-    reads) and its diagonal come back unchanged.
+    reads) and its diagonal come back unchanged. The factorization reads the
+    lower triangle of G^T, which is G's upper triangle, through G^T's
+    Fortran order, so numpy copies it in contiguously.
     """
     n = g.shape[0]
     diag = g.diagonal().copy()
@@ -349,7 +351,7 @@ def _certify_below(g: np.ndarray, vecs: np.ndarray, lam: np.ndarray, bound: floa
         g[lo:hi, lo:] = rows
     g.flat[:: n + 1] += bound
     try:
-        np.linalg.cholesky(g, upper=True)
+        np.linalg.cholesky(g.T)
     except np.linalg.LinAlgError:
         return False
     finally:

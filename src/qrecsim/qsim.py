@@ -15,35 +15,36 @@ is deterministic and serves as the oracle. The circuit path reads W's
 rotation planes off the SVD of A / ||A||_F built from the tree-prepared row
 states: plane i is span{P u_i, Q v_i}, so |Q x> = sum_i (v_i . x) |Q v_i>
 puts weight (v_i . x)^2 on it, and no vector of length mn is formed. It
-splits the input across the folded phase groups there and samples
-phase-register outcomes from the exact single-round kernel with median
-boosting, reproducing the statistics of the quantum procedure without
-2^t-fold register blowup per boosting round (the rounds are iid per group
-because the joint state is block diagonal across groups). A projection reads
-only whether each group's median reaches the cut, so it draws that flag
-from its exact probability instead (``WalkOperator.flag_table``). The SVD
-and the tables, all that the simulator allocates, are capped.
+splits the input across the folded phase groups there and draws each group's
+boosted estimate, the median of iid single-round phase-register outcomes
+(iid per group because the joint state is block diagonal across groups),
+from that median's exact law (``WalkOperator.median_table``), reproducing
+the statistics of the quantum procedure without 2^t-fold register blowup
+per boosting round. A projection reads only whether each group's median
+reaches the cut, so it draws that flag from its exact probability instead
+(``WalkOperator.flag_table``). The SVD and the table, all that the
+simulator allocates, are capped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyRowError, MatrixError, RegisterCapError
 from .linalg import SvdFactorization, as_matrix, check_count, check_real, svd, unit_vector
-from .rng import choice_cdf
 from .store import MatrixStore
 
 # Hard ceiling on the float64 entries one circuit-path allocation may hold: the
-# phase groups' SVD (V, the reduced U and LAPACK's copy of A~, n^2 + 2 mn), a
-# grid's kernel table (groups x 2^t) and its flag table (groups x (2^(t-1) + 1)).
+# phase groups' SVD (V, the reduced U and LAPACK's copy of A~, n^2 + 2 mn) and
+# each of a grid's two median-table arrays (groups x (2^(t-1) + 1)).
 REGISTER_CAP = 1 << 22
-# Temporary entries per block of kernel rows: a table is built a few rows at a
-# time, one row at a time once a row alone is this large.
+# Temporary entries per block of kernel rows: the median table is built a few
+# rows at a time, one row at a time once a row alone is this large.
 KERNEL_BLOCK = 1 << 14
 
 # Finest estimation grid. Bin indices are int64, and a bin of 2 pi / 2^62 is
@@ -84,7 +85,7 @@ class WalkOperator:
         self.fro = float(fro)
         self.m, self.n = row_states.shape
         self._groups: PhaseTable | None = None
-        self._tables: tuple[PhaseGrid, np.ndarray, np.ndarray] | None = None
+        self._median: tuple[PhaseGrid, MedianTable] | None = None
         self._flags: tuple[tuple[PhaseGrid, float], FlagTable] | None = None
 
     @classmethod
@@ -117,97 +118,108 @@ class WalkOperator:
         if self._groups is None:
             _check_allocation("span decomposition", self.n * self.n + 2 * self.m * self.n)
             f = svd(self.row_states * self.a_tilde[:, None])
-            thetas = eigenphases(f)
-            cosines = np.cos(thetas)
-            starts, phases = [], []
-            column_group = np.empty(len(thetas), dtype=np.intp)
-            start = 0
-            while start < len(thetas):
-                stop = start + 1
-                while stop < len(thetas) and cosines[start] - cosines[stop] < COS_TOL:
-                    stop += 1
-                column_group[start:stop] = len(starts)
-                starts.append(start)
-                phases.append(np.mean(thetas[start:stop]))
-                start = stop
-            theta = np.array(phases)
+            starts, theta, column_group = _group_phases(eigenphases(f))
             self._groups = PhaseTable(
                 v=f.v,
-                start=np.array(starts),
+                start=starts,
                 theta=theta,
                 sigma=np.cos(theta / 2.0) * self.fro,
                 column_group=column_group,
             )
         return self._groups
 
-    def grid_tables(self, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
-        """(kernel table, bin phases) on a grid, built once per grid run.
+    def median_table(self, grid: PhaseGrid) -> MedianTable:
+        """The law of each group's median of boost_rounds(m, n) draws on a
+        grid, built once per grid.
 
-        Row g of the kernel table is group g's cumulative single-round
-        outcome distribution (``choice_cdf`` of its kernel), built
-        KERNEL_BLOCK entries at a time into the one preallocated table;
-        entry b of the bin phases is ``grid.theta_of(b)``. Only the latest
-        grid's tables are held. Raises RegisterCapError first when groups x
-        2^t exceeds REGISTER_CAP.
-        """
-        if self._tables is None or self._tables[0] != grid:
-            self._tables = None  # free the last grid's tables before allocating
-            thetas = self.phase_groups().theta
-            _check_allocation("register", len(thetas) * grid.size)
-            table = np.empty((len(thetas), grid.size))
-            rows = max(1, KERNEL_BLOCK // grid.size)
-            for lo in range(0, len(thetas), rows):
-                block = thetas[lo : lo + rows]
-                table[lo : lo + len(block)] = choice_cdf(qpe_bin_probabilities(block, grid))
-            self._tables = (grid, table, grid.theta_of(np.arange(grid.size)))
-        return self._tables[1:]
-
-    def flag_table(self, grid: PhaseGrid, params) -> FlagTable:
-        """The flag table of the median of boost_rounds(m, n) draws on a grid,
-        cut by ``params`` (a ProjectionParams: its ``keeps`` flag rule, cached
-        by its ``cut``).
-
-        Folded bin f in [0, N/2] holds bins f and N - f, at phase f * width;
-        ``kept_bins`` counts those whose ``grid.sigma_of`` passes the rule, a
-        prefix since the estimate falls as the phase rises. With F_g(f) group
-        g's single-draw kernel mass on folded bins up to f, and S_g(f) = 1 -
+        Folded bin f in [0, N/2] holds bins f and N - f, at phase f * width,
+        and ``sigma`` holds its ``grid.sigma_of``. With F_g(f) group g's
+        single-draw kernel mass on folded bins up to f, and S_g(f) = 1 -
         F_g(f) its mass above f, the median of r draws lands at or below f
-        with probability F_med(f) = P(Binomial(r, F_g(f)) >= (r + 1) / 2).
-        ``q[g]`` is F_med at the last kept bin: the chance that g's median
-        estimate is kept. Row g of ``keys`` (raveled) is F_med + g, so one
+        with probability F_med(f) = P(Binomial(r, F_g(f)) >= (r + 1) / 2):
+        row g of ``cdf``. Row g of ``keys`` (raveled) is F_med + g, so one
         searchsorted inverts every group's F_med; the offset costs at most
         log2(groups) bits of resolution, about 2e-13 at 1,024 groups, while
-        q is held exactly. Built KERNEL_BLOCK entries at a time, once per
-        (grid, cut); only the latest is held. Raises RegisterCapError first
-        when groups x (N/2 + 1) exceeds REGISTER_CAP.
+        ``cdf`` keeps F_med exact. Built KERNEL_BLOCK kernel entries at a
+        time; only the latest grid's table is held. Raises RegisterCapError
+        first when groups x (N/2 + 1) exceeds REGISTER_CAP.
         """
-        if self._flags is None or self._flags[0] != (grid, params.cut):
-            self._flags = None  # free the last table before allocating
+        if self._median is None or self._median[0] != grid:
+            self._median = self._flags = None  # free the last grid's tables first
             thetas = self.phase_groups().theta
             folded = grid.size // 2 + 1
             _check_allocation("register", len(thetas) * folded)
-            sigma = grid.sigma_of(np.arange(folded), self.fro)
-            kept_bins = int(np.count_nonzero(params.keeps(sigma)))
-            keys = np.empty((len(thetas), folded))
+            cdf = np.empty((len(thetas), folded))
             rounds = boost_rounds(self.m, self.n)
             rows = max(1, KERNEL_BLOCK // grid.size)
             for lo in range(0, len(thetas), rows):
                 mass = qpe_bin_probabilities(thetas[lo : lo + rows], grid)
-                keys[lo : lo + len(mass)] = _median_cdf(mass, rounds)
-            q = keys[:, kept_bins - 1].copy() if kept_bins else np.zeros(len(thetas))
-            keys += np.arange(len(thetas))[:, None]
-            self._flags = ((grid, params.cut), FlagTable(sigma, kept_bins, q, keys.ravel()))
+                cdf[lo : lo + len(mass)] = _median_cdf(mass, rounds)
+            keys = (cdf + np.arange(len(thetas))[:, None]).ravel()
+            sigma = grid.sigma_of(np.arange(folded), self.fro)
+            self._median = (grid, MedianTable(sigma, cdf, keys))
+        return self._median[1]
+
+    def flag_table(self, grid: PhaseGrid, params) -> FlagTable:
+        """The median table on a grid cut by ``params`` (a ProjectionParams:
+        its ``keeps`` flag rule, cached by its ``cut``).
+
+        ``kept_bins`` counts the folded bins whose sigma passes the rule, a
+        prefix since the estimate falls as the phase rises, and ``q[g]`` is
+        F_med at the last kept bin, read from the exact ``cdf``: the chance
+        that g's median estimate is kept. A new cut reuses the grid's median
+        table; only the latest cut is held.
+        """
+        median = self.median_table(grid)
+        if self._flags is None or self._flags[0] != (grid, params.cut):
+            kept_bins = int(np.count_nonzero(params.keeps(median.sigma)))
+            q = median.cdf[:, kept_bins - 1].copy() if kept_bins else np.zeros(len(median.cdf))
+            self._flags = ((grid, params.cut), FlagTable(median.sigma, kept_bins, q, median.keys))
         return self._flags[1]
 
 
+class MedianTable(NamedTuple):
+    """A walk's median table on one grid (``WalkOperator.median_table``)."""
+
+    sigma: np.ndarray
+    cdf: np.ndarray
+    keys: np.ndarray
+
+
 class FlagTable(NamedTuple):
-    """A walk's flag table on one grid and cut (``WalkOperator.flag_table``);
-    ``sigma`` holds each folded bin's ``grid.sigma_of``."""
+    """A walk's flag table on one grid and cut (``WalkOperator.flag_table``):
+    ``sigma`` and ``keys`` are the grid's median table's."""
 
     sigma: np.ndarray
     kept_bins: int
     q: np.ndarray
     keys: np.ndarray
+
+
+def _group_phases(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first column, phase, each column's group) of the phase groups.
+
+    A column joins the current group while its cosine is within COS_TOL of
+    the group's first column's, and a group's phase is the mean over its
+    columns. The cosines fall along the columns, so a gap of COS_TOL between
+    neighbours always starts a group; the rule runs column by column only
+    inside the runs that no such gap splits.
+    """
+    cosines = np.cos(thetas)
+    starts = np.flatnonzero(np.concatenate(([True], cosines[:-1] - cosines[1:] >= COS_TOL)))
+    runs = np.diff(np.append(starts, len(thetas)))
+    inner = []
+    for start, stop in zip(starts[runs > 1], (starts + runs)[runs > 1]):
+        while (far := np.flatnonzero(cosines[start] - cosines[start + 1 : stop] >= COS_TOL)).size:
+            start += 1 + int(far[0])
+            inner.append(start)
+    if inner:
+        starts = np.sort(np.concatenate((starts, inner)))
+    sizes = np.diff(np.append(starts, len(thetas)))
+    theta = thetas[starts]
+    for k in np.flatnonzero(sizes > 1):
+        theta[k] = np.mean(thetas[starts[k] : starts[k] + sizes[k]])
+    return starts, theta, np.repeat(np.arange(len(starts)), sizes)
 
 
 def _median_cdf(mass: np.ndarray, rounds: int) -> np.ndarray:
@@ -292,9 +304,10 @@ class PhaseGrid:
         return _scalar(np.round(np.asarray(theta) / self.width).astype(np.int64) % self.size)
 
     def theta_of(self, b):
-        """Folded phase magnitude in [0, pi] represented by bin b."""
-        angle = (np.asarray(b) % self.size) * self.width
-        return _scalar(np.where(angle > np.pi, np.abs(angle - 2.0 * np.pi), angle))
+        """Folded phase magnitude in [0, pi] represented by bin b: bins b and
+        N - b fold onto min(b, N - b) mod N, at that many bin widths."""
+        b = np.asarray(b) % self.size
+        return _scalar(np.minimum(b, self.size - b) * self.width)
 
     def sigma_of(self, b, fro: float):
         return _scalar(np.cos(self.theta_of(b) / 2.0) * fro)
@@ -326,15 +339,6 @@ def qpe_bin_probabilities(theta, grid: PhaseGrid) -> np.ndarray:
     den = (n * sin_half) ** 2
     probs = np.where(on_grid, 1.0, num / np.where(on_grid, 1.0, den))
     return probs / probs.sum(axis=-1, keepdims=True)
-
-
-def median_bin(bins: np.ndarray, thetas: np.ndarray):
-    """Bin whose folded phase (``thetas``, the bins' ``theta_of``) is the
-    stable median of the realized ones, with that phase; for 2-D arrays,
-    one (bin, phase) per row, as arrays."""
-    k = np.argsort(thetas, axis=-1, kind="stable")[..., bins.shape[-1] // 2]
-    at = (np.arange(len(bins)), k) if bins.ndim == 2 else k
-    return _scalar(bins[at]), _scalar(thetas[at])
 
 
 # -- rotation-plane decomposition --------------------------------------------
@@ -384,16 +388,30 @@ class SveComponent(NamedTuple):
     sigma_est: float
 
 
-def component_rows(kind, *cols) -> tuple:
-    """One ``kind`` per index of the equal-length column arrays, built from
-    their entries as Python scalars."""
-    return tuple(kind(*row) for row in zip(*(c.tolist() for c in cols)))
+def component_rows(kind, columns) -> tuple:
+    """One ``kind`` per component, built from the Python scalars of the
+    column arrays that ``columns`` holds under ``kind``'s field names."""
+    return tuple(map(kind, *(getattr(columns, name).tolist() for name in kind._fields)))
 
 
 @dataclass(frozen=True)
 class SveOutput:
-    components: tuple[SveComponent, ...]
+    """Estimated components as columns, one entry per component, named as
+    SveComponent's fields; ``components`` builds the rows once, on first
+    read."""
+
     grid: PhaseGrid
+    index: np.ndarray
+    amplitude: np.ndarray
+    sigma: np.ndarray
+    theta: np.ndarray
+    bin: np.ndarray
+    theta_est: np.ndarray
+    sigma_est: np.ndarray
+
+    @cached_property
+    def components(self) -> tuple[SveComponent, ...]:
+        return component_rows(SveComponent, self)
 
 
 def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
@@ -407,10 +425,9 @@ def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
     alpha = f.v.T @ unit_vector(x, f.shape[1])
     thetas = eigenphases(f)
     bins = grid.bin_of(thetas)
-    cols = (np.arange(thetas.size), np.abs(alpha), f.column_sigma(), thetas, bins,
-            grid.theta_of(bins), grid.sigma_of(bins, fro))
-    comps = component_rows(SveComponent, *cols)
-    return SveOutput(components=comps, grid=grid)
+    return SveOutput(grid=grid, index=np.arange(thetas.size), amplitude=np.abs(alpha),
+                     sigma=f.column_sigma(), theta=thetas, bin=bins,
+                     theta_est=grid.theta_of(bins), sigma_est=grid.sigma_of(bins, fro))
 
 
 class CircuitSve:
@@ -420,12 +437,10 @@ class CircuitSve:
     |Q x> in the walk's planes, the group weights, and the groups that carry
     weight; the true singular values are the phase table's. The walk's
     tables are looked up only by the draws that read them. ``round`` is one
-    boosted estimation: boost_rounds(m, n) draws per carrying group, in
-    group order, each read off at its median bin. The draws come from one
-    ``rng.random`` call and inverse-CDF lookups in the walk's kernel table,
-    the same bits as one ``rng.choice(p=kernel)`` per group in turn.
-    A projection reads only whether each median passes the flag rule; it
-    draws the flags from the walk's flag table, and then ``estimates_given``.
+    boosted estimation, each carrying group's median drawn from its law in
+    the walk's median table. A projection reads only whether each median
+    passes the flag rule; it draws the flags from the walk's flag table, and
+    then ``estimates_given``.
     """
 
     def __init__(self, wop: WalkOperator, x, grid: PhaseGrid):
@@ -435,29 +450,42 @@ class CircuitSve:
         self.weights = np.add.reduceat(self.coords**2, self.groups.start)
         self.carrying = np.flatnonzero(self.weights >= COMPONENT_TOL**2)
 
-    @property
-    def kernels(self) -> np.ndarray:
-        return self.wop.grid_tables(self.grid)[0]
+    def _median_bins(self, table, u: np.ndarray) -> np.ndarray:
+        """Each carrying group's first folded bin whose F_med, in the median
+        or flag ``table``, exceeds u."""
+        g = self.carrying
+        return table.keys.searchsorted(g + u, side="right") - g * len(table.sigma)
 
     def round(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(bin, theta_est, sigma_est) arrays, one entry per carrying group."""
-        kernels, bin_theta = self.wop.grid_tables(self.grid)
-        draws = rng.random((len(self.carrying), boost_rounds(self.wop.m, self.wop.n)))
-        bins = np.array([kernels[g].searchsorted(u, side="right")
-                         for g, u in zip(self.carrying, draws)])
-        picked, theta_est = median_bin(bins, bin_theta[bins])
-        return picked, theta_est, np.cos(theta_est / 2.0) * self.wop.fro
+        """(bin, theta_est, sigma_est) arrays, one entry per carrying group.
+
+        Two uniforms per group, in group order: the first inverts F_med to
+        the median's folded bin f, and the second picks bin N - f over f
+        with chance m(N - f) / (m(f) + m(N - f)) from their single-round
+        kernel masses. A draw's side is independent of its folded bin, and
+        the stable median picks a draw by folded phases and draw order alone,
+        so the median keeps that chance. The kernel mass of the bin at
+        offset d from the phase is sin^2(N d / 2) / (N sin(d / 2))^2, whose
+        numerator is the same for every bin, so the chance is s^2 / (s^2 +
+        s'^2) with s = sin((theta - f w) / 2) and s' = sin((theta + f w) / 2).
+        """
+        table = self.wop.median_table(self.grid)
+        u = rng.random((len(self.carrying), 2))
+        f = np.minimum(self._median_bins(table, u[:, 0]), len(table.sigma) - 1)
+        theta, angle = self.groups.theta[self.carrying], f * self.grid.width
+        near = np.sin((theta - angle) / 2.0) ** 2
+        far = u[:, 1] * (near + np.sin((theta + angle) / 2.0) ** 2) < near
+        bins = np.where(far, self.grid.size - f, f) % self.grid.size
+        return bins, self.grid.theta_of(f), table.sigma[f]
 
     def estimates_given(self, table: FlagTable, kept: np.ndarray, rng: np.random.Generator):
         """sigma_est per carrying group, drawn from its boosted median's law
         given its flag in ``kept``: one uniform u per group inverts F_med at
         u q on the kept side and at q + u (1 - q) past it, and the folded bin
         is clamped to its flag's side of the cut."""
-        g = self.carrying
-        q = table.q[g]
-        u = rng.random(len(g))
-        f = table.keys.searchsorted(g + np.where(kept, u * q, q + u * (1.0 - q)), side="right")
-        f -= g * len(table.sigma)
+        q = table.q[self.carrying]
+        u = rng.random(len(q))
+        f = self._median_bins(table, np.where(kept, u * q, q + u * (1.0 - q)))
         low = np.where(kept, 0, table.kept_bins)
         high = np.where(kept, table.kept_bins, len(table.sigma)) - 1
         return table.sigma[np.minimum(np.maximum(f, low), high)]
@@ -475,15 +503,16 @@ def sve_circuit(wop: WalkOperator, x, eps: float, rng: np.random.Generator) -> S
     """Sampled estimation through the walk's rotation planes.
 
     Prepares |Q x>, splits it across the folded phase groups of W, and for
-    each group draws 2 ceil(log2 mn) + 1 single-round phase-register
-    outcomes, keeping the median. Estimates are reported per group; group
-    amplitudes follow the projection of the input.
+    each group draws the median of 2 ceil(log2 mn) + 1 single-round
+    phase-register outcomes from its exact law. Estimates are reported per
+    group; group amplitudes follow the projection of the input.
     """
     est = CircuitSve(wop, x, PhaseGrid.for_sigma_precision(eps))
     g = est.carrying
-    cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], est.groups.theta[g], *est.round(rng))
-    comps = component_rows(SveComponent, *cols)
-    return SveOutput(components=comps, grid=est.grid)
+    bins, theta_est, sigma_est = est.round(rng)
+    return SveOutput(grid=est.grid, index=g, amplitude=np.sqrt(est.weights[g]),
+                     sigma=est.groups.sigma[g], theta=est.groups.theta[g], bin=bins,
+                     theta_est=theta_est, sigma_est=sigma_est)
 
 
 def factorization_of(source) -> SvdFactorization:

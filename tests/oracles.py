@@ -370,19 +370,29 @@ def sample_phase_bins(
     return rng.choice(grid.size, size=rounds, p=qpe_bin_probabilities(theta, grid))
 
 
+def median_bin(bins: np.ndarray, thetas: np.ndarray):
+    """Bin whose folded phase (``thetas``, the bins' ``theta_of``) is the
+    stable median of the realized ones, with that phase."""
+    k = int(np.argsort(thetas, kind="stable")[len(bins) // 2])
+    return int(bins[k]), float(thetas[k])
+
+
 def sequential_round(
-    thetas, weights, m: int, n: int, grid: PhaseGrid, rng: np.random.Generator
+    cdf: np.ndarray, thetas, weights, grid: PhaseGrid, rng: np.random.Generator
 ) -> list[tuple[int, int, float]]:
     """(group, median bin, its folded phase) for each group carrying weight,
-    drawing each group's rounds in turn with ``sample_phase_bins`` and
-    taking the stable median of the folded phases."""
+    drawing each group's median in turn: one uniform inverts its row of the
+    median CDF ``cdf`` to a folded bin f, and a second picks bin N - f over f
+    in proportion to their ``qpe_bin_probabilities`` masses."""
     out = []
     for gid, (theta, weight) in enumerate(zip(thetas, weights)):
         if weight >= COMPONENT_TOL**2:
-            bins = sample_phase_bins(theta, grid, boost_rounds(m, n), rng)
-            folded = grid.theta_of(bins)
-            k = np.argsort(folded, kind="stable")[len(bins) // 2]
-            out.append((gid, int(bins[k]), float(folded[k])))
+            f = min(int(cdf[gid].searchsorted(rng.random(), side="right")), grid.size // 2)
+            mass = qpe_bin_probabilities(theta, grid)
+            away = mass[(grid.size - f) % grid.size]
+            far = rng.random() * (mass[f] + away) < away
+            b = (grid.size - f) % grid.size if far else f
+            out.append((gid, b, grid.theta_of(b)))
     return out
 
 

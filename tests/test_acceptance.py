@@ -8,6 +8,7 @@ the full criterion at its stated tolerance and time budget.
 import time
 
 import numpy as np
+from scipy import stats
 
 from qrecsim.errors import ProjectionEmptyError
 from qrecsim.experiment import ExperimentConfig, run_experiment
@@ -193,11 +194,21 @@ def test_criterion_3b_circuit_sve_law():
             bins[i] = [c.bin for c in out.components]
         else:
             folded = np.minimum(bins, grid.size - bins)
+            stat = cells = 0.0
             for k, g in enumerate(law.groups):
                 counts = np.bincount(folded[:, k], minlength=half + 1)
                 pvalue = merged_chi_pvalue(counts, law.folded[k] * runs)
                 if not pvalue > 0.01:
                     problems.append(f"{name}: group {g} folded-bin chi-square p = {pvalue}")
+                # The side law: given folded bin f, bin N - f with chance far.
+                far = np.bincount(grid.size - bins[:, k], minlength=grid.size + 1)[1:half]
+                n_f, p = counts[1:half], law.far[k, 1:half]
+                ok = (n_f * p >= 5.0) & (n_f * (1.0 - p) >= 5.0)
+                stat += np.sum((far[ok] - n_f[ok] * p[ok]) ** 2 / (n_f[ok] * p[ok] * (1.0 - p[ok])))
+                cells += np.count_nonzero(ok)
+            pvalue = stats.chi2.sf(stat, cells) if cells else 0.0
+            if not pvalue > 0.01:
+                problems.append(f"{name}: far-side chi-square p = {pvalue} over {cells:.0f} cells")
     _report("3b", "circuit estimation's median law", problems, time.perf_counter() - t0, 300.0)
 
 

@@ -92,7 +92,7 @@ def test_circuit_sve_draws():
     out = sve_circuit(WalkOperator.from_dense(SMALL), SMALL_X, 0.05, stream(5, "golden", "sve"))
     assert out.grid.bits == 8
     assert [(c.index, c.bin, c.sigma_est.hex()) for c in out.components] == [
-        (0, 53, "0x1.33b75e73f5b5cp+2"),
+        (0, 52, "0x1.3690f2052af44p+2"),
         (1, 85, "0x1.8564cd342d511p+1"),
         (2, 101, "0x1.f722766ea7a58p+0"),
         (3, 126, "0x1.2fa64ad7c2432p-3"),

@@ -150,13 +150,19 @@ class TestKeptSet:
         assert mask[0] and not mask[2]  # middle value 1.75 may go either way
 
     def test_component_bookkeeping(self):
-        comps, alpha, kept = exact_kept_components(svd(GAP), GAP_X, GAP_PARAMS)
+        alpha, estimates, kept = exact_kept_components(svd(GAP), GAP_X, GAP_PARAMS)
+        assert kept.tolist() == [True, False]
+        assert np.abs(alpha) == pytest.approx([np.sqrt(0.3), np.sqrt(0.7)], abs=1e-12)
+        assert estimates[0] >= GAP_PARAMS.cut > estimates[1]
+        assert float(np.sum(alpha[kept] ** 2)) == pytest.approx(0.3, abs=1e-12)
+        out = threshold_project(GAP, GAP_X, GAP_PARAMS, np.random.default_rng(0))
+        comps = out.components
         assert [c.index for c in comps] == [0, 1]
         assert comps[0].kept and not comps[1].kept
         assert comps[0].amplitude == pytest.approx(np.sqrt(0.3), abs=1e-12)
         assert comps[1].amplitude == pytest.approx(np.sqrt(0.7), abs=1e-12)
         assert comps[0].sigma == pytest.approx(3.0, rel=1e-12)
-        assert float(np.sum(alpha[kept] ** 2)) == pytest.approx(0.3, abs=1e-12)
+        assert out.components is comps and out.kept_indices() == [0]
 
     def test_zero_vector_rejected(self):
         with pytest.raises(MatrixError):
@@ -304,7 +310,7 @@ class TestCircuitPath:
 
     def test_default_experiment_store(self, default_context_input):
         # The default 64 x 64 config needs an 11-bit grid: mn * 2^11 is over
-        # REGISTER_CAP, but the walk's kernel table holds at most n * 2^11.
+        # REGISTER_CAP, but the walk's median table holds n * (2^10 + 1) per array.
         a, params = default_context_input
         wop = WalkOperator.from_store(MatrixStore.from_dense(a))
         grid = projection_grid(params, wop.fro)
@@ -313,7 +319,7 @@ class TestCircuitPath:
         for row in np.flatnonzero(a.any(axis=1))[:4]:
             out = threshold_project(wop, a[row], params, rng, path="circuit")
             assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-12)
-        assert wop.grid_tables(grid)[0].size <= wop.n * grid.size <= REGISTER_CAP
+        assert wop.median_table(grid).cdf.size <= wop.n * (grid.size // 2 + 1) <= REGISTER_CAP
 
     def test_gap_instance_matches_exact(self):
         wop = WalkOperator.from_dense(GAP)

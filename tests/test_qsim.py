@@ -1,6 +1,9 @@
 """Walk operator mechanics, phase estimation, and singular value estimation."""
 
+import importlib
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +15,7 @@ from qrecsim.linalg import svd, unit_vector
 from qrecsim.qproject import ProjectionParams
 from qrecsim.qsim import (
     COMPONENT_TOL,
+    COS_TOL,
     KERNEL_BLOCK,
     MAX_GRID_BITS,
     REGISTER_CAP,
@@ -20,21 +24,22 @@ from qrecsim.qsim import (
     WalkOperator,
     boost_rounds,
     eigenphases,
-    median_bin,
     qpe_bin_probabilities,
     sve,
     sve_circuit,
     sve_exact,
 )
-from qrecsim.rng import choice_cdf
 from qrecsim.store import MatrixStore, TreeTable
 
 from oracles import (
     OracleWalk,
     QuantumState,
+    circuit_sve_law,
     dft_phase_distribution,
     folded_median_law,
     max_error,
+    median_bin,
+    merged_chi_pvalue,
     prepare_vector_state,
     qpe_joint_state,
     sample_phase_bins,
@@ -42,7 +47,18 @@ from oracles import (
     uncompute_residual_mass,
 )
 
+from test_golden import REPEATED
+
 EXAMPLE_ROW = [0.4, 0.4, 0.8, 0.2]
+
+
+def load_workloads():
+    """perfbench/workloads.py, whose ``circuit_input`` builds the benchmark's
+    circuit instances."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    return importlib.import_module("workloads")
 
 
 def tree_of(values) -> TreeTable:
@@ -298,8 +314,7 @@ class TestPhaseGrid:
         sigma_est = grid.sigma_of(bins, 2.5)
         for i, theta in enumerate(thetas.tolist()):
             b = int(np.round(theta / grid.width)) % grid.size
-            angle = b * grid.width
-            folded = float(abs(angle - 2.0 * np.pi)) if angle > np.pi else float(angle)
+            folded = min(b, grid.size - b) * grid.width
             assert (int(bins[i]), float(theta_est[i])) == (b, folded)
             assert float(sigma_est[i]) == float(np.cos(folded / 2.0) * 2.5)
             assert (grid.bin_of(theta), grid.theta_of(b)) == (b, folded)
@@ -312,9 +327,81 @@ class TestPhaseGrid:
         # 2 pi / (2 eps) overflows to inf here; the cap applies before int().
         assert PhaseGrid.for_sigma_precision(5e-324).bits == MAX_GRID_BITS
 
+    @pytest.mark.parametrize("bits", [*range(3, 21), 62])
+    def test_bins_fold_onto_one_phase(self, bits):
+        # Bins b and N - b are one folded bin: same phase and same sigma, bit
+        # for bit, and bins up to N/2 sit at b widths.
+        grid = PhaseGrid(bits)
+        n = grid.size
+        rng = np.random.default_rng(bits)
+        b = np.concatenate([np.arange(min(n, 1 << 12)), rng.integers(0, n, size=1000)])
+        assert grid.theta_of(b).tolist() == grid.theta_of(n - b).tolist()
+        assert grid.sigma_of(b, 3.0).tolist() == grid.sigma_of(n - b, 3.0).tolist()
+        low = b[b <= n // 2]
+        assert grid.theta_of(low).tolist() == (low * grid.width).tolist()
+        assert grid.theta_of(n // 2) == np.pi and grid.theta_of(n) == 0.0
+
     def test_boost_rounds(self):
         assert boost_rounds(8, 8) == 13
         assert boost_rounds(2, 2) == 5
+
+
+def grouped_column_by_column(thetas: np.ndarray):
+    """The phase groups' rule run one column at a time: (starts, phases,
+    column groups)."""
+    cosines = np.cos(thetas)
+    starts, phases = [], []
+    column_group = np.empty(len(thetas), dtype=np.intp)
+    start = 0
+    while start < len(thetas):
+        stop = start + 1
+        while stop < len(thetas) and cosines[start] - cosines[stop] < COS_TOL:
+            stop += 1
+        column_group[start:stop] = len(starts)
+        starts.append(start)
+        phases.append(np.mean(thetas[start:stop]))
+        start = stop
+    return np.array(starts), np.array(phases), column_group
+
+
+class TestPhaseGrouping:
+    def check(self, thetas):
+        got = qsim._group_phases(thetas)
+        want = grouped_column_by_column(thetas)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        return got
+
+    def test_benchmark_instances_group_as_column_by_column(self):
+        wl = load_workloads()
+        for inst in wl.circuit_input(1, 32, 16) + wl.circuit_input(7, 32, 16):
+            w = WalkOperator.from_dense(inst.matrix)
+            self.check(eigenphases(svd(w.row_states * w.a_tilde[:, None])))
+
+    def test_repeated_values_group_as_column_by_column(self):
+        # The golden REPEATED matrix has a two-column group and a kernel.
+        w = WalkOperator.from_dense(REPEATED)
+        starts, _, _ = self.check(eigenphases(svd(w.row_states * w.a_tilde[:, None])))
+        assert np.any(np.diff(np.append(starts, w.n)) > 1)
+
+    def test_greedy_rule_splits_a_chain_of_close_cosines(self):
+        # Cosines 0.6 COS_TOL apart: no neighbour gap reaches COS_TOL, but
+        # every third column is COS_TOL from its group's first.
+        cosines = 0.3 - 0.6 * COS_TOL * np.arange(12)
+        thetas = np.concatenate([[0.2], np.arccos(cosines), [2.5, 2.5, np.pi]])
+        starts, _, groups = self.check(thetas)
+        assert 2 < len(starts) < len(thetas) - 2
+        assert groups.tolist() == sorted(groups.tolist())
+
+    def test_table_matches_column_by_column(self):
+        w = WalkOperator.from_dense(random_full_matrix(85, 6, 9))
+        table = w.phase_groups()
+        starts, theta, column_group = grouped_column_by_column(
+            eigenphases(svd(w.row_states * w.a_tilde[:, None]))
+        )
+        assert table.start.tobytes() == starts.tobytes()
+        assert table.theta.tobytes() == theta.tobytes()
+        assert table.column_group.tobytes() == column_group.tobytes()
 
 
 class TestPhaseEstimation:
@@ -709,23 +796,23 @@ class TestSpanDecomposition:
         out = sve_circuit(w, a[0], 0.5, np.random.default_rng(0))
         assert sum(c.amplitude**2 for c in out.components) == pytest.approx(1.0, abs=1e-12)
 
-    def test_kernel_table_is_built_in_place(self):
-        # 64 groups x 2^16 bins is REGISTER_CAP itself; building the table
-        # holds it once, plus one group's scratch at a time.
+    def test_median_table_is_built_in_place(self):
+        # 64 groups x (2^15 + 1) folded bins of a 16-bit grid; building the
+        # table holds its two arrays, plus one group's scratch at a time.
         w = WalkOperator.from_dense(random_full_matrix(61, 64, 64))
         w.phase_groups()
         grid = PhaseGrid(16)
         tracemalloc.start()
         try:
-            table = w.grid_tables(grid)[0]
+            table = w.median_table(grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table.shape == (len(w.phase_groups()), grid.size)
-        assert peak < 1.25 * table.nbytes
+        assert table.cdf.shape == (len(w.phase_groups()), grid.size // 2 + 1)
+        assert peak < 1.25 * (table.cdf.nbytes + table.keys.nbytes)
 
     def test_span_cap_raises_before_allocating(self):
-        # 2 x 2048 on a 5-bit grid keeps every kernel table small, but the
+        # 2 x 2048 on a 5-bit grid keeps every median table small, but the
         # SVD's n^2 + 2 mn = 4,202,496 entries are over REGISTER_CAP.
         a = np.zeros((2, 2048))
         a[:, :2] = np.eye(2)
@@ -749,12 +836,13 @@ class TestCircuitDraws:
         w = WalkOperator.from_dense(a)
         grid = PhaseGrid(6 + seed)
         est = CircuitSve(w, x, grid)
+        cdf = w.median_table(grid).cdf
         thetas = est.groups.theta.tolist()
         batched, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
             bins, theta_est, _ = est.round(batched)
             got = list(zip(est.carrying.tolist(), bins.tolist(), theta_est.tolist()))
-            want = sequential_round(thetas, est.weights, w.m, w.n, grid, sequential)
+            want = sequential_round(cdf, thetas, est.weights, grid, sequential)
             assert got == want
         assert batched.random() == sequential.random()
 
@@ -770,53 +858,60 @@ class TestCircuitDraws:
         thetas = np.concatenate([special, rng.uniform(0.0, np.pi, size=2 * rows + 1)])
         w = WalkOperator.from_dense(np.eye(2))
         monkeypatch.setattr(w, "phase_groups", lambda: SimpleNamespace(theta=thetas))
-        table, bin_theta = w.grid_tables(grid)
-        want = np.stack([choice_cdf(qpe_bin_probabilities(t, grid)) for t in thetas])
-        assert table.tobytes() == want.tobytes()
-        assert bin_theta.tobytes() == grid.theta_of(np.arange(grid.size)).tobytes()
+        table = w.median_table(grid)
+        rounds = boost_rounds(w.m, w.n)
+        want = np.concatenate(
+            [qsim._median_cdf(qpe_bin_probabilities(t, grid)[None], rounds) for t in thetas]
+        )
+        assert table.cdf.tobytes() == want.tobytes()
+        assert table.keys.tobytes() == (want + np.arange(len(thetas))[:, None]).tobytes()
+        folded = np.arange(grid.size // 2 + 1)
+        assert table.sigma.tobytes() == grid.sigma_of(folded, w.fro).tobytes()
 
     @pytest.mark.parametrize("bits", [2, 3, 6])
     def test_median_of_looked_up_phases_matches_theta_of(self, bits):
-        # Bins b and N - b fold to one phase, and 0 and N/2 are the ends of
-        # [0, pi]; the stable median must pick the same bin either way.
+        # A round reads each median's phase and sigma off its folded bin;
+        # they must be the picked bin's theta_of and sigma_of on either side
+        # of the fold, and at its ends 0 and N/2.
         grid = PhaseGrid(bits)
-        n = grid.size
-        rng = np.random.default_rng(bits)
-        base = rng.integers(0, n, size=(40, 13))
-        bins = np.where(rng.random(base.shape) < 0.5, base, (n - base) % n)
-        bins[:5, :4] = [0, n // 2, n // 2, 0]
         w = WalkOperator.from_dense(random_full_matrix(bits, 3, 4))
-        _, bin_theta = w.grid_tables(grid)
-        got = median_bin(bins, bin_theta[bins])
-        want = median_bin(bins, grid.theta_of(bins))
-        assert [a.tolist() for a in got] == [a.tolist() for a in want]
-        for row, b, theta in zip(bins, *got):
-            folded = grid.theta_of(row)
-            k = np.argsort(folded, kind="stable")[len(row) // 2]
-            assert (int(row[k]), float(folded[k])) == (b, theta)
-            assert median_bin(row, grid.theta_of(row)) == (b, theta)
+        est = CircuitSve(w, np.ones(4), grid)
+        rng = np.random.default_rng(bits)
+        rounds = [est.round(rng) for _ in range(400)]
+        bins, theta_est, sigma_est = (np.concatenate(c) for c in zip(*rounds))
+        assert theta_est.tolist() == grid.theta_of(bins).tolist()
+        assert sigma_est.tolist() == grid.sigma_of(bins, w.fro).tolist()
+        # The 3 x 4 walk's kernel group sits at pi, bin N/2; the coarse grids
+        # put medians past N/2 too.
+        assert np.any(bins == grid.size // 2)
+        assert np.any(bins > grid.size // 2) or bits > 3
 
     def test_round_picks_the_median_of_its_draws(self):
         # A 3-bit grid and 2 ceil(log2 mn) + 1 = 13 rounds make folded ties
-        # in nearly every group.
+        # in nearly every group. Each group's bins, both sides of the fold
+        # apart, must follow the median's law: folded bin f with its
+        # probability, then N - f with the far-side chance given f.
         w = WalkOperator.from_dense(random_full_matrix(83, 5, 8))
         grid = PhaseGrid(3)
-        est = CircuitSve(w, np.ones(8), grid)
-        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(20):
-            got = est.round(got_rng)
-            draws = want_rng.random((len(est.carrying), boost_rounds(w.m, w.n)))
-            bins = np.array(
-                [est.kernels[g].searchsorted(u, side="right") for g, u in zip(est.carrying, draws)]
-            )
-            picked, theta_est = median_bin(bins, grid.theta_of(bins))
-            assert got[0].tolist() == picked.tolist()
-            assert got[1].tolist() == theta_est.tolist()
-            assert got[2].tolist() == (np.cos(theta_est / 2.0) * w.fro).tolist()
+        x = np.ones(8)
+        est = CircuitSve(w, x, grid)
+        law = circuit_sve_law(w, x, grid)
+        assert law.groups.tolist() == est.carrying.tolist()
+        rng = np.random.default_rng(5)
+        runs = 4000
+        bins = np.array([est.round(rng)[0] for _ in range(runs)])
+        n, half = grid.size, grid.size // 2
+        for k in range(len(law.groups)):
+            expected = np.zeros(n)
+            expected[: half + 1] = law.folded[k] * (1.0 - law.far[k])
+            expected[n - np.arange(1, half)] += law.folded[k, 1:half] * law.far[k, 1:half]
+            counts = np.bincount(bins[:, k], minlength=n)
+            assert merged_chi_pvalue(counts, expected * runs) > 0.001
 
     def test_walk_holds_only_the_latest_grids_tables(self):
-        # Grids of 10 to 16 bits on 64 groups total 2^23 entries, twice the
-        # cap; only the 16-bit grid's tables stay held. A round builds them.
+        # Grids of 10 to 16 bits on 64 groups total about 2^23 entries, twice
+        # the cap; only the 16-bit grid's median table stays held. A round
+        # builds it.
         w = WalkOperator.from_dense(random_full_matrix(62, 64, 64))
         w.phase_groups()
         tracemalloc.start()
@@ -826,8 +921,9 @@ class TestCircuitDraws:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        table, bin_theta = w.grid_tables(PhaseGrid(16))
-        assert table.nbytes + bin_theta.nbytes <= held < 1.05 * (table.nbytes + bin_theta.nbytes)
+        table = w.median_table(PhaseGrid(16))
+        size = table.cdf.nbytes + table.keys.nbytes + table.sigma.nbytes
+        assert size <= held < 1.05 * size
 
     def test_kernels_built_once_per_walk_and_grid(self, monkeypatch):
         built = []
@@ -843,13 +939,15 @@ class TestCircuitDraws:
         first = CircuitSve(w, x, PhaseGrid(7))
         assert built == []
         first.round(rng)
-        # Every group has a kernel row, built once by the first round, and
-        # here every group carries weight. Kernels are counted by row, since
-        # a call builds a block of rows.
+        # Every group has a median-table row, built once by the first round,
+        # and here every group carries weight. Kernels are counted by row,
+        # since a call builds a block of rows.
         thetas = w.phase_groups().theta.tolist()
         assert built == thetas and len(first.carrying) == len(thetas) > 0
         built.clear()
         CircuitSve(w, x, PhaseGrid(7)).round(rng)
+        # A cut on the grid reads the same table.
+        w.flag_table(PhaseGrid(7), ProjectionParams(sigma=0.5 * w.fro))
         assert built == []
         CircuitSve(w, x, PhaseGrid(8)).round(rng)
         assert built == thetas
@@ -897,15 +995,16 @@ class TestFlagTable:
         # The cut alone decides the table: a retry cap does not rebuild it.
         capped = ProjectionParams(sigma=params.sigma, kappa=params.kappa, max_iterations=5)
         assert w.flag_table(PhaseGrid(7), capped) is first
-        assert built == []
-        w.flag_table(PhaseGrid(7), ProjectionParams(sigma=0.6 * w.fro))
-        assert built == thetas
-        built.clear()
+        # A new cut reuses the grid's median table, and only a new grid
+        # builds kernels again.
+        other = w.flag_table(PhaseGrid(7), ProjectionParams(sigma=0.6 * w.fro))
+        assert built == [] and other.keys is first.keys and other.kept_bins < first.kept_bins
         w.flag_table(PhaseGrid(8), params)
         assert built == thetas
 
     def test_walk_holds_only_the_latest_table(self):
-        # 64 groups on grids of 10 to 16 bits; only the 16-bit table stays.
+        # 64 groups on grids of 10 to 16 bits; only the 16-bit table and the
+        # median table it reads stay.
         w = WalkOperator.from_dense(random_full_matrix(62, 64, 64))
         w.phase_groups()
         params = ProjectionParams(sigma=0.3 * w.fro)
@@ -916,7 +1015,8 @@ class TestFlagTable:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        size = table.keys.nbytes + table.q.nbytes + table.sigma.nbytes
+        cdf = w.median_table(PhaseGrid(16)).cdf
+        size = table.keys.nbytes + table.q.nbytes + table.sigma.nbytes + cdf.nbytes
         assert size <= held < 1.05 * size
 
     def test_cap_raises_before_allocating(self):

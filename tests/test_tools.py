@@ -1,5 +1,5 @@
 """Smoke tests of tools/: circuit_dump.py on one 8 x 8 benchmark circuit
-instance, untested_lines.py on one small test module, and code_lines.py on
+instance (both parts and each alone), untested_lines.py on one small test module, and code_lines.py on
 a snippet and on a copy of the package in a scratch git repository; and a
 check of the benchmark circuit instances that circuit_dump.py loads."""
 
@@ -42,6 +42,33 @@ def test_circuit_dump_matches_itself_and_reports_changes(tmp_path, capsys):
         "integer mismatches: 1",
         "max float difference: 1e-12 at [0].sve[0][0][2]",
     ]
+
+
+def test_circuit_dump_runs_each_part_alone_from_a_fresh_rng(tmp_path):
+    from qrecsim.qproject import ProjectionParams, threshold_project
+    from qrecsim.qsim import WalkOperator
+    from qrecsim.store import MatrixStore
+
+    dumps = {}
+    for part in ("both", "sve", "project"):
+        out = tmp_path / f"{part}.json"
+        argv = ["dump", str(ROOT), str(out), "--seeds", "1", "--sizes", "8:1", "--part", part]
+        assert circuit_dump.main(argv) == 0
+        dumps[part] = json.loads(out.read_text(encoding="utf-8"))[0]
+    both, sve, project = dumps["both"], dumps["sve"], dumps["project"]
+    assert sve["sve"] == both["sve"] and sve["project"] == []
+    assert project["sve"] == [] and len(project["project"]) == len(both["project"]) >= 1
+    # The projections alone are those of the instance's fresh rng.
+    wl = circuit_dump.load_workloads()
+    (inst,) = wl.circuit_input(1, 8, 1)
+    wop = WalkOperator.from_store(MatrixStore.from_dense(inst.matrix))
+    params = ProjectionParams(sigma=inst.sigma, kappa=wl.KAPPA, max_iterations=wl.CIRCUIT_RETRY_CAP)
+    rng = wl._rng(inst.seed, 7)
+    for row, got in zip(inst.rows, project["project"]):
+        out = threshold_project(wop, inst.matrix[row], params, rng, path="circuit")
+        assert (got["iterations"], got["kept"], got["state"]) == (
+            out.iterations, out.kept_indices(), out.state.tolist())
+    assert project["rng_state"] == rng.bit_generator.state
 
 
 def test_benchmark_circuit_kernels_hold_eight_over_pi_sq_within_one_bin():

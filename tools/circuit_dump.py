@@ -1,6 +1,7 @@
 """Dump and compare every circuit-path output on the benchmark's circuit instances.
 
     python3 tools/circuit_dump.py dump CHECKOUT OUT.json [--seeds 1 7] [--sizes 32:16 64:2]
+                                   [--part {sve,project,both}]
     python3 tools/circuit_dump.py compare BEFORE.json AFTER.json
 
 ``dump`` imports qrecsim from CHECKOUT/src (one checkout per process) and runs
@@ -8,7 +9,11 @@ what perfbench's circuit phase runs, on the instances that
 ``perfbench/workloads.circuit_input`` generates next to this file: per instance
 the walk's group count, ``sve_circuit`` on every stored row, then the circuit
 ``threshold_project`` of every row, all on the instance's rng, whose state is
-recorded after the instance. BLAS runs on one thread, as in the benchmark.
+recorded after the instance. ``--part sve`` or ``--part project`` runs that
+part alone, from the instance's fresh rng, so that a change to one sampler
+can be checked to leave the other's outputs bit for bit; the default
+``both`` is the benchmark's order. BLAS runs on one thread, as in the
+benchmark.
 ``compare`` walks two dumps in step: integers, flags and strings must match
 exactly, and floats may differ by FLOAT_TOL. It prints the integer mismatches
 (the first 20 in full) and the largest float difference, and exits 1 when
@@ -45,7 +50,10 @@ def import_qrecsim(checkout: Path):
             for name in ("errors", "qproject", "qsim", "store")}
 
 
-def dump_instance(q: dict, wl, inst) -> dict:
+PARTS = ("sve", "project")
+
+
+def dump_instance(q: dict, wl, inst, parts=PARTS) -> dict:
     qsim, qproject = q["qsim"], q["qproject"]
     wop = qsim.WalkOperator.from_store(q["store"].MatrixStore.from_dense(inst.matrix))
     params = qproject.ProjectionParams(
@@ -53,12 +61,12 @@ def dump_instance(q: dict, wl, inst) -> dict:
     )
     rng = wl._rng(inst.seed, 7)
     sve = []
-    for row in inst.rows:
+    for row in inst.rows if "sve" in parts else ():
         out = qsim.sve_circuit(wop, inst.matrix[row], wl.SVE_EPS, rng)
         sve.append([[c.index, c.bin, c.amplitude, c.sigma, c.theta, c.theta_est, c.sigma_est]
                     for c in out.components])
     projections = []
-    for row in inst.rows:
+    for row in inst.rows if "project" in parts else ():
         try:
             out = qproject.threshold_project(wop, inst.matrix[row], params, rng, path="circuit")
         except q["errors"].ProjectionEmptyError as err:
@@ -83,10 +91,11 @@ def dump_instance(q: dict, wl, inst) -> dict:
     }
 
 
-def dump(checkout: Path, seeds: list[int], sizes: list[tuple[int, int]]) -> list[dict]:
+def dump(checkout: Path, seeds: list[int], sizes: list[tuple[int, int]],
+         parts=PARTS) -> list[dict]:
     wl = load_workloads()
     q = import_qrecsim(checkout)
-    return [dump_instance(q, wl, inst)
+    return [dump_instance(q, wl, inst, parts)
             for seed in seeds for m, count in sizes for inst in wl.circuit_input(seed, m, count)]
 
 
@@ -118,13 +127,16 @@ def main(argv: list[str] | None = None) -> int:
     d.add_argument("--seeds", type=int, nargs="+", default=[1, 7, 21, 22])
     d.add_argument("--sizes", nargs="+", default=["32:16", "64:2"],
                    help="M:COUNT pairs, COUNT instances of M x M per seed")
+    d.add_argument("--part", choices=(*PARTS, "both"), default="both",
+                   help="run only sve_circuit or only the projections (default: both)")
     c = sub.add_parser("compare", help="compare two dumps")
     c.add_argument("before", type=Path)
     c.add_argument("after", type=Path)
     args = parser.parse_args(argv)
     if args.command == "dump":
         sizes = [tuple(int(v) for v in s.split(":")) for s in args.sizes]
-        records = dump(args.checkout, args.seeds, sizes)
+        parts = PARTS if args.part == "both" else (args.part,)
+        records = dump(args.checkout, args.seeds, sizes, parts)
         args.out.write_text(json.dumps(records), encoding="utf-8")
         print(f"{len(records)} instances -> {args.out}")
         return 0
