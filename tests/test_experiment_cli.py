@@ -315,7 +315,7 @@ class TestCliSve:
         assert capsys.readouterr().out == first
 
     def test_circuit_span_cap_is_input_error(self, tmp_path, capsys):
-        # 2 x 2048 keeps the kernel table small on a 5-bit grid, but the span
+        # 2 x 2048 keeps the median table small on a 5-bit grid, but the span
         # decomposition's SVD would hold n^2 + 2 mn = 4,202,496 > 2^22 entries.
         store_path = tmp_path / "wide.qrst"
         MatrixStore.from_dense(np.hstack([np.eye(2), np.zeros((2, 2046))])).save(store_path)
