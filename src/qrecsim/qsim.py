@@ -476,7 +476,7 @@ class CircuitSve:
         near = np.sin((theta - angle) / 2.0) ** 2
         far = u[:, 1] * (near + np.sin((theta + angle) / 2.0) ** 2) < near
         bins = np.where(far, self.grid.size - f, f) % self.grid.size
-        return bins, self.grid.theta_of(f), table.sigma[f]
+        return bins, angle, table.sigma[f]
 
     def estimates_given(self, table: FlagTable, kept: np.ndarray, rng: np.random.Generator):
         """sigma_est per carrying group, drawn from its boosted median's law
