@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -83,29 +82,15 @@ class ProjectionComponent(NamedTuple):
 
 @dataclass(frozen=True)
 class ProjectionOutcome:
-    """Survivor state plus the run's bookkeeping.
-
-    The component columns hold one entry per component (right singular
-    index on the exact path, carrying phase group on the circuit path),
-    named as ProjectionComponent's fields; ``components`` builds the rows
-    once, on first read.
-    """
+    """Survivor state plus the run's bookkeeping."""
 
     state: np.ndarray
     iterations: int
     beta_sq: float
-    index: np.ndarray
-    amplitude: np.ndarray
-    sigma: np.ndarray
-    sigma_est: np.ndarray
-    kept: np.ndarray
-
-    @cached_property
-    def components(self) -> tuple[ProjectionComponent, ...]:
-        return component_rows(ProjectionComponent, self)
+    components: tuple[ProjectionComponent, ...]
 
     def kept_indices(self) -> list[int]:
-        return self.index[self.kept].tolist()
+        return [c.index for c in self.components if c.kept]
 
 
 def default_max_iterations(n: int, beta_sq: float) -> int:
@@ -185,12 +170,13 @@ def attempts_until_success(
 
 def exact_kept_components(
     f: SvdFactorization, x, params: ProjectionParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(alpha, estimate, kept) per right basis direction: the input's
-    overlaps and each direction's deterministic fate."""
+) -> tuple[tuple[ProjectionComponent, ...], np.ndarray, np.ndarray]:
+    """Deterministic component fates plus (alpha, kept mask) working arrays."""
     alpha = f.v.T @ unit_vector(x, f.shape[1])
     estimates = estimated_spectrum(f, params)
-    return alpha, estimates, params.keeps(estimates)
+    kept = params.keeps(estimates)
+    cols = (np.arange(kept.size), np.abs(alpha), f.column_sigma(), estimates, kept)
+    return component_rows(ProjectionComponent, *cols), alpha, kept
 
 
 def threshold_project(
@@ -216,15 +202,14 @@ def threshold_project(
 def _project_exact(
     f: SvdFactorization, x, params: ProjectionParams, rng: np.random.Generator
 ) -> ProjectionOutcome:
-    alpha, estimates, kept = exact_kept_components(f, x, params)
+    comps, alpha, kept = exact_kept_components(f, x, params)
     beta_sq, state = kept_state(f.v[:, kept], alpha[kept])
     limit = params.retry_limit(f.shape[1], beta_sq)
     return ProjectionOutcome(
         state=state,
         iterations=attempts_until_success(lambda: beta_sq, beta_sq, limit, rng),
         beta_sq=beta_sq,
-        index=np.arange(kept.size), amplitude=np.abs(alpha), sigma=f.column_sigma(),
-        sigma_est=estimates, kept=kept,
+        components=comps,
     )
 
 
@@ -251,10 +236,10 @@ def _project_circuit(
     iterations = attempts_until_success(attempt, beta_guess, limit, rng)
     sigma_est = est.estimates_given(table, kept, rng)
     out = est.survivor(g[kept])
+    cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], sigma_est, kept)
     return ProjectionOutcome(
         state=out / np.linalg.norm(out),
         iterations=iterations,
         beta_sq=beta_sq,
-        index=g, amplitude=np.sqrt(est.weights[g]), sigma=est.groups.sigma[g],
-        sigma_est=sigma_est, kept=kept,
+        components=component_rows(ProjectionComponent, *cols),
     )

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +40,8 @@ from .store import MatrixStore
 
 # Hard ceiling on the float64 entries one circuit-path allocation may hold: the
 # phase groups' SVD (V, the reduced U and LAPACK's copy of A~, n^2 + 2 mn) and
-# each of a grid's two median-table arrays (groups x (2^(t-1) + 1)).
+# each of a grid's two median-table arrays (groups x (2^(t-1) + 1)), capped one
+# by one, so a median table may hold up to twice the cap in all.
 REGISTER_CAP = 1 << 22
 # Temporary entries per block of kernel rows: the median table is built a few
 # rows at a time, one row at a time once a row alone is this large.
@@ -140,12 +140,13 @@ class WalkOperator:
         row g of ``cdf``. Row g of ``keys`` (raveled) is F_med + g, so one
         searchsorted inverts every group's F_med; the offset costs at most
         log2(groups) bits of resolution, about 2e-13 at 1,024 groups, while
-        ``cdf`` keeps F_med exact. Built KERNEL_BLOCK kernel entries at a
-        time; only the latest grid's table is held. Raises RegisterCapError
+        ``cdf`` keeps F_med exact for a new cut's q. The two arrays hold
+        groups x (N/2 + 1) entries each. Built KERNEL_BLOCK kernel entries at
+        a time; only the latest grid's table is held. Raises RegisterCapError
         first when groups x (N/2 + 1) exceeds REGISTER_CAP.
         """
         if self._median is None or self._median[0] != grid:
-            self._median = self._flags = None  # free the last grid's tables first
+            self._median = None  # free the last grid's table before allocating
             thetas = self.phase_groups().theta
             folded = grid.size // 2 + 1
             _check_allocation("register", len(thetas) * folded)
@@ -168,10 +169,13 @@ class WalkOperator:
         prefix since the estimate falls as the phase rises, and ``q[g]`` is
         F_med at the last kept bin, read from the exact ``cdf``: the chance
         that g's median estimate is kept. A new cut reuses the grid's median
-        table; only the latest cut is held.
+        table. Only the latest cut is held, in its own slot: it keeps its
+        grid's keys and sigma while estimation moves the median table to
+        another grid.
         """
-        median = self.median_table(grid)
         if self._flags is None or self._flags[0] != (grid, params.cut):
+            self._flags = None
+            median = self.median_table(grid)
             kept_bins = int(np.count_nonzero(params.keeps(median.sigma)))
             q = median.cdf[:, kept_bins - 1].copy() if kept_bins else np.zeros(len(median.cdf))
             self._flags = ((grid, params.cut), FlagTable(median.sigma, kept_bins, q, median.keys))
@@ -388,30 +392,16 @@ class SveComponent(NamedTuple):
     sigma_est: float
 
 
-def component_rows(kind, columns) -> tuple:
-    """One ``kind`` per component, built from the Python scalars of the
-    column arrays that ``columns`` holds under ``kind``'s field names."""
-    return tuple(map(kind, *(getattr(columns, name).tolist() for name in kind._fields)))
+def component_rows(kind, *cols) -> tuple:
+    """One ``kind`` per index of the equal-length column arrays, built from
+    their entries as Python scalars."""
+    return tuple(kind(*row) for row in zip(*(c.tolist() for c in cols)))
 
 
 @dataclass(frozen=True)
 class SveOutput:
-    """Estimated components as columns, one entry per component, named as
-    SveComponent's fields; ``components`` builds the rows once, on first
-    read."""
-
+    components: tuple[SveComponent, ...]
     grid: PhaseGrid
-    index: np.ndarray
-    amplitude: np.ndarray
-    sigma: np.ndarray
-    theta: np.ndarray
-    bin: np.ndarray
-    theta_est: np.ndarray
-    sigma_est: np.ndarray
-
-    @cached_property
-    def components(self) -> tuple[SveComponent, ...]:
-        return component_rows(SveComponent, self)
 
 
 def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
@@ -425,9 +415,10 @@ def sve_exact(f: SvdFactorization, x, eps: float) -> SveOutput:
     alpha = f.v.T @ unit_vector(x, f.shape[1])
     thetas = eigenphases(f)
     bins = grid.bin_of(thetas)
-    return SveOutput(grid=grid, index=np.arange(thetas.size), amplitude=np.abs(alpha),
-                     sigma=f.column_sigma(), theta=thetas, bin=bins,
-                     theta_est=grid.theta_of(bins), sigma_est=grid.sigma_of(bins, fro))
+    cols = (np.arange(thetas.size), np.abs(alpha), f.column_sigma(), thetas, bins,
+            grid.theta_of(bins), grid.sigma_of(bins, fro))
+    comps = component_rows(SveComponent, *cols)
+    return SveOutput(components=comps, grid=grid)
 
 
 class CircuitSve:
@@ -509,10 +500,9 @@ def sve_circuit(wop: WalkOperator, x, eps: float, rng: np.random.Generator) -> S
     """
     est = CircuitSve(wop, x, PhaseGrid.for_sigma_precision(eps))
     g = est.carrying
-    bins, theta_est, sigma_est = est.round(rng)
-    return SveOutput(grid=est.grid, index=g, amplitude=np.sqrt(est.weights[g]),
-                     sigma=est.groups.sigma[g], theta=est.groups.theta[g], bin=bins,
-                     theta_est=theta_est, sigma_est=sigma_est)
+    cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], est.groups.theta[g], *est.round(rng))
+    comps = component_rows(SveComponent, *cols)
+    return SveOutput(components=comps, grid=est.grid)
 
 
 def factorization_of(source) -> SvdFactorization:

@@ -378,16 +378,17 @@ def median_bin(bins: np.ndarray, thetas: np.ndarray):
 
 
 def sequential_round(
-    cdf: np.ndarray, thetas, weights, grid: PhaseGrid, rng: np.random.Generator
+    thetas, weights, m: int, n: int, grid: PhaseGrid, rng: np.random.Generator
 ) -> list[tuple[int, int, float]]:
     """(group, median bin, its folded phase) for each group carrying weight,
-    drawing each group's median in turn: one uniform inverts its row of the
-    median CDF ``cdf`` to a folded bin f, and a second picks bin N - f over f
-    in proportion to their ``qpe_bin_probabilities`` masses."""
+    drawing each group's median in turn: one uniform inverts its
+    ``folded_median_cdf`` to a folded bin f, and a second picks bin N - f
+    over f in proportion to their ``qpe_bin_probabilities`` masses."""
     out = []
     for gid, (theta, weight) in enumerate(zip(thetas, weights)):
         if weight >= COMPONENT_TOL**2:
-            f = min(int(cdf[gid].searchsorted(rng.random(), side="right")), grid.size // 2)
+            cdf = folded_median_cdf(theta, grid, boost_rounds(m, n))
+            f = min(int(cdf.searchsorted(rng.random(), side="right")), grid.size // 2)
             mass = qpe_bin_probabilities(theta, grid)
             away = mass[(grid.size - f) % grid.size]
             far = rng.random() * (mass[f] + away) < away
@@ -515,14 +516,19 @@ def circuit_projection_law(
     return CircuitProjectionLaw(groups, q, kept_sets, products / z, 1.0 / z)
 
 
-def folded_median_law(theta: float, grid: PhaseGrid, rounds: int) -> np.ndarray:
-    """P(the median of ``rounds`` single-round draws lands on folded bin f),
-    f = 0 .. N/2, where bins b and N - b fold onto min(b, N - b)."""
+def folded_median_cdf(theta: float, grid: PhaseGrid, rounds: int) -> np.ndarray:
+    """P(the median of ``rounds`` single-round draws lands at or below folded
+    bin f), f = 0 .. N/2, where bins b and N - b fold onto min(b, N - b): the
+    binomial tail of the folded single-draw CDF."""
     bins = np.arange(grid.size)
     folded = np.bincount(np.minimum(bins, grid.size - bins),
                          weights=qpe_bin_probabilities(theta, grid))
-    cdf = stats.binom.sf((rounds + 1) // 2 - 1, rounds, np.clip(np.cumsum(folded), 0.0, 1.0))
-    return np.diff(cdf, prepend=0.0)
+    return stats.binom.sf((rounds + 1) // 2 - 1, rounds, np.clip(np.cumsum(folded), 0.0, 1.0))
+
+
+def folded_median_law(theta: float, grid: PhaseGrid, rounds: int) -> np.ndarray:
+    """P(the median of ``rounds`` single-round draws lands on folded bin f)."""
+    return np.diff(folded_median_cdf(theta, grid, rounds), prepend=0.0)
 
 
 @dataclass(frozen=True)

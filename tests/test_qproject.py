@@ -150,19 +150,13 @@ class TestKeptSet:
         assert mask[0] and not mask[2]  # middle value 1.75 may go either way
 
     def test_component_bookkeeping(self):
-        alpha, estimates, kept = exact_kept_components(svd(GAP), GAP_X, GAP_PARAMS)
-        assert kept.tolist() == [True, False]
-        assert np.abs(alpha) == pytest.approx([np.sqrt(0.3), np.sqrt(0.7)], abs=1e-12)
-        assert estimates[0] >= GAP_PARAMS.cut > estimates[1]
-        assert float(np.sum(alpha[kept] ** 2)) == pytest.approx(0.3, abs=1e-12)
-        out = threshold_project(GAP, GAP_X, GAP_PARAMS, np.random.default_rng(0))
-        comps = out.components
+        comps, alpha, kept = exact_kept_components(svd(GAP), GAP_X, GAP_PARAMS)
         assert [c.index for c in comps] == [0, 1]
         assert comps[0].kept and not comps[1].kept
         assert comps[0].amplitude == pytest.approx(np.sqrt(0.3), abs=1e-12)
         assert comps[1].amplitude == pytest.approx(np.sqrt(0.7), abs=1e-12)
         assert comps[0].sigma == pytest.approx(3.0, rel=1e-12)
-        assert out.components is comps and out.kept_indices() == [0]
+        assert float(np.sum(alpha[kept] ** 2)) == pytest.approx(0.3, abs=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(MatrixError):

@@ -836,13 +836,12 @@ class TestCircuitDraws:
         w = WalkOperator.from_dense(a)
         grid = PhaseGrid(6 + seed)
         est = CircuitSve(w, x, grid)
-        cdf = w.median_table(grid).cdf
         thetas = est.groups.theta.tolist()
         batched, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
             bins, theta_est, _ = est.round(batched)
             got = list(zip(est.carrying.tolist(), bins.tolist(), theta_est.tolist()))
-            want = sequential_round(cdf, thetas, est.weights, grid, sequential)
+            want = sequential_round(thetas, est.weights, w.m, w.n, grid, sequential)
             assert got == want
         assert batched.random() == sequential.random()
 
@@ -953,6 +952,12 @@ class TestCircuitDraws:
         assert built == thetas
         built.clear()
         CircuitSve(w, x, PhaseGrid(8)).round(rng)
+        assert built == []
+        # The flag table keeps its own slot: projections on grid 7 between
+        # estimations on grid 8 rebuild neither.
+        for _ in range(2):
+            w.flag_table(PhaseGrid(7), ProjectionParams(sigma=0.5 * w.fro))
+            CircuitSve(w, x, PhaseGrid(8)).round(rng)
         assert built == []
 
 
