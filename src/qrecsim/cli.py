@@ -11,6 +11,7 @@ user, 4 empty projection, 5 hard invariant failure in an experiment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -145,7 +146,7 @@ def cmd_recommend(args) -> int:
 def cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        config = ExperimentConfig.from_dict({**config.__dict__, "seed": _seed_of(args)})
+        config = dataclasses.replace(config, seed=_seed_of(args))
     report, rows = run_experiment(config)
     write_report(report, args.out)
     if args.csv:

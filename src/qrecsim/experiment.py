@@ -111,10 +111,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, list[dict]]:
 
     sub_params = derive_params(truth, config.k, eps_k, p=config.p)
     sampled = subsample(truth, sub_params.p, stream(seed, "subsample"))
-    store = MatrixStore.from_dense(sampled) if sampled.any() else None
-    if store is None:
+    if not sampled.any():
         raise MatrixError("subsample kept no entries; raise p or the matrix mass")
-    fro_hat = store.frobenius_norm()
+    fro_hat = MatrixStore.from_dense(sampled).frobenius_norm()
     sigma = recommendation_sigma(eps_k, sub_params.p, config.k, fro_hat)
     params = ProjectionParams(sigma=sigma, kappa=config.kappa)
 

@@ -12,7 +12,7 @@ On the exact path the estimates round the true phases, so the kept set is a
 function of the factorization alone (``kept_mask``); an input only adds its
 overlaps, and exact-path callers share ``kept_state``. On the circuit path
 each attempt keeps each group with the probability that its boosted median
-estimate reaches the cut, read from the walk's flag table, so each attempt
+estimate reaches the cut, read from the walk's median table, so each attempt
 resamples the kept set; the estimates are drawn once, after success, given
 the flags. Both paths run their attempts through ``attempts_until_success``.
 """
@@ -217,10 +217,9 @@ def _project_circuit(
     wop: WalkOperator, x, params: ProjectionParams, rng: np.random.Generator
 ) -> ProjectionOutcome:
     grid = projection_grid(params, wop.fro)
-    est = CircuitSve(wop, x, grid)
-    table = wop.flag_table(grid, params)
+    est = CircuitSve(wop, x, grid, params)
     g = est.carrying
-    odds = table.q[g]
+    odds = est.table.q[g]
     # A rough retry budget from the weight on groups whose true sigma reaches
     # the cut keeps the loop finite; realized kept sets vary only in the band.
     beta_guess = float(np.sum(est.weights[est.groups.sigma >= params.cut]))
@@ -234,7 +233,7 @@ def _project_circuit(
 
     limit = params.retry_limit(wop.n, beta_guess)
     iterations = attempts_until_success(attempt, beta_guess, limit, rng)
-    sigma_est = est.estimates_given(table, kept, rng)
+    sigma_est = est.estimates_given(kept, rng)
     out = est.survivor(g[kept])
     cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], sigma_est, kept)
     return ProjectionOutcome(

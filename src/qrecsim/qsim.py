@@ -21,9 +21,9 @@ boosted estimate, the median of iid single-round phase-register outcomes
 from that median's exact law (``WalkOperator.median_table``), reproducing
 the statistics of the quantum procedure without 2^t-fold register blowup
 per boosting round. A projection reads only whether each group's median
-reaches the cut, so it draws that flag from its exact probability instead
-(``WalkOperator.flag_table``). The SVD and the table, all that the
-simulator allocates, are capped.
+reaches the cut, so it draws that flag from its exact probability instead,
+which the table holds when it is built for that cut. The SVD and the table,
+all that the simulator allocates, are capped.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .store import MatrixStore
 
 # Hard ceiling on the float64 entries one circuit-path allocation may hold: the
 # phase groups' SVD (V, the reduced U and LAPACK's copy of A~, n^2 + 2 mn) and
-# each of a grid's two median-table arrays (groups x (2^(t-1) + 1)), capped one
-# by one, so a median table may hold up to twice the cap in all.
+# a grid's median table (groups x (2^(t-1) + 1)).
 REGISTER_CAP = 1 << 22
 # Temporary entries per block of kernel rows: the median table is built a few
 # rows at a time, one row at a time once a row alone is this large.
@@ -85,8 +84,7 @@ class WalkOperator:
         self.fro = float(fro)
         self.m, self.n = row_states.shape
         self._groups: PhaseTable | None = None
-        self._median: tuple[PhaseGrid, MedianTable] | None = None
-        self._flags: tuple[tuple[PhaseGrid, float], FlagTable] | None = None
+        self._median: MedianTable | None = None
 
     @classmethod
     def from_store(cls, store: MatrixStore) -> "WalkOperator":
@@ -128,76 +126,62 @@ class WalkOperator:
             )
         return self._groups
 
-    def median_table(self, grid: PhaseGrid) -> MedianTable:
+    def median_table(self, grid: PhaseGrid, params=None) -> MedianTable:
         """The law of each group's median of boost_rounds(m, n) draws on a
-        grid, built once per grid.
+        grid, cut by ``params`` (a ProjectionParams) when given.
 
         Folded bin f in [0, N/2] holds bins f and N - f, at phase f * width,
         and ``sigma`` holds its ``grid.sigma_of``. With F_g(f) group g's
         single-draw kernel mass on folded bins up to f, and S_g(f) = 1 -
         F_g(f) its mass above f, the median of r draws lands at or below f
-        with probability F_med(f) = P(Binomial(r, F_g(f)) >= (r + 1) / 2):
-        row g of ``cdf``. Row g of ``keys`` (raveled) is F_med + g, so one
-        searchsorted inverts every group's F_med; the offset costs at most
-        log2(groups) bits of resolution, about 2e-13 at 1,024 groups, while
-        ``cdf`` keeps F_med exact for a new cut's q. The two arrays hold
-        groups x (N/2 + 1) entries each. Built KERNEL_BLOCK kernel entries at
-        a time; only the latest grid's table is held. Raises RegisterCapError
-        first when groups x (N/2 + 1) exceeds REGISTER_CAP.
-        """
-        if self._median is None or self._median[0] != grid:
-            self._median = None  # free the last grid's table before allocating
-            thetas = self.phase_groups().theta
-            folded = grid.size // 2 + 1
-            _check_allocation("register", len(thetas) * folded)
-            cdf = np.empty((len(thetas), folded))
-            rounds = boost_rounds(self.m, self.n)
-            rows = max(1, KERNEL_BLOCK // grid.size)
-            for lo in range(0, len(thetas), rows):
-                mass = qpe_bin_probabilities(thetas[lo : lo + rows], grid)
-                cdf[lo : lo + len(mass)] = _median_cdf(mass, rounds)
-            keys = (cdf + np.arange(len(thetas))[:, None]).ravel()
-            sigma = grid.sigma_of(np.arange(folded), self.fro)
-            self._median = (grid, MedianTable(sigma, cdf, keys))
-        return self._median[1]
+        with probability F_med(f) = P(Binomial(r, F_g(f)) >= (r + 1) / 2).
+        Row g of ``keys`` (raveled) is F_med + g, so one searchsorted inverts
+        every group's F_med; the offset costs at most log2(groups) bits of
+        resolution, about 2e-13 at 1,024 groups. ``kept_bins`` counts the
+        folded bins whose sigma passes the ``keeps`` flag rule of ``params``
+        (0 without them), a prefix since the estimate falls as the phase
+        rises, and ``q[g]`` is F_med at the last kept bin, read before the
+        offset is added: the chance that g's median estimate is kept.
 
-    def flag_table(self, grid: PhaseGrid, params) -> FlagTable:
-        """The median table on a grid cut by ``params`` (a ProjectionParams:
-        its ``keeps`` flag rule, cached by its ``cut``).
-
-        ``kept_bins`` counts the folded bins whose sigma passes the rule, a
-        prefix since the estimate falls as the phase rises, and ``q[g]`` is
-        F_med at the last kept bin, read from the exact ``cdf``: the chance
-        that g's median estimate is kept. A new cut reuses the grid's median
-        table. Only the latest cut is held, in its own slot: it keeps its
-        grid's keys and sigma while estimation moves the median table to
-        another grid.
+        Built KERNEL_BLOCK kernel entries at a time, straight into ``keys``.
+        The walk holds one table: a request on its grid reuses it unless it
+        names another cut, and any other request frees it before allocating.
+        Raises RegisterCapError first when groups x (N/2 + 1) exceeds
+        REGISTER_CAP.
         """
-        if self._flags is None or self._flags[0] != (grid, params.cut):
-            self._flags = None
-            median = self.median_table(grid)
-            kept_bins = int(np.count_nonzero(params.keeps(median.sigma)))
-            q = median.cdf[:, kept_bins - 1].copy() if kept_bins else np.zeros(len(median.cdf))
-            self._flags = ((grid, params.cut), FlagTable(median.sigma, kept_bins, q, median.keys))
-        return self._flags[1]
+        cut = None if params is None else params.cut
+        held = self._median
+        if held is not None and held.grid == grid and (cut is None or cut == held.cut):
+            return held
+        self._median = None  # free the held table before allocating
+        thetas = self.phase_groups().theta
+        folded = grid.size // 2 + 1
+        _check_allocation("register", len(thetas) * folded)
+        sigma = grid.sigma_of(np.arange(folded), self.fro)
+        kept_bins = 0 if params is None else int(np.count_nonzero(params.keeps(sigma)))
+        keys = np.empty(len(thetas) * folded)
+        cdf = keys.reshape(len(thetas), folded)
+        rounds = boost_rounds(self.m, self.n)
+        rows = max(1, KERNEL_BLOCK // grid.size)
+        for lo in range(0, len(thetas), rows):
+            mass = qpe_bin_probabilities(thetas[lo : lo + rows], grid)
+            cdf[lo : lo + len(mass)] = _median_cdf(mass, rounds)
+        q = cdf[:, kept_bins - 1].copy() if kept_bins else np.zeros(len(thetas))
+        cdf += np.arange(len(thetas))[:, None]
+        self._median = MedianTable(grid, cut, sigma, keys, kept_bins, q)
+        return self._median
 
 
 class MedianTable(NamedTuple):
-    """A walk's median table on one grid (``WalkOperator.median_table``)."""
+    """A walk's median table on one grid, cut at ``cut`` (None when uncut;
+    ``WalkOperator.median_table``)."""
 
+    grid: PhaseGrid
+    cut: float | None
     sigma: np.ndarray
-    cdf: np.ndarray
     keys: np.ndarray
-
-
-class FlagTable(NamedTuple):
-    """A walk's flag table on one grid and cut (``WalkOperator.flag_table``):
-    ``sigma`` and ``keys`` are the grid's median table's."""
-
-    sigma: np.ndarray
     kept_bins: int
     q: np.ndarray
-    keys: np.ndarray
 
 
 def _group_phases(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -426,26 +410,26 @@ class CircuitSve:
 
     Construction does the per-input work once: the coordinates V^T x of
     |Q x> in the walk's planes, the group weights, and the groups that carry
-    weight; the true singular values are the phase table's. The walk's
-    tables are looked up only by the draws that read them. ``round`` is one
-    boosted estimation, each carrying group's median drawn from its law in
-    the walk's median table. A projection reads only whether each median
-    passes the flag rule; it draws the flags from the walk's flag table, and
+    weight; the true singular values are the phase table's. It then takes
+    the walk's median table on the grid, cut by ``params`` for a projection.
+    ``round`` is one boosted estimation, each carrying group's median drawn
+    from its law in the table. A projection reads only whether each median
+    passes the flag rule; it draws the flags from the table's ``q``, and
     then ``estimates_given``.
     """
 
-    def __init__(self, wop: WalkOperator, x, grid: PhaseGrid):
-        self.wop, self.grid = wop, grid
+    def __init__(self, wop: WalkOperator, x, grid: PhaseGrid, params=None):
+        self.grid = grid
         self.groups = wop.phase_groups()
         self.coords = self.groups.v.T @ unit_vector(x, wop.n)
         self.weights = np.add.reduceat(self.coords**2, self.groups.start)
         self.carrying = np.flatnonzero(self.weights >= COMPONENT_TOL**2)
+        self.table = wop.median_table(grid, params)
 
-    def _median_bins(self, table, u: np.ndarray) -> np.ndarray:
-        """Each carrying group's first folded bin whose F_med, in the median
-        or flag ``table``, exceeds u."""
+    def _median_bins(self, u: np.ndarray) -> np.ndarray:
+        """Each carrying group's first folded bin whose F_med exceeds u."""
         g = self.carrying
-        return table.keys.searchsorted(g + u, side="right") - g * len(table.sigma)
+        return self.table.keys.searchsorted(g + u, side="right") - g * len(self.table.sigma)
 
     def round(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bin, theta_est, sigma_est) arrays, one entry per carrying group.
@@ -460,23 +444,24 @@ class CircuitSve:
         numerator is the same for every bin, so the chance is s^2 / (s^2 +
         s'^2) with s = sin((theta - f w) / 2) and s' = sin((theta + f w) / 2).
         """
-        table = self.wop.median_table(self.grid)
+        sigma = self.table.sigma
         u = rng.random((len(self.carrying), 2))
-        f = np.minimum(self._median_bins(table, u[:, 0]), len(table.sigma) - 1)
+        f = np.minimum(self._median_bins(u[:, 0]), len(sigma) - 1)
         theta, angle = self.groups.theta[self.carrying], f * self.grid.width
         near = np.sin((theta - angle) / 2.0) ** 2
         far = u[:, 1] * (near + np.sin((theta + angle) / 2.0) ** 2) < near
         bins = np.where(far, self.grid.size - f, f) % self.grid.size
-        return bins, angle, table.sigma[f]
+        return bins, angle, sigma[f]
 
-    def estimates_given(self, table: FlagTable, kept: np.ndarray, rng: np.random.Generator):
+    def estimates_given(self, kept: np.ndarray, rng: np.random.Generator):
         """sigma_est per carrying group, drawn from its boosted median's law
         given its flag in ``kept``: one uniform u per group inverts F_med at
         u q on the kept side and at q + u (1 - q) past it, and the folded bin
         is clamped to its flag's side of the cut."""
+        table = self.table
         q = table.q[self.carrying]
         u = rng.random(len(q))
-        f = self._median_bins(table, np.where(kept, u * q, q + u * (1.0 - q)))
+        f = self._median_bins(np.where(kept, u * q, q + u * (1.0 - q)))
         low = np.where(kept, 0, table.kept_bins)
         high = np.where(kept, table.kept_bins, len(table.sigma)) - 1
         return table.sigma[np.minimum(np.maximum(f, low), high)]

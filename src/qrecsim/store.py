@@ -63,7 +63,9 @@ class TreeTable:
     inserted zero is a held zero-weight leaf, so the set of populated cells
     is part of the state. Single-entry reads and writes go through a flat
     memoryview of ``nodes`` in Python floats; bulk loads write the arrays
-    and call ``fill``.
+    and call ``fill``. Each of these takes tree i as row i of ``nodes`` and
+    rejects an i outside [0, count), which would read or write another
+    tree's row.
     """
 
     __slots__ = ("count", "size", "depth", "nodes", "signs", "held", "_flat", "_signs", "_held")
@@ -87,13 +89,18 @@ class TreeTable:
         return self.nodes[:, first : first + self.size]
 
     def root(self, i: int) -> float:
+        if not 0 <= i < self.count:
+            raise MatrixError(f"row index {i} outside [0, {self.count})")
         return self._flat[i * (2 << self.depth) + 1]
 
     def amplitude(self, i: int, j: int) -> float:
         """Signed entry value sign_j * sqrt(weight_j) of tree i."""
-        return float(self.signs[i, j] * np.sqrt(self.leaves[i, j]))
+        weight, sign, _ = self.leaf(i, j)
+        return float(sign * np.sqrt(weight))
 
     def node_weight(self, i: int, t: int, prefix: int) -> float:
+        if not 0 <= i < self.count:
+            raise MatrixError(f"row index {i} outside [0, {self.count})")
         if not 0 <= t <= self.depth:
             raise MatrixError(f"depth {t} outside [0, {self.depth}]")
         if not 0 <= prefix < (1 << t):
@@ -107,6 +114,8 @@ class TreeTable:
         carried up the path, one sibling read per level; each ancestor is
         left child + right child bit for bit (see the module docstring).
         """
+        if not 0 <= i < self.count:
+            raise MatrixError(f"row index {i} outside [0, {self.count})")
         if not 0 <= j < self.size:
             raise MatrixError(f"leaf index {j} outside [0, {self.size})")
         if not math.isfinite(weight) or weight < 0.0:
@@ -125,6 +134,8 @@ class TreeTable:
 
     def leaf(self, i: int, j: int) -> tuple[float, int, bool]:
         """Leaf j of tree i as (weight, sign, held), as ``restore`` takes it."""
+        if not 0 <= i < self.count:
+            raise MatrixError(f"row index {i} outside [0, {self.count})")
         if not 0 <= j < self.size:
             raise MatrixError(f"leaf index {j} outside [0, {self.size})")
         k = i * self.size + j
@@ -153,6 +164,8 @@ class TreeTable:
         ``left``), it takes the positive sibling, so the drawn leaf always
         has positive weight.
         """
+        if not 0 <= i < self.count:
+            raise MatrixError(f"row index {i} outside [0, {self.count})")
         width = 2 << self.depth
         tree = self._flat[i * width : (i + 1) * width]
         if tree[1] <= 0.0:
@@ -248,7 +261,6 @@ class MatrixStore:
         in the norm tree. Raises MatrixError when the new ||A||_F^2
         overflows, and leaves the store exactly as it was.
         """
-        self._check_row(i)
         rows, norm = self.rows, self.norm_tree
         old = rows.leaf(i, j)
         touches = rows.insert(i, j, value)
@@ -271,7 +283,6 @@ class MatrixStore:
     # -- queries ---------------------------------------------------------
 
     def row_norm(self, i: int) -> float:
-        self._check_row(i)
         return float(np.sqrt(self.rows.root(i)))
 
     def frobenius_sq(self) -> float:
@@ -317,7 +328,6 @@ class MatrixStore:
 
     def l2_sample_in_row(self, i: int, rng: np.random.Generator) -> int:
         """Column j with probability A_ij^2 / ||A_i||^2."""
-        self._check_row(i)
         return self.rows.sample(i, rng)
 
     def l2_sample_row_index(self, rng: np.random.Generator) -> int:

@@ -4,15 +4,20 @@ import contextlib
 import csv
 import io
 import json
+import os
+import runpy
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrecsim import experiment, recsys
+from qrecsim import __version__, experiment, recsys
 from qrecsim.cli import (
     EXIT_COLD_START,
     EXIT_ERROR,
@@ -38,6 +43,27 @@ from qrecsim.store import MAX_INGEST_DIM, MatrixStore
 SMALL = dict(
     m=24, n=24, k=2, noise=0.02, p=0.8, users=6, recs_per_user=10, delta=0.8, seed=77
 )
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def assert_close_report(a, b, rel: float, path: str = "") -> None:
+    """``a`` and ``b`` hold the same keys, lengths, integers, flags and
+    strings, and floats within ``rel`` of each other, relative."""
+    assert type(a) is type(b), path
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            assert_close_report(a[key], b[key], rel, f"{path}/{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_close_report(x, y, rel, f"{path}[{k}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= rel * max(abs(a), abs(b)), (path, a, b)
+    else:
+        assert a == b, (path, a, b)
 
 
 def write_triplets(path, matrix):
@@ -120,6 +146,27 @@ class TestRunExperiment:
         r2.pop("created")
         assert report_to_json(r1) == report_to_json(r2)
         assert rows1 == rows2
+
+    def test_blas_thread_count_moves_only_float_last_bits(self):
+        # A report is bit for bit only for a fixed numpy/BLAS build and thread
+        # count: BLAS splits its sums by thread. At 256 x 256 (seed 801) one
+        # and two threads differ in 71 float fields, by at most 1.6e-15
+        # relative; every integer, flag and string agrees.
+        script = (
+            "import json, sys\n"
+            "from qrecsim.experiment import ExperimentConfig, run_experiment\n"
+            "report, rows = run_experiment(ExperimentConfig(m=256, n=256, seed=801))\n"
+            "report.pop('created')\n"
+            "json.dump([report, rows], sys.stdout)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, **dict.fromkeys(BLAS_THREAD_VARS, threads)}
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True)
+            runs.append(json.loads(proc.stdout))
+        assert_close_report(*runs, rel=1e-12)
 
     def test_seed_changes_instance(self):
         r1, _ = run_experiment(ExperimentConfig(**SMALL))
@@ -598,6 +645,17 @@ class TestCliMisc:
             main(["--version"])
         assert info.value.code == 0
         assert "qrecsim" in capsys.readouterr().out
+
+    def test_module_runs_main(self, monkeypatch, capsys):
+        # In process, so that a line tracer sees the ``__main__`` guard run.
+        # The module is dropped from sys.modules first: runpy warns when the
+        # module it runs is already imported.
+        monkeypatch.delitem(sys.modules, "qrecsim.cli")
+        monkeypatch.setattr(sys, "argv", ["qrecsim", "--version"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("qrecsim.cli", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"qrecsim {__version__}\n"
 
     @pytest.mark.parametrize(
         "command",

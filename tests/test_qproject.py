@@ -304,7 +304,7 @@ class TestCircuitPath:
 
     def test_default_experiment_store(self, default_context_input):
         # The default 64 x 64 config needs an 11-bit grid: mn * 2^11 is over
-        # REGISTER_CAP, but the walk's median table holds n * (2^10 + 1) per array.
+        # REGISTER_CAP, but the walk's median table holds n * (2^10 + 1) keys.
         a, params = default_context_input
         wop = WalkOperator.from_store(MatrixStore.from_dense(a))
         grid = projection_grid(params, wop.fro)
@@ -313,7 +313,7 @@ class TestCircuitPath:
         for row in np.flatnonzero(a.any(axis=1))[:4]:
             out = threshold_project(wop, a[row], params, rng, path="circuit")
             assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-12)
-        assert wop.median_table(grid).cdf.size <= wop.n * (grid.size // 2 + 1) <= REGISTER_CAP
+        assert wop.median_table(grid).keys.size <= wop.n * (grid.size // 2 + 1) <= REGISTER_CAP
 
     def test_gap_instance_matches_exact(self):
         wop = WalkOperator.from_dense(GAP)

@@ -12,7 +12,7 @@ import pytest
 import qrecsim.qsim as qsim
 from qrecsim.errors import EmptyRowError, MatrixError, RegisterCapError
 from qrecsim.linalg import svd, unit_vector
-from qrecsim.qproject import ProjectionParams
+from qrecsim.qproject import ProjectionParams, projection_grid, threshold_project
 from qrecsim.qsim import (
     COMPONENT_TOL,
     COS_TOL,
@@ -798,18 +798,19 @@ class TestSpanDecomposition:
 
     def test_median_table_is_built_in_place(self):
         # 64 groups x (2^15 + 1) folded bins of a 16-bit grid; building the
-        # table holds its two arrays, plus one group's scratch at a time.
+        # table holds its keys, plus one group's kernel scratch at a time.
+        # The build peaks at 1.27 times the keys.
         w = WalkOperator.from_dense(random_full_matrix(61, 64, 64))
         w.phase_groups()
         grid = PhaseGrid(16)
         tracemalloc.start()
         try:
-            table = w.median_table(grid)
+            table = w.median_table(grid, ProjectionParams(sigma=0.3 * w.fro))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table.cdf.shape == (len(w.phase_groups()), grid.size // 2 + 1)
-        assert peak < 1.25 * (table.cdf.nbytes + table.keys.nbytes)
+        assert table.keys.size == len(w.phase_groups()) * (grid.size // 2 + 1)
+        assert peak < 1.3 * table.keys.nbytes
 
     def test_span_cap_raises_before_allocating(self):
         # 2 x 2048 on a 5-bit grid keeps every median table small, but the
@@ -857,15 +858,17 @@ class TestCircuitDraws:
         thetas = np.concatenate([special, rng.uniform(0.0, np.pi, size=2 * rows + 1)])
         w = WalkOperator.from_dense(np.eye(2))
         monkeypatch.setattr(w, "phase_groups", lambda: SimpleNamespace(theta=thetas))
-        table = w.median_table(grid)
+        params = ProjectionParams(sigma=0.5 * w.fro)
+        table = w.median_table(grid, params)
         rounds = boost_rounds(w.m, w.n)
         want = np.concatenate(
             [qsim._median_cdf(qpe_bin_probabilities(t, grid)[None], rounds) for t in thetas]
         )
-        assert table.cdf.tobytes() == want.tobytes()
         assert table.keys.tobytes() == (want + np.arange(len(thetas))[:, None]).tobytes()
         folded = np.arange(grid.size // 2 + 1)
         assert table.sigma.tobytes() == grid.sigma_of(folded, w.fro).tobytes()
+        assert 0 < table.kept_bins == np.count_nonzero(params.keeps(table.sigma)) < folded.size
+        assert table.q.tobytes() == want[:, table.kept_bins - 1].tobytes()
 
     @pytest.mark.parametrize("bits", [2, 3, 6])
     def test_median_of_looked_up_phases_matches_theta_of(self, bits):
@@ -909,8 +912,7 @@ class TestCircuitDraws:
 
     def test_walk_holds_only_the_latest_grids_tables(self):
         # Grids of 10 to 16 bits on 64 groups total about 2^23 entries, twice
-        # the cap; only the 16-bit grid's median table stays held. A round
-        # builds it.
+        # the cap; only the 16-bit grid's median table stays held.
         w = WalkOperator.from_dense(random_full_matrix(62, 64, 64))
         w.phase_groups()
         tracemalloc.start()
@@ -921,7 +923,7 @@ class TestCircuitDraws:
         finally:
             tracemalloc.stop()
         table = w.median_table(PhaseGrid(16))
-        size = table.cdf.nbytes + table.keys.nbytes + table.sigma.nbytes
+        size = table.keys.nbytes + table.q.nbytes + table.sigma.nbytes
         assert size <= held < 1.05 * size
 
     def test_kernels_built_once_per_walk_and_grid(self, monkeypatch):
@@ -933,35 +935,34 @@ class TestCircuitDraws:
 
         monkeypatch.setattr(qsim, "qpe_bin_probabilities", counting)
         w = WalkOperator.from_dense(random_full_matrix(80, 4, 6))
+        thetas = w.phase_groups().theta.tolist()
         x = np.ones(6)
         rng = np.random.default_rng(0)
-        first = CircuitSve(w, x, PhaseGrid(7))
-        assert built == []
-        first.round(rng)
-        # Every group has a median-table row, built once by the first round,
-        # and here every group carries weight. Kernels are counted by row,
-        # since a call builds a block of rows.
-        thetas = w.phase_groups().theta.tolist()
+        params = ProjectionParams(sigma=0.5 * w.fro)
+        grid = projection_grid(params, w.fro)
+        first = CircuitSve(w, x, grid)
+        # Construction takes the table, which has a row for every group;
+        # kernels are counted by row, since a call builds a block of rows.
         assert built == thetas and len(first.carrying) == len(thetas) > 0
         built.clear()
-        CircuitSve(w, x, PhaseGrid(7)).round(rng)
-        # A cut on the grid reads the same table.
-        w.flag_table(PhaseGrid(7), ProjectionParams(sigma=0.5 * w.fro))
+        first.round(rng)
+        assert CircuitSve(w, x, grid).table is first.table
         assert built == []
-        CircuitSve(w, x, PhaseGrid(8)).round(rng)
-        assert built == thetas
+        # Estimations on the grid of a cut table reuse it, between
+        # projections too; only a new grid builds kernels again.
+        cut = w.median_table(grid, params)
         built.clear()
-        CircuitSve(w, x, PhaseGrid(8)).round(rng)
-        assert built == []
-        # The flag table keeps its own slot: projections on grid 7 between
-        # estimations on grid 8 rebuild neither.
         for _ in range(2):
-            w.flag_table(PhaseGrid(7), ProjectionParams(sigma=0.5 * w.fro))
-            CircuitSve(w, x, PhaseGrid(8)).round(rng)
+            threshold_project(w, x, params, rng, path="circuit")
+            assert CircuitSve(w, x, grid).table is cut
         assert built == []
+        CircuitSve(w, x, PhaseGrid(grid.bits + 1)).round(rng)
+        assert built == thetas
 
 
 class TestFlagTable:
+    """The median table cut for projections: its kept bins and q."""
+
     @pytest.mark.parametrize("bits", [3, 9, 14])
     def test_median_cdf_matches_the_binomial_tail(self, bits):
         # 14 bits makes one row a block of its own; 3 bits leaves one bin
@@ -969,8 +970,9 @@ class TestFlagTable:
         w = WalkOperator.from_dense(random_full_matrix(84, 6, 8))
         params = ProjectionParams(sigma=0.4 * w.fro)
         grid = PhaseGrid(bits)
-        table = w.flag_table(grid, params)
+        table = w.median_table(grid, params)
         folded = grid.size // 2 + 1
+        assert table.grid == grid and table.cut == params.cut
         assert table.sigma.tolist() == grid.sigma_of(np.arange(folded), w.fro).tolist()
         assert table.kept_bins == np.count_nonzero(table.sigma >= params.cut) > 0
         assert np.all(table.sigma[: table.kept_bins] >= params.cut)
@@ -983,6 +985,12 @@ class TestFlagTable:
             assert np.max(np.abs(med[g] - want)) <= 1e-13
             assert table.q[g] == pytest.approx(want[table.kept_bins - 1], rel=1e-12, abs=1e-300)
 
+    def test_uncut_table_keeps_no_bin(self):
+        w = WalkOperator.from_dense(random_full_matrix(84, 6, 8))
+        table = w.median_table(PhaseGrid(5))
+        assert table.cut is None and table.kept_bins == 0
+        assert table.q.tolist() == [0.0] * len(w.phase_groups())
+
     def test_built_once_per_grid_and_cut(self, monkeypatch):
         built = []
         kernel = qsim.qpe_bin_probabilities
@@ -994,34 +1002,34 @@ class TestFlagTable:
         w = WalkOperator.from_dense(random_full_matrix(80, 4, 6))
         thetas = w.phase_groups().theta.tolist()
         params = ProjectionParams(sigma=0.5 * w.fro)
-        first = w.flag_table(PhaseGrid(7), params)
-        assert built == thetas
+        first = w.median_table(PhaseGrid(7), params)
+        assert built == thetas and first.cut == params.cut
         built.clear()
         # The cut alone decides the table: a retry cap does not rebuild it.
         capped = ProjectionParams(sigma=params.sigma, kappa=params.kappa, max_iterations=5)
-        assert w.flag_table(PhaseGrid(7), capped) is first
-        # A new cut reuses the grid's median table, and only a new grid
-        # builds kernels again.
-        other = w.flag_table(PhaseGrid(7), ProjectionParams(sigma=0.6 * w.fro))
-        assert built == [] and other.keys is first.keys and other.kept_bins < first.kept_bins
-        w.flag_table(PhaseGrid(8), params)
+        assert w.median_table(PhaseGrid(7), capped) is first
+        assert built == []
+        # A new cut or a new grid rebuilds it.
+        other = w.median_table(PhaseGrid(7), ProjectionParams(sigma=0.6 * w.fro))
+        assert built == thetas and other.kept_bins < first.kept_bins
+        built.clear()
+        w.median_table(PhaseGrid(8), params)
         assert built == thetas
 
     def test_walk_holds_only_the_latest_table(self):
-        # 64 groups on grids of 10 to 16 bits; only the 16-bit table and the
-        # median table it reads stay.
+        # 64 groups on cut grids of 10 to 16 bits; only the 16-bit table
+        # stays, and it holds F_med once, in its keys.
         w = WalkOperator.from_dense(random_full_matrix(62, 64, 64))
         w.phase_groups()
         params = ProjectionParams(sigma=0.3 * w.fro)
         tracemalloc.start()
         try:
             for bits in range(10, 17):
-                table = w.flag_table(PhaseGrid(bits), params)
+                table = w.median_table(PhaseGrid(bits), params)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        cdf = w.median_table(PhaseGrid(16)).cdf
-        size = table.keys.nbytes + table.q.nbytes + table.sigma.nbytes + cdf.nbytes
+        size = table.keys.nbytes + table.q.nbytes + table.sigma.nbytes
         assert size <= held < 1.05 * size
 
     def test_cap_raises_before_allocating(self):
@@ -1035,7 +1043,7 @@ class TestFlagTable:
         tracemalloc.start()
         try:
             with pytest.raises(RegisterCapError, match="register of "):
-                w.flag_table(PhaseGrid(17), params)
+                w.median_table(PhaseGrid(17), params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -154,6 +154,45 @@ class TestShapesAndAddresses:
             with pytest.raises(MatrixError, match=rf"column index {j} outside \[0, 2\)"):
                 store.entry(0, j)
 
+    @pytest.mark.parametrize("i", [-1, 2, 5])
+    @pytest.mark.parametrize(
+        "method, args",
+        [("root", ()), ("amplitude", (0,)), ("node_weight", (0, 0)), ("leaf", (0,)),
+         ("update", (0, 1.0, 1)), ("restore", (0, (1.0, 1, True))), ("insert", (0, 1.0)),
+         ("sample", (np.random.default_rng(0),))],
+    )
+    def test_tree_index_checked(self, method, args, i):
+        # In a 2-tree table, -1 would read or write tree 1, and 2 or 5 would
+        # run past the heap array.
+        table = TreeTable(2, 3)
+        table.insert(0, 0, 1.0)
+        table.insert(1, 2, -2.0)
+        nodes, signs, held = table.nodes.copy(), table.signs.copy(), table.held.copy()
+        with pytest.raises(MatrixError, match=rf"row index {i} outside \[0, 2\)"):
+            getattr(table, method)(i, *args)
+        assert table.nodes.tobytes() == nodes.tobytes()
+        assert np.array_equal(table.signs, signs) and np.array_equal(table.held, held)
+
+    def test_amplitude_column_checked(self):
+        table = MatrixStore.from_dense([[1.0, -2.0]]).rows
+        assert table.amplitude(0, 1) == -2.0
+        for j in (-1, 2):
+            with pytest.raises(MatrixError, match=rf"leaf index {j} outside \[0, 2\)"):
+                table.amplitude(0, j)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    @pytest.mark.parametrize(
+        "method, args",
+        [("insert", (0, 1.0)), ("row_norm", ()), ("subtree_weight", ("0",)), ("entry", (0,)),
+         ("row_dense", ()), ("l2_sample_in_row", (np.random.default_rng(0),))],
+    )
+    def test_store_row_checked(self, method, args, i):
+        store = MatrixStore.from_dense([[1.0, 0.0], [0.0, 3.0]])
+        blob = store.serialize()
+        with pytest.raises(MatrixError, match=rf"row index {i} outside \[0, 2\)"):
+            getattr(store, method)(i, *args)
+        assert store.serialize() == blob
+
 
 class TestMatrixStore:
     def test_row_norm_345(self):
