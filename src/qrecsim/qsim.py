@@ -20,14 +20,18 @@ boosted estimate, the median of iid single-round phase-register outcomes
 (iid per group because the joint state is block diagonal across groups),
 from that median's exact law (``WalkOperator.median_table``), reproducing
 the statistics of the quantum procedure without 2^t-fold register blowup
-per boosting round. A projection reads only whether each group's median
-reaches the cut, so it draws that flag from its exact probability instead,
-which the table holds when it is built for that cut. The SVD and the table,
-all that the simulator allocates, are capped.
+per boosting round. That law is built from the single-round kernel on the
+folded bins (``folded_kernel``), in closed form from per-grid and per-group
+half-angle sines and cosines, with no sine per bin. A projection reads only
+whether each group's median reaches the cut, so it draws that flag from its
+exact probability instead, which the table holds when it is built for that
+cut. The SVD and the table, all that the simulator allocates, are capped.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -40,16 +44,20 @@ from .store import MatrixStore
 
 # Hard ceiling on the float64 entries one circuit-path allocation may hold: the
 # phase groups' SVD (V, the reduced U and LAPACK's copy of A~, n^2 + 2 mn) and
-# a grid's median table (groups x (2^(t-1) + 1)).
+# a grid's median table (groups x (2^(t-1) + 1) folded bins).
 REGISTER_CAP = 1 << 22
-# Temporary entries per block of kernel rows: the median table is built a few
-# rows at a time, one row at a time once a row alone is this large.
+# Entries per block of kernel rows, each row of folded width 2^(t-1) + 1: the
+# median table is built a few rows at a time, one row at a time once a row
+# alone is this large, so each temporary holds about this many entries.
 KERNEL_BLOCK = 1 << 14
 
 # Finest estimation grid. Bin indices are int64, and a bin of 2 pi / 2^62 is
 # already far below the float64 resolution of the phases it rounds, so a
 # finer requested precision gets this grid.
 MAX_GRID_BITS = 62
+# Precisions whose grids ``PhaseGrid.for_sigma_precision`` remembers, least
+# recently used first out; a caller cycles through a handful.
+GRID_MEMO = 64
 
 # Overlaps below this are treated as absent when reporting components.
 COMPONENT_TOL = 1e-12
@@ -143,7 +151,9 @@ class WalkOperator:
         rises, and ``q[g]`` is F_med at the last kept bin, read before the
         offset is added: the chance that g's median estimate is kept.
 
-        Built KERNEL_BLOCK kernel entries at a time, straight into ``keys``.
+        Built from ``folded_kernel`` KERNEL_BLOCK entries at a time, straight
+        into ``keys``; ``sigma`` is the folded half-angle cosines times
+        ||A||_F, which is ``grid.sigma_of`` bit for bit.
         The walk holds one table: a request on its grid reuses it unless it
         names another cut, and any other request frees it before allocating.
         Raises RegisterCapError first when groups x (N/2 + 1) exceeds
@@ -157,14 +167,15 @@ class WalkOperator:
         thetas = self.phase_groups().theta
         folded = grid.size // 2 + 1
         _check_allocation("register", len(thetas) * folded)
-        sigma = grid.sigma_of(np.arange(folded), self.fro)
+        half = folded_half_angles(grid)
+        sigma = half[0] * self.fro
         kept_bins = 0 if params is None else int(np.count_nonzero(params.keeps(sigma)))
         keys = np.empty(len(thetas) * folded)
         cdf = keys.reshape(len(thetas), folded)
         rounds = boost_rounds(self.m, self.n)
-        rows = max(1, KERNEL_BLOCK // grid.size)
+        rows = max(1, KERNEL_BLOCK // folded)
         for lo in range(0, len(thetas), rows):
-            mass = qpe_bin_probabilities(thetas[lo : lo + rows], grid)
+            mass = folded_kernel(thetas[lo : lo + rows], grid, half)
             cdf[lo : lo + len(mass)] = _median_cdf(mass, rounds)
         q = cdf[:, kept_bins - 1].copy() if kept_bins else np.zeros(len(thetas))
         cdf += np.arange(len(thetas))[:, None]
@@ -211,7 +222,8 @@ def _group_phases(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _median_cdf(mass: np.ndarray, rounds: int) -> np.ndarray:
-    """F_med over the folded bins for each row of single-draw bin masses.
+    """F_med over the folded bins for each row of single-draw folded bin
+    masses, each row normalized here (``folded_kernel``'s rows need not be).
 
     P(Binomial(r, F) >= h) = F^h sum_j C(r, h + j) F^j S^(d - j), d = r - h,
     by Horner's rule in F with S^(d - j) carried along: every term is
@@ -219,12 +231,9 @@ def _median_cdf(mass: np.ndarray, rounds: int) -> np.ndarray:
     tails keep their relative precision. Near 1, where F and S round apart
     by an ulp or two, a running maximum keeps each row non-decreasing.
     """
-    half = mass.shape[-1] // 2
-    folded = mass[:, : half + 1].copy()
-    folded[:, 1:half] += mass[:, : half : -1]
-    below = np.cumsum(folded, axis=1)
+    below = np.cumsum(mass, axis=1)
     above = np.zeros_like(below)
-    above[:, :-1] = np.cumsum(folded[:, :0:-1], axis=1)[:, ::-1]
+    np.cumsum(mass[:, :0:-1], axis=1, out=above[:, -2::-1])
     total = below[:, -1:].copy()
     below /= total
     above /= total
@@ -275,9 +284,10 @@ class PhaseGrid:
     def for_sigma_precision(cls, eps: float) -> "PhaseGrid":
         """Grid for |sigma_est - sigma| <= eps ||A||_F, eps in (0, 1): enough
         bits to resolve phases to 2 eps, plus two guard bits (at most
-        MAX_GRID_BITS)."""
+        MAX_GRID_BITS). The last GRID_MEMO precisions are remembered, so a
+        caller that repeats eps does not pay for the grid again."""
         check_real("fraction", eps=eps)
-        return cls(int(min(np.ceil(np.log2(2.0 * np.pi / (2.0 * eps))) + 2, MAX_GRID_BITS)))
+        return _precision_grid(eps)
 
     @property
     def size(self) -> int:
@@ -301,6 +311,13 @@ class PhaseGrid:
         return _scalar(np.cos(self.theta_of(b) / 2.0) * fro)
 
 
+@functools.lru_cache(maxsize=GRID_MEMO, typed=True)
+def _precision_grid(eps: float) -> PhaseGrid:
+    # A Python float overflows to inf without a warning when eps is tiny.
+    bits = np.ceil(np.log2(2.0 * np.pi / (2.0 * float(eps)))) + 2
+    return PhaseGrid(int(min(bits, MAX_GRID_BITS)))
+
+
 def _scalar(x):
     """A Python scalar for a 0-d result; arrays pass through."""
     return x.item() if np.ndim(x) == 0 else x
@@ -311,22 +328,45 @@ def boost_rounds(m: int, n: int) -> int:
     return 2 * int(np.ceil(np.log2(m * n))) + 1
 
 
-def qpe_bin_probabilities(theta, grid: PhaseGrid) -> np.ndarray:
-    """Single-round outcome distribution for an eigenphase theta; for an
-    array of phases, one distribution per phase along a new last axis.
+def folded_half_angles(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of half of each folded bin's phase, bins 0 .. N/2."""
+    half = grid.theta_of(np.arange(grid.size // 2 + 1)) / 2.0
+    return np.cos(half), np.sin(half)
 
-    |c_b|^2 = sin^2(N d_b / 2) / (N^2 sin^2(d_b / 2)) with d_b = theta - 2
-    pi b / N; the mass within one bin of theta is at least 8 / pi^2.
+
+def folded_kernel(theta: np.ndarray, grid: PhaseGrid, half: tuple[np.ndarray, np.ndarray]
+                  ) -> np.ndarray:
+    """Single-round phase-estimation weights on the folded bins, one row per
+    phase in [0, pi], each row proportional to that phase's bin masses.
+
+    Bin b, at offset d_b = theta - b w from the phase, has mass sin^2(N
+    theta / 2) / (N sin(d_b / 2))^2 (Nielsen & Chuang, section 5.2.1). The
+    numerator is the same for every bin, so a row needs csc^2(d_b / 2)
+    alone: folded bin f, which holds bins f and N - f, weighs csc^2((theta
+    - f w) / 2) + csc^2((theta + f w) / 2), and the ends f = 0 and N/2, one
+    bin each, the first term alone. With a, b the sine and cosine of theta
+    / 2 and c, s those of f w / 2 (``half``, from ``folded_half_angles``),
+    the two sines are ac -+ bs: two outer products, then a square and a
+    reciprocal, and no sine per entry. A phase within |sin(d_b / 2)| <
+    1e-15 of a bin (only the nearest can be, on any grid the register cap
+    admits) puts all of its weight there.
     """
-    n = grid.size
-    d = np.asarray(theta)[..., None] - grid.width * np.arange(n)
-    half = d / 2.0
-    sin_half = np.sin(half)
-    on_grid = np.abs(sin_half) < 1e-15
-    num = np.sin(n * half) ** 2
-    den = (n * sin_half) ** 2
-    probs = np.where(on_grid, 1.0, num / np.where(on_grid, 1.0, den))
-    return probs / probs.sum(axis=-1, keepdims=True)
+    cos_half, sin_half = half
+    a, b = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    ac = np.multiply.outer(a, cos_half)
+    bs = np.multiply.outer(b, sin_half)
+    near = ac - bs
+    far = np.add(ac[:, 1:-1], bs[:, 1:-1], out=ac[:, 1:-1])
+    bins = grid.bin_of(theta)
+    on = np.flatnonzero(np.abs(near[np.arange(len(theta)), bins]) < 1e-15)
+    near[on] = 1.0
+    near *= near
+    np.reciprocal(near, out=near)
+    far *= far
+    near[:, 1:-1] += np.reciprocal(far, out=far)
+    near[on] = 0.0
+    near[on, bins[on]] = 1.0
+    return near
 
 
 # -- rotation-plane decomposition --------------------------------------------
@@ -377,9 +417,12 @@ class SveComponent(NamedTuple):
 
 
 def component_rows(kind, *cols) -> tuple:
-    """One ``kind`` per index of the equal-length column arrays, built from
-    their entries as Python scalars."""
-    return tuple(kind(*row) for row in zip(*(c.tolist() for c in cols)))
+    """One ``kind`` (a named tuple type) per index of the equal-length column
+    arrays, one column per field, built from their entries as Python
+    scalars. Raises TypeError when the column count is not the field count."""
+    if len(cols) != len(kind._fields):
+        raise TypeError(f"{kind.__name__} has {len(kind._fields)} fields, got {len(cols)} columns")
+    return tuple(map(tuple.__new__, itertools.repeat(kind), zip(*(c.tolist() for c in cols))))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from qrecsim.qsim import (
     SveOutput,
     WalkOperator,
     boost_rounds,
-    qpe_bin_probabilities,
 )
 from qrecsim.recsys import bad_sample_bound, typical_user_bound
 
@@ -363,6 +362,36 @@ def max_error(out: SveOutput) -> float:
     return max(errs, default=0.0)
 
 
+def qpe_bin_probabilities(theta, grid: PhaseGrid) -> np.ndarray:
+    """Single-round outcome distribution for an eigenphase theta in [0, pi]
+    over all N bins; for an array of phases, one distribution per phase
+    along a new last axis.
+
+    |c_b|^2 = sin^2(N d_b / 2) / (N^2 sin^2(d_b / 2)) with d_b = theta - b w.
+    The numerator is the same for every bin and cancels, and sin(d_b / 2)
+    comes from the angle-difference formula on the folded half phases:
+    bins b <= N/2 take sin(theta/2) cos(b w/2) - cos(theta/2) sin(b w/2) and
+    bin N - f takes the sum form. This is the arithmetic of the package's
+    folded kernel, bin by bin, so tests that compare against it at rounding
+    level check the fold, the normalization and what is built on them; the
+    formula itself is checked against the DFT and a long-double evaluation.
+    A phase within |sin(d_b / 2)| < 1e-15 of bin b puts all of its mass
+    there. The mass within one bin of theta is at least 8 / pi^2.
+    """
+    half = grid.theta_of(np.arange(grid.size // 2 + 1)) / 2.0
+    cos_half, sin_half = np.cos(half), np.sin(half)
+    theta = np.asarray(theta, dtype=np.float64)[..., None]
+    a, b = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    near = a * cos_half - b * sin_half
+    far = a * cos_half[1:-1] + b * sin_half[1:-1]
+    sines = np.concatenate([near, far[..., ::-1]], axis=-1)
+    on_grid = np.abs(sines) < 1e-15
+    with np.errstate(divide="ignore"):
+        probs = 1.0 / (sines * sines)
+    probs = np.where(on_grid.any(axis=-1, keepdims=True), on_grid * 1.0, probs)
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
 def sample_phase_bins(
     theta: float, grid: PhaseGrid, rounds: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -565,11 +594,21 @@ def circuit_sve_law(wop: WalkOperator, x, grid: PhaseGrid) -> CircuitSveLaw:
 
 
 def merged_chi_pvalue(counts: np.ndarray, expected: np.ndarray) -> float:
-    """Chi-square with bins of expectation < 5 pooled into one bucket."""
+    """Chi-square with bins of expectation < 5 pooled into one bucket. A
+    pooled bucket of expectation 0 (every bin in it impossible) gives p = 0
+    if it holds a count, and otherwise is left out; a single bucket left
+    (a certain outcome, which was all that was seen) gives p = 1."""
     mask = expected >= 5.0
     if (~mask).any():
-        counts = np.append(counts[mask], counts[~mask].sum())
-        expected = np.append(expected[mask], expected[~mask].sum())
+        pooled, pooled_count = expected[~mask].sum(), counts[~mask].sum()
+        if pooled == 0.0 and pooled_count > 0:
+            return 0.0
+        counts, expected = counts[mask], expected[mask]
+        if pooled > 0.0:
+            counts = np.append(counts, pooled_count)
+            expected = np.append(expected, pooled)
+    if len(expected) == 1:
+        return 1.0
     expected = expected * counts.sum() / expected.sum()
     return float(stats.chisquare(counts, expected).pvalue)
 

@@ -1,6 +1,7 @@
 """Walk operator mechanics, phase estimation, and singular value estimation."""
 
 import importlib
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -8,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qrecsim.qsim as qsim
 from qrecsim.errors import EmptyRowError, MatrixError, RegisterCapError
@@ -16,15 +19,19 @@ from qrecsim.qproject import ProjectionParams, projection_grid, threshold_projec
 from qrecsim.qsim import (
     COMPONENT_TOL,
     COS_TOL,
+    GRID_MEMO,
     KERNEL_BLOCK,
     MAX_GRID_BITS,
     REGISTER_CAP,
     CircuitSve,
     PhaseGrid,
+    SveComponent,
     WalkOperator,
     boost_rounds,
+    component_rows,
     eigenphases,
-    qpe_bin_probabilities,
+    folded_half_angles,
+    folded_kernel,
     sve,
     sve_circuit,
     sve_exact,
@@ -41,6 +48,7 @@ from oracles import (
     median_bin,
     merged_chi_pvalue,
     prepare_vector_state,
+    qpe_bin_probabilities,
     qpe_joint_state,
     sample_phase_bins,
     sequential_round,
@@ -266,6 +274,14 @@ class TestEigenphases:
             eigenphases(svd(np.zeros((2, 2))))
 
 
+def near_power_of_two(scale: float, power: int, ulps: int) -> float:
+    """scale * 2^-power moved by ``ulps`` units in the last place."""
+    x = math.ldexp(scale, -power)
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
 class TestPhaseGrid:
     def test_bits_for_sigma_precision(self):
         assert PhaseGrid.for_sigma_precision(0.05).bits == 8
@@ -288,11 +304,36 @@ class TestPhaseGrid:
         with pytest.raises(MatrixError):
             PhaseGrid.for_sigma_precision(0.0)
 
-    @pytest.mark.parametrize("eps", [1.0, 3.0, np.inf, np.nan, True, "0.1"])
+    @pytest.mark.parametrize("eps", [1.0, 3.0, np.inf, np.nan, True, "0.1", [0.1], np.array(0.1)])
     def test_precision_is_a_fraction(self, eps):
-        # Every estimate lies within ||A||_F of sigma, so eps >= 1 promises nothing.
-        with pytest.raises(MatrixError, match=r"eps must be a number in \(0, 1\), got "):
-            PhaseGrid.for_sigma_precision(eps)
+        # Every estimate lies within ||A||_F of sigma, so eps >= 1 promises
+        # nothing. The refusal repeats: grids are remembered, refusals not.
+        PhaseGrid.for_sigma_precision(0.1)
+        for _ in range(2):
+            with pytest.raises(MatrixError, match=r"eps must be a number in \(0, 1\), got "):
+                PhaseGrid.for_sigma_precision(eps)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        eps=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            # Within a few ulps of the powers of two of eps and of pi / eps,
+            # where the ceiling of log2 steps.
+            st.builds(near_power_of_two, st.sampled_from([1.0, math.pi]), st.integers(2, 1070),
+                      st.integers(-3, 3)),
+        )
+    )
+    def test_grid_bits_follow_the_formula(self, eps):
+        # Reference: the per-call numpy formula on a Python float, for a
+        # fresh and a remembered grid, and for the same eps as a numpy scalar.
+        want = int(min(np.ceil(np.log2(2.0 * np.pi / (2.0 * eps))) + 2, MAX_GRID_BITS))
+        for value in (eps, eps, np.float64(eps)):
+            assert PhaseGrid.for_sigma_precision(value) == PhaseGrid(want)
+
+    def test_remembered_grids_are_bounded(self):
+        for eps in np.linspace(0.01, 0.5, 3 * GRID_MEMO):
+            PhaseGrid.for_sigma_precision(float(eps))
+        assert qsim._precision_grid.cache_info().currsize == GRID_MEMO
 
     @pytest.mark.parametrize("bits", [0, -1, MAX_GRID_BITS + 1, 2.5, True, None])
     def test_bits_take_the_count_rule(self, bits):
@@ -417,6 +458,34 @@ class TestPhaseEstimation:
         probs = qpe_bin_probabilities(grid.width * 7, grid)
         assert probs[7] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bits", [3, 9, 14])
+    def test_folded_kernel_matches_the_long_double_textbook_kernel(self, bits):
+        # Reference: sin^2(N d_b / 2) / (N sin(d_b / 2))^2 for every bin b,
+        # evaluated in long double at d_b = theta - b w on the package's
+        # grid, normalized, and folded by hand (bins b and N - b). Tolerance,
+        # fixed before the run: the float64 sines of half-offsets carry about
+        # 1e-16 absolute error, and the nearest bin of a mid-bin phase is w / 2
+        # away, so the relative error stays under about 1e-11 at 14 bits;
+        # 1e-10 relative, plus (N 1e-15)^2 absolute, the most mass the
+        # on-grid rule (|sin(d_b / 2)| < 1e-15) moves off the other bins.
+        grid = PhaseGrid(bits)
+        n, k = grid.size, grid.size // 3
+        thetas = np.array([0.0, np.pi, k * grid.width, 1e-17,
+                           np.nextafter(k * grid.width, 4.0), 1e-14, (k + 0.5) * grid.width])
+        got = folded_kernel(thetas, grid, folded_half_angles(grid))
+        got /= got.sum(axis=1, keepdims=True)
+        b = np.arange(n)
+        d = thetas.astype(np.longdouble)[:, None] - np.longdouble(grid.width) * b
+        sin_half = np.sin(d / 2)
+        with np.errstate(invalid="ignore"):
+            mass = np.sin(n * d / 2) ** 2 / (n * sin_half) ** 2
+        mass[sin_half == 0] = 1.0  # the limit at d_b = 0
+        mass /= mass.sum(axis=1, keepdims=True)
+        want = np.zeros((len(thetas), n // 2 + 1), dtype=np.longdouble)
+        np.add.at(want, (slice(None), np.minimum(b, n - b)), mass)
+        err = np.abs(got - want) - 1e-10 * want
+        assert np.max(err) <= (n * 1e-15) ** 2
+
     def test_one_bin_mass_at_least_eight_over_pi_sq(self):
         grid = PhaseGrid(6)
         for theta in np.linspace(0.0, np.pi, 40):
@@ -511,6 +580,17 @@ class TestPhaseEstimation:
 
 
 class TestSve:
+    def test_component_rows_take_one_column_per_field(self):
+        fields = len(SveComponent._fields)
+        rows = component_rows(SveComponent, *[np.arange(3)] * (fields - 1), np.arange(3.0))
+        assert rows == tuple(SveComponent(*[i] * (fields - 1), float(i)) for i in range(3))
+        assert {type(r) for r in rows} == {SveComponent}
+        assert [type(v) for v in rows[0]] == [int] * (fields - 1) + [float]
+        assert component_rows(SveComponent, *[np.arange(0)] * fields) == ()
+        for count in (fields - 1, fields + 1):
+            with pytest.raises(TypeError, match=f"SveComponent has {fields} fields, got {count}"):
+                component_rows(SveComponent, *[np.arange(3)] * count)
+
     def test_exact_within_guarantee(self):
         for seed in range(20):
             a = random_full_matrix(seed, 8, 8)
@@ -798,8 +878,8 @@ class TestSpanDecomposition:
 
     def test_median_table_is_built_in_place(self):
         # 64 groups x (2^15 + 1) folded bins of a 16-bit grid; building the
-        # table holds its keys, plus one group's kernel scratch at a time.
-        # The build peaks at 1.27 times the keys.
+        # table holds its keys, plus one group's folded kernel scratch at a
+        # time. The build peaks at 1.14 times the keys.
         w = WalkOperator.from_dense(random_full_matrix(61, 64, 64))
         w.phase_groups()
         grid = PhaseGrid(16)
@@ -851,7 +931,8 @@ class TestCircuitDraws:
         # Enough phases to cross a block edge twice on every grid: random
         # ones, exactly 0 and pi, and on-grid ones (whose kernel is exact).
         grid = PhaseGrid(bits)
-        rows = max(1, KERNEL_BLOCK // grid.size)
+        folded = np.arange(grid.size // 2 + 1)
+        rows = max(1, KERNEL_BLOCK // folded.size)
         rng = np.random.default_rng(bits)
         on_grid = grid.width * rng.integers(0, grid.size // 2 + 1, size=3)
         special = np.concatenate([[0.0, np.pi], on_grid])
@@ -861,11 +942,12 @@ class TestCircuitDraws:
         params = ProjectionParams(sigma=0.5 * w.fro)
         table = w.median_table(grid, params)
         rounds = boost_rounds(w.m, w.n)
+        half = folded_half_angles(grid)
         want = np.concatenate(
-            [qsim._median_cdf(qpe_bin_probabilities(t, grid)[None], rounds) for t in thetas]
+            [qsim._median_cdf(folded_kernel(thetas[k : k + 1], grid, half), rounds)
+             for k in range(len(thetas))]
         )
         assert table.keys.tobytes() == (want + np.arange(len(thetas))[:, None]).tobytes()
-        folded = np.arange(grid.size // 2 + 1)
         assert table.sigma.tobytes() == grid.sigma_of(folded, w.fro).tobytes()
         assert 0 < table.kept_bins == np.count_nonzero(params.keeps(table.sigma)) < folded.size
         assert table.q.tobytes() == want[:, table.kept_bins - 1].tobytes()
@@ -928,12 +1010,12 @@ class TestCircuitDraws:
 
     def test_kernels_built_once_per_walk_and_grid(self, monkeypatch):
         built = []
-        kernel = qsim.qpe_bin_probabilities
-        def counting(theta, grid):
-            built.extend(np.atleast_1d(theta).tolist())
-            return kernel(theta, grid)
+        kernel = qsim.folded_kernel
+        def counting(theta, grid, half):
+            built.extend(theta.tolist())
+            return kernel(theta, grid, half)
 
-        monkeypatch.setattr(qsim, "qpe_bin_probabilities", counting)
+        monkeypatch.setattr(qsim, "folded_kernel", counting)
         w = WalkOperator.from_dense(random_full_matrix(80, 4, 6))
         thetas = w.phase_groups().theta.tolist()
         x = np.ones(6)
@@ -993,12 +1075,12 @@ class TestFlagTable:
 
     def test_built_once_per_grid_and_cut(self, monkeypatch):
         built = []
-        kernel = qsim.qpe_bin_probabilities
-        def counting(theta, grid):
-            built.extend(np.atleast_1d(theta).tolist())
-            return kernel(theta, grid)
+        kernel = qsim.folded_kernel
+        def counting(theta, grid, half):
+            built.extend(theta.tolist())
+            return kernel(theta, grid, half)
 
-        monkeypatch.setattr(qsim, "qpe_bin_probabilities", counting)
+        monkeypatch.setattr(qsim, "folded_kernel", counting)
         w = WalkOperator.from_dense(random_full_matrix(80, 4, 6))
         thetas = w.phase_groups().theta.tolist()
         params = ProjectionParams(sigma=0.5 * w.fro)

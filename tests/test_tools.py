@@ -76,7 +76,9 @@ def test_benchmark_circuit_kernels_hold_eight_over_pi_sq_within_one_bin():
     # dump's first two seeds), on the SVE grid and on the projection grid.
     import numpy as np
     from qrecsim.qproject import ProjectionParams, projection_grid
-    from qrecsim.qsim import PhaseGrid, WalkOperator, qpe_bin_probabilities
+    from qrecsim.qsim import PhaseGrid, WalkOperator
+
+    from oracles import qpe_bin_probabilities
 
     wl = circuit_dump.load_workloads()
     worst = 1.0
