@@ -5,8 +5,8 @@ builds the sampling-tree store, thresholds the subsample's spectrum at
 sigma = sqrt(eps^2 p / 2k) ||That||_F, and recommends products to users
 drawn from the typical set. The report compares measured bad-recommendation
 rates and per-user overheads against the analytic bounds, and labels every
-derived guarantee with whether the Frobenius-mass precondition held
-("precondition-satisfied") or the run extrapolates below it
+derived guarantee with whether the subsample's formula p is at most 1
+("precondition-satisfied") or the run extrapolates beyond it
 ("extrapolated").
 """
 

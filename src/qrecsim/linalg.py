@@ -42,8 +42,6 @@ import numpy as np
 
 from .errors import MatrixError
 
-# Orthonormality and idempotence tolerance for factorization invariants.
-ORTHO_TOL = 1e-10
 # The A^T A routes run only when floor^2 > GRAM_FLOOR * max(m, n) * eps *
 # ||A||_F^2. Forming and diagonalizing A^T A moves each eigenvalue by about
 # max(m, n) * eps * ||A||_F^2, so a singular value at the floor comes out

@@ -61,10 +61,11 @@ GRID_MEMO = 64
 
 # Overlaps below this are treated as absent when reporting components.
 COMPONENT_TOL = 1e-12
-# Eigenphases of W whose cosines differ by less than this fall into one
-# phase group. The SVD resolves cos(theta) to about 1e-15 absolute at the
-# sizes the cap admits; arccos turns that into ~1e-15 in theta mid-range
-# but ~1e-8 near 0 and pi, so grouping compares cosines, not phases.
+# An eigenphase of W joins its phase group while its cosine is within this of
+# the group's first (``_group_phases``). The SVD resolves cos(theta) to about
+# 1e-15 absolute at the sizes the cap admits; arccos turns that into ~1e-15
+# in theta mid-range but ~1e-8 near 0 and pi, so grouping compares cosines,
+# not phases.
 COS_TOL = 1e-12
 
 
@@ -116,8 +117,9 @@ class WalkOperator:
 
         V from the SVD of A~ comes in descending sigma, that is ascending
         theta, with the kernel last at exactly pi, so each group is a run of
-        consecutive columns whose cos(theta) agree within COS_TOL, and its
-        phase is the mean over the run. The groups hold all n columns.
+        consecutive columns whose cos(theta) lie within COS_TOL of the run's
+        first (``_group_phases``), and its phase is the mean over the run.
+        The groups hold all n columns.
         Raises RegisterCapError, before any allocation, when the SVD's
         n^2 + 2 mn entries exceed REGISTER_CAP.
         """
@@ -198,22 +200,16 @@ class MedianTable(NamedTuple):
 def _group_phases(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(first column, phase, each column's group) of the phase groups.
 
-    A column joins the current group while its cosine is within COS_TOL of
-    the group's first column's, and a group's phase is the mean over its
-    columns. The cosines fall along the columns, so a gap of COS_TOL between
-    neighbours always starts a group; the rule runs column by column only
-    inside the runs that no such gap splits.
+    One greedy scan along the columns: a column starts a new group when the
+    current group's first cosine exceeds its own by COS_TOL or more, and
+    otherwise joins that group. A group's phase is the mean over its columns.
     """
-    cosines = np.cos(thetas)
-    starts = np.flatnonzero(np.concatenate(([True], cosines[:-1] - cosines[1:] >= COS_TOL)))
-    runs = np.diff(np.append(starts, len(thetas)))
-    inner = []
-    for start, stop in zip(starts[runs > 1], (starts + runs)[runs > 1]):
-        while (far := np.flatnonzero(cosines[start] - cosines[start + 1 : stop] >= COS_TOL)).size:
-            start += 1 + int(far[0])
-            inner.append(start)
-    if inner:
-        starts = np.sort(np.concatenate((starts, inner)))
+    cosines = np.cos(thetas).tolist()
+    starts = [0]
+    for col, c in enumerate(cosines):
+        if cosines[starts[-1]] - c >= COS_TOL:
+            starts.append(col)
+    starts = np.array(starts)
     sizes = np.diff(np.append(starts, len(thetas)))
     theta = thetas[starts]
     for k in np.flatnonzero(sizes > 1):

@@ -7,8 +7,11 @@ low-rank reconstruction pipeline: the sampling probability p, the noise scale
 eta, the estimation resolution mu, and the singular value threshold
 sigma = sqrt(mu/k) * ||Ahat||_F used to denoise the subsample.
 ``derive_params`` resolves p, eta and mu for one matrix into one
-``SubsampleParams`` record. The band width kappa belongs to the projection
-(``qproject.ProjectionParams``), and the bound here takes it as an argument.
+``SubsampleParams`` record. The guarantee holds when the formula p = 16 n
+b^2 / (eta_max ||A||_F)^2 is at most 1, and the record's status is read off
+that p alone; above 1 the bounds are extrapolations. The band width kappa
+belongs to the projection (``qproject.ProjectionParams``), and the bound
+here takes it as an argument.
 """
 
 from __future__ import annotations
@@ -60,23 +63,16 @@ def noise_scale_max(n: int, k: int, eps: float, norm_f: float) -> float:
     return 2.0 * n**0.25 * eps**1.5 / (3.0 * (2.0 * k) ** 0.25 * np.sqrt(norm_f))
 
 
-def precondition_satisfied(n: int, k: int, eps: float, norm_f: float) -> bool:
-    """Whether ||A||_F >= 36 sqrt(2) sqrt(nk) / eps^3.
-
-    Below this mass the formula p exceeds 1 and the error bounds are
-    extrapolations rather than guarantees.
-    """
-    check_real("positive", n=n, k=k, eps=eps, norm_f=norm_f)
-    return norm_f >= 36.0 * np.sqrt(2.0) * np.sqrt(n * k) / eps**3
-
-
 @dataclass(frozen=True)
 class SubsampleParams:
     """Resolved sampling knobs for one matrix, with the estimation
     resolution mu = eps^2 p / 2 they imply.
 
-    The threshold itself scales with ||Ahat||_F, so it is set once the
-    subsample exists (``recsys.recommendation_sigma``).
+    ``formula_p`` is the unclamped formula p, and ``status`` is
+    "precondition-satisfied" when it is at most 1, "extrapolated" otherwise.
+    Equivalently, ||A||_F >= 36 sqrt(2) sqrt(nk) b^2 / eps^3. The threshold
+    itself scales with ||Ahat||_F, so it is set once the subsample exists
+    (``recsys.recommendation_sigma``).
     """
 
     p: float
@@ -84,12 +80,11 @@ class SubsampleParams:
     eta: float
     eta_max: float
     formula_p: float
-    precondition_ok: bool
     mu: float
 
     @property
     def status(self) -> str:
-        return "precondition-satisfied" if self.precondition_ok else "extrapolated"
+        return "precondition-satisfied" if self.formula_p <= 1.0 else "extrapolated"
 
 
 def derive_params(a, k: int, eps: float, p: float | None = None) -> SubsampleParams:
@@ -120,7 +115,6 @@ def derive_params(a, k: int, eps: float, p: float | None = None) -> SubsamplePar
         eta=eta,
         eta_max=e_max,
         formula_p=raw,
-        precondition_ok=precondition_satisfied(n, k, eps, norm_f),
         mu=eps * eps * p / 2.0,
     )
 

@@ -14,7 +14,6 @@ from qrecsim.cli import EXIT_OK, main
 from qrecsim.errors import MatrixError
 from qrecsim.experiment import ExperimentConfig, run_experiment
 from qrecsim.linalg import (
-    ORTHO_TOL,
     RITZ_BLOCK,
     RITZ_DEGREE,
     RITZ_OVERSAMPLE,
@@ -44,6 +43,9 @@ from oracles import (
     threshold_indices,
     truncate_top_k,
 )
+
+# Orthonormality tolerance for a factorization's V.
+ORTHO_TOL = 1e-10
 
 
 def random_matrix(seed: int, m: int = 6, n: int = 5) -> np.ndarray:

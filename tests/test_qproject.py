@@ -7,6 +7,7 @@ from qrecsim.errors import MatrixError, ProjectionEmptyError, RegisterCapError
 from qrecsim.linalg import svd, unit_vector
 from qrecsim.qproject import (
     BETA_SQ_FLOOR,
+    FRO_ROUNDING,
     ProjectionParams,
     default_max_iterations,
     estimated_spectrum,
@@ -17,6 +18,7 @@ from qrecsim.qproject import (
     threshold_project,
 )
 from qrecsim.qsim import REGISTER_CAP, PhaseGrid, WalkOperator, boost_rounds, sve_circuit
+from qrecsim.recsys import RecommendContext
 from qrecsim.rng import DEFAULT_SEED
 from qrecsim.store import MatrixStore
 
@@ -122,6 +124,33 @@ class TestKeptSet:
     def test_threshold_above_norm_rejected(self):
         with pytest.raises(MatrixError):
             estimated_spectrum(svd(GAP), ProjectionParams(sigma=4.0))
+
+    @staticmethod
+    def every_path(store: MatrixStore, params: ProjectionParams):
+        x = np.ones(store.n)
+        yield lambda: RecommendContext(store, params)
+        yield lambda: threshold_project(store, x, params, np.random.default_rng(0))
+        wop = WalkOperator.from_store(store)
+        yield lambda: threshold_project(wop, x, params, np.random.default_rng(0), path="circuit")
+
+    def test_threshold_at_the_store_norm_accepted_on_every_path(self):
+        # The context, the exact path and the walk each reach ||A||_F their own
+        # way (dense norm, singular values, tree root), which differ in the
+        # last bits; without FRO_ROUNDING the first two refuse 74 and 114 of
+        # these 300 stores.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            m, n = int(rng.integers(3, 20)), int(rng.integers(9, 20))
+            store = MatrixStore.from_dense(rng.random((m, n)))
+            for run in self.every_path(store, ProjectionParams(sigma=store.frobenius_norm())):
+                run()
+
+    def test_threshold_past_rounding_rejected_on_every_path(self):
+        store = MatrixStore.from_dense(random_matrix(3))
+        params = ProjectionParams(sigma=store.frobenius_norm() * (1.0 + 4.0 * FRO_ROUNDING))
+        for run in self.every_path(store, params):
+            with pytest.raises(MatrixError, match=r"^threshold .* exceeds \|\|A\|\|_F = "):
+                run()
 
     def test_success_probability_exact_value(self):
         f = svd(GAP)

@@ -10,7 +10,6 @@ from qrecsim.subsample import (
     entry_bound,
     noise_scale,
     noise_scale_max,
-    precondition_satisfied,
     sampling_probability,
     subsample,
 )
@@ -106,15 +105,37 @@ class TestDerivations:
         assert noise_scale_max(16, 2, 0.5, 10.0) == pytest.approx(want, rel=1e-12)
 
     def test_precondition_equivalence_with_formula_p(self):
-        # For unit-bounded entries: formula p <= 1 iff the mass precondition.
+        # For unit-bounded entries the status (formula p <= 1) is the mass
+        # condition ||A||_F >= 36 sqrt(2) sqrt(nk) / eps^3. Each draw fills
+        # `cells` entries of an m x n matrix with 1, so ||A||_F = sqrt(cells),
+        # within a factor 2 either side of the condition's edge.
         rng = np.random.default_rng(31)
+        sides = set()
         for _ in range(50):
-            n = int(rng.integers(2, 50))
-            k = int(rng.integers(1, 5))
-            eps = float(rng.uniform(0.05, 0.9))
-            fro = float(rng.uniform(1.0, 1e7))
-            raw = sampling_probability(n, 1.0, noise_scale_max(n, k, eps, fro), fro)
-            assert (raw <= 1.0 + 1e-12) == precondition_satisfied(n, k, eps, fro)
+            n = int(rng.integers(2, 12))
+            k = int(rng.integers(1, 3))
+            eps = float(rng.uniform(0.7, 0.95))
+            edge = 36.0 * np.sqrt(2.0) * np.sqrt(n * k) / eps**3
+            cells = int(np.ceil((edge * rng.uniform(0.5, 2.0)) ** 2))
+            a = np.zeros(-(-cells // n) * n)
+            a[:cells] = 1.0
+            sub = derive_params(a.reshape(-1, n), k, eps)
+            mass_ok = np.sqrt(cells) >= edge
+            assert sub.status == ("precondition-satisfied" if mass_ok else "extrapolated")
+            sides.add(mass_ok)
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize(
+        "b, formula_p, status",
+        [(35.0, 1222.16, "extrapolated"), (0.02, 0.698377, "precondition-satisfied")],
+    )
+    def test_status_reads_formula_p_for_any_entry_bound(self, b, formula_p, status):
+        # The mass condition alone leaves out b: it calls the first matrix
+        # satisfied and the second extrapolated. The status follows p.
+        sub = derive_params(np.full((4, 4), b), 1, 0.9)
+        assert sub.b == b
+        assert sub.formula_p == pytest.approx(formula_p, rel=1e-5)
+        assert sub.status == status
 
     def test_derive_params_consistency(self):
         a = np.random.default_rng(8).normal(size=(12, 10))
@@ -132,7 +153,6 @@ class TestDerivations:
         sub = derive_params(a, 2, 0.3)
         assert sub.formula_p > 1.0  # desk-scale mass: formula blows past 1
         assert sub.p == 1.0
-        assert not sub.precondition_ok
         assert sub.status == "extrapolated"
 
     def test_derive_params_validation(self):
@@ -159,7 +179,7 @@ class TestParameterDomains:
             (lambda: noise_scale(0.5, 4, np.inf, 1.0), "b must be a finite number > 0, got inf"),
             (lambda: noise_scale_max(4, 2, np.nan, 1.0),
              "eps must be a finite number > 0, got nan"),
-            (lambda: precondition_satisfied(4, -1, 0.1, 1.0),
+            (lambda: noise_scale_max(4, -1, 0.1, 1.0),
              "k must be a finite number > 0, got -1"),
             (lambda: bound_threshold_family_error(-1.0, 0.0, 1, 0.0, 0.5, 0.5, 1.0),
              "err_k must be a finite number >= 0, got -1.0"),

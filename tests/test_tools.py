@@ -113,7 +113,7 @@ def test_untested_lines_lists_what_a_run_skips():
     assert at("cli.py", "EXIT_OK = 0") in listed
     floor_and_top = '        raise MatrixError("svd takes a floor or a top count, not both")'
     assert at("linalg.py", floor_and_top) in listed
-    assert at("linalg.py", "ORTHO_TOL = 1e-10") not in listed  # ran at import
+    assert at("linalg.py", "EPS = float(np.finfo(np.float64).eps)") not in listed  # ran at import
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
