@@ -13,8 +13,9 @@ function of the factorization alone (``kept_mask``); an input only adds its
 overlaps, and exact-path callers share ``kept_state``. On the circuit path
 each attempt keeps each group with the probability that its boosted median
 estimate reaches the cut, read from the walk's median table, so each attempt
-resamples the kept set; the estimates are drawn once, after success, given
-the flags. Both paths run their attempts through ``attempts_until_success``.
+resamples the kept set, and each estimate is read off the uniform that set
+its flag, so a projection draws nothing after its success draw. Both paths
+run their attempts through ``attempts_until_success``.
 """
 
 from __future__ import annotations
@@ -229,17 +230,18 @@ def _project_circuit(
     # A rough retry budget from the weight on groups whose true sigma reaches
     # the cut keeps the loop finite; realized kept sets vary only in the band.
     beta_guess = float(np.sum(est.weights[est.groups.sigma >= params.cut]))
-    kept = beta_sq = None
+    u = kept = beta_sq = None
 
     def attempt() -> float:
-        nonlocal kept, beta_sq
-        kept = rng.random(len(g)) < odds
+        nonlocal u, kept, beta_sq
+        u = rng.random(len(g))
+        kept = u < odds
         beta_sq = float(np.sum(est.weights[g[kept]]))
         return beta_sq
 
     limit = params.retry_limit(wop.n, beta_guess)
     iterations = attempts_until_success(attempt, beta_guess, limit, rng)
-    sigma_est = est.estimates_given(kept, rng)
+    sigma_est = est.estimates_at(u, kept)
     out = est.survivor(g[kept])
     cols = (g, np.sqrt(est.weights[g]), est.groups.sigma[g], sigma_est, kept)
     return ProjectionOutcome(

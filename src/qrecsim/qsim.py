@@ -454,7 +454,7 @@ class CircuitSve:
     ``round`` is one boosted estimation, each carrying group's median drawn
     from its law in the table. A projection reads only whether each median
     passes the flag rule; it draws the flags from the table's ``q``, and
-    then ``estimates_given``.
+    ``estimates_at`` reads each median off the uniform that set its flag.
     """
 
     def __init__(self, wop: WalkOperator, x, grid: PhaseGrid, params=None):
@@ -466,9 +466,11 @@ class CircuitSve:
         self.table = wop.median_table(grid, params)
 
     def _median_bins(self, u: np.ndarray) -> np.ndarray:
-        """Each carrying group's first folded bin whose F_med exceeds u."""
-        g = self.carrying
-        return self.table.keys.searchsorted(g + u, side="right") - g * len(self.table.sigma)
+        """Each carrying group's first folded bin whose F_med exceeds u, or
+        its last bin when the offset rounds g + u past every key."""
+        g, folded = self.carrying, len(self.table.sigma)
+        f = self.table.keys.searchsorted(g + u, side="right") - g * folded
+        return np.minimum(f, folded - 1)
 
     def round(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bin, theta_est, sigma_est) arrays, one entry per carrying group.
@@ -485,25 +487,21 @@ class CircuitSve:
         """
         sigma = self.table.sigma
         u = rng.random((len(self.carrying), 2))
-        f = np.minimum(self._median_bins(u[:, 0]), len(sigma) - 1)
+        f = self._median_bins(u[:, 0])
         theta, angle = self.groups.theta[self.carrying], f * self.grid.width
         near = np.sin((theta - angle) / 2.0) ** 2
         far = u[:, 1] * (near + np.sin((theta + angle) / 2.0) ** 2) < near
         bins = np.where(far, self.grid.size - f, f) % self.grid.size
         return bins, angle, sigma[f]
 
-    def estimates_given(self, kept: np.ndarray, rng: np.random.Generator):
-        """sigma_est per carrying group, drawn from its boosted median's law
-        given its flag in ``kept``: one uniform u per group inverts F_med at
-        u q on the kept side and at q + u (1 - q) past it, and the folded bin
-        is clamped to its flag's side of the cut."""
-        table = self.table
-        q = table.q[self.carrying]
-        u = rng.random(len(q))
-        f = self._median_bins(np.where(kept, u * q, q + u * (1.0 - q)))
-        low = np.where(kept, 0, table.kept_bins)
-        high = np.where(kept, table.kept_bins, len(table.sigma)) - 1
-        return table.sigma[np.minimum(np.maximum(f, low), high)]
+    def estimates_at(self, u: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """sigma_est per carrying group, read off the uniforms ``u`` that set
+        its flags ``kept`` (u < q): u inverts F_med, and the folded bin is
+        clamped to its flag's side of the cut. Given its flag, an accepted u
+        is uniform on [0, q) or [q, 1), so this is the median's law given
+        the flag."""
+        f, k = self._median_bins(u), self.table.kept_bins
+        return self.table.sigma[np.where(kept, np.minimum(f, k - 1), np.maximum(f, k))]
 
     def survivor(self, gids) -> np.ndarray:
         """Q^T of the input's projection onto the given groups: V_S V_S^T x

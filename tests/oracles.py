@@ -374,7 +374,9 @@ def qpe_bin_probabilities(theta, grid: PhaseGrid) -> np.ndarray:
     bin N - f takes the sum form. This is the arithmetic of the package's
     folded kernel, bin by bin, so tests that compare against it at rounding
     level check the fold, the normalization and what is built on them; the
-    formula itself is checked against the DFT and a long-double evaluation.
+    formula itself is checked against the DFT and a long-double evaluation,
+    and the median law built on it against a long-double one
+    (``test_median_cdf_matches_the_long_double_textbook_law``).
     A phase within |sin(d_b / 2)| < 1e-15 of bin b puts all of its mass
     there. The mass within one bin of theta is at least 8 / pi^2.
     """

@@ -184,5 +184,23 @@ def test_circuit_attempt_draws_on_default_store(default_context_input):
     digest.update(repr((info.value.beta_sq.hex(), info.value.iterations)).encode())
     digest.update(repr(rng.bit_generator.state).encode())
     assert len(rows) == 64 and digest.hexdigest() == (
-        "a024ed296445db9467dfcf9f77208aa4e53aa998a5318a0c4cf0bea5cee11222"
+        "8ba3829b39cd12cde09140b2421141187de70600a41ec357ff80e8e24f18b4ea"
+    )
+
+
+def test_circuit_rows_on_their_own_streams(default_context_input):
+    # Every stored row of the default 64 x 64 store, each projected from its
+    # own stream: attempts, kept set, beta^2 and state bytes. The estimates
+    # are left out, so this pins the attempt draws alone.
+    a, params = default_context_input
+    wop = WalkOperator.from_store(MatrixStore.from_dense(a))
+    digest = hashlib.sha256()
+    rows = np.flatnonzero(a.any(axis=1)).tolist()
+    for row in rows:
+        rng = stream(5, "golden", "circuit-row", str(row))
+        out = threshold_project(wop, a[row], params, rng, path="circuit")
+        digest.update(repr((row, out.iterations, out.kept_indices(), out.beta_sq.hex())).encode())
+        digest.update(out.state.tobytes())
+    assert len(rows) == 64 and digest.hexdigest() == (
+        "bc7c2afe6c6a45cfd9d0962185ab10a43e1d3c82917cc34f2de972bbda0bd111"
     )

@@ -17,7 +17,8 @@ from qrecsim.qproject import (
     projection_grid,
     threshold_project,
 )
-from qrecsim.qsim import REGISTER_CAP, PhaseGrid, WalkOperator, boost_rounds, sve_circuit
+from qrecsim.qsim import (REGISTER_CAP, CircuitSve, PhaseGrid, WalkOperator, boost_rounds,
+                          sve_circuit)
 from qrecsim.recsys import RecommendContext
 from qrecsim.rng import DEFAULT_SEED
 from qrecsim.store import MatrixStore
@@ -471,3 +472,57 @@ class TestCircuitPath:
             )
         assert 0.0 < info.value.beta_sq <= BETA_SQ_FLOOR
         assert info.value.iterations == default_max_iterations(6, 0.0)
+
+
+class TestDrawContract:
+    """The uniforms each path takes from its rng: replaying that count on a
+    second rng of the same seed must leave the two in the same state."""
+
+    def test_exact_projection_takes_one_uniform_per_attempt(self):
+        f = svd(GAP)
+        iterations = set()
+        for seed in range(20):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = threshold_project(f, GAP_X, GAP_PARAMS, rng)
+            replay.random(out.iterations)
+            assert rng.bit_generator.state == replay.bit_generator.state
+            iterations.add(out.iterations)
+        assert max(iterations) > 1
+
+    def test_recommendation_takes_one_more_uniform(self):
+        a = random_matrix(12)
+        ctx = RecommendContext(a, ProjectionParams(sigma=0.4 * np.linalg.norm(a)))
+        iterations = set()
+        for seed in range(20):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = ctx.recommend(seed % 6, rng)
+            replay.random(out.iterations + 1)
+            assert rng.bit_generator.state == replay.bit_generator.state
+            iterations.add(out.iterations)
+        assert max(iterations) > 1
+
+    def test_circuit_projection_takes_only_its_attempts(self):
+        # The instance of test_circuit_estimates_agree_with_their_flags: each
+        # attempt is one uniform per carrying group, then the success draw,
+        # and the estimates are read off the last attempt's uniforms.
+        params = ProjectionParams(sigma=1.0, max_iterations=1000)
+        wop = WalkOperator.from_dense(np.diag([3.0, 0.9936 * params.cut, 0.5, 0.25]))
+        x = np.ones(4)
+        est = CircuitSve(wop, x, projection_grid(params, wop.fro), params)
+        table, k = est.table, est.table.kept_bins
+        iterations, flags = set(), set()
+        for seed in range(30):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = threshold_project(wop, x, params, rng, path="circuit")
+            for _ in range(out.iterations):
+                u = replay.random(len(est.carrying))
+                replay.random()
+            assert rng.bit_generator.state == replay.bit_generator.state
+            kept = u < table.q[est.carrying]
+            f = est._median_bins(u)
+            sigma_est = table.sigma[np.where(kept, np.minimum(f, k - 1), np.maximum(f, k))]
+            assert [c.kept for c in out.components] == kept.tolist()
+            assert [c.sigma_est for c in out.components] == sigma_est.tolist()
+            iterations.add(out.iterations)
+            flags.add(bool(kept[1]))
+        assert max(iterations) > 1 and flags == {False, True}

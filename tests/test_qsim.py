@@ -76,6 +76,24 @@ def tree_of(values) -> TreeTable:
     return tree
 
 
+def long_double_folded_kernel(thetas: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """The textbook single-round kernel sin^2(N d_b / 2) / (N sin(d_b / 2))^2
+    for every bin b, evaluated in long double at d_b = theta - b w formed in
+    long double on the package's grid, normalized per phase, and folded by
+    hand (bins b and N - b), one row per phase."""
+    n = grid.size
+    b = np.arange(n)
+    d = thetas.astype(np.longdouble)[:, None] - np.longdouble(grid.width) * b
+    sin_half = np.sin(d / 2)
+    with np.errstate(invalid="ignore"):
+        mass = np.sin(n * d / 2) ** 2 / (n * sin_half) ** 2
+    mass[sin_half == 0] = 1.0  # the limit at d_b = 0
+    mass /= mass.sum(axis=1, keepdims=True)
+    folded = np.zeros((len(thetas), n // 2 + 1), dtype=np.longdouble)
+    np.add.at(folded, (slice(None), np.minimum(b, n - b)), mass)
+    return folded
+
+
 def random_full_matrix(seed: int, m: int = 4, n: int = 4) -> np.ndarray:
     """Random matrix with every row nonzero (walk fully defined)."""
     rng = np.random.default_rng(seed)
@@ -474,15 +492,7 @@ class TestPhaseEstimation:
                            np.nextafter(k * grid.width, 4.0), 1e-14, (k + 0.5) * grid.width])
         got = folded_kernel(thetas, grid, folded_half_angles(grid))
         got /= got.sum(axis=1, keepdims=True)
-        b = np.arange(n)
-        d = thetas.astype(np.longdouble)[:, None] - np.longdouble(grid.width) * b
-        sin_half = np.sin(d / 2)
-        with np.errstate(invalid="ignore"):
-            mass = np.sin(n * d / 2) ** 2 / (n * sin_half) ** 2
-        mass[sin_half == 0] = 1.0  # the limit at d_b = 0
-        mass /= mass.sum(axis=1, keepdims=True)
-        want = np.zeros((len(thetas), n // 2 + 1), dtype=np.longdouble)
-        np.add.at(want, (slice(None), np.minimum(b, n - b)), mass)
+        want = long_double_folded_kernel(thetas, grid)
         err = np.abs(got - want) - 1e-10 * want
         assert np.max(err) <= (n * 1e-15) ** 2
 
@@ -1066,6 +1076,35 @@ class TestFlagTable:
             assert med[g, -1] == 1.0
             assert np.max(np.abs(med[g] - want)) <= 1e-13
             assert table.q[g] == pytest.approx(want[table.kept_bins - 1], rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("bits", [3, 9, 14])
+    def test_median_cdf_matches_the_long_double_textbook_law(self, bits):
+        # F_med from ``long_double_folded_kernel`` and the binomial tail
+        # summed term by term in long double, with the upper tail as a
+        # reverse cumulative sum: no arithmetic shared with the package. The
+        # 14-bit grid holds the group at theta / w = 5331.59. Tolerance,
+        # fixed before the run from the long-double kernel comparison on
+        # these groups, which moved at most 5.6e-16, 7.0e-14 and 1.13e-12 of
+        # mass per row at 3, 9 and 14 bits: F moves by no more, and
+        # P(Binomial(13, F) >= 7) by at most 13 C(12, 6) / 2^12 = 2.93 times
+        # as much, so 1.7e-15, 2.1e-13 and 3.3e-12; float64 rounding of the
+        # tail's few terms and of the row offsets (below 8) adds under 3e-15.
+        w = WalkOperator.from_dense(random_full_matrix(84, 6, 8))
+        params = ProjectionParams(sigma=0.4 * w.fro)
+        grid = PhaseGrid(bits)
+        table = w.median_table(grid, params)
+        thetas = w.phase_groups().theta
+        rounds = boost_rounds(w.m, w.n)
+        assert rounds == 13 and 5331 < thetas[1] / PhaseGrid(14).width < 5332
+        mass = long_double_folded_kernel(thetas, grid)
+        below = np.cumsum(mass, axis=1)
+        above = np.cumsum(mass[:, ::-1], axis=1)[:, ::-1] - mass
+        want = sum(math.comb(rounds, k) * below**k * above ** (rounds - k)
+                   for k in range((rounds + 1) // 2, rounds + 1))
+        med = table.keys.reshape(len(thetas), -1) - np.arange(len(thetas))[:, None]
+        tol = {3: 1e-14, 9: 2.2e-13, 14: 3.4e-12}[bits]
+        assert np.max(np.abs(med - want)) <= tol
+        assert np.max(np.abs(table.q - want[:, table.kept_bins - 1])) <= tol
 
     def test_uncut_table_keeps_no_bin(self):
         w = WalkOperator.from_dense(random_full_matrix(84, 6, 8))
