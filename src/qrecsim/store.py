@@ -15,6 +15,11 @@ held flag per leaf. A node with no written leaf below it holds +0.0.
 Updates carry the new sum up the leaf's path, so each ancestor is the exact
 sum of its two children rather than an old sum plus a delta, and the stored
 floats depend only on the final set of leaf values, never on arrival order.
+``MatrixStore.insert`` is one checked pass: it validates the cell and value
+once, carries the squared value up the row tree and the new row root up the
+norm tree, and writes signs and held flags only once ||A||_F^2 is finite.
+Otherwise it carries the old leaf weight back up both paths, which puts
+every node back to its earlier bits, and refuses the entry.
 Bulk construction (``from_dense`` and ``deserialize``) writes the leaves and
 then forms each level from the one below as left child + right child, the
 same IEEE additions on the same operands that one insert per cell performs
@@ -110,9 +115,7 @@ class TreeTable:
     def update(self, i: int, j: int, weight: float, sign: int) -> int:
         """Set leaf j of tree i to ``weight`` and refresh its ancestors.
 
-        Returns the number of tree nodes written (depth + 1). The new sum is
-        carried up the path, one sibling read per level; each ancestor is
-        left child + right child bit for bit (see the module docstring).
+        Returns the number of tree nodes written (depth + 1).
         """
         if not 0 <= i < self.count:
             raise MatrixError(f"row index {i} outside [0, {self.count})")
@@ -120,20 +123,28 @@ class TreeTable:
             raise MatrixError(f"leaf index {j} outside [0, {self.size})")
         if not math.isfinite(weight) or weight < 0.0:
             raise MatrixError(f"leaf weight must be finite and >= 0, got {weight}")
+        self._carry(i, j, float(weight))
+        self._signs[i * self.size + j] = int(sign)
+        self._held[i * self.size + j] = True
+        return self.depth + 1
+
+    def _carry(self, i: int, j: int, weight: float) -> float:
+        """Write ``weight`` at leaf j of tree i, carry the new sum up its path
+        and return the new root; neither checks i, j or weight nor touches the
+        sign and held flag. One sibling read per level, so each ancestor is
+        left child + right child bit for bit (see the module docstring)."""
         width = 2 << self.depth
         tree = self._flat[i * width : (i + 1) * width]
         k = (width >> 1) + j
-        tree[k] = total = float(weight)
-        self._signs[i * self.size + j] = int(sign)
-        self._held[i * self.size + j] = True
+        tree[k] = total = weight
         while k > 1:
             total += tree[k ^ 1]
             k >>= 1
             tree[k] = total
-        return self.depth + 1
+        return total
 
     def leaf(self, i: int, j: int) -> tuple[float, int, bool]:
-        """Leaf j of tree i as (weight, sign, held), as ``restore`` takes it."""
+        """Leaf j of tree i as (weight, sign, held)."""
         if not 0 <= i < self.count:
             raise MatrixError(f"row index {i} outside [0, {self.count})")
         if not 0 <= j < self.size:
@@ -141,13 +152,6 @@ class TreeTable:
         k = i * self.size + j
         weight = self._flat[i * (2 << self.depth) + (1 << self.depth) + j]
         return weight, self._signs[k], self._held[k]
-
-    def restore(self, i: int, j: int, leaf: tuple[float, int, bool]) -> None:
-        """Write back a ``leaf`` reading. Every sum depends only on the
-        leaves, so the ancestors return to their earlier bits too."""
-        weight, sign, held = leaf
-        self.update(i, j, weight, sign)
-        self._held[i * self.size + j] = held
 
     def insert(self, i: int, j: int, value: float) -> int:
         if not math.isfinite(value):
@@ -256,27 +260,37 @@ class MatrixStore:
     def insert(self, i: int, j: int, value: float) -> int:
         """Record A[i, j] = value, overwriting any previous value there.
 
+        One checked pass: i, j and value are validated once, value^2 is
+        carried up row i's tree and the new row root up the norm tree.
         Touches at most ceil(log2 n) + ceil(log2 m) + 2 tree nodes: the leaf
         and its ancestors in the row tree, then the row's leaf and ancestors
-        in the norm tree. Raises MatrixError when the new ||A||_F^2
-        overflows, and leaves the store exactly as it was.
+        in the norm tree. When the new ||A||_F^2 is not finite, the old leaf
+        weight is carried back up both paths, which returns every node to
+        its earlier bits, and MatrixError is raised; signs, held flags and
+        ``node_touches`` are written only after that check, so a refused
+        insert leaves the store exactly as it was.
         """
         rows, norm = self.rows, self.norm_tree
-        old = rows.leaf(i, j)
-        touches = rows.insert(i, j, value)
+        if not 0 <= i < self.m:
+            raise MatrixError(f"row index {i} outside [0, {self.m})")
+        if not 0 <= j < self.n:
+            raise MatrixError(f"leaf index {j} outside [0, {self.n})")
         try:
-            touches += norm.update(0, i, rows.root(i), 1)
-        except MatrixError:  # an infinite row root, refused before any write
-            overflow = True
-        else:
-            overflow = not math.isfinite(norm.root(0))
-        if overflow:
-            # A row's norm leaf is its root, held and signed 1 once the row
-            # holds a leaf, so the restored row gives it back exactly.
-            rows.restore(i, j, old)
-            held = bool(rows.held[i].any())
-            norm.restore(0, i, (rows.root(i), int(held), held))
-            raise MatrixError(f"entry ({i}, {j}) too large: ||A||_F^2 overflows") from None
+            finite = math.isfinite(value)  # TypeError on a str, OverflowError on 10**309
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise MatrixError(f"entry value must be a finite real number, got {value!r}")
+        value = float(value)
+        old = rows._flat[((2 * i + 1) << rows.depth) + j]
+        if not math.isfinite(norm._carry(0, i, rows._carry(i, j, value * value))):
+            norm._carry(0, i, rows._carry(i, j, old))
+            raise MatrixError(f"entry ({i}, {j}) too large: ||A||_F^2 overflows")
+        rows._signs[i * self.n + j] = int(value > 0.0) - int(value < 0.0)
+        rows._held[i * self.n + j] = True
+        norm._signs[i] = 1
+        norm._held[i] = True
+        touches = rows.depth + norm.depth + 2
         self.node_touches += touches
         return touches
 

@@ -11,6 +11,7 @@ is package API.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -87,6 +88,41 @@ def leaf_scan_weights(table, i: int = 0) -> dict[tuple[int, int], float]:
             if hit:
                 out[(t, prefix)] = total
     return out
+
+
+def reference_insert(store, i: int, j: int, value) -> int:
+    """``MatrixStore.insert`` of a float ``value``, composed from TreeTable's
+    checked calls.
+
+    Reads the old leaf (which checks i and j), writes the row leaf with
+    ``update``, then the row's norm leaf from the new row root. A square that
+    overflows is refused first; when the norm tree refuses an infinite row
+    root or its root overflows, both leaves are written back with ``update``
+    and their held flags reset, which returns every sum to its earlier bits,
+    and the store's overflow error is raised.
+    """
+    rows, norm = store.rows, store.norm_tree
+    weight, sign, held = rows.leaf(i, j)
+    if not math.isfinite(value):
+        raise MatrixError(f"entry value must be a finite real number, got {value!r}")
+    overflow = MatrixError(f"entry ({i}, {j}) too large: ||A||_F^2 overflows")
+    if math.isinf(value * value):  # update would refuse it before any write
+        raise overflow
+    touches = rows.update(i, j, value * value, int(value > 0.0) - int(value < 0.0))
+    try:
+        touches += norm.update(0, i, rows.root(i), 1)
+        refused = not math.isfinite(norm.root(0))
+    except MatrixError:  # an infinite row root, refused before any write
+        refused = True
+    if refused:
+        rows.update(i, j, weight, sign)
+        rows.held[i, j] = held
+        row_held = bool(rows.held[i].any())
+        norm.update(0, i, rows.root(i), int(row_held))
+        norm.held[0, i] = row_held
+        raise overflow
+    store.node_touches += touches
+    return touches
 
 
 def prepare_vector_state(table, i: int = 0) -> np.ndarray:

@@ -486,6 +486,11 @@ class TestPhaseEstimation:
         # away, so the relative error stays under about 1e-11 at 14 bits;
         # 1e-10 relative, plus (N 1e-15)^2 absolute, the most mass the
         # on-grid rule (|sin(d_b / 2)| < 1e-15) moves off the other bins.
+        # Error model (``folded_kernel``): a phase d from its nearest bin gets
+        # up to about 2e-16 / (d / 2) relative error on every normalized
+        # mass, so these cases are mid-bin, on a bin, or near bin 0 where
+        # a c - b s is a tiny a alone; nearer a bin the model, not 1e-10,
+        # bounds the error (next test).
         grid = PhaseGrid(bits)
         n, k = grid.size, grid.size // 3
         thetas = np.array([0.0, np.pi, k * grid.width, 1e-17,
@@ -495,6 +500,28 @@ class TestPhaseEstimation:
         want = long_double_folded_kernel(thetas, grid)
         err = np.abs(got - want) - 1e-10 * want
         assert np.max(err) <= (n * 1e-15) ** 2
+
+    @pytest.mark.parametrize("bits", [3, 9, 14])
+    def test_folded_kernel_near_a_bin_keeps_to_its_error_model(self, bits):
+        # Phases a fraction delta of a bin from bin N / 3, on either side, and
+        # at 14 bits theta / w = 6504.9928, the group of random_full_matrix(84,
+        # 6, 8) that is 1.11e-10 off. Tolerance, fixed before the run: the
+        # model's 2e-16 / (d / 2) relative error on every normalized mass, d
+        # the distance to the nearest bin, times 4 for its "about" (a, b, c, s
+        # and the two products each round once). The long-double reference
+        # is good to about 1e-19 / (d / 2), far inside that.
+        grid = PhaseGrid(bits)
+        k, w = grid.size // 3, grid.width
+        deltas = np.array([1e-2, 1e-4, 1e-6])
+        thetas = np.concatenate([(k + deltas) * w, (k + 1 - deltas) * w])
+        if bits == 14:
+            thetas = np.append(thetas, 6504.9928 * w)
+        got = folded_kernel(thetas, grid, folded_half_angles(grid))
+        got /= got.sum(axis=1, keepdims=True)
+        want = long_double_folded_kernel(thetas, grid)
+        offset = thetas.astype(np.longdouble) - np.longdouble(w) * np.rint(thetas / w)
+        tol = 4 * 2e-16 / (np.abs(offset).astype(float) / 2)
+        assert np.all(np.abs(got - want) <= tol[:, None] * want)
 
     def test_one_bin_mass_at_least_eight_over_pi_sq(self):
         grid = PhaseGrid(6)

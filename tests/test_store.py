@@ -1,5 +1,6 @@
 """Sampling-tree store: weights, updates, sampling, serialization."""
 
+import functools
 import hashlib
 import math
 import struct
@@ -14,7 +15,7 @@ from scipy import stats
 from qrecsim.errors import EmptyRowError, MatrixError, StoreFormatError
 from qrecsim.store import MAX_INGEST_DIM, MatrixStore, TreeTable, ingest_triplets, parse_triplets
 
-from oracles import leaf_scan_weights, prepare_vector_state
+from oracles import leaf_scan_weights, prepare_vector_state, reference_insert
 
 EXAMPLE_ROW = [0.4, 0.4, 0.8, 0.2]
 
@@ -158,7 +159,7 @@ class TestShapesAndAddresses:
     @pytest.mark.parametrize(
         "method, args",
         [("root", ()), ("amplitude", (0,)), ("node_weight", (0, 0)), ("leaf", (0,)),
-         ("update", (0, 1.0, 1)), ("restore", (0, (1.0, 1, True))), ("insert", (0, 1.0)),
+         ("update", (0, 1.0, 1)), ("insert", (0, 1.0)),
          ("sample", (np.random.default_rng(0),))],
     )
     def test_tree_index_checked(self, method, args, i):
@@ -270,6 +271,28 @@ class TestMatrixStore:
         assert_same_store(MatrixStore.deserialize(store.serialize()), twin)
         assert store.insert(*cell, 1.0) == twin.insert(*cell, 1.0)
         assert_same_store(store, twin)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (1e200, r"entry \(0, 1\) too large: \|\|A\|\|_F\^2 overflows"),  # the square overflows
+            (10**200, r"entry \(0, 1\) too large"),  # converts to 1e200
+            (10**309, "must be a finite real number, got 1000"),  # past the float range
+            ("1.0", "must be a finite real number, got '1.0'"),
+            (None, "must be a finite real number, got None"),
+            (math.nan, "must be a finite real number, got nan"),
+        ],
+        ids=["1e200", "10**200", "10**309", "str", "None", "nan"],
+    )
+    def test_refused_value_leaves_store_unchanged(self, value, message):
+        store = MatrixStore.from_dense([[1.0, -2.0, 0.0], [0.0, 3.0, 0.0]])
+        twin = MatrixStore.from_dense(store.to_dense())
+        blob = store.serialize()
+        with pytest.raises(MatrixError, match=message):
+            store.insert(0, 1, value)
+        assert_same_store(store, twin)
+        assert store.node_touches == twin.node_touches
+        assert store.serialize() == blob
 
     @pytest.mark.parametrize("j", [-1, 3, 1 << 40])
     def test_insert_outside_the_columns_leaves_store_unchanged(self, j):
@@ -682,6 +705,44 @@ def test_bulk_build_matches_inserts_property(a, zeros):
     back = MatrixStore.deserialize(reference.serialize())
     assert_same_store(back, reference)
     assert back.serialize() == reference.serialize()
+
+
+@st.composite
+def insert_streams(draw):
+    """A shape and a stream of inserts into it: overwrites, signed zeros,
+    squares that underflow to 0 (1e-170), entries whose square or sum with
+    the rest overflows, non-finite values and indices just outside the shape."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 1e154, -1e154, 1e200, math.inf, math.nan]),
+        st.floats(-1e3, 1e3),
+    )
+    index = lambda size: st.one_of(st.integers(0, size - 1), st.sampled_from([-1, size]))
+    return m, n, draw(st.lists(st.tuples(index(m), index(n), value), max_size=30))
+
+
+def insert_outcome(insert, i, j, value):
+    try:
+        return insert(i, j, value)
+    except MatrixError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(insert_streams())
+# 1e154 in row 0 makes the sum overflow when it lands over the held negative
+# cell (1, 0); then a square that underflows, an overwrite and a bad index.
+@example((2, 3, [(1, 0, -2.0), (0, 0, 1e154), (1, 0, 1e154), (1, 0, 1e-170), (1, 0, -0.0),
+                 (2, 0, 1.0), (1, 3, 1.0)]))
+def test_insert_matches_reference_composition_property(case):
+    m, n, stream = case
+    store, reference = MatrixStore(m, n), MatrixStore(m, n)
+    for i, j, value in stream:
+        got = insert_outcome(store.insert, i, j, value)
+        assert got == insert_outcome(functools.partial(reference_insert, reference), i, j, value)
+        assert_same_store(store, reference)
+        assert store.node_touches == reference.node_touches
+    assert store.serialize() == reference.serialize()
 
 
 @st.composite
