@@ -35,6 +35,7 @@ the input bits alone and draws from no caller's random stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -134,8 +135,16 @@ def as_vector(x, size: int | None = None) -> np.ndarray:
 
 def unit_vector(x, size: int) -> np.ndarray:
     """x / ||x|| for a valid length-``size`` vector; the zero vector is rejected."""
-    vec = as_vector(x, size=size)
-    norm = np.linalg.norm(vec)
+    return normalized(as_vector(x, size=size))
+
+
+def normalized(vec: np.ndarray) -> np.ndarray:
+    """vec / ||vec|| for a 1-d float64 array already known to be finite; the
+    zero vector is rejected. ||vec|| is sqrt(vec . vec) over a contiguous
+    copy, the bits ``np.linalg.norm`` gives (a strided dot sums in another
+    order)."""
+    flat = vec.ravel(order="K")
+    norm = math.sqrt(flat.dot(flat))
     if norm <= 0.0:
         raise MatrixError("cannot normalize the zero vector")
     return vec / norm

@@ -20,6 +20,7 @@ run their attempts through ``attempts_until_success``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -149,11 +150,11 @@ def kept_mask(f: SvdFactorization, params: ProjectionParams) -> np.ndarray:
 def kept_state(v_kept: np.ndarray, alpha_kept: np.ndarray) -> tuple[float, np.ndarray]:
     """(beta^2, unit survivor state) from the kept right singular vectors and
     the input's overlaps with them; the state is zero when beta^2 is 0."""
-    beta_sq = float(np.sum(alpha_kept**2))
+    beta_sq = float((alpha_kept * alpha_kept).sum())
     if beta_sq <= 0.0:
         return beta_sq, np.zeros(v_kept.shape[0])
     state = v_kept @ alpha_kept
-    state /= np.linalg.norm(state)
+    state /= math.sqrt(state.dot(state))
     return beta_sq, state
 
 

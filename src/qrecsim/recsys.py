@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundVacuousError, ColdStartError, MatrixError
-from .linalg import SvdFactorization, as_matrix, check_count, check_real, svd, unit_vector
+from .linalg import SvdFactorization, as_matrix, check_count, check_real, normalized, svd
 from .qproject import ProjectionParams, attempts_until_success, keep_floor, kept_mask, kept_state
 from .rng import choice_cdf
 from .store import MatrixStore
@@ -148,7 +148,8 @@ class RecommendContext:
     the singular values down to ``keep_floor``, the lowest one whose grid
     estimate can reach the cut, and certifies the rest below it; the kept
     set is over the resolved directions, and ``v_kept`` holds V's kept
-    columns. ``user_state`` builds each user's record once: beta^2 and
+    columns. The matrix is validated once, here, and never again per row.
+    ``user_state`` builds each user's record once, in one pass: beta^2 and
     state, then the beta^2 source, retry budget and inverse CDF (None when
     beta^2 is 0, which exhausts every budget) that the user's
     recommendations draw with. Individual calls only consume randomness
@@ -168,20 +169,34 @@ class RecommendContext:
         self._users: dict[int, tuple] = {}  # user -> the record ``user_state`` builds
 
     def user_state(self, i: int) -> tuple[np.ndarray, float, np.ndarray]:
-        """(probabilities, beta_sq, projected unit row) for user i."""
+        """(probabilities, beta_sq, projected unit row) for user i.
+
+        A cold user's record is built in one pass: the unit row, its overlaps
+        with the kept columns, beta^2 and the survivor state, the inverse CDF
+        and the retry budget. The row is not validated again: the context
+        validated the whole matrix once (``as_matrix`` for a dense source; a
+        store's leaves are finite). Only a row of norm 0 is tested for
+        entries: none is a ColdStartError, and squares that all underflow
+        are refused as the zero vector.
+        """
         user = self._users.get(i)
-        if user is None:
-            m, n = self.dense.shape
-            if not 0 <= i < m:
-                raise MatrixError(f"user index {i} outside [0, {m})")
-            row = self.dense[i]
+        if user is not None:
+            return user[1] ** 2, user[0], user[1]
+        m, n = self.dense.shape
+        if not 0 <= i < m:
+            raise MatrixError(f"user index {i} outside [0, {m})")
+        row = self.dense[i]
+        try:
+            unit = normalized(row)
+        except MatrixError:
             if not row.any():
-                raise ColdStartError(f"cold-start user: user {i} has no stored entries")
-            beta_sq, state = kept_state(self.v_kept, self.v_kept.T @ unit_vector(row, n))
-            cdf = choice_cdf(state**2) if beta_sq > 0.0 else None
-            limit = self.params.retry_limit(n, beta_sq)
-            user = self._users[i] = (beta_sq, state, lambda: beta_sq, limit, cdf)
-        return user[1] ** 2, user[0], user[1]
+                raise ColdStartError(f"cold-start user: user {i} has no stored entries") from None
+            raise
+        beta_sq, state = kept_state(self.v_kept, self.v_kept.T @ unit)
+        probs = state * state
+        cdf = choice_cdf(probs) if beta_sq > 0.0 else None
+        self._users[i] = (beta_sq, state, lambda: beta_sq, self.params.retry_limit(n, beta_sq), cdf)
+        return probs, beta_sq, state
 
     def recommend(self, i: int, rng: np.random.Generator) -> RecommendOutcome:
         """Project user i's stored row, then measure a product index.

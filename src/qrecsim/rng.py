@@ -15,6 +15,8 @@ import numpy as np
 from .errors import MatrixError
 
 DEFAULT_SEED = 20160321
+# How far from 1 a distribution's sum may be, as in ``Generator.choice``.
+SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def _name_key(name: str) -> int:
@@ -39,11 +41,13 @@ def choice_cdf(p: np.ndarray) -> np.ndarray:
     Checks each distribution as ``Generator.choice`` does (no negative
     entry, sum within sqrt(eps) of 1) and normalizes its cumulative sum the
     same way, so ``cdf.searchsorted(rng.random(), side="right")`` draws the
-    index that ``rng.choice(len(p), p=p)`` would, bit for bit.
+    index that ``rng.choice(len(p), p=p)`` would, bit for bit. A NaN fails
+    the sum check.
     """
-    atol = np.sqrt(np.finfo(np.float64).eps)
-    if (p < 0.0).any() or not (abs(p.sum(axis=-1) - 1.0) <= atol).all():
+    # A scalar for a 1-D p; min's initial 0.0 lets an empty p reach this check.
+    within = abs(p.sum(axis=-1) - 1.0) <= SUM_TOL
+    if p.min(initial=0.0) < 0.0 or not (within if p.ndim == 1 else within.all()):
         raise MatrixError("probabilities must be non-negative and sum to 1")
     cdf = p.cumsum(axis=-1)
-    cdf /= cdf[..., -1:]
+    cdf /= cdf[-1] if p.ndim == 1 else cdf[..., -1:]
     return cdf

@@ -154,8 +154,15 @@ class TreeTable:
         return weight, self._signs[k], self._held[k]
 
     def insert(self, i: int, j: int, value: float) -> int:
-        if not math.isfinite(value):
-            raise MatrixError(f"entry value must be finite, got {value}")
+        """Set leaf j of tree i to value^2 with value's sign; the value is
+        taken in as ``MatrixStore.insert`` takes it in."""
+        try:
+            finite = math.isfinite(value)  # TypeError on a str, OverflowError on 10**309
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise MatrixError(f"entry value must be a finite real number, got {value!r}")
+        value = float(value)
         return self.update(i, j, value * value, int(value > 0.0) - int(value < 0.0))
 
     def sample(self, i: int, rng: np.random.Generator) -> int:

@@ -21,6 +21,7 @@ from scipy import stats
 
 from qrecsim.errors import ColdStartError, EmptyRowError, MatrixError, RegisterCapError
 from qrecsim.linalg import SvdFactorization, as_matrix, as_vector, check_real
+from qrecsim.qproject import BETA_SQ_FLOOR
 from qrecsim.qsim import (
     COMPONENT_TOL,
     COS_TOL,
@@ -123,6 +124,47 @@ def reference_insert(store, i: int, j: int, value) -> int:
         raise overflow
     store.node_touches += touches
     return touches
+
+
+def reference_user_record(ctx, i: int) -> tuple[float, np.ndarray, int, np.ndarray | None]:
+    """(beta^2, state, retry budget, inverse CDF) that ``RecommendContext``
+    keeps for user i, composed step by step from the context's data.
+
+    The cold-start test comes first, then the row is validated and divided
+    by ``np.linalg.norm``; beta^2 is ``np.sum`` of the squared overlaps with
+    the kept columns; the state is their combination divided by its norm;
+    the CDF checks ``state**2`` as ``Generator.choice`` does, with sqrt(eps)
+    formed per call, and normalizes its cumulative sum; the budget is
+    ``max_iterations`` or ceil((ln n + 7) / beta^2), a bare ceil(ln n + 7)
+    at or below BETA_SQ_FLOOR.
+    """
+    m, n = ctx.dense.shape
+    if not 0 <= i < m:
+        raise MatrixError(f"user index {i} outside [0, {m})")
+    row = ctx.dense[i]
+    if not row.any():
+        raise ColdStartError(f"cold-start user: user {i} has no stored entries")
+    vec = as_vector(row, size=n)
+    norm = np.linalg.norm(vec)
+    if norm <= 0.0:
+        raise MatrixError("cannot normalize the zero vector")
+    alpha = ctx.v_kept.T @ (vec / norm)
+    beta_sq = float(np.sum(alpha**2))
+    cdf = None
+    if beta_sq <= 0.0:
+        state = np.zeros(n)
+    else:
+        state = ctx.v_kept @ alpha
+        state /= np.linalg.norm(state)
+        p = state**2
+        atol = np.sqrt(np.finfo(np.float64).eps)
+        if (p < 0.0).any() or not (abs(p.sum(axis=-1) - 1.0) <= atol).all():
+            raise MatrixError("probabilities must be non-negative and sum to 1")
+        cdf = p.cumsum(axis=-1)
+        cdf /= cdf[..., -1:]
+    base = np.log(n) + 7.0
+    limit = int(np.ceil(base if beta_sq <= BETA_SQ_FLOOR else base / beta_sq))
+    return beta_sq, state, ctx.params.max_iterations or limit, cdf
 
 
 def prepare_vector_state(table, i: int = 0) -> np.ndarray:

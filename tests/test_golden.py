@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from qrecsim.cli import EXIT_OK, main
-from qrecsim.errors import ProjectionEmptyError
+from qrecsim.errors import ColdStartError, ProjectionEmptyError
 from qrecsim.experiment import ExperimentConfig, report_to_json, run_experiment
 from qrecsim.qproject import ProjectionParams, threshold_project
 from qrecsim.qsim import WalkOperator, sve_circuit
+from qrecsim.recsys import RecommendContext, generate_T, recommendation_sigma
 from qrecsim.rng import stream
 from qrecsim.store import MatrixStore
+from qrecsim.subsample import subsample
 
 # A planted 12 x 10 preference matrix (three user types, 15% flips).
 PLANTED = np.array(
@@ -203,4 +205,52 @@ def test_circuit_rows_on_their_own_streams(default_context_input):
         digest.update(out.state.tobytes())
     assert len(rows) == 64 and digest.hexdigest() == (
         "bc7c2afe6c6a45cfd9d0962185ab10a43e1d3c82917cc34f2de972bbda0bd111"
+    )
+
+
+def _serve(ctx, users, digest, rng):
+    # One recommendation per user: its outcome, or the error's type and fields.
+    for user in users:
+        try:
+            out = ctx.recommend(user, rng)
+        except ProjectionEmptyError as exc:
+            digest.update(repr((user, "empty", exc.iterations, exc.beta_sq.hex())).encode())
+        except ColdStartError:
+            digest.update(repr((user, "cold")).encode())
+        else:
+            digest.update(repr((user, out.product, out.iterations, out.beta_sq.hex())).encode())
+
+
+def _records(ctx, digest):
+    # Every cached record: beta^2, retry budget, state and CDF bytes.
+    for user, (beta_sq, state, _, limit, cdf) in sorted(ctx._users.items()):
+        digest.update(repr((user, beta_sq.hex(), limit, cdf is None)).encode())
+        digest.update(state.tobytes())
+        digest.update(b"" if cdf is None else cdf.tobytes())
+
+
+def test_serving_transcript_digest():
+    # A 64 x 64 planted subsample filled insert by insert, row 0 left empty so
+    # that user 0 is a cold start. Every user is served cold once, then 2,000 warm recommendations go to users drawn by
+    # l2_sample_row_index. A second context on a dense source caps retries at
+    # 2, so some users exhaust their budget. The digest covers each outcome or
+    # error, each cached record and the final state of every stream.
+    rng = stream(7, "golden", "serving")
+    sampled = subsample(generate_T(64, 64, 4, 0.1, rng), 0.5, rng)
+    store = MatrixStore(64, 64)
+    for i, j in zip(*np.nonzero(sampled[1:])):
+        store.insert(int(i) + 1, int(j), float(sampled[i + 1, j]))
+    sigma = recommendation_sigma(0.8, 0.5, 4, store.frobenius_norm())
+    ctx = RecommendContext(store, ProjectionParams(sigma=sigma))
+    digest = hashlib.sha256()
+    _serve(ctx, range(64), digest, rng)
+    warm = [store.l2_sample_row_index(rng) for _ in range(2000)]
+    _serve(ctx, warm, digest, rng)
+    _records(ctx, digest)
+    capped = RecommendContext(PLANTED, ProjectionParams(sigma=3.0, max_iterations=2))
+    _serve(capped, list(range(12)) * 20, digest, rng)
+    _records(capped, digest)
+    digest.update(repr(rng.bit_generator.state).encode())
+    assert digest.hexdigest() == (
+        "d0915965dba5889a896c02bd08859ccb79ef09b6352bae889e16891d66912e2d"
     )

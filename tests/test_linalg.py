@@ -22,6 +22,7 @@ from qrecsim.linalg import (
     as_matrix,
     as_vector,
     svd,
+    unit_vector,
 )
 from qrecsim.qproject import DEFAULT_KAPPA, ProjectionParams, keep_floor, kept_mask, threshold_project
 from qrecsim.qsim import sve
@@ -755,6 +756,17 @@ class TestParameterRules:
     def test_vector_of_a_matrix_rejected(self):
         with pytest.raises(MatrixError, match=r"expected a 1-d vector, got shape \(2, 2\)"):
             as_vector(np.eye(2))
+
+    def test_unit_vector_divides_by_the_norm_numpy_forms(self):
+        # Rows and columns of C- and Fortran-ordered matrices: a strided dot
+        # sums in another order than the contiguous one np.linalg.norm takes.
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((5, 37)) * 10.0 ** rng.integers(-3, 4, (5, 37))
+        for x in (a[2], np.asfortranarray(a)[2], a[:, 3], np.array([1e154, 0.0, -1.0])):
+            assert unit_vector(x, x.size).tobytes() == (x / np.linalg.norm(x)).tobytes()
+        for zero in ([0.0, -0.0], [1e-170, -1e-170]):  # squares that underflow
+            with pytest.raises(MatrixError, match="^cannot normalize the zero vector$"):
+                unit_vector(zero, 2)
 
     def test_only_the_checkers_test_number_types(self):
         # Every other module names a rule instead of restating it.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qrecsim import recsys
@@ -22,7 +24,7 @@ from qrecsim.recsys import (
 from qrecsim.rng import choice_cdf
 from qrecsim.store import MatrixStore
 
-from oracles import bad_mass, calibration_ratio, w_statistic
+from oracles import bad_mass, calibration_ratio, reference_user_record, w_statistic
 
 
 class TestGenerateT:
@@ -306,6 +308,81 @@ class TestRecommendContext:
         assert counts[~keep].sum() <= np.ceil(expected[~keep].sum() + 4 * np.sqrt(6000))
 
 
+def _outcome(call):
+    """What ``call()`` returns, or its error's type and message."""
+    try:
+        return call()
+    except (ColdStartError, MatrixError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def serving_cases(draw):
+    """(matrix, source kind, threshold share of ||A||_F, max_iterations): a
+    small matrix whose rows may be left empty, made of squares that all
+    underflow (+-1e-170), or given an entry of 1e154 (square 1e308)."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    entry = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_subnormal=False))
+    a = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+    for i in range(m):
+        fill = draw(st.sampled_from(["keep"] * 4 + ["zero", "tiny", "huge"]))
+        if fill == "zero":
+            a[i] = 0.0
+        elif fill == "tiny":
+            a[i] = np.where(np.arange(n) % 2, -1e-170, 1e-170)
+        elif fill == "huge":
+            a[i, draw(st.integers(0, n - 1))] = 1e154
+    kind = draw(st.sampled_from(["dense", "fortran", "store"]))
+    share = draw(st.floats(0.05, 1.0))
+    return a, kind, share, draw(st.one_of(st.none(), st.integers(1, 40)))
+
+
+class TestUserRecord:
+    """``user_state``'s one-pass record against the step-by-step composition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(serving_cases())
+    # A row orthogonal to the kept span: beta^2 = 0 and no CDF.
+    @example((np.array([[3.0, 0.0], [0.0, 1.0]]), "dense", 0.6, None))
+    @example((np.array([[3.0, 0.0], [0.0, 1.0]]), "fortran", 0.6, 5))
+    # All-zero, +-1e-170 and 1e154 rows beside a normal one.
+    @example((np.array([[0.0, 0.0, 0.0], [1e-170, -1e-170, 1e-170], [1.0, 2.0, -1.0],
+                        [1e154, 0.0, 1.0]]), "dense", 0.3, None))
+    @example((np.array([[0.0, 0.0, 0.0], [1e-170, -1e-170, 1e-170], [1.0, 2.0, -1.0]]),
+              "store", 0.5, 3))
+    def test_user_record_matches_reference_composition_property(self, case):
+        a, kind, share, cap = case
+        with np.errstate(over="ignore"):  # two entries of 1e154 overflow ||A||_F^2
+            fro = float(np.linalg.norm(a))
+        assume(0.0 < fro < np.inf)
+        source = {"dense": a, "fortran": np.asfortranarray(a)}.get(kind)
+        try:
+            source = MatrixStore.from_dense(a) if source is None else source
+            ctx = RecommendContext(source, ProjectionParams(sigma=share * fro, max_iterations=cap))
+        except MatrixError:  # a store or threshold that squares cannot represent
+            assume(False)
+        m, n = a.shape
+        for user in range(-1, m + 1):
+            want = _outcome(lambda: reference_user_record(ctx, user))
+            got = _outcome(lambda: ctx.user_state(user))
+            if isinstance(want[0], type):
+                assert got == want
+                assert user not in ctx._users
+                continue
+            beta_sq, state, limit, cdf = want
+            probs, got_beta_sq, got_state = got
+            assert got_beta_sq.hex() == beta_sq.hex()
+            assert got_state.tobytes() == state.tobytes()
+            assert probs.tobytes() == (state**2).tobytes()
+            record = ctx._users[user]
+            assert record[0].hex() == beta_sq.hex() and record[2]() == record[0]
+            assert record[1].tobytes() == state.tobytes()
+            assert record[3] == limit
+            assert (record[4] is None) == (cdf is None)
+            assert cdf is None or record[4].tobytes() == cdf.tobytes()
+            assert ctx.user_state(user)[0].tobytes() == probs.tobytes()
+
+
 class TestRecommendDraws:
     """The per-user draw kernel against the retry loop plus ``rng.choice``."""
 
@@ -353,3 +430,19 @@ class TestRecommendDraws:
         cdf = choice_cdf(np.array([0.25, 0.75 - 1e-9]))
         assert cdf[-1] == 1.0
         assert cdf[0] == 0.25 / (1.0 - 1e-9)
+        # A 1-D p and the same p as a one-row 2-D array: the same refusals, and
+        # byte-equal tables when accepted.
+        tol = np.sqrt(np.finfo(np.float64).eps)
+        refused = ([0.5, 0.75, -0.25], [0.5, np.nan, 0.5], [0.5, 0.5 - 2 * tol, 0.0], [0.0] * 3)
+        for p in refused:
+            for shaped in (np.array(p), np.array([p])):
+                with pytest.raises(MatrixError, match="non-negative and sum to 1"):
+                    choice_cdf(shaped)
+        accepted = ([0.25, 0.0, 0.75 - tol / 2], [1.0, 0.0, 0.0], [0.1, 0.2, 0.7])
+        for p in accepted:
+            assert choice_cdf(np.array(p)).tobytes() == choice_cdf(np.array([p])).tobytes()
+        # Two rows: each row is checked and normalized on its own.
+        rows = choice_cdf(np.array(accepted[1:]))
+        assert rows.tobytes() == b"".join(choice_cdf(np.array(p)).tobytes() for p in accepted[1:])
+        with pytest.raises(MatrixError, match="non-negative and sum to 1"):
+            choice_cdf(np.array([accepted[0], refused[0]]))

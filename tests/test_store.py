@@ -294,6 +294,31 @@ class TestMatrixStore:
         assert store.node_touches == twin.node_touches
         assert store.serialize() == blob
 
+    @pytest.mark.parametrize(
+        "value, tree_message",
+        [
+            (1e200, "leaf weight must be finite and >= 0, got inf"),  # the square overflows
+            (10**200, "leaf weight must be finite and >= 0, got inf"),  # converts to 1e200
+            (10**309, None),
+            ("1.0", None),
+            (None, None),
+            (math.nan, None),
+        ],
+        ids=["1e200", "10**200", "10**309", "str", "None", "nan"],
+    )
+    def test_tree_insert_refuses_what_the_store_insert_refuses(self, value, tree_message):
+        # Both inserts take a value in the same way: the store's message, or,
+        # for a square that overflows, the tree's leaf-weight refusal.
+        store = MatrixStore.from_dense([[1.0, -2.0, 0.0], [0.0, 3.0, 0.0]])
+        tree = MatrixStore.from_dense(store.to_dense()).rows
+        before = [a.tobytes() for a in (tree.nodes, tree.signs, tree.held)]
+        with pytest.raises(MatrixError) as refused:
+            store.insert(0, 1, value)
+        with pytest.raises(MatrixError) as info:
+            tree.insert(0, 1, value)
+        assert str(info.value) == (tree_message or str(refused.value))
+        assert [a.tobytes() for a in (tree.nodes, tree.signs, tree.held)] == before
+
     @pytest.mark.parametrize("j", [-1, 3, 1 << 40])
     def test_insert_outside_the_columns_leaves_store_unchanged(self, j):
         store = MatrixStore.from_dense([[1.0, 0.0, -2.0], [0.0, 3.0, 0.0]])
