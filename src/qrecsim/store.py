@@ -69,8 +69,8 @@ class TreeTable:
     is part of the state. Single-entry reads and writes go through a flat
     memoryview of ``nodes`` in Python floats; bulk loads write the arrays
     and call ``fill``. Each of these takes tree i as row i of ``nodes`` and
-    rejects an i outside [0, count), which would read or write another
-    tree's row.
+    rejects an i outside [0, count), or a leaf j outside [0, size), through
+    ``_check``: either would read or write another tree's row.
     """
 
     __slots__ = ("count", "size", "depth", "nodes", "signs", "held", "_flat", "_signs", "_held")
@@ -93,19 +93,30 @@ class TreeTable:
         first = 1 << self.depth
         return self.nodes[:, first : first + self.size]
 
-    def root(self, i: int) -> float:
+    def _check(self, i: int, j: int = 0, axis: str = "leaf") -> None:
+        """Refuse a tree index i outside [0, count), then a leaf index j
+        outside [0, size), the latter named as ``axis``; j = 0 always passes."""
         if not 0 <= i < self.count:
             raise MatrixError(f"row index {i} outside [0, {self.count})")
+        if not 0 <= j < self.size:
+            raise MatrixError(f"{axis} index {j} outside [0, {self.size})")
+
+    def root(self, i: int) -> float:
+        self._check(i)
         return self._flat[i * (2 << self.depth) + 1]
 
     def amplitude(self, i: int, j: int) -> float:
         """Signed entry value sign_j * sqrt(weight_j) of tree i."""
-        weight, sign, _ = self.leaf(i, j)
-        return float(sign * np.sqrt(weight))
+        self._check(i, j)
+        return self._amplitude(i, j)
+
+    def _amplitude(self, i: int, j: int) -> float:
+        """``amplitude`` without the index check."""
+        weight = self._flat[((2 * i + 1) << self.depth) + j]
+        return float(self._signs[i * self.size + j] * np.sqrt(weight))
 
     def node_weight(self, i: int, t: int, prefix: int) -> float:
-        if not 0 <= i < self.count:
-            raise MatrixError(f"row index {i} outside [0, {self.count})")
+        self._check(i)
         if not 0 <= t <= self.depth:
             raise MatrixError(f"depth {t} outside [0, {self.depth}]")
         if not 0 <= prefix < (1 << t):
@@ -117,10 +128,7 @@ class TreeTable:
 
         Returns the number of tree nodes written (depth + 1).
         """
-        if not 0 <= i < self.count:
-            raise MatrixError(f"row index {i} outside [0, {self.count})")
-        if not 0 <= j < self.size:
-            raise MatrixError(f"leaf index {j} outside [0, {self.size})")
+        self._check(i, j)
         if not math.isfinite(weight) or weight < 0.0:
             raise MatrixError(f"leaf weight must be finite and >= 0, got {weight}")
         self._carry(i, j, float(weight))
@@ -145,25 +153,18 @@ class TreeTable:
 
     def leaf(self, i: int, j: int) -> tuple[float, int, bool]:
         """Leaf j of tree i as (weight, sign, held)."""
-        if not 0 <= i < self.count:
-            raise MatrixError(f"row index {i} outside [0, {self.count})")
-        if not 0 <= j < self.size:
-            raise MatrixError(f"leaf index {j} outside [0, {self.size})")
+        self._check(i, j)
         k = i * self.size + j
-        weight = self._flat[i * (2 << self.depth) + (1 << self.depth) + j]
+        weight = self._flat[((2 * i + 1) << self.depth) + j]
         return weight, self._signs[k], self._held[k]
 
     def insert(self, i: int, j: int, value: float) -> int:
-        """Set leaf j of tree i to value^2 with value's sign; the value is
-        taken in as ``MatrixStore.insert`` takes it in."""
-        try:
-            finite = math.isfinite(value)  # TypeError on a str, OverflowError on 10**309
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            raise MatrixError(f"entry value must be a finite real number, got {value!r}")
-        value = float(value)
-        return self.update(i, j, value * value, int(value > 0.0) - int(value < 0.0))
+        """Set leaf j of tree i to value^2 with value's sign. The indices are
+        checked first and the value is taken in by ``_entry_weight``, as
+        ``MatrixStore.insert`` does both; a square that overflows is then
+        refused by ``update``'s leaf-weight check."""
+        self._check(i, j)
+        return self.update(i, j, *_entry_weight(value))
 
     def sample(self, i: int, rng: np.random.Generator) -> int:
         """Draw a leaf of tree i with probability weight_j / root.
@@ -175,8 +176,7 @@ class TreeTable:
         ``left``), it takes the positive sibling, so the drawn leaf always
         has positive weight.
         """
-        if not 0 <= i < self.count:
-            raise MatrixError(f"row index {i} outside [0, {self.count})")
+        self._check(i)
         width = 2 << self.depth
         tree = self._flat[i * width : (i + 1) * width]
         if tree[1] <= 0.0:
@@ -245,6 +245,20 @@ class TreeTable:
         return np.where(reach[:, :size], amp[:, :size] * self.signs, 0.0)
 
 
+def _entry_weight(value) -> tuple[float, int]:
+    """(value^2, sign of value) for an entry value; anything but a finite
+    real number (a str, None, nan, 10**309) raises MatrixError. The square
+    may overflow to inf: each insert refuses that on its own terms."""
+    try:
+        finite = math.isfinite(value)  # TypeError on a str, OverflowError on 10**309
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise MatrixError(f"entry value must be a finite real number, got {value!r}")
+    value = float(value)
+    return value * value, int(value > 0.0) - int(value < 0.0)
+
+
 class MatrixStore:
     """Streamed m x n matrix with row trees and a row-norm tree.
 
@@ -278,22 +292,13 @@ class MatrixStore:
         insert leaves the store exactly as it was.
         """
         rows, norm = self.rows, self.norm_tree
-        if not 0 <= i < self.m:
-            raise MatrixError(f"row index {i} outside [0, {self.m})")
-        if not 0 <= j < self.n:
-            raise MatrixError(f"leaf index {j} outside [0, {self.n})")
-        try:
-            finite = math.isfinite(value)  # TypeError on a str, OverflowError on 10**309
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            raise MatrixError(f"entry value must be a finite real number, got {value!r}")
-        value = float(value)
+        rows._check(i, j)
+        weight, sign = _entry_weight(value)
         old = rows._flat[((2 * i + 1) << rows.depth) + j]
-        if not math.isfinite(norm._carry(0, i, rows._carry(i, j, value * value))):
+        if not math.isfinite(norm._carry(0, i, rows._carry(i, j, weight))):
             norm._carry(0, i, rows._carry(i, j, old))
             raise MatrixError(f"entry ({i}, {j}) too large: ||A||_F^2 overflows")
-        rows._signs[i * self.n + j] = int(value > 0.0) - int(value < 0.0)
+        rows._signs[i * self.n + j] = sign
         rows._held[i * self.n + j] = True
         norm._signs[i] = 1
         norm._held[i] = True
@@ -315,9 +320,9 @@ class MatrixStore:
     def subtree_weight(self, i: int, prefix: str) -> float:
         """Squared weight under the row-i subtree addressed by a bit string.
 
-        The empty prefix addresses the row root (the squared row norm).
+        The empty prefix addresses the row root (the squared row norm); i is
+        checked by ``TreeTable.node_weight``, after the prefix.
         """
-        self._check_row(i)
         if any(c not in "01" for c in prefix):
             raise MatrixError(f"prefix must be a bit string, got {prefix!r}")
         depth = self.rows.depth
@@ -327,13 +332,11 @@ class MatrixStore:
         return self.rows.node_weight(i, len(prefix), key)
 
     def entry(self, i: int, j: int) -> float:
-        self._check_row(i)
-        if not 0 <= j < self.n:
-            raise MatrixError(f"column index {j} outside [0, {self.n})")
-        return self.rows.amplitude(i, j)
+        self.rows._check(i, j, "column")
+        return self.rows._amplitude(i, j)
 
     def row_dense(self, i: int) -> np.ndarray:
-        self._check_row(i)
+        self.rows._check(i)
         return self._dense(slice(i, i + 1))[0]
 
     def to_dense(self) -> np.ndarray:
@@ -360,10 +363,6 @@ class MatrixStore:
     def sample_entry(self, rng: np.random.Generator) -> tuple[int, int]:
         i = self.l2_sample_row_index(rng)
         return i, self.l2_sample_in_row(i, rng)
-
-    def _check_row(self, i: int) -> None:
-        if not 0 <= i < self.m:
-            raise MatrixError(f"row index {i} outside [0, {self.m})")
 
     # -- construction ----------------------------------------------------
 
