@@ -110,14 +110,25 @@ def check_count(low: int, high: float = np.inf, /, **values) -> None:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and convert input to a 2-d float64 array."""
+    """Validate and convert input to a non-empty 2-d float64 array whose
+    entries and ||A||_F^2 are finite; a store refuses the same overflow.
+
+    One dot product over the entries checks both: it is finite exactly
+    when every entry is finite and the sum of their squares does not
+    overflow. The message is picked only on failure.
+    """
     arr = _float64(a)
     if arr.ndim != 2:
         raise MatrixError(f"expected a 2-d matrix, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise MatrixError(f"matrix must be non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise MatrixError("matrix entries must be finite")
+    flat = arr.ravel(order="K")
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro_sq = flat.dot(flat)
+    if not math.isfinite(fro_sq):
+        if not np.all(np.isfinite(arr)):
+            raise MatrixError("matrix entries must be finite")
+        raise MatrixError("entries too large: ||A||_F^2 overflows")
     return arr
 
 

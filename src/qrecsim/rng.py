@@ -35,19 +35,17 @@ def stream(master_seed: int, *names: str) -> np.random.Generator:
 
 
 def choice_cdf(p: np.ndarray) -> np.ndarray:
-    """Inverse-CDF table for repeated draws from the distribution p; for a
-    2-D p, one table per row.
+    """Inverse-CDF table for repeated draws from the 1-D distribution p.
 
-    Checks each distribution as ``Generator.choice`` does (no negative
-    entry, sum within sqrt(eps) of 1) and normalizes its cumulative sum the
-    same way, so ``cdf.searchsorted(rng.random(), side="right")`` draws the
-    index that ``rng.choice(len(p), p=p)`` would, bit for bit. A NaN fails
-    the sum check.
+    Checks p as ``Generator.choice`` does (no negative entry, sum within
+    sqrt(eps) of 1) and normalizes its cumulative sum the same way, so
+    ``cdf.searchsorted(rng.random(), side="right")`` draws the index that
+    ``rng.choice(len(p), p=p)`` would, bit for bit. A NaN fails the sum
+    check.
     """
-    # A scalar for a 1-D p; min's initial 0.0 lets an empty p reach this check.
-    within = abs(p.sum(axis=-1) - 1.0) <= SUM_TOL
-    if p.min(initial=0.0) < 0.0 or not (within if p.ndim == 1 else within.all()):
+    # min's initial 0.0 lets an empty p reach the sum check.
+    if p.min(initial=0.0) < 0.0 or not abs(p.sum() - 1.0) <= SUM_TOL:
         raise MatrixError("probabilities must be non-negative and sum to 1")
-    cdf = p.cumsum(axis=-1)
-    cdf /= cdf[-1] if p.ndim == 1 else cdf[..., -1:]
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
     return cdf

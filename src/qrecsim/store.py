@@ -5,7 +5,9 @@ subtree sums at internal nodes, so a leaf can be drawn with probability
 proportional to its squared value in one root-to-leaf walk. A second tree of
 the same kind over the squared row norms picks rows proportional to their
 share of the squared Frobenius norm. Entry signs are kept beside the leaves;
-the trees themselves only ever see squared weights.
+the trees themselves only ever see squared weights. So the store holds no
+nonzero entry whose square is not a normal float: ``insert``, ``from_dense``
+and ``deserialize`` refuse one, as they refuse a ||A||_F^2 that overflows.
 
 Every tree lives in a ``TreeTable``: one heap-ordered float64 array with a
 row per tree, where node (t, prefix) of tree i sits at column 2^t + prefix
@@ -54,6 +56,10 @@ _LEAF_DTYPE = np.dtype([("column", "<u8"), ("weight", "<f8"), ("sign", "i1")])
 # every consumer also densifies the store to m x n float64 (2 GiB), so one bad
 # index or header would exhaust memory.
 MAX_INGEST_DIM = 1 << 14
+# The smallest normal float. A nonzero entry below 2^-511 in magnitude squares
+# to less: to a rounded subnormal or to 0, so the store would hold it with a
+# weight that lost its bits, or mark it held with ||A||_F unchanged.
+_MIN_WEIGHT = 2.0**-1022
 
 
 class TreeTable:
@@ -164,7 +170,7 @@ class TreeTable:
         ``MatrixStore.insert`` does both; a square that overflows is then
         refused by ``update``'s leaf-weight check."""
         self._check(i, j)
-        return self.update(i, j, *_entry_weight(value))
+        return self.update(i, j, *_entry_weight(i, j, value))
 
     def sample(self, i: int, rng: np.random.Generator) -> int:
         """Draw a leaf of tree i with probability weight_j / root.
@@ -245,10 +251,12 @@ class TreeTable:
         return np.where(reach[:, :size], amp[:, :size] * self.signs, 0.0)
 
 
-def _entry_weight(value) -> tuple[float, int]:
-    """(value^2, sign of value) for an entry value; anything but a finite
-    real number (a str, None, nan, 10**309) raises MatrixError. The square
-    may overflow to inf: each insert refuses that on its own terms."""
+def _entry_weight(i: int, j: int, value) -> tuple[float, int]:
+    """(value^2, sign of value) for entry (i, j). MatrixError refuses
+    anything but a finite real number (a str, None, nan, 10**309), and a
+    nonzero value whose square is not a normal float (0 < |value| < 2^-511).
+    The square may overflow to inf: each insert refuses that on its own
+    terms."""
     try:
         finite = math.isfinite(value)  # TypeError on a str, OverflowError on 10**309
     except (TypeError, OverflowError):
@@ -256,7 +264,10 @@ def _entry_weight(value) -> tuple[float, int]:
     if not finite:
         raise MatrixError(f"entry value must be a finite real number, got {value!r}")
     value = float(value)
-    return value * value, int(value > 0.0) - int(value < 0.0)
+    weight = value * value
+    if weight < _MIN_WEIGHT and value != 0.0:
+        raise MatrixError(f"entry ({i}, {j}) too small: its square underflows")
+    return weight, int(value > 0.0) - int(value < 0.0)
 
 
 class MatrixStore:
@@ -281,8 +292,10 @@ class MatrixStore:
     def insert(self, i: int, j: int, value: float) -> int:
         """Record A[i, j] = value, overwriting any previous value there.
 
-        One checked pass: i, j and value are validated once, value^2 is
-        carried up row i's tree and the new row root up the norm tree.
+        One checked pass: i and j are validated once by ``_check`` and the
+        value by ``_entry_weight``, which also refuses a nonzero value whose
+        square underflows; value^2 is then carried up row i's tree and the
+        new row root up the norm tree.
         Touches at most ceil(log2 n) + ceil(log2 m) + 2 tree nodes: the leaf
         and its ancestors in the row tree, then the row's leaf and ancestors
         in the norm tree. When the new ||A||_F^2 is not finite, the old leaf
@@ -293,7 +306,7 @@ class MatrixStore:
         """
         rows, norm = self.rows, self.norm_tree
         rows._check(i, j)
-        weight, sign = _entry_weight(value)
+        weight, sign = _entry_weight(i, j, value)
         old = rows._flat[((2 * i + 1) << rows.depth) + j]
         if not math.isfinite(norm._carry(0, i, rows._carry(i, j, weight))):
             norm._carry(0, i, rows._carry(i, j, old))
@@ -373,15 +386,20 @@ class MatrixStore:
         Built in bulk (see the module docstring): the result is bit-identical
         to inserting each nonzero cell, and ``node_touches`` counts the nodes
         on a written leaf's path. Raises MatrixError when ``linalg.as_matrix``
-        rejects the input or when a squared entry or ||A||_F^2 overflows.
+        rejects the input, when a nonzero entry's square underflows (the
+        first such cell, with ``insert``'s message) or when ||A||_F^2
+        overflows.
         """
         arr = as_matrix(a)
         store = cls(arr.shape[0], arr.shape[1])
         rows = store.rows
-        with np.errstate(over="ignore"):
-            np.multiply(arr, arr, out=rows.leaves)
+        np.multiply(arr, arr, out=rows.leaves)  # as_matrix bounds every square
         np.sign(arr, out=rows.signs, casting="unsafe")
         np.not_equal(arr, 0.0, out=rows.held)
+        small = rows.held & (rows.leaves < _MIN_WEIGHT)
+        if small.any():
+            i, j = np.argwhere(small)[0].tolist()
+            _entry_weight(i, j, arr[i, j])  # refuses the cell as insert does
         if not store._fill():
             raise MatrixError("entries too large: ||A||_F^2 overflows")
         return store
@@ -435,8 +453,10 @@ class MatrixStore:
 
         Rejected, at the offset of the first bad record: a column outside
         [0, n), a weight that is negative or not finite, a sign outside
-        {-1, 0, 1}, and a column not above the one before it in its row
-        (duplicate or out of order). A shape over MAX_INGEST_DIM, truncation,
+        {-1, 0, 1}, a weight below 2^-1022 that is not +-0.0 under sign 0 (a
+        nonzero entry whose square underflows, which ``insert`` refuses), and
+        a column not above the one before it in its row (duplicate or out of
+        order). A shape over MAX_INGEST_DIM, truncation,
         trailing bytes, an entry count unlike the header's and weights whose
         sum overflows are rejected too.
         The trees are bulk-built as in ``from_dense``, bit-identical to
@@ -481,6 +501,10 @@ class MatrixStore:
             (cols >= n, "column {col} out of range in row {row}"),
             (~np.isfinite(weights) | (weights < 0.0), "invalid weight {weight} in row {row}"),
             ((signs < -1) | (signs > 1), "invalid sign {sign} in row {row}"),
+            (
+                (weights < _MIN_WEIGHT) & ((weights != 0.0) | (signs != 0)),
+                "weight {weight} too small under sign {sign} in row {row}",
+            ),
             (unordered, "column {col} duplicated or out of order in row {row}"),
         )
         bad = np.logical_or.reduce([mask for mask, _ in checks])

@@ -96,16 +96,19 @@ def reference_insert(store, i: int, j: int, value) -> int:
     checked calls.
 
     Reads the old leaf (which checks i and j), writes the row leaf with
-    ``update``, then the row's norm leaf from the new row root. A square that
-    overflows is refused first; when the norm tree refuses an infinite row
-    root or its root overflows, both leaves are written back with ``update``
-    and their held flags reset, which returns every sum to its earlier bits,
-    and the store's overflow error is raised.
+    ``update``, then the row's norm leaf from the new row root. A nonzero
+    value whose square is not a normal float (below 2^-1022) is refused
+    first, then a square that overflows; when the norm tree refuses an
+    infinite row root or its root overflows, both leaves are written back
+    with ``update`` and their held flags reset, which returns every sum to
+    its earlier bits, and the store's overflow error is raised.
     """
     rows, norm = store.rows, store.norm_tree
     weight, sign, held = rows.leaf(i, j)
     if not math.isfinite(value):
         raise MatrixError(f"entry value must be a finite real number, got {value!r}")
+    if value != 0.0 and value * value < 2.0**-1022:
+        raise MatrixError(f"entry ({i}, {j}) too small: its square underflows")
     overflow = MatrixError(f"entry ({i}, {j}) too large: ||A||_F^2 overflows")
     if math.isinf(value * value):  # update would refuse it before any write
         raise overflow

@@ -288,6 +288,12 @@ class TestCliIngest:
         assert main(["ingest", str(triplets)]) == EXIT_ERROR
         assert "line 2" in capsys.readouterr().err
 
+    def test_square_that_underflows_rejected(self, tmp_path, capsys):
+        triplets = tmp_path / "tiny.txt"
+        triplets.write_text("0,1,1.0\n0,0,1e-170\n", encoding="utf-8")
+        assert main(["ingest", str(triplets)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: entry (0, 0) too small: its square underflows\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["ingest", str(tmp_path / "nope.txt")]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
@@ -495,9 +501,12 @@ class TestCliRecommend:
         assert "exceeds ||A||_F" in capsys.readouterr().err
 
     def test_zero_norm_store_is_input_error(self, tmp_path, capsys):
-        # Every square of 1e-170 underflows, so the loaded store's ||A||_F is 0.
-        store_path = tmp_path / "tiny.qrst"
-        MatrixStore.from_dense(np.full((3, 3), 1e-170)).save(store_path)
+        # A store of explicit zeros loads with entries, yet ||A||_F = 0.
+        store_path = tmp_path / "zeros.qrst"
+        store = MatrixStore(3, 3)
+        for i in range(3):
+            store.insert(i, i, 0.0)
+        store.save(store_path)
         code = main(["recommend", str(store_path), "--user", "0", "--sigma", "1e-171"])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == (

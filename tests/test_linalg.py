@@ -25,7 +25,7 @@ from qrecsim.linalg import (
     unit_vector,
 )
 from qrecsim.qproject import DEFAULT_KAPPA, ProjectionParams, keep_floor, kept_mask, threshold_project
-from qrecsim.qsim import sve
+from qrecsim.qsim import WalkOperator, sve
 from qrecsim.recsys import RecommendContext, generate_T, recommendation_sigma
 from qrecsim.rng import stream
 from qrecsim.store import MatrixStore
@@ -279,6 +279,12 @@ INTAKE_CONSUMERS = {
         a, np.ones(2), ProjectionParams(sigma=0.5), np.random.default_rng(0), path="circuit"
     ),
     "circuit-sve": lambda a: sve(a, np.ones(2), 0.1, path="circuit", rng=np.random.default_rng(0)),
+    "context": lambda a: RecommendContext(a, ProjectionParams(sigma=0.5)),
+    "exact-project": lambda a: threshold_project(
+        a, np.ones(2), ProjectionParams(sigma=0.5), np.random.default_rng(0)
+    ),
+    "exact-sve": lambda a: sve(a, np.ones(2), 0.1),
+    "walk": WalkOperator.from_dense,
 }
 
 
@@ -286,12 +292,14 @@ INTAKE_CONSUMERS = {
 @pytest.mark.parametrize(
     "value",
     [[[1.0, 2.0], [3.0]], [[np.nan, 1.0], [1.0, 1.0]], [[np.inf, 1.0], [1.0, 1.0]],
-     [1.0, 2.0], object()],
-    ids=["ragged", "nan", "inf", "1-d", "object"],
+     [1.0, 2.0], object(), [[1e154, 1e154], [1.0, 0.0]]],
+    ids=["ragged", "nan", "inf", "1-d", "object", "overflow"],
 )
 def test_dense_intake_is_as_matrix(consumer, value):
-    # The store and the circuit path's walk take a dense matrix through
-    # as_matrix: bad input raises its MatrixError, with no numpy warning first.
+    # The store, the context, both paths' projections and estimates, and the
+    # walk take a dense matrix through as_matrix: bad input raises its
+    # MatrixError, with no numpy warning first. Finite entries whose
+    # ||A||_F^2 overflows get the store's message.
     with pytest.raises(MatrixError) as want:
         as_matrix(value)
     with warnings.catch_warnings():
@@ -299,6 +307,12 @@ def test_dense_intake_is_as_matrix(consumer, value):
         with pytest.raises(MatrixError) as got:
             INTAKE_CONSUMERS[consumer](value)
     assert str(got.value) == str(want.value)
+
+
+def test_matrix_whose_frobenius_square_overflows_rejected():
+    with pytest.raises(MatrixError, match=r"^entries too large: \|\|A\|\|_F\^2 overflows$"):
+        as_matrix(np.array([[1e154, 1e154], [1.0, 0.0]]))
+    as_matrix(np.array([[1e154, 1.0], [1.0, 0.0]]))  # 1e308 + 2 is finite
 
 
 def test_factorization_shape_mismatch_guard():

@@ -235,8 +235,10 @@ class TestRecommendContext:
             RecommendContext(np.eye(2), ProjectionParams(sigma=5.0))
 
     def test_zero_norm_store_names_the_cause(self):
-        # Every square of 1e-170 underflows, so the store holds ||A||_F = 0.
-        store = MatrixStore.from_dense(np.full((3, 3), 1e-170))
+        # A store of explicit zeros holds entries, yet ||A||_F = 0.
+        store = MatrixStore(3, 3)
+        for i in range(3):
+            store.insert(i, i, 0.0)
         with pytest.raises(MatrixError) as info:
             RecommendContext(store, ProjectionParams(sigma=1e-171))
         assert str(info.value) == "||A||_F is 0: every entry is 0 or too small to square"
@@ -319,8 +321,12 @@ def _outcome(call):
 @st.composite
 def serving_cases(draw):
     """(matrix, source kind, threshold share of ||A||_F, max_iterations): a
-    small matrix whose rows may be left empty, made of squares that all
-    underflow (+-1e-170), or given an entry of 1e154 (square 1e308)."""
+    small matrix whose rows may be left empty, made of tiny entries, or
+    given an entry of 1e154 (square 1e308). A dense source's tiny entries
+    are +-1e-170, whose squares all underflow; a store refuses those, so a
+    store's are +-2^-511, the smallest it takes."""
+    kind = draw(st.sampled_from(["dense", "fortran", "store"]))
+    tiny = 2.0**-511 if kind == "store" else 1e-170
     m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
     entry = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_subnormal=False))
     a = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
@@ -329,10 +335,9 @@ def serving_cases(draw):
         if fill == "zero":
             a[i] = 0.0
         elif fill == "tiny":
-            a[i] = np.where(np.arange(n) % 2, -1e-170, 1e-170)
+            a[i] = np.where(np.arange(n) % 2, -tiny, tiny)
         elif fill == "huge":
             a[i, draw(st.integers(0, n - 1))] = 1e154
-    kind = draw(st.sampled_from(["dense", "fortran", "store"]))
     share = draw(st.floats(0.05, 1.0))
     return a, kind, share, draw(st.one_of(st.none(), st.integers(1, 40)))
 
@@ -345,11 +350,12 @@ class TestUserRecord:
     # A row orthogonal to the kept span: beta^2 = 0 and no CDF.
     @example((np.array([[3.0, 0.0], [0.0, 1.0]]), "dense", 0.6, None))
     @example((np.array([[3.0, 0.0], [0.0, 1.0]]), "fortran", 0.6, 5))
-    # All-zero, +-1e-170 and 1e154 rows beside a normal one.
+    # All-zero, +-1e-170 and 1e154 rows beside a normal one; a store refuses
+    # +-1e-170, so its row holds the smallest entries it takes, +-2^-511.
     @example((np.array([[0.0, 0.0, 0.0], [1e-170, -1e-170, 1e-170], [1.0, 2.0, -1.0],
                         [1e154, 0.0, 1.0]]), "dense", 0.3, None))
-    @example((np.array([[0.0, 0.0, 0.0], [1e-170, -1e-170, 1e-170], [1.0, 2.0, -1.0]]),
-              "store", 0.5, 3))
+    @example((np.array([[0.0, 0.0, 0.0], [2.0**-511, -(2.0**-511), 2.0**-511],
+                        [1.0, 2.0, -1.0]]), "store", 0.5, 3))
     def test_user_record_matches_reference_composition_property(self, case):
         a, kind, share, cap = case
         with np.errstate(over="ignore"):  # two entries of 1e154 overflow ||A||_F^2
@@ -430,19 +436,14 @@ class TestRecommendDraws:
         cdf = choice_cdf(np.array([0.25, 0.75 - 1e-9]))
         assert cdf[-1] == 1.0
         assert cdf[0] == 0.25 / (1.0 - 1e-9)
-        # A 1-D p and the same p as a one-row 2-D array: the same refusals, and
-        # byte-equal tables when accepted.
+        # Refused and accepted at the edges of the check; an accepted table is
+        # the cumulative sum over its last entry, the one Generator.choice forms.
         tol = np.sqrt(np.finfo(np.float64).eps)
         refused = ([0.5, 0.75, -0.25], [0.5, np.nan, 0.5], [0.5, 0.5 - 2 * tol, 0.0], [0.0] * 3)
         for p in refused:
-            for shaped in (np.array(p), np.array([p])):
-                with pytest.raises(MatrixError, match="non-negative and sum to 1"):
-                    choice_cdf(shaped)
+            with pytest.raises(MatrixError, match="non-negative and sum to 1"):
+                choice_cdf(np.array(p))
         accepted = ([0.25, 0.0, 0.75 - tol / 2], [1.0, 0.0, 0.0], [0.1, 0.2, 0.7])
         for p in accepted:
-            assert choice_cdf(np.array(p)).tobytes() == choice_cdf(np.array([p])).tobytes()
-        # Two rows: each row is checked and normalized on its own.
-        rows = choice_cdf(np.array(accepted[1:]))
-        assert rows.tobytes() == b"".join(choice_cdf(np.array(p)).tobytes() for p in accepted[1:])
-        with pytest.raises(MatrixError, match="non-negative and sum to 1"):
-            choice_cdf(np.array([accepted[0], refused[0]]))
+            want = np.cumsum(p)
+            assert choice_cdf(np.array(p)).tobytes() == (want / want[-1]).tobytes()

@@ -20,6 +20,12 @@ from oracles import leaf_scan_weights, prepare_vector_state, reference_insert
 EXAMPLE_ROW = [0.4, 0.4, 0.8, 0.2]
 
 
+def storable(values: st.SearchStrategy) -> st.SearchStrategy:
+    """``values`` without the nonzero entries whose square underflows (below
+    2^-511 in magnitude), which a store refuses."""
+    return values.filter(lambda v: not 0.0 < abs(v) < 2.0**-511)
+
+
 def example_tree() -> TreeTable:
     tree = TreeTable(1, 4)
     for j, v in enumerate(EXAMPLE_ROW):
@@ -90,13 +96,15 @@ class TestRowTree:
             tree.sample(0, np.random.default_rng(0))
 
     def test_subnormal_weight_never_draws_a_zero_leaf(self):
-        # 1.6e-162 squared is one subnormal ulp; u * (ulp + 0) rounds up to
-        # the ulp for about half the draws, which once sent the walk into
-        # the empty right subtree (columns 1 and 3, outside [0, 3)).
-        store = MatrixStore.from_dense([[1.6e-162, 0.0, 0.0]])
+        # One subnormal ulp: u * (ulp + 0) rounds up to the ulp for about half
+        # the draws, which once sent the walk into the empty right subtree
+        # (columns 1 and 3, outside [0, 3)). A store refuses an entry whose
+        # square is subnormal, so the weight is written with update, which
+        # takes it; tree 1 of two also checks that the walk stays in its row.
+        table = TreeTable(2, 3)
+        table.update(1, 0, 5e-324, 1)
         rng = np.random.default_rng(0)
-        assert {store.l2_sample_in_row(0, rng) for _ in range(200)} == {0}
-        assert {store.sample_entry(rng) for _ in range(200)} == {(0, 0)}
+        assert {table.sample(1, rng) for _ in range(200)} == {0}
 
     def test_rejects_nonfinite(self):
         tree = TreeTable(1, 2)
@@ -240,12 +248,28 @@ class TestMatrixStore:
         with pytest.raises(MatrixError):
             store.subtree_weight(0, "000")
 
-    @pytest.mark.parametrize("row", [[1e200, 1.0], [1e154, 1e154]])
+    @pytest.mark.parametrize(
+        "row",
+        [[1e200, 1.0], [1e154, 1e154], [1.0, -1e-170], [1e-170, 1e154], [5e-324, 0.0],
+         [7.621081084655337e153, 6.85312953845085e153, 8.644249656074993e153]],
+    )
     def test_from_dense_rejects_overflowing_weights(self, row):
         # 1e200 squared overflows as a leaf, 1e154 only in the row sum; both
-        # would leave ||A||_F^2 infinite, which insert refuses too.
-        with pytest.raises(MatrixError, match="overflows"):
+        # would leave ||A||_F^2 infinite, which insert refuses too. The
+        # squares of +-1e-170 and 5e-324 underflow: from_dense names the first
+        # such cell, as inserting the row cell by cell would. The last row's
+        # tree sum (s0 + s1) + s2 overflows, while the dot as_matrix forms
+        # may sum in another order and stay finite: the tree still refuses it.
+        store = MatrixStore(1, len(row))
+        with pytest.raises(MatrixError) as refused:
+            for j, value in enumerate(row):
+                store.insert(0, j, value)
+        with pytest.raises(MatrixError) as info:
             MatrixStore.from_dense([row])
+        if "underflows" in str(refused.value):
+            assert str(info.value) == str(refused.value)
+        else:
+            assert str(info.value) == "entries too large: ||A||_F^2 overflows"
 
     @pytest.mark.parametrize(
         "before, cell",
@@ -281,8 +305,11 @@ class TestMatrixStore:
             ("1.0", "must be a finite real number, got '1.0'"),
             (None, "must be a finite real number, got None"),
             (math.nan, "must be a finite real number, got nan"),
+            (1e-170, r"entry \(0, 1\) too small: its square underflows"),  # squares to 0
+            (-1e-170, r"entry \(0, 1\) too small: its square underflows"),
+            (5e-324, r"entry \(0, 1\) too small: its square underflows"),
         ],
-        ids=["1e200", "10**200", "10**309", "str", "None", "nan"],
+        ids=["1e200", "10**200", "10**309", "str", "None", "nan", "1e-170", "-1e-170", "5e-324"],
     )
     def test_refused_value_leaves_store_unchanged(self, value, message):
         store = MatrixStore.from_dense([[1.0, -2.0, 0.0], [0.0, 3.0, 0.0]])
@@ -303,8 +330,11 @@ class TestMatrixStore:
             ("1.0", None),
             (None, None),
             (math.nan, None),
+            (1e-170, None),
+            (-1e-170, None),
+            (5e-324, None),
         ],
-        ids=["1e200", "10**200", "10**309", "str", "None", "nan"],
+        ids=["1e200", "10**200", "10**309", "str", "None", "nan", "1e-170", "-1e-170", "5e-324"],
     )
     def test_tree_insert_refuses_what_the_store_insert_refuses(self, value, tree_message):
         # Both inserts take a value in the same way: the store's message, or,
@@ -544,6 +574,12 @@ class TestSerialization:
                 "column 0 duplicated or out of order in row 1",
                 82,
             ),
+            # Squares of nonzero entries that underflowed: below 2^-1022 and
+            # not a zero under sign 0.
+            ([[(0, 1.0, 1), (1, 5e-324, 1)]], "weight 5e-324 too small under sign 1 in row 0", 57),
+            ([[(0, 5e-324, 0)]], "weight 5e-324 too small under sign 0 in row 0", 40),
+            ([[(0, 1.0, 1)], [(2, 0.0, -1)]], "weight 0.0 too small under sign -1 in row 1", 65),
+            ([[(0, -0.0, 1)]], "weight -0.0 too small under sign 1 in row 0", 40),
         ],
     )
     def test_bad_record_reports_first_offset(self, rows, message, offset):
@@ -576,6 +612,14 @@ class TestSerialization:
     def test_header_shape_at_limit_loads(self):
         store = MatrixStore.deserialize(self.blob([[(0, 1.0, 1)]], n=MAX_INGEST_DIM))
         assert (store.m, store.n) == (1, MAX_INGEST_DIM)
+
+    def test_zero_and_smallest_normal_weights_load(self):
+        # +-0.0 under sign 0 is an explicit zero, and 2^-1022 the square of
+        # 2^-511, the smallest entry insert takes.
+        blob = self.blob([[(0, 0.0, 0), (1, -0.0, 0), (2, 2.0**-1022, -1)]])
+        store = MatrixStore.deserialize(blob)
+        assert store.serialize() == blob
+        assert store.entry(0, 2) == -(2.0**-511)
 
     def test_overflowing_weight_sum_rejected(self):
         # Each weight is finite, as the record check requires, but their sum
@@ -671,7 +715,7 @@ class TestTriplets:
         st.tuples(
             st.integers(0, 4),
             st.integers(0, 6),
-            st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+            storable(st.floats(-10, 10, allow_nan=False, allow_infinity=False)),
         ),
         min_size=1,
         max_size=40,
@@ -707,7 +751,7 @@ def sparse_matrices(draw):
     n = draw(st.integers(1, 9))
     cell = st.one_of(
         st.just(0.0),
-        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        storable(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
     )
     a = np.array(draw(st.lists(cell, min_size=m * n, max_size=m * n))).reshape(m, n)
     for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
@@ -735,13 +779,13 @@ def test_bulk_build_matches_inserts_property(a, zeros):
 @st.composite
 def insert_streams(draw):
     """A shape and a stream of inserts into it: overwrites, signed zeros,
-    squares that underflow to 0 (1e-170), entries whose square or sum with
-    the rest overflows, non-finite values and indices just outside the shape."""
+    entries whose square underflows (1e-170 to 0, 5e-324 too) and the
+    smallest entry whose square does not (2^-511), entries whose square or
+    sum with the rest overflows, non-finite values and indices just outside
+    the shape."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
-    value = st.one_of(
-        st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 1e154, -1e154, 1e200, math.inf, math.nan]),
-        st.floats(-1e3, 1e3),
-    )
+    edges = [0.0, -0.0, 1e-170, -1e-170, 5e-324, 2.0**-511, -(2.0**-511), 1e154, -1e154, 1e200]
+    value = st.one_of(st.sampled_from([*edges, math.inf, math.nan]), st.floats(-1e3, 1e3))
     index = lambda size: st.one_of(st.integers(0, size - 1), st.sampled_from([-1, size]))
     return m, n, draw(st.lists(st.tuples(index(m), index(n), value), max_size=30))
 
@@ -756,7 +800,8 @@ def insert_outcome(insert, i, j, value):
 @settings(max_examples=200, deadline=None)
 @given(insert_streams())
 # 1e154 in row 0 makes the sum overflow when it lands over the held negative
-# cell (1, 0); then a square that underflows, an overwrite and a bad index.
+# cell (1, 0); then a refused square that underflows, an overwrite and a bad
+# index.
 @example((2, 3, [(1, 0, -2.0), (0, 0, 1e154), (1, 0, 1e154), (1, 0, 1e-170), (1, 0, -0.0),
                  (2, 0, 1.0), (1, 3, 1.0)]))
 def test_insert_matches_reference_composition_property(case):
@@ -771,48 +816,67 @@ def test_insert_matches_reference_composition_property(case):
 
 
 @st.composite
-def edge_stores(draw):
-    """Stores loaded from a blob, then written to by inserts.
+def edge_tables(draw):
+    """Tables at the edges of the state cascade: a store's row and norm
+    tables, and a table written by ``update``.
 
-    The blob holds any valid records: explicit zeros, -0.0 weights and zero
-    weights under a nonzero sign; the inserts add explicit zeros and squares
-    that underflow. Rows may stay empty, and n may be 1 or not a power of two.
+    The store is loaded from a blob of any records it takes (explicit zeros,
+    -0.0 under sign 0, the smallest normal weight 2^-1022, a positive weight
+    under sign 0), then written to by inserts of explicit zeros and of
+    entries down to 2^-511. ``update`` takes every weight a store refuses:
+    subnormal, and -0.0 or zero under a nonzero sign. Rows may stay empty,
+    and n may be 1 or not a power of two.
     """
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
-    weight = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]), st.floats(0.0, 1e3))
-    records = [
-        [(j, draw(weight), draw(st.sampled_from([-1, 0, 1]))) for j in sorted(cols)]
-        for cols in draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=m, max_size=m))
-    ]
+    rows = lambda: draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=m, max_size=m))
+    sign = st.sampled_from([-1, 0, 1])
+    edge = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]), st.floats(0.0, 1e3))
+    table = TreeTable(m, n)
+    for i, cols in enumerate(rows()):
+        for j in cols:
+            table.update(i, j, draw(edge), draw(sign))
+    normal = st.one_of(st.sampled_from([0.0, -0.0, 2.0**-1022, 1e-300, 1e300]),
+                       st.floats(2.0**-1022, 1e3))
+
+    def record(j):
+        weight = draw(normal)
+        return j, weight, 0 if weight == 0.0 else draw(sign)
+
+    records = [[record(j) for j in sorted(cols)] for cols in rows()]
     store = MatrixStore.deserialize(TestSerialization.blob(records, n=n))
-    value = st.one_of(st.sampled_from([0.0, -0.0, 1e-170, -1e-170]), st.floats(-1e3, 1e3))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 2.0**-511, -(2.0**-511)]),
+                      storable(st.floats(-1e3, 1e3)))
     for i, j, v in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value))):
         store.insert(i, j, v)
-    return store
+    return [store.rows, store.norm_tree, table]
 
 
-def edge_example(records, n, inserts) -> MatrixStore:
-    store = MatrixStore.deserialize(TestSerialization.blob(records, n=n))
-    for i, j, v in inserts:
-        store.insert(i, j, v)
-    return store
+def edge_table(n, rows) -> TreeTable:
+    """A table written by ``update``: row i of ``rows`` lists (j, weight, sign)."""
+    table = TreeTable(len(rows), n)
+    for i, records in enumerate(rows):
+        for j, weight, sign in records:
+            table.update(i, j, weight, sign)
+    return table
 
 
 @settings(max_examples=150, deadline=None)
-@given(edge_stores())
-# Every case at once: a -0.0 and a zero weight under a negative sign from the
-# blob, each beside a live sibling (both prepare -0.0), an empty row, and a
-# row whose only entries square to zero.
+@given(edge_tables())
+# Every case at once: a -0.0 and a zero weight under a negative sign, each
+# beside a live sibling (both prepare -0.0), an empty row, and a row whose
+# only entries weigh zero; then the norm table over those rows, whose leaf
+# for that last row weighs 0.0 under sign 1.
 @example(
-    edge_example(
-        [[(0, -0.0, 1), (1, 4.0, -1), (2, 0.0, -1), (3, 1.0, 1), (4, 1.0, 1)], [], []],
-        5,
-        [(2, 3, -1e-170), (2, 1, 0.0)],
-    )
+    [
+        edge_table(5, [[(0, -0.0, 1), (1, 4.0, -1), (2, 0.0, -1), (3, 1.0, 1), (4, 1.0, 1)],
+                       [], [(3, 0.0, -1), (1, 0.0, 0)]]),
+        edge_table(3, [[(0, 6.0, 1), (2, 0.0, 1)]]),
+    ]
 )
-@example(edge_example([[(0, 4.0, -1)], [(0, -0.0, 1)], []], 1, [(2, 0, 1e-170)]))
-def test_states_match_cascade_oracle_property(store):
-    for table in (store.rows, store.norm_tree):
+@example([edge_table(1, [[(0, 4.0, -1)], [(0, -0.0, 1)], [(0, 0.0, 1)]]),
+          edge_table(3, [[(0, 4.0, 1), (1, -0.0, 1), (2, 0.0, 1)]])])
+def test_states_match_cascade_oracle_property(tables):
+    for table in tables:
         got = table.states()
         assert got.shape == (table.count, table.size)
         for i in range(table.count):
